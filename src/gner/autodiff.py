@@ -29,6 +29,7 @@ __all__ = [
     "matmul",
     "mul",
     "concat_last",
+    "logistic",
     "sigmoid",
     "tanh",
     "relu",
@@ -38,6 +39,7 @@ __all__ = [
     "stack",
     "gather_rows",
     "reshape",
+    "joint_result",
     "backward",
     "check_gradient",
 ]
@@ -191,13 +193,14 @@ def concat_last(nodes: Sequence[Node]) -> Node:
     return _result("concat_last_axis", value, nodes, vjps)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Overflow-free sigmoid: ``1/(1+e^-x)`` for x >= 0, ``e^x/(1+e^x)`` below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def sigmoid(a: Node) -> Node:
-    x = a.value
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = logistic(a.value)
     return _result("sigmoid", out, (a,), (lambda g: g * out * (1.0 - out),))
 
 
@@ -299,6 +302,26 @@ def reshape(a: Node, shape: tuple[int, ...]) -> Node:
         raise ShapeError(f"reshape: cannot view {_shape_of(a)} as {tuple(shape)}")
     old = a.value.shape
     return _result("reshape", a.value.reshape(shape), (a,), (lambda g: g.reshape(old),))
+
+
+def joint_result(op: str, value: np.ndarray, parents: Sequence[Node], joint_vjp: Callable[[np.ndarray], Sequence]) -> Node:
+    """A node whose parents' gradients come from one computation.
+
+    ``joint_vjp(g)`` returns one gradient per parent; the entry of a parent
+    that does not require grad is never read and may be ``None``.  It runs
+    once per upstream gradient ``g``, however many parents ask for theirs.
+    """
+    memo: list = [None, None]
+
+    def pick(i: int) -> VJP:
+        def vjp(g):
+            if memo[0] is not g:
+                memo[0], memo[1] = g, joint_vjp(g)
+            return memo[1][i]
+
+        return vjp
+
+    return _result(op, value, parents, [pick(i) for i in range(len(parents))])
 
 
 _OPS: dict[str, Callable[..., Node]] = {

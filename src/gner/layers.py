@@ -1,9 +1,10 @@
 """Parameterized layers on top of the autodiff core.
 
-All layers accept either single-sequence inputs (1-D vectors per position)
-or batched inputs (2-D ``(batch, dim)`` matrices per position); the same
-graph operations cover both.  Parameters are immutable during inference and
-mutated only by the training loop.
+The BiLSTM takes a whole padded batch as one ``(batch, steps, dim)`` node
+plus a boolean mask, and runs each direction as a single graph node with a
+hand-written BPTT gradient.  The char CNN takes one ``(batch, dim)`` node per
+position.  Parameters are immutable during inference and mutated only by
+the training loop.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node
+from .autodiff import Node, logistic
 
 __all__ = [
     "LayerError",
@@ -25,7 +26,6 @@ __all__ = [
     "init_conv1d_params",
     "init_embedding_table",
     "init_dense_params",
-    "lstm_cell_step",
     "bilstm_sequence",
     "conv1d_globalmaxpool",
     "dense",
@@ -157,110 +157,166 @@ def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tu
     return ad.leaf(_glorot(rng, (in_dim, out_dim)), requires_grad=True), ad.leaf(np.zeros(out_dim), requires_grad=True)
 
 
-def _gate_slices(z: Node, cells: int) -> tuple[Node, Node, Node, Node]:
-    parts = [ad.slice_(z, (Ellipsis, slice(k * cells, (k + 1) * cells))) for k in range(4)]
-    return parts[0], parts[1], parts[2], parts[3]
+def _schedule(mask: np.ndarray):
+    """Real (mask-on) positions in time-major order.
 
-
-def lstm_cell_step(params: LstmParams, x_t: Node, h_prev: Node, c_prev: Node) -> tuple[Node, Node]:
-    """One LSTM update: sigmoid gates, tanh candidate and output squashing.
-
-    ``x_t`` is (input_dim,) or (batch, input_dim); states follow suit with
-    ``cells`` as the trailing dimension.
+    Returns the ``(rows, times)`` index pair that gathers them from a
+    ``(B, T, ...)`` array, and per timestep the slice of those positions it
+    owns plus the batch rows they sit in (a full slice when every row is
+    real, so dense steps need no fancy indexing).
     """
-    if x_t.value.shape[-1] != params.input_dim:
-        raise LayerError(f"lstm_cell_step: input dim {x_t.value.shape[-1]} != {params.input_dim}")
-    if h_prev.value.shape[-1] != params.cells or c_prev.value.shape[-1] != params.cells:
-        raise LayerError(f"lstm_cell_step: state dims {h_prev.value.shape}/{c_prev.value.shape} != cells {params.cells}")
-    z = ad.add(ad.add(ad.matmul(x_t, params.w_input), ad.matmul(h_prev, params.w_recurrent)), params.bias)
-    zi, zf, zg, zo = _gate_slices(z, params.cells)
-    i, f, g, o = ad.sigmoid(zi), ad.sigmoid(zf), ad.tanh(zg), ad.sigmoid(zo)
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    h_t = ad.mul(o, ad.tanh(c_t))
-    return h_t, c_t
+    times, rows = np.nonzero(mask.T)
+    bounds = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
+    batch = mask.shape[0]
+    steps = []
+    for t in range(mask.shape[1]):
+        lo, hi = int(bounds[t]), int(bounds[t + 1])
+        steps.append((slice(lo, hi), slice(None) if hi - lo == batch else rows[lo:hi]))
+    return (rows, times), steps
 
 
-def _normalize_mask(mask, length: int):
-    if len(mask) != length:
-        raise LayerError(f"bilstm_sequence: {length} inputs but {len(mask)} mask entries")
-    return list(mask)
-
-
-def _state_shape(x0: Node, cells: int) -> tuple[int, ...]:
-    if x0.value.ndim == 1:
-        return (cells,)
-    return (x0.value.shape[0], cells)
-
-
-def _run_direction(
-    params: LstmParams,
-    xs: Sequence[Node],
-    mask,
-    order: Sequence[int],
-    rec_mask: np.ndarray | None,
-) -> list[Node]:
-    """Run one LSTM direction over positions in ``order``.
-
-    Masked positions emit zero vectors and leave the state untouched; with a
-    batched boolean-vector mask, state rows are blended per sentence.
-    Returns per-position hidden outputs indexed like ``xs``.
+def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, batch: int, keep: bool):
+    """Run the recurrence over the steps in ``order``; ``xw`` holds the input
+    projection of every real position.  Masked rows keep their state and
+    emit zeros.  With ``keep``, also returns the per-position activations
+    BPTT needs: gates (i, f, g, o), recurrent input, previous cell, tanh(cell).
     """
-    shape = _state_shape(xs[0], params.cells)
-    h = ad.constant(np.zeros(shape))
-    c = ad.constant(np.zeros(shape))
-    outputs: list[Node | None] = [None] * len(xs)
+    cells = params.cells
+    u, bias = params.w_recurrent.value, params.bias.value
+    h = np.zeros((batch, cells))
+    c = np.zeros((batch, cells))
+    out = np.zeros((batch, len(steps), cells))
+    n = xw.shape[0]
+    cache = None
+    if keep:
+        cache = (np.empty((n, 4 * cells)), np.empty((n, cells)), np.empty((n, cells)), np.empty((n, cells)))
     for t in order:
-        m = mask[t]
-        if isinstance(m, (bool, np.bool_)):
-            if not m:
-                outputs[t] = ad.constant(np.zeros(shape))
-                continue
-            h_in = h if rec_mask is None else ad.mul(h, ad.constant(rec_mask))
-            h, c = lstm_cell_step(params, xs[t], h_in, c)
-            outputs[t] = h
-        else:
-            m = np.asarray(m, dtype=np.float64)
-            keep = ad.constant(np.repeat(m[:, None], params.cells, axis=1))
-            drop = ad.constant(np.repeat(1.0 - m[:, None], params.cells, axis=1))
-            h_in = h if rec_mask is None else ad.mul(h, ad.constant(rec_mask))
-            h_new, c_new = lstm_cell_step(params, xs[t], h_in, c)
-            h = ad.add(ad.mul(h_new, keep), ad.mul(h, drop))
-            c = ad.add(ad.mul(c_new, keep), ad.mul(c, drop))
-            outputs[t] = ad.mul(h, keep)
-    return outputs  # type: ignore[return-value]
+        seg, rows = steps[t]
+        if seg.start == seg.stop:
+            continue
+        h_in = h[rows]
+        if rec_mask is not None:
+            h_in = h_in * rec_mask[rows]
+        z = xw[seg] + h_in @ u
+        z += bias
+        act = logistic(z)
+        act[:, 2 * cells : 3 * cells] = np.tanh(z[:, 2 * cells : 3 * cells])
+        c_prev = c[rows]
+        c_new = act[:, cells : 2 * cells] * c_prev + act[:, :cells] * act[:, 2 * cells : 3 * cells]
+        tc = np.tanh(c_new)
+        h_new = act[:, 3 * cells :] * tc
+        if keep:
+            for buf, val in zip(cache, (act, h_in, c_prev, tc)):
+                buf[seg] = val
+        h[rows] = h_new
+        c[rows] = c_new
+        out[rows, t] = h_new
+    return out, cache
+
+
+def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_out: np.ndarray) -> np.ndarray:
+    """Backpropagate ``grad_out`` (B, T, cells) through the recurrence.
+    Returns the gradient of every real position's pre-activation (N, 4*cells)."""
+    gates, h_ins, c_prevs, tcs = cache
+    cells = params.cells
+    u_t = params.w_recurrent.value.T
+    batch = grad_out.shape[0]
+    dz_all = np.empty_like(gates)
+    dh = np.zeros((batch, cells))
+    dc = np.zeros((batch, cells))
+    for t in reversed(order):
+        seg, rows = steps[t]
+        if seg.start == seg.stop:
+            continue
+        act, tc = gates[seg], tcs[seg]
+        i, f = act[:, :cells], act[:, cells : 2 * cells]
+        g, o = act[:, 2 * cells : 3 * cells], act[:, 3 * cells :]
+        dh_t = dh[rows] + grad_out[rows, t]
+        dc_t = dc[rows] + dh_t * o * (1.0 - tc * tc)
+        dz = dz_all[seg]
+        dz[:, :cells] = dc_t * g * i * (1.0 - i)
+        dz[:, cells : 2 * cells] = dc_t * c_prevs[seg] * f * (1.0 - f)
+        dz[:, 2 * cells : 3 * cells] = dc_t * i * (1.0 - g * g)
+        dz[:, 3 * cells :] = dh_t * tc * o * (1.0 - o)
+        dh_prev = dz @ u_t
+        if rec_mask is not None:
+            dh_prev *= rec_mask[rows]
+        dh[rows] = dh_prev
+        dc[rows] = dc_t * f
+    return dz_all
+
+
+def _lstm_direction(params: LstmParams, x: Node, schedule, reverse: bool, rec_mask, keep: bool) -> Node:
+    """One LSTM direction as a single graph node over ``x`` (B, T, in).
+
+    The input projection runs as one matmul over the real positions; the
+    recurrence and its BPTT gradient run in numpy.  Without ``keep`` no
+    activations are retained, and a backward pass recomputes them.
+    """
+    gather, steps = schedule
+    batch = x.value.shape[0]
+    order = range(len(steps) - 1, -1, -1) if reverse else range(len(steps))
+
+    def forward(keep_cache: bool):
+        x_real = x.value[gather]
+        out, cache = _recur(params, x_real @ params.w_input.value, steps, order, rec_mask, batch, keep_cache)
+        return out, (x_real, cache) if keep_cache else None
+
+    out, saved = forward(keep)
+    parents = (x, params.w_input, params.w_recurrent, params.bias)
+
+    def joint_vjp(g):
+        x_real, cache = saved if saved is not None else forward(True)[1]
+        dz = _bptt(params, cache, steps, order, rec_mask, g)
+        dx = None
+        if x.requires_grad:
+            dx = np.zeros(x.value.shape)
+            dx[gather] = dz @ params.w_input.value.T
+        return dx, x_real.T @ dz, cache[1].T @ dz, dz.sum(axis=0)
+
+    return ad.joint_result("lstm_sequence", out, parents, joint_vjp)
 
 
 def bilstm_sequence(
     fwd: LstmParams,
     bwd: LstmParams,
-    xs: Sequence[Node],
-    mask: Sequence,
+    x: Node,
+    mask,
     recurrent_dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> list[Node]:
-    """Bidirectional LSTM over a sequence; output_t = concat(h_fwd_t, h_bwd_t).
+) -> Node:
+    """Bidirectional LSTM over ``x`` (batch, steps, in) with a boolean
+    ``mask`` (batch, steps); returns (batch, steps, 2*cells) holding
+    concat(h_fwd_t, h_bwd_t).
 
-    ``mask`` entries are booleans (single sequence) or boolean vectors of
-    batch size.  The backward pass runs over reversed positions; masked
-    positions produce zero vectors and do not advance state.  When training
-    with ``recurrent_dropout``, one mask per direction is sampled and reused
-    at every timestep.
+    Each direction is one graph node.  Masked positions, wherever they sit,
+    produce zero vectors, leave their row's state untouched and receive no
+    gradient.  When training with ``recurrent_dropout``, one mask per
+    direction (forward first) is sampled and reused at every timestep.  Only
+    train mode retains activations for the backward pass.
     """
-    xs = list(xs)
-    if not xs:
+    if x.value.ndim != 3:
+        raise LayerError(f"bilstm_sequence: expected (batch, steps, in) input, got shape {x.value.shape}")
+    batch, steps, width = x.value.shape
+    if steps == 0:
         raise LayerError("bilstm_sequence: empty sequence")
-    mask = _normalize_mask(mask, len(xs))
+    for p in (fwd, bwd):
+        if width != p.input_dim:
+            raise LayerError(f"bilstm_sequence: input dim {width} != {p.input_dim}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (batch, steps):
+        raise LayerError(f"bilstm_sequence: mask shape {mask.shape} != {(batch, steps)}")
+    train = mode == "train"
     rec_masks = [None, None]
-    if mode == "train" and recurrent_dropout > 0.0:
+    if train and recurrent_dropout > 0.0:
         if rng is None:
             raise LayerError("bilstm_sequence: recurrent dropout in train mode needs an rng")
-        rec_masks = [
-            dropout_mask(_state_shape(xs[0], p.cells), recurrent_dropout, rng) for p in (fwd, bwd)
-        ]
-    out_f = _run_direction(fwd, xs, mask, range(len(xs)), rec_masks[0])
-    out_b = _run_direction(bwd, xs, mask, range(len(xs) - 1, -1, -1), rec_masks[1])
-    return [ad.concat_last([f, b]) for f, b in zip(out_f, out_b)]
+        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng) for p in (fwd, bwd)]
+    schedule = _schedule(mask)
+    out_f = _lstm_direction(fwd, x, schedule, False, rec_masks[0], train)
+    out_b = _lstm_direction(bwd, x, schedule, True, rec_masks[1], train)
+    return ad.concat_last([out_f, out_b])
 
 
 def conv1d_globalmaxpool(params: Conv1dParams, xs: Sequence[Node]) -> Node:

@@ -7,6 +7,11 @@ a single CNN over the decorated character window, three parallel CNNs, or a
 one/two-layer BiLSTM over the raw character sequence.  A token-level BiLSTM,
 a linearly activated dense layer and a linear-chain CRF sit on top.
 
+A batch flows through as whole tensors: the token input is one
+``(batch, max_len, input_width)`` node, each BiLSTM direction is one graph
+node that computes only real (unmasked) positions, and the dense layer is a
+single matmul over all positions.
+
 Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
 across positions, which is both faster and gradient-equivalent.
@@ -246,7 +251,7 @@ def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: 
     )
 
 
-def _char_features(model: NerModel, batch: Batch) -> tuple[Node, np.ndarray]:
+def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.ndarray]:
     """Character feature matrix over the distinct character rows of the batch.
 
     Returns (features (U, char_dim), inverse (B*T,)): position p uses row
@@ -257,20 +262,21 @@ def _char_features(model: NerModel, batch: Batch) -> tuple[Node, np.ndarray]:
     b, t, p = batch.char_indices.shape
     rows = batch.char_indices.reshape(b * t, p)
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
-    xs = [embed_lookup(model.char_table, uniq[:, s]) for s in range(p)]
 
     if cfg.char_variant in ("cnn", "cnn3"):
+        xs = [embed_lookup(model.char_table, uniq[:, s]) for s in range(p)]
         feats = [conv1d_globalmaxpool(conv, xs) for conv in model.char_convs]
         feat = feats[0] if len(feats) == 1 else ad.concat_last(feats)
     else:
-        outs = xs
+        out = ad.reshape(embed_lookup(model.char_table, uniq), (len(uniq), p, cfg.char_emb_dim))
+        every = np.ones((len(uniq), p), dtype=bool)
         for fwd, bwd in model.char_lstms:
-            outs = bilstm_sequence(fwd, bwd, outs, [True] * len(outs))
+            out = bilstm_sequence(fwd, bwd, out, every, mode=mode)
         # Final-state readout: forward half after the last character,
         # backward half after the first.
         c = cfg.char_lstm_cells
         feat = ad.concat_last(
-            [ad.slice_(outs[-1], (Ellipsis, slice(0, c))), ad.slice_(outs[0], (Ellipsis, slice(c, 2 * c)))]
+            [ad.slice_(out, (slice(None), -1, slice(0, c))), ad.slice_(out, (slice(None), 0, slice(c, 2 * c)))]
         )
     return feat, inverse.reshape(-1)
 
@@ -284,8 +290,9 @@ def forward_emissions(
 ) -> Node:
     """Per-token label scores before the CRF, shaped (batch, max_len, labels).
 
-    Dropout (input and recurrent, per-sequence-constant masks) is active only
-    in train mode.  Masked positions produce zero BiLSTM output and carry no
+    The token input is one (batch, max_len, input_width) node.  Dropout
+    (input and recurrent, per-sequence-constant masks) is active only in
+    train mode.  Masked positions produce zero BiLSTM output and carry no
     gradient into the token BiLSTM.
     """
     cfg = model.config
@@ -305,8 +312,7 @@ def forward_emissions(
         raise ModelError("train mode with dropout needs an rng")
 
     b, t = len(batch.sentences), batch.max_len
-    word = np.zeros((b, t, cfg.word_dim))
-    casing = np.zeros((b, t, cfg.casing_dim))
+    words = np.zeros((b, t, cfg.word_dim + cfg.casing_dim))
     cache: dict[str, np.ndarray] = {}
     for i, sent in enumerate(batch.sentences):
         for j, tok in enumerate(sent.tokens):
@@ -314,40 +320,30 @@ def forward_emissions(
             if vec is None:
                 vec, _ = lookup_word(embedding_store, tok.text)
                 cache[tok.text] = vec
-            word[i, j, :] = vec
-            casing[i, j, :] = tok.casing
+            words[i, j, : cfg.word_dim] = vec
+            words[i, j, cfg.word_dim :] = tok.casing
 
-    char_feat = None
-    char_map = None
+    x = ad.constant(words)
     if required is not None:
-        char_feat, char_map = _char_features(model, batch)
-
-    in_mask = None
+        char_feat, char_map = _char_features(model, batch, mode)
+        chars = ad.reshape(ad.gather_rows(char_feat, char_map), (b, t, cfg.char_feature_dim))
+        x = ad.concat_last([x, chars])
     if train and cfg.dropout > 0.0:
-        in_mask = ad.constant(dropout_mask((b, cfg.input_width), cfg.dropout, rng))
+        in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng)
+        x = ad.mul(x, ad.constant(np.broadcast_to(in_mask, x.value.shape)))
 
-    xs = []
-    for j in range(t):
-        parts = [ad.constant(word[:, j, :]), ad.constant(casing[:, j, :])]
-        if char_feat is not None:
-            parts.append(ad.gather_rows(char_feat, char_map[j::t]))
-        x = ad.concat_last(parts)
-        if in_mask is not None:
-            x = ad.mul(x, in_mask)
-        xs.append(x)
-
-    mask_cols = [batch.mask[:, j] for j in range(t)]
     hidden = bilstm_sequence(
         model.token_fwd,
         model.token_bwd,
-        xs,
-        mask_cols,
+        x,
+        batch.mask,
         recurrent_dropout=cfg.dropout if train else 0.0,
         mode=mode,
         rng=rng,
     )
-    emissions = [ad.add(ad.matmul(h, model.dense_w), model.dense_b) for h in hidden]
-    return ad.stack(emissions, axis=1)
+    flat = ad.reshape(hidden, (b * t, 2 * cfg.token_lstm_cells))
+    emissions = ad.add(ad.matmul(flat, model.dense_w), model.dense_b)
+    return ad.reshape(emissions, (b, t, cfg.num_labels))
 
 
 def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: list[Sentence],

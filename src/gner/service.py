@@ -31,10 +31,6 @@ __all__ = [
     "serve",
 ]
 
-ENV_BIND = "GNER_BIND"
-ENV_PORT = "GNER_PORT"
-
-
 class ServiceError(Exception):
     pass
 
@@ -189,9 +185,14 @@ def _make_handler(registry: ModelRegistry):
             if self.path != "/ner":
                 self._send(404, {"error": f"no such path {self.path}"})
                 return
+            raw_length = self.headers.get("Content-Length", "0").strip()
+            # Digits only: int() would also take "-1" (read until the client
+            # closes), "+5" and "1_0".
+            if not (raw_length.isascii() and raw_length.isdigit()):
+                self._send(400, {"error": f"invalid Content-Length {raw_length!r}"})
+                return
             try:
-                length = int(self.headers.get("Content-Length", "0"))
-                payload = json.loads(self.rfile.read(length).decode("utf-8"))
+                payload = json.loads(self.rfile.read(int(raw_length)).decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 self._send(400, {"error": f"malformed JSON body: {exc}"})
                 return

@@ -19,57 +19,111 @@ def _zero_lstm(input_dim, cells):
     return p
 
 
+# ---------------------------------------------------------------------------
+# Step-by-step reference: the composition the fused bilstm_sequence replaced,
+# one cell update per timestep from elementary autodiff ops, with masked rows
+# blended back to their previous state.
+
+
+def ref_cell_step(params, x_t, h_prev, c_prev):
+    z = ad.add(ad.add(ad.matmul(x_t, params.w_input), ad.matmul(h_prev, params.w_recurrent)), params.bias)
+    n = params.cells
+    zi, zf, zg, zo = (ad.slice_(z, (Ellipsis, slice(k * n, (k + 1) * n))) for k in range(4))
+    i, f, g, o = ad.sigmoid(zi), ad.sigmoid(zf), ad.tanh(zg), ad.sigmoid(zo)
+    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
+    return ad.mul(o, ad.tanh(c_t)), c_t
+
+
+def ref_direction(params, xs, mask, order, rec_mask):
+    shape = (xs[0].value.shape[0], params.cells)
+    h = ad.constant(np.zeros(shape))
+    c = ad.constant(np.zeros(shape))
+    outputs = [None] * len(xs)
+    for t in order:
+        m = mask[:, t].astype(np.float64)
+        keep = ad.constant(np.repeat(m[:, None], params.cells, axis=1))
+        drop = ad.constant(np.repeat(1.0 - m[:, None], params.cells, axis=1))
+        h_in = h if rec_mask is None else ad.mul(h, ad.constant(rec_mask))
+        h_new, c_new = ref_cell_step(params, xs[t], h_in, c)
+        h = ad.add(ad.mul(h_new, keep), ad.mul(h, drop))
+        c = ad.add(ad.mul(c_new, keep), ad.mul(c, drop))
+        outputs[t] = ad.mul(h, keep)
+    return outputs
+
+
+def ref_bilstm(fwd, bwd, x, mask, recurrent_dropout=0.0, mode="eval", rng=None):
+    batch, steps, _ = x.value.shape
+    mask = np.asarray(mask, dtype=bool)
+    xs = [ad.slice_(x, (slice(None), t)) for t in range(steps)]
+    rec = [None, None]
+    if mode == "train" and recurrent_dropout > 0.0:
+        rec = [layers.dropout_mask((batch, p.cells), recurrent_dropout, rng) for p in (fwd, bwd)]
+    out_f = ref_direction(fwd, xs, mask, range(steps), rec[0])
+    out_b = ref_direction(bwd, xs, mask, range(steps - 1, -1, -1), rec[1])
+    return ad.stack([ad.concat_last([f, b]) for f, b in zip(out_f, out_b)], axis=1)
+
+
+def _ones(batch, steps):
+    return np.ones((batch, steps), dtype=bool)
+
+
 def test_lstm_step_all_zero_gives_zero_state():
     p = _zero_lstm(3, 2)
-    h, c = layers.lstm_cell_step(p, ad.constant(np.zeros(3)), ad.constant(np.zeros(2)), ad.constant(np.zeros(2)))
-    np.testing.assert_array_equal(h.value, np.zeros(2))
-    np.testing.assert_array_equal(c.value, np.zeros(2))
+    out = layers.bilstm_sequence(p, p, ad.constant(np.zeros((1, 1, 3))), _ones(1, 1))
+    np.testing.assert_array_equal(out.value, np.zeros((1, 1, 4)))
 
 
 def test_lstm_step_output_shape():
     p = _lstm(32, 50)
-    h, c = layers.lstm_cell_step(p, ad.constant(np.ones(32)), ad.constant(np.zeros(50)), ad.constant(np.zeros(50)))
-    assert h.value.shape == (50,)
-    assert c.value.shape == (50,)
+    out = layers.bilstm_sequence(p, p, ad.constant(np.ones((1, 1, 32))), _ones(1, 1))
+    assert out.value.shape == (1, 1, 100)
 
 
 def test_lstm_step_matches_scalar_oracle():
-    # Independent scalar-arithmetic reference for a 2-cell step.
+    # Independent scalar-arithmetic reference for a 2-cell LSTM run over two
+    # steps from the zero state, so the second step exercises the recurrent
+    # weights and the carried cell.
     rng = np.random.default_rng(11)
-    p = _lstm(3, 2, seed=5)
-    x = rng.uniform(-1, 1, 3)
-    h0 = rng.uniform(-1, 1, 2)
-    c0 = rng.uniform(-1, 1, 2)
+    fwd, bwd = _lstm(3, 2, seed=5), _lstm(3, 2, seed=6)
+    x = rng.uniform(-1, 1, (2, 3))
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    wi, wr, b = p.w_input.value, p.w_recurrent.value, p.bias.value
-    expect_h, expect_c = [], []
-    for j in range(2):
-        z = [0.0] * 4
-        for k in range(4):
-            col = k * 2 + j
-            acc = b[col]
-            for a in range(3):
-                acc += x[a] * wi[a, col]
-            for a in range(2):
-                acc += h0[a] * wr[a, col]
-            z[k] = acc
-        i_g, f_g, g_g, o_g = sig(z[0]), sig(z[1]), math.tanh(z[2]), sig(z[3])
-        c_new = f_g * c0[j] + i_g * g_g
-        expect_c.append(c_new)
-        expect_h.append(o_g * math.tanh(c_new))
+    def scalar_step(p, x_t, h0, c0):
+        wi, wr, b = p.w_input.value, p.w_recurrent.value, p.bias.value
+        hs, cs = [], []
+        for j in range(2):
+            z = [0.0] * 4
+            for k in range(4):
+                col = k * 2 + j
+                acc = b[col]
+                for a in range(3):
+                    acc += x_t[a] * wi[a, col]
+                for a in range(2):
+                    acc += h0[a] * wr[a, col]
+                z[k] = acc
+            i_g, f_g, g_g, o_g = sig(z[0]), sig(z[1]), math.tanh(z[2]), sig(z[3])
+            c_new = f_g * c0[j] + i_g * g_g
+            cs.append(c_new)
+            hs.append(o_g * math.tanh(c_new))
+        return hs, cs
 
-    h, c = layers.lstm_cell_step(p, ad.constant(x), ad.constant(h0), ad.constant(c0))
-    np.testing.assert_allclose(h.value, expect_h, atol=1e-12)
-    np.testing.assert_allclose(c.value, expect_c, atol=1e-12)
+    expect = np.zeros((2, 4))
+    for p, order, half in ((fwd, (0, 1), slice(0, 2)), (bwd, (1, 0), slice(2, 4))):
+        h, c = [0.0, 0.0], [0.0, 0.0]
+        for t in order:
+            h, c = scalar_step(p, x[t], h, c)
+            expect[t, half] = h
+
+    out = layers.bilstm_sequence(fwd, bwd, ad.constant(x[None]), _ones(1, 2))
+    np.testing.assert_allclose(out.value[0], expect, atol=1e-12)
 
 
 def test_lstm_step_dimension_mismatch():
     p = _lstm(3, 2)
     with pytest.raises(layers.LayerError, match="input dim"):
-        layers.lstm_cell_step(p, ad.constant(np.zeros(4)), ad.constant(np.zeros(2)), ad.constant(np.zeros(2)))
+        layers.bilstm_sequence(p, p, ad.constant(np.zeros((1, 1, 4))), _ones(1, 1))
 
 
 def test_forget_gate_bias_initialized_to_one():
@@ -80,67 +134,67 @@ def test_forget_gate_bias_initialized_to_one():
 
 
 def _seq(rng, n, dim):
-    return [ad.constant(rng.uniform(-1, 1, dim)) for _ in range(n)]
+    return ad.constant(rng.uniform(-1, 1, (1, n, dim)))
 
 
 def test_bilstm_output_width_is_twice_cells():
     rng = np.random.default_rng(0)
-    out = layers.bilstm_sequence(_lstm(8, 50, 1), _lstm(8, 50, 2), _seq(rng, 4, 8), [True] * 4)
-    assert len(out) == 4
-    assert all(o.value.shape == (100,) for o in out)
+    out = layers.bilstm_sequence(_lstm(8, 50, 1), _lstm(8, 50, 2), _seq(rng, 4, 8), _ones(1, 4))
+    assert out.value.shape == (1, 4, 100)
 
 
 def test_bilstm_length_one_concatenates_both_directions_on_same_element():
     rng = np.random.default_rng(1)
     fwd, bwd = _lstm(4, 3, 1), _lstm(4, 3, 2)
     x = _seq(rng, 1, 4)
-    out = layers.bilstm_sequence(fwd, bwd, x, [True])
-    hf, _ = layers.lstm_cell_step(fwd, x[0], ad.constant(np.zeros(3)), ad.constant(np.zeros(3)))
-    hb, _ = layers.lstm_cell_step(bwd, x[0], ad.constant(np.zeros(3)), ad.constant(np.zeros(3)))
-    np.testing.assert_allclose(out[0].value, np.concatenate([hf.value, hb.value]))
+    out = layers.bilstm_sequence(fwd, bwd, x, _ones(1, 1))
+    x0, zero = ad.constant(x.value[:, 0]), ad.constant(np.zeros((1, 3)))
+    hf, _ = ref_cell_step(fwd, x0, zero, zero)
+    hb, _ = ref_cell_step(bwd, x0, zero, zero)
+    np.testing.assert_allclose(out.value[:, 0], np.concatenate([hf.value, hb.value], axis=1))
 
 
 def test_bilstm_empty_sequence_rejected():
     with pytest.raises(layers.LayerError, match="empty"):
-        layers.bilstm_sequence(_lstm(4, 3), _lstm(4, 3), [], [])
+        layers.bilstm_sequence(_lstm(4, 3), _lstm(4, 3), ad.constant(np.zeros((1, 0, 4))), _ones(1, 0))
 
 
 def test_bilstm_reversal_symmetry():
     rng = np.random.default_rng(3)
     fwd, bwd = _lstm(5, 4, 1), _lstm(5, 4, 2)
     xs = _seq(rng, 6, 5)
-    out = layers.bilstm_sequence(fwd, bwd, xs, [True] * 6)
-    swapped = layers.bilstm_sequence(bwd, fwd, xs[::-1], [True] * 6)
+    out = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 6)).value[0]
+    swapped = layers.bilstm_sequence(bwd, fwd, ad.constant(xs.value[:, ::-1]), _ones(1, 6)).value[0]
     for t in range(6):
-        fwd_half, bwd_half = out[t].value[:4], out[t].value[4:]
-        np.testing.assert_allclose(swapped[5 - t].value, np.concatenate([bwd_half, fwd_half]), atol=1e-12)
+        fwd_half, bwd_half = out[t, :4], out[t, 4:]
+        np.testing.assert_allclose(swapped[5 - t], np.concatenate([bwd_half, fwd_half]), atol=1e-12)
 
 
 def test_bilstm_masked_positions_are_zero_and_skip_state():
     rng = np.random.default_rng(4)
     fwd, bwd = _lstm(3, 2, 1), _lstm(3, 2, 2)
     xs = _seq(rng, 4, 3)
-    mask = [True, True, False, False]
-    out = layers.bilstm_sequence(fwd, bwd, xs, mask)
-    np.testing.assert_array_equal(out[2].value, np.zeros(4))
-    np.testing.assert_array_equal(out[3].value, np.zeros(4))
+    mask = np.array([[True, True, False, False]])
+    out = layers.bilstm_sequence(fwd, bwd, xs, mask).value[0]
+    np.testing.assert_array_equal(out[2], np.zeros(4))
+    np.testing.assert_array_equal(out[3], np.zeros(4))
     # Same result as running the unmasked prefix alone.
-    ref = layers.bilstm_sequence(fwd, bwd, xs[:2], [True, True])
+    ref = layers.bilstm_sequence(fwd, bwd, ad.constant(xs.value[:, :2]), _ones(1, 2)).value[0]
     for t in range(2):
-        np.testing.assert_allclose(out[t].value, ref[t].value, atol=1e-12)
+        np.testing.assert_allclose(out[t], ref[t], atol=1e-12)
 
 
 def test_masked_positions_contribute_zero_gradient():
     rng = np.random.default_rng(5)
     fwd, bwd = _lstm(3, 2, 1), _lstm(3, 2, 2)
-    xs = _seq(rng, 3, 3)
-    mask = [True, False, True]
+    xs = _seq(rng, 3, 3).value
+    mask = np.array([[True, False, True]])
 
     def grads_with(x1):
-        seq = [xs[0], ad.constant(x1), xs[2]]
-        out = layers.bilstm_sequence(fwd, bwd, seq, mask)
-        loss = ad.sum_all(ad.stack(out, axis=0))
-        g = ad.backward(loss)
+        seq = xs.copy()
+        seq[0, 1] = x1
+        out = layers.bilstm_sequence(fwd, bwd, ad.constant(seq), mask)
+        g = ad.backward(ad.sum_all(out))
         return {name: g[node].copy() for name, node in
                 [("wi", fwd.w_input), ("wr", fwd.w_recurrent), ("b", fwd.bias)]}
 
@@ -154,15 +208,61 @@ def test_bilstm_gradient_check_with_mask():
     rng = np.random.default_rng(6)
     fwd, bwd = _lstm(3, 2, 7), _lstm(3, 2, 8)
     xs = _seq(rng, 4, 3)
-    mask = [True, True, True, False]
-    weights = ad.constant(rng.uniform(-1, 1, (4, 4)))
+    mask = np.array([[True, True, True, False]])
+    weights = ad.constant(rng.uniform(-1, 1, (1, 4, 4)))
 
     def loss():
-        out = layers.bilstm_sequence(fwd, bwd, xs, mask)
-        return ad.sum_all(ad.mul(ad.stack(out, axis=0), weights))
+        return ad.sum_all(ad.mul(layers.bilstm_sequence(fwd, bwd, xs, mask), weights))
 
     params = [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
     assert ad.check_gradient(loss, params, eps=1e-5, samples=60) <= 1e-4
+
+
+def _ragged_mask(rng, batch, steps):
+    # Random per-row masks that are not prefixes, plus one all-off row.
+    mask = rng.random((batch, steps)) < 0.6
+    mask[0] = [True, False, True, True, False, True][:steps]
+    mask[1] = False
+    return mask
+
+
+@pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
+def test_fused_bilstm_matches_step_reference(mode, rate):
+    rng = np.random.default_rng(21)
+    fwd, bwd = _lstm(5, 3, 1), _lstm(5, 3, 2)
+    mask = _ragged_mask(rng, 4, 6)
+    x = ad.leaf(rng.uniform(-1, 1, (4, 6, 5)), requires_grad=True)
+    weights = ad.constant(rng.uniform(-1, 1, (4, 6, 6)))
+    params = [x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
+
+    def run(fn):
+        out = fn(fwd, bwd, x, mask, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
+        grads = ad.backward(ad.sum_all(ad.mul(out, weights)))
+        return out.value, [grads[p] for p in params]
+
+    fused, fused_grads = run(layers.bilstm_sequence)
+    ref, ref_grads = run(ref_bilstm)
+    np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
+    for got, want in zip(fused_grads, ref_grads):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    # Masked positions, and the all-off row entirely, emit zeros and take
+    # no gradient.
+    np.testing.assert_array_equal(fused[~mask], 0.0)
+    np.testing.assert_array_equal(fused_grads[0][~mask], 0.0)
+    assert not mask[1].any()
+
+
+def test_fused_bilstm_input_gradient_check():
+    rng = np.random.default_rng(22)
+    fwd, bwd = _lstm(3, 2, 3), _lstm(3, 2, 4)
+    mask = _ragged_mask(rng, 3, 5)
+    x = ad.leaf(rng.uniform(-1, 1, (3, 5, 3)), requires_grad=True)
+    weights = ad.constant(rng.uniform(-1, 1, (3, 5, 4)))
+
+    def loss():
+        return ad.sum_all(ad.mul(layers.bilstm_sequence(fwd, bwd, x, mask), weights))
+
+    assert ad.check_gradient(loss, [x], eps=1e-5, samples=45) <= 1e-4
 
 
 def test_conv_sum_kernel():
@@ -273,12 +373,11 @@ def test_recurrent_dropout_mask_constant_across_timesteps():
     np.testing.assert_array_equal(m0, m1)
     # And within one bilstm call the mask object is sampled once per direction:
     xs = _seq(rng, 5, 4)
-    out_a = layers.bilstm_sequence(fwd, bwd, xs, [True] * 5, recurrent_dropout=0.5, mode="train",
+    out_a = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 5), recurrent_dropout=0.5, mode="train",
                                    rng=np.random.default_rng(7))
-    out_b = layers.bilstm_sequence(fwd, bwd, xs, [True] * 5, recurrent_dropout=0.5, mode="train",
+    out_b = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 5), recurrent_dropout=0.5, mode="train",
                                    rng=np.random.default_rng(7))
-    for a, b in zip(out_a, out_b):
-        np.testing.assert_array_equal(a.value, b.value)
+    np.testing.assert_array_equal(out_a.value, out_b.value)
 
 
 def test_embed_lookup_rows_and_bounds():
@@ -297,16 +396,14 @@ def test_embed_repeated_index_doubles_gradient():
 
 
 def test_lstm_full_step_gradient_check():
+    # Two steps, so the recurrent weights see a non-zero state.
     rng = np.random.default_rng(10)
     p = _lstm(4, 3, seed=3)
-    x = ad.constant(rng.uniform(-1, 1, 4))
-    h0 = ad.constant(rng.uniform(-1, 1, 3))
-    c0 = ad.constant(rng.uniform(-1, 1, 3))
-    w = ad.constant(rng.uniform(-1, 1, 3))
+    x = ad.constant(rng.uniform(-1, 1, (1, 2, 4)))
+    w = ad.constant(rng.uniform(-1, 1, (1, 2, 6)))
 
     def loss():
-        h, _ = layers.lstm_cell_step(p, x, h0, c0)
-        return ad.sum_all(ad.mul(h, w))
+        return ad.sum_all(ad.mul(layers.bilstm_sequence(p, p, x, _ones(1, 2)), w))
 
     assert ad.check_gradient(loss, [p.w_input, p.w_recurrent, p.bias], eps=1e-5, samples=60) <= 1e-4
 

@@ -135,6 +135,25 @@ def test_batched_forward_matches_single_sentence(variant):
         np.testing.assert_allclose(em_big[i, : len(s)], em_one[0, : len(s)], atol=1e-12)
 
 
+def test_none_variant_emissions_and_labels_independent_of_batch_partners():
+    # Without character features nothing but the token mask depends on the
+    # batch, so a sentence padded next to a much longer one must score as it
+    # does alone, and predict must agree with predict_batch.
+    sents = make_corpus(8, seed=6, with_subclasses=False)
+    sents = [Sentence(s.tokens, [l.replace("OTH", "MISC") for l in s.outer_labels], None, s.source_id)
+             for s in sents]
+    long = Sentence([t for s in sents for t in s.tokens], [l for s in sents for l in s.outer_labels])
+    model = M.build_model(_toy_config("none"), None, seed=6)
+    store = make_embedding_store(sents, dim=8, seed=6)
+    assert len(long) > 4 * max(len(s) for s in sents)
+    for s in sents:
+        alone = M.forward_emissions(model, batch_from_sentences([s]), store).value[0]
+        mixed = M.forward_emissions(model, batch_from_sentences([long, s]), store).value[1, : len(s)]
+        np.testing.assert_allclose(mixed, alone, rtol=0, atol=1e-12)
+    batched = M.predict_batch(model, store, [long] + sents)
+    assert batched == [M.predict(model, store, s.texts()) for s in [long] + sents]
+
+
 def test_variant_none_ignores_char_inputs():
     sents = make_corpus(3, seed=1, with_subclasses=False)
     sents = [Sentence(s.tokens, [l.replace("OTH", "MISC") for l in s.outer_labels], None, s.source_id)

@@ -1,5 +1,6 @@
 import io
 import json
+import socket
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -118,6 +119,17 @@ def test_post_ner_and_error_codes(live_server):
     assert status == 404
     status, body = _post(live_server + "/ner", {"model": "germeval-outer", "sentences": ["x"]})
     assert status == 400
+
+
+@pytest.mark.parametrize("length", ["-1", "abc", "1_0"])
+def test_post_rejects_invalid_content_length_without_reading(live_server, length):
+    # The body is never sent: a server that tried to read it would block
+    # until the socket timeout instead of answering.
+    port = int(live_server.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(f"POST /ner HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode("ascii"))
+        reply = sock.makefile("rb").readline()
+    assert reply.split()[1] == b"400"
 
 
 def test_no_per_request_model_loads(registry, monkeypatch):
