@@ -7,12 +7,14 @@ confined to a single thread; there is no global tape, so independent graphs
 on different threads never interact.
 
 Supported shapes are deliberately narrow: row-major dense arrays, no
-broadcasting except adding a bias vector along the last axis.
+broadcasting except adding a bias vector along the last axis.  Ops with a
+kink (the char CNN's rectifier and max-pool) live in fused nodes built with
+:func:`joint_result`; the core itself only holds smooth ops, and
+:func:`check_gradient` skips samples whose one-sided slopes disagree.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -20,11 +22,9 @@ import numpy as np
 __all__ = [
     "AutodiffError",
     "ShapeError",
-    "UnknownOpError",
     "Node",
     "leaf",
     "constant",
-    "apply_op",
     "add",
     "matmul",
     "mul",
@@ -32,9 +32,7 @@ __all__ = [
     "logistic",
     "sigmoid",
     "tanh",
-    "relu",
     "slice_",
-    "max_over_axis",
     "sum_all",
     "stack",
     "gather_rows",
@@ -53,10 +51,6 @@ class ShapeError(AutodiffError):
     """Operand shapes do not conform to an operator's shape rule."""
 
 
-class UnknownOpError(AutodiffError):
-    """Operator tag not recognized by :func:`apply_op`."""
-
-
 VJP = Callable[[np.ndarray], np.ndarray]
 
 
@@ -65,13 +59,10 @@ class Node:
 
     ``value`` is a float64 ndarray, ``grad`` is populated by
     :func:`backward` (same shape as ``value``), ``parents``/``vjps`` hold the
-    backward edges.  ``kink_margin`` is the distance of the closest
-    non-differentiable point (relu zero crossing, max tie) encountered
-    anywhere in this node's ancestry; the gradient checker uses it to skip
-    samples taken too close to a kink.
+    backward edges.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "op", "parents", "vjps", "kink_margin")
+    __slots__ = ("value", "grad", "requires_grad", "op", "parents", "vjps")
 
     def __init__(
         self,
@@ -81,7 +72,6 @@ class Node:
         op: str = "leaf",
         parents: tuple["Node", ...] = (),
         vjps: tuple[VJP, ...] = (),
-        kink_margin: float = math.inf,
     ):
         value = np.asarray(value, dtype=np.float64)
         if len(parents) != len(vjps):
@@ -92,7 +82,6 @@ class Node:
         self.op = op
         self.parents = parents
         self.vjps = vjps
-        self.kink_margin = kink_margin
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -112,18 +101,13 @@ def constant(value) -> Node:
     return leaf(value, requires_grad=False)
 
 
-def _result(op: str, value: np.ndarray, parents: Sequence[Node], vjps: Sequence[VJP], own_margin: float = math.inf) -> Node:
-    margin = own_margin
-    for p in parents:
-        if p.kink_margin < margin:
-            margin = p.kink_margin
+def _result(op: str, value: np.ndarray, parents: Sequence[Node], vjps: Sequence[VJP]) -> Node:
     return Node(
         value,
         requires_grad=any(p.requires_grad for p in parents),
         op=op,
         parents=tuple(parents),
         vjps=tuple(vjps),
-        kink_margin=margin,
     )
 
 
@@ -209,13 +193,6 @@ def tanh(a: Node) -> Node:
     return _result("tanh", out, (a,), (lambda g: g * (1.0 - out * out),))
 
 
-def relu(a: Node) -> Node:
-    x = a.value
-    mask = x > 0
-    margin = float(np.min(np.abs(x))) if x.size else math.inf
-    return _result("relu", np.where(mask, x, 0.0), (a,), (lambda g: g * mask,), own_margin=margin)
-
-
 def slice_(a: Node, key) -> Node:
     """Basic (non-fancy) indexing; gradients scatter back into place."""
     try:
@@ -231,29 +208,6 @@ def slice_(a: Node, key) -> Node:
         return z
 
     return _result("slice", value, (a,), (vjp,))
-
-
-def max_over_axis(a: Node, axis: int) -> Node:
-    """Maximum along ``axis``; gradient flows only to the first argmax."""
-    x = a.value
-    if x.ndim == 0 or not -x.ndim <= axis < x.ndim:
-        raise ShapeError(f"max_over_axis: axis {axis} invalid for shape {_shape_of(a)}")
-    axis = axis % x.ndim
-    value = x.max(axis=axis)
-    idx = np.expand_dims(x.argmax(axis=axis), axis)
-    if x.shape[axis] > 1:
-        top2 = np.sort(x, axis=axis)
-        gap = np.take(top2, -1, axis=axis) - np.take(top2, -2, axis=axis)
-        margin = float(gap.min()) if gap.size else math.inf
-    else:
-        margin = math.inf
-
-    def vjp(g):
-        z = np.zeros_like(x)
-        np.put_along_axis(z, idx, np.expand_dims(g, axis), axis)
-        return z
-
-    return _result("max_over_axis", value, (a,), (vjp,), own_margin=margin)
 
 
 def sum_all(a: Node) -> Node:
@@ -324,35 +278,6 @@ def joint_result(op: str, value: np.ndarray, parents: Sequence[Node], joint_vjp:
     return _result(op, value, parents, [pick(i) for i in range(len(parents))])
 
 
-_OPS: dict[str, Callable[..., Node]] = {
-    "matmul": lambda inputs, **kw: matmul(*_arity(inputs, 2, "matmul")),
-    "add": lambda inputs, **kw: add(*_arity(inputs, 2, "add")),
-    "mul_elementwise": lambda inputs, **kw: mul(*_arity(inputs, 2, "mul_elementwise")),
-    "concat_last_axis": lambda inputs, **kw: concat_last(inputs),
-    "sigmoid": lambda inputs, **kw: sigmoid(*_arity(inputs, 1, "sigmoid")),
-    "tanh": lambda inputs, **kw: tanh(*_arity(inputs, 1, "tanh")),
-    "relu": lambda inputs, **kw: relu(*_arity(inputs, 1, "relu")),
-    "slice": lambda inputs, key=None, **kw: slice_(*_arity(inputs, 1, "slice"), key),
-    "max_over_axis": lambda inputs, axis=0, **kw: max_over_axis(*_arity(inputs, 1, "max_over_axis"), axis),
-    "sum": lambda inputs, **kw: sum_all(*_arity(inputs, 1, "sum")),
-    "stack": lambda inputs, axis=0, **kw: stack(inputs, axis),
-}
-
-
-def _arity(inputs: Sequence[Node], n: int, op: str) -> Sequence[Node]:
-    if len(inputs) != n:
-        raise ShapeError(f"{op}: expected {n} inputs, got {len(inputs)}")
-    return inputs
-
-
-def apply_op(op: str, inputs: Sequence[Node], **kwargs) -> Node:
-    """Dispatch an operator by tag.  Unknown tags raise :class:`UnknownOpError`."""
-    fn = _OPS.get(op)
-    if fn is None:
-        raise UnknownOpError(f"unknown operator tag {op!r}; known: {sorted(_OPS)}")
-    return fn(inputs, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -410,13 +335,17 @@ def backward(root: Node) -> dict[Node, np.ndarray]:
 # gradient checking
 
 
+# A sample counts as taken at a kink when its one-sided slopes differ by more
+# than this share of the larger one.
+SLOPE_RTOL = 1e-3
+
+
 def check_gradient(
     loss_fn: Callable[[], Node],
     params: Iterable[Node],
     eps: float = 1e-5,
     samples: int = 50,
     rng: np.random.Generator | None = None,
-    kink_tol: float | None = None,
     return_stats: bool = False,
 ):
     """Compare analytic gradients against central finite differences.
@@ -424,9 +353,13 @@ def check_gradient(
     ``loss_fn`` must rebuild the graph from the current parameter values and
     be deterministic (dropout off, seeds fixed).  For ``samples`` randomly
     chosen scalar parameters, returns the maximum of
-    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.  Samples
-    whose forward pass comes within ``kink_tol`` (default ``eps``) of a relu
-    or max kink are skipped and redrawn.
+    ``|analytic - numeric| / max(|analytic|, |numeric|, 1e-8)``.
+
+    A sample whose forward slope ``(f(θ+ε) - f(θ))/ε`` and backward slope
+    ``(f(θ) - f(θ-ε))/ε`` differ by more than ``SLOPE_RTOL`` of the larger
+    one straddles a kink (a rectifier's zero, a max tie); it is skipped and
+    another is drawn.  Raises :class:`AutodiffError` if no sample could be
+    checked.
     """
     if eps <= 0:
         raise AutodiffError("check_gradient: eps must be positive")
@@ -434,11 +367,11 @@ def check_gradient(
     if not params:
         raise AutodiffError("check_gradient: no parameters to check")
     rng = rng if rng is not None else np.random.default_rng(0)
-    kink_tol = eps if kink_tol is None else kink_tol
 
     root = loss_fn()
     if not np.isfinite(root.value).all():
         raise AutodiffError("check_gradient: non-finite loss")
+    mid = float(root.value)
     grads = backward(root)
     analytic = [grads.get(p, np.zeros_like(p.value)) for p in params]
 
@@ -463,7 +396,9 @@ def check_gradient(
 
         if not (np.isfinite(hi.value).all() and np.isfinite(lo.value).all()):
             raise AutodiffError("check_gradient: non-finite loss under perturbation")
-        if min(root.kink_margin, hi.kink_margin, lo.kink_margin) <= kink_tol:
+        up = (float(hi.value) - mid) / eps
+        down = (mid - float(lo.value)) / eps
+        if abs(up - down) > SLOPE_RTOL * max(abs(up), abs(down), 1e-8):
             skipped += 1
             continue
 
@@ -473,6 +408,8 @@ def check_gradient(
         max_rel = max(max_rel, rel)
         checked += 1
 
+    if not checked:
+        raise AutodiffError(f"check_gradient: every one of {skipped} samples straddles a kink")
     if return_stats:
         return max_rel, {"checked": checked, "skipped": skipped}
     return max_rel

@@ -59,10 +59,6 @@ class Token:
     def casing(self) -> np.ndarray:
         return extract_casing_feature(self.text)
 
-    @property
-    def word_vector_ref(self) -> str:
-        return self.text
-
 
 @dataclass
 class Sentence:

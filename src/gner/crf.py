@@ -157,7 +157,6 @@ def crf_negative_log_likelihood(params: CrfParams, emissions: Node, gold: Sequen
         op="crf_nll",
         parents=parents,
         vjps=vjps,
-        kink_margin=min(p.kink_margin for p in parents),
     )
 
 

@@ -202,15 +202,9 @@ def germeval_combined(
     pred_outer: Sequence[Sequence[str]],
     pred_inner: Sequence[Sequence[str]],
     strict: bool = False,
-    pooling: str = "micro",
 ) -> EvalReport:
     """Two-level metric: chunk counts pooled across the outer and inner
-    annotation levels (micro), then P/R/F1.
-
-    ``pooling="mean-f1"`` instead averages the two levels' P/R/F1 (counts in
-    the returned report stay pooled); provided for comparison against
-    scorers that combine per-level scores.
-    """
+    annotation levels (micro), then P/R/F1."""
     if not (len(gold_outer) == len(gold_inner) == len(pred_outer) == len(pred_inner)):
         raise EvaluationError(
             "level misalignment: "
@@ -222,42 +216,7 @@ def germeval_combined(
 
     gold = [a + b for a, b in zip(level_chunks(gold_outer, "outer"), level_chunks(gold_inner, "inner"))]
     pred = [a + b for a, b in zip(level_chunks(pred_outer, "outer"), level_chunks(pred_inner, "inner"))]
-    report = prf1(gold, pred)
-    if pooling == "micro":
-        return report
-    if pooling == "mean-f1":
-        outer_r = evaluate_bio(gold_outer, pred_outer, strict=strict)
-        inner_r = evaluate_bio(gold_inner, pred_inner, strict=strict)
-        return MeanF1Report(
-            overall=report.overall,
-            per_class=report.per_class,
-            n_sentences=report.n_sentences,
-            mean_precision=(outer_r.precision + inner_r.precision) / 2,
-            mean_recall=(outer_r.recall + inner_r.recall) / 2,
-            mean_f1=(outer_r.f1 + inner_r.f1) / 2,
-        )
-    raise EvaluationError(f"unknown pooling {pooling!r}")
-
-
-@dataclass
-class MeanF1Report(EvalReport):
-    """Alternative combination: per-level scores averaged instead of pooled."""
-
-    mean_precision: float = 0.0
-    mean_recall: float = 0.0
-    mean_f1: float = 0.0
-
-    @property
-    def precision(self) -> float:
-        return self.mean_precision
-
-    @property
-    def recall(self) -> float:
-        return self.mean_recall
-
-    @property
-    def f1(self) -> float:
-        return self.mean_f1
+    return prf1(gold, pred)
 
 
 def split_oov_iv(sentences: Sequence, store) -> tuple[list, list]:

@@ -2,15 +2,15 @@
 
 The BiLSTM takes a whole padded batch as one ``(batch, steps, dim)`` node
 plus a boolean mask, and runs each direction as a single graph node with a
-hand-written BPTT gradient.  The char CNN takes one ``(batch, dim)`` node per
-position.  Parameters are immutable during inference and mutated only by
-the training loop.
+hand-written BPTT gradient.  The char CNN takes one ``(rows, steps, dim)``
+node and is likewise one graph node with a hand-written gradient.
+Parameters are immutable during inference and mutated only by the training
+loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "init_dense_params",
     "bilstm_sequence",
     "conv1d_globalmaxpool",
-    "dense",
-    "dropout",
     "dropout_mask",
     "embed_lookup",
 ]
@@ -319,27 +317,52 @@ def bilstm_sequence(
     return ad.concat_last([out_f, out_b])
 
 
-def conv1d_globalmaxpool(params: Conv1dParams, xs: Sequence[Node]) -> Node:
-    """Valid (no-pad) convolution with ReLU, then per-filter max over positions.
+def _windows(x: np.ndarray, k: int) -> np.ndarray:
+    """(rows, steps, in) -> (rows, steps-k+1, k*in): window ``w`` holds
+    positions w..w+k-1 side by side, matching the kernels' (k, in) layout."""
+    n = x.shape[1] - k + 1
+    return np.concatenate([x[:, j : j + n] for j in range(k)], axis=-1)
 
-    The caller guarantees ``len(xs) >= kernel_size`` by pre-padding character
-    sequences.
+
+def conv1d_globalmaxpool(params: Conv1dParams, x: Node) -> Node:
+    """Valid (no-pad) convolution with ReLU, then per-filter max over windows.
+
+    ``x`` is (rows, steps, in); returns (rows, filters) as one graph node.
+    Since ``relu(max z) == max(relu z)``, the forward takes the first argmax
+    of the pre-activations and rectifies after; the gradient reaches only
+    that window, and only where its pre-activation is positive.  The caller
+    guarantees ``steps >= kernel_size`` by pre-padding character sequences.
     """
-    xs = list(xs)
-    k = params.kernel_size
-    if len(xs) < k:
-        raise LayerError(f"conv1d_globalmaxpool: sequence length {len(xs)} < kernel size {k}")
-    w_flat = ad.reshape(params.kernels, (k * params.in_dim, params.filters))
-    activations = []
-    for p in range(len(xs) - k + 1):
-        window = xs[p] if k == 1 else ad.concat_last(xs[p : p + k])
-        activations.append(ad.relu(ad.add(ad.matmul(window, w_flat), params.bias)))
-    return ad.max_over_axis(ad.stack(activations, axis=0), 0)
+    if x.value.ndim != 3:
+        raise LayerError(f"conv1d_globalmaxpool: expected (rows, steps, in) input, got shape {x.value.shape}")
+    rows, steps, width = x.value.shape
+    k, filters = params.kernel_size, params.filters
+    if steps < k:
+        raise LayerError(f"conv1d_globalmaxpool: sequence length {steps} < kernel size {k}")
+    if width != params.in_dim:
+        raise LayerError(f"conv1d_globalmaxpool: input dim {width} != {params.in_dim}")
+    n = steps - k + 1
+    w_flat = params.kernels.value.reshape(k * width, filters)
+    z = (_windows(x.value, k).reshape(rows * n, k * width) @ w_flat + params.bias.value).reshape(rows, n, filters)
+    best = z.argmax(axis=1)[:, None, :]
+    top = np.take_along_axis(z, best, axis=1)[:, 0]
+    live = top > 0
 
+    def joint_vjp(g):
+        dz = np.zeros((rows, n, filters))
+        np.put_along_axis(dz, best, (g * live)[:, None, :], axis=1)
+        dz = dz.reshape(rows * n, filters)
+        cols = _windows(x.value, k).reshape(rows * n, k * width)
+        dx = None
+        if x.requires_grad:
+            dcols = (dz @ w_flat.T).reshape(rows, n, k * width)
+            dx = np.zeros(x.value.shape)
+            for j in range(k):
+                dx[:, j : j + n] += dcols[..., j * width : (j + 1) * width]
+        return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)
 
-def dense(w: Node, b: Node, x: Node) -> Node:
-    """Linearly activated layer: w @ x + b."""
-    return ad.add(ad.matmul(w, x), b)
+    parents = (x, params.kernels, params.bias)
+    return ad.joint_result("conv1d_globalmaxpool", np.where(live, top, 0.0), parents, joint_vjp)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -348,19 +371,6 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
         raise LayerError(f"dropout: rate must be in [0, 1), got {rate}")
     keep = rng.random(shape) >= rate
     return keep / (1.0 - rate)
-
-
-def dropout(x: Node, rate: float, mode: str, rng: np.random.Generator | None = None) -> Node:
-    """Inverted dropout: identity in eval mode, kept values scaled at train time."""
-    if not 0.0 <= rate < 1.0:
-        raise LayerError(f"dropout: rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise LayerError(f"dropout: unknown mode {mode!r}")
-    if mode == "eval" or rate == 0.0:
-        return x
-    if rng is None:
-        raise LayerError("dropout: train mode needs an rng")
-    return ad.mul(x, ad.constant(dropout_mask(x.value.shape, rate, rng)))
 
 
 def embed_lookup(table: EmbeddingTable, indices) -> Node:

@@ -8,9 +8,9 @@ one/two-layer BiLSTM over the raw character sequence.  A token-level BiLSTM,
 a linearly activated dense layer and a linear-chain CRF sit on top.
 
 A batch flows through as whole tensors: the token input is one
-``(batch, max_len, input_width)`` node, each BiLSTM direction is one graph
-node that computes only real (unmasked) positions, and the dense layer is a
-single matmul over all positions.
+``(batch, max_len, input_width)`` node, each BiLSTM direction and each char
+conv is one graph node, the BiLSTMs compute only real (unmasked) positions,
+and the dense layer is a single matmul over all positions.
 
 Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
@@ -263,12 +263,11 @@ def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.n
     rows = batch.char_indices.reshape(b * t, p)
     uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
 
+    out = ad.reshape(embed_lookup(model.char_table, uniq), (len(uniq), p, cfg.char_emb_dim))
     if cfg.char_variant in ("cnn", "cnn3"):
-        xs = [embed_lookup(model.char_table, uniq[:, s]) for s in range(p)]
-        feats = [conv1d_globalmaxpool(conv, xs) for conv in model.char_convs]
+        feats = [conv1d_globalmaxpool(conv, out) for conv in model.char_convs]
         feat = feats[0] if len(feats) == 1 else ad.concat_last(feats)
     else:
-        out = ad.reshape(embed_lookup(model.char_table, uniq), (len(uniq), p, cfg.char_emb_dim))
         every = np.ones((len(uniq), p), dtype=bool)
         for fwd, bwd in model.char_lstms:
             out = bilstm_sequence(fwd, bwd, out, every, mode=mode)

@@ -121,10 +121,12 @@ def _toy_sentences():
     ]
 
 
-def _grad_check(loss_fn, params, samples=50):
+def _grad_check(loss_fn, params, samples=50, return_stats=False):
     total = sum(p.value.size for p in params)
     assert total >= 50, f"check has only {total} scalar parameters"
-    return ad.check_gradient(loss_fn, params, eps=1e-5, samples=samples, rng=np.random.default_rng(3))
+    return ad.check_gradient(
+        loss_fn, params, eps=1e-5, samples=samples, rng=np.random.default_rng(3), return_stats=return_stats
+    )
 
 
 def test_criterion_2_gradient_suite():
@@ -160,19 +162,19 @@ def test_criterion_2_gradient_suite():
 
     # conv + global max pooling
     conv = layers.init_conv1d_params(3, 4, 4, rng)
-    cxs = [ad.constant(rng.uniform(-1, 1, 4)) for _ in range(7)]
-    wc = ad.constant(rng.uniform(-1, 1, 4))
+    cxs = ad.constant(rng.uniform(-1, 1, (1, 7, 4)))
+    wc = ad.constant(rng.uniform(-1, 1, (1, 4)))
     err = _grad_check(
         lambda: ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(conv, cxs), wc)),
         [conv.kernels, conv.bias],
     )
     failures += [("conv1d_globalmaxpool", err)] if err > 1e-4 else []
 
-    # dense
-    dw = ad.leaf(rng.uniform(-1, 1, (5, 12)), requires_grad=True)
+    # dense, as the model inlines it: x @ w + b over all positions
+    dw = ad.leaf(rng.uniform(-1, 1, (12, 5)), requires_grad=True)
     db = ad.leaf(rng.uniform(-1, 1, 5), requires_grad=True)
-    dx = ad.constant(rng.uniform(-1, 1, 12))
-    err = _grad_check(lambda: ad.sum_all(layers.dense(dw, db, dx)), [dw, db])
+    dx = ad.constant(rng.uniform(-1, 1, (3, 12)))
+    err = _grad_check(lambda: ad.sum_all(ad.add(ad.matmul(dx, dw), db)), [dw, db])
     failures += [("dense", err)] if err > 1e-4 else []
 
     # dropout with a frozen mask (deterministic train-time path)
@@ -206,8 +208,8 @@ def test_criterion_2_gradient_suite():
             return crf_negative_log_likelihood(model.crf, ad.slice_(em6, (0, slice(0, 6))), gold_idx)
 
         params = [node for _, node in model.parameters()]
-        err = _grad_check(loss, params)
-        failures += [(f"end-to-end/{variant}", err)] if err > 1e-4 else []
+        err, stats = _grad_check(loss, params, return_stats=True)
+        failures += [(f"end-to-end/{variant}", err, stats)] if err > 1e-4 or stats["checked"] != 50 else []
 
     assert not failures, f"gradient checks failed: {failures}"
     _report(2, "all layers and end-to-end losses within 1e-4 (eps 1e-5, 50+ samples)")

@@ -78,17 +78,6 @@ def test_combined_misalignment():
         ev.germeval_combined([["O"]], [["O"], ["O"]], [["O"]], [["O"]])
 
 
-def test_combined_mean_f1_mode():
-    gold_outer = [["B-PER", "O"]]
-    pred_outer = [["B-PER", "O"]]
-    gold_inner = [["B-LOC", "O"]]
-    pred_inner = [["O", "O"]]
-    micro = ev.germeval_combined(gold_outer, gold_inner, pred_outer, pred_inner)
-    mean = ev.germeval_combined(gold_outer, gold_inner, pred_outer, pred_inner, pooling="mean-f1")
-    assert micro.f1 == pytest.approx(2 / 3)  # TP=1, FN=1
-    assert mean.f1 == pytest.approx(0.5)  # (1.0 + 0.0) / 2
-
-
 @given(
     st.lists(
         st.lists(st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]), min_size=1, max_size=8),

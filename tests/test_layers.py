@@ -269,9 +269,9 @@ def test_conv_sum_kernel():
     p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
     p.kernels.value[:] = 1.0
     p.bias.value[:] = 0.0
-    xs = [ad.constant(np.array([v])) for v in (1.0, 2.0, 3.0)]
-    out = layers.conv1d_globalmaxpool(p, xs)
-    np.testing.assert_array_equal(out.value, np.array([6.0]))
+    x = ad.constant(np.array([[[1.0], [2.0], [3.0]]]))
+    out = layers.conv1d_globalmaxpool(p, x)
+    np.testing.assert_array_equal(out.value, np.array([[6.0]]))
 
 
 def test_conv_per_filter_columnwise_max():
@@ -281,33 +281,35 @@ def test_conv_per_filter_columnwise_max():
     p.kernels.value[0, 0, 0] = 1.0
     p.kernels.value[0, 1, 1] = 1.0
     p.bias.value[:] = 0.0
-    xs = [ad.constant(np.array([1.0, 5.0])), ad.constant(np.array([3.0, 2.0]))]
-    out = layers.conv1d_globalmaxpool(p, xs)
-    np.testing.assert_array_equal(out.value, np.array([3.0, 5.0]))
+    x = ad.constant(np.array([[[1.0, 5.0], [3.0, 2.0]]]))
+    out = layers.conv1d_globalmaxpool(p, x)
+    np.testing.assert_array_equal(out.value, np.array([[3.0, 5.0]]))
 
 
 def test_conv_relu_floor():
     p = layers.init_conv1d_params(2, 1, 1, np.random.default_rng(0))
     p.kernels.value[:] = 1.0
     p.bias.value[:] = -100.0
-    xs = [ad.constant(np.array([1.0])) for _ in range(3)]
-    out = layers.conv1d_globalmaxpool(p, xs)
-    np.testing.assert_array_equal(out.value, np.array([0.0]))
+    x = ad.constant(np.ones((1, 3, 1)))
+    out = layers.conv1d_globalmaxpool(p, x)
+    np.testing.assert_array_equal(out.value, np.array([[0.0]]))
+    # Positive pre-activations pass unchanged.
+    p.bias.value[:] = 100.0
+    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x).value, np.array([[102.0]]))
 
 
 def test_conv_sequence_shorter_than_kernel_rejected():
     p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
     with pytest.raises(layers.LayerError, match="kernel"):
-        layers.conv1d_globalmaxpool(p, [ad.constant(np.array([1.0]))] * 2)
+        layers.conv1d_globalmaxpool(p, ad.constant(np.ones((1, 2, 1))))
 
 
 def test_conv_gradient_reaches_only_argmax_positions():
     p = layers.init_conv1d_params(1, 2, 2, np.random.default_rng(2))
-    xs = [ad.leaf(v, requires_grad=True) for v in
-          (np.array([0.9, 0.1]), np.array([0.2, 0.8]), np.array([0.3, 0.2]))]
-    out = layers.conv1d_globalmaxpool(p, xs)
+    x = ad.leaf(np.array([[[0.9, 0.1], [0.2, 0.8], [0.3, 0.2]]]), requires_grad=True)
+    out = layers.conv1d_globalmaxpool(p, x)
     grads = ad.backward(ad.sum_all(out))
-    nonzero = [i for i, x in enumerate(xs) if x in grads and np.any(grads[x] != 0)]
+    nonzero = [i for i in range(3) if np.any(grads[x][0, i] != 0)]
     # With kernel size 1, pre-activations are per-position; the max for each
     # filter lives at exactly one position, so at most 2 positions get grad.
     assert 1 <= len(nonzero) <= 2
@@ -317,49 +319,95 @@ def test_conv_gradient_reaches_only_argmax_positions():
 def test_conv_gradient_check():
     rng = np.random.default_rng(9)
     p = layers.init_conv1d_params(3, 2, 4, rng)
-    xs = [ad.constant(rng.uniform(-1, 1, 2)) for _ in range(5)]
-    w = ad.constant(rng.uniform(-1, 1, 4))
+    x = ad.constant(rng.uniform(-1, 1, (1, 5, 2)))
+    w = ad.constant(rng.uniform(-1, 1, (1, 4)))
 
     def loss():
-        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, xs), w))
+        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x), w))
 
     assert ad.check_gradient(loss, [p.kernels, p.bias], eps=1e-5, samples=28) <= 1e-4
 
 
-def test_dense_identity_and_bias():
-    x = ad.constant(np.array([1.0, -2.0]))
-    out = layers.dense(ad.constant(np.eye(2)), ad.constant(np.zeros(2)), x)
-    np.testing.assert_array_equal(out.value, x.value)
-    out = layers.dense(ad.constant(np.zeros((2, 2))), ad.constant(np.array([3.0, 4.0])), x)
-    np.testing.assert_array_equal(out.value, np.array([3.0, 4.0]))
+def _conv_reference(kernels, bias, x):
+    """Per-window loop: relu(window @ W + b), then the max over windows."""
+    k, width, filters = kernels.shape
+    w_flat = kernels.reshape(k * width, filters)
+    out = np.zeros((x.shape[0], filters))
+    for r in range(x.shape[0]):
+        acts = [np.maximum(x[r, s : s + k].reshape(-1) @ w_flat + bias, 0.0) for s in range(x.shape[1] - k + 1)]
+        out[r] = np.max(acts, axis=0)
+    return out
 
 
-def test_dense_matches_hand_multiplication():
-    w = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = ad.constant(np.array([0.5, -0.5]))
-    x = ad.constant(np.array([2.0, -1.0]))
-    out = layers.dense(w, b, x)
-    # Hand-computed: [1*2 + 2*(-1) + 0.5, 3*2 + 4*(-1) - 0.5]
-    np.testing.assert_allclose(out.value, np.array([0.5, 1.5]))
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_matches_window_reference(k):
+    rng = np.random.default_rng(30 + k)
+    p = layers.init_conv1d_params(k, 3, 6, rng)
+    p.bias.value[:] = rng.uniform(-0.5, 0.5, 6)
+    x = rng.uniform(-1, 1, (4, 7, 3))
+    out = layers.conv1d_globalmaxpool(p, ad.constant(x))
+    np.testing.assert_allclose(out.value, _conv_reference(p.kernels.value, p.bias.value, x), rtol=1e-12, atol=1e-14)
+
+
+def test_conv_gradient_check_input_kernels_and_bias():
+    rng = np.random.default_rng(31)
+    p = layers.init_conv1d_params(3, 2, 4, rng)
+    p.bias.value[:] = rng.uniform(-0.5, 0.5, 4)
+    x = ad.leaf(rng.uniform(-1, 1, (3, 6, 2)), requires_grad=True)
+    w = ad.constant(rng.uniform(-1, 1, (3, 4)))
+
+    def loss():
+        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x), w))
+
+    for params, samples in (([x], 36), ([p.kernels], 24), ([p.bias], 4)):
+        err, stats = ad.check_gradient(loss, params, eps=1e-5, samples=samples, return_stats=True)
+        assert stats["checked"] == samples
+        assert err <= 1e-4
+
+
+def test_conv_tied_windows_gradient_goes_to_first_argmax():
+    p = layers.init_conv1d_params(1, 1, 1, np.random.default_rng(0))
+    p.kernels.value[:] = 1.0
+    p.bias.value[:] = 0.0
+    x = ad.leaf(np.array([[[2.0], [5.0], [1.0], [5.0]]]), requires_grad=True)
+    grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, x)))
+    np.testing.assert_array_equal(grads[x], np.array([[[0.0], [1.0], [0.0], [0.0]]]))
+    np.testing.assert_array_equal(grads[p.kernels], np.array([[[5.0]]]))
+
+
+def test_conv_all_negative_filter_gets_zero_gradient():
+    # Filter 1's bias keeps every window negative: it outputs 0 and passes
+    # no gradient, while filter 0 still reaches its argmax window.
+    p = layers.init_conv1d_params(2, 2, 2, np.random.default_rng(4))
+    p.bias.value[:] = [0.0, -100.0]
+    x = ad.leaf(np.random.default_rng(5).uniform(0.1, 1, (2, 5, 2)), requires_grad=True)
+    only_first = layers.init_conv1d_params(2, 2, 1, np.random.default_rng(0))
+    only_first.kernels.value[:] = p.kernels.value[..., :1]
+    only_first.bias.value[:] = 0.0
+
+    out = layers.conv1d_globalmaxpool(p, x)
+    np.testing.assert_array_equal(out.value[:, 1], 0.0)
+    grads = ad.backward(ad.sum_all(out))
+    np.testing.assert_array_equal(grads[p.kernels][..., 1], 0.0)
+    assert grads[p.bias][1] == 0.0
+    ref = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(only_first, x)))
+    np.testing.assert_array_equal(grads[x], ref[x])
 
 
 def test_dropout_identity_cases():
-    x = ad.constant(np.arange(6.0).reshape(2, 3))
-    rng = np.random.default_rng(0)
-    np.testing.assert_array_equal(layers.dropout(x, 0.0, "train", rng).value, x.value)
-    np.testing.assert_array_equal(layers.dropout(x, 0.7, "eval").value, x.value)
+    # Rate 0 keeps every entry at scale 1.
+    mask = layers.dropout_mask((2, 3), 0.0, np.random.default_rng(0))
+    np.testing.assert_array_equal(mask, np.ones((2, 3)))
 
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(layers.LayerError, match="rate"):
-        layers.dropout(ad.constant(np.ones(3)), 1.0, "train", np.random.default_rng(0))
+        layers.dropout_mask((3,), 1.0, np.random.default_rng(0))
 
 
 def test_dropout_preserves_expectation():
-    rng = np.random.default_rng(42)
-    x = ad.constant(np.full(100_000, 2.0))
-    out = layers.dropout(x, 0.5, "train", rng)
-    assert abs(out.value.mean() - 2.0) / 2.0 < 0.02
+    mask = layers.dropout_mask((100_000,), 0.5, np.random.default_rng(42))
+    assert abs((2.0 * mask).mean() - 2.0) / 2.0 < 0.02
 
 
 def test_recurrent_dropout_mask_constant_across_timesteps():

@@ -205,7 +205,9 @@ def test_end_to_end_gradient_check_all_variants(variant):
         return total
 
     params = [node for _, node in model.parameters()]
-    err = ad.check_gradient(loss, params, eps=1e-5, samples=60, rng=np.random.default_rng(0))
+    err, stats = ad.check_gradient(loss, params, eps=1e-5, samples=60, rng=np.random.default_rng(0),
+                                   return_stats=True)
+    assert stats["checked"] == 60, f"{variant}: {stats}"
     assert err <= 1e-4, f"{variant}: max rel error {err}"
 
 
