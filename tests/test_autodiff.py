@@ -4,10 +4,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gner import autodiff as ad
+from gner import layers
 
 
 def test_tanh_at_origin():
     assert float(ad.tanh(ad.leaf(0.0)).value) == 0.0
+
+
+def test_relu_definition():
+    # The rectifier lives inside the fused char conv: a 1x1 identity kernel
+    # with zero bias turns the conv into relu of its single input.
+    p = layers.init_conv1d_params(1, 1, 1, np.random.default_rng(0))
+    p.kernels.value[:] = 1.0
+    p.bias.value[:] = 0.0
+
+    def relu(v):
+        return float(layers.conv1d_globalmaxpool(p, ad.constant(np.full((1, 1, 1), v))).value[0, 0])
+
+    assert relu(-2.0) == 0.0
+    assert relu(2.0) == 2.0
 
 
 def test_matmul_identity():
