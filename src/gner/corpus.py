@@ -429,16 +429,15 @@ def batch_from_sentences(
     sentences: Sequence[Sentence],
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
-    min_char_pad: int = 5,
+    max_kernel: int = 5,
     pad_to: int | None = None,
-    char_pad_to: int | None = None,
 ) -> Batch:
     """Assemble one padded batch.
 
-    Character sequences are padded to the batch's longest decorated token by
-    default; ``char_pad_to`` fixes the length instead (character features of
-    trained models see the pad region, so a fixed length keeps them identical
-    across batchings).  ``pad_to`` forces extra token-level padding.
+    Character sequences are padded to the batch's longest decorated token;
+    in ``cnn`` mode ``max_kernel - 1`` more pad symbols follow it, so every
+    window of the widest kernel that starts inside a token exists.
+    ``pad_to`` forces extra token-level padding.
     """
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
@@ -456,16 +455,13 @@ def batch_from_sentences(
     if char_mode is not None:
         if char_vocab is None:
             raise CorpusError("char sequences need a char vocabulary")
-        needed = max(
+        pad_len = max(
             decorated_char_length(tok.text, t == 0, t == len(s) - 1, char_mode)
             for s in sentences
             for t, tok in enumerate(s.tokens)
         )
-        pad_len = needed if char_pad_to is None else char_pad_to
-        if pad_len < needed:
-            raise CorpusError(f"char_pad_to {char_pad_to} < longest decorated token {needed}")
         if char_mode == "cnn":
-            pad_len = max(pad_len, min_char_pad)
+            pad_len += max_kernel - 1
         char_indices = np.full((len(sentences), max_len, pad_len), PAD_INDEX, dtype=np.int64)
         for b, s in enumerate(sentences):
             rows = build_char_sequences(s, char_vocab, char_mode, pad_len)
@@ -487,7 +483,7 @@ def make_batches(
     seed: int,
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
-    min_char_pad: int = 5,
+    max_kernel: int = 5,
 ) -> list[Batch]:
     """Shuffle by seed, bucket by similar length, pad per batch.
 
@@ -505,6 +501,6 @@ def make_batches(
     groups = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     rng.shuffle(groups)
     return [
-        batch_from_sentences([sentences[i] for i in g], char_vocab, char_mode, min_char_pad)
+        batch_from_sentences([sentences[i] for i in g], char_vocab, char_mode, max_kernel)
         for g in groups
     ]

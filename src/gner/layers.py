@@ -1,7 +1,7 @@
 """Parameterized layers on top of the autodiff core.
 
 The BiLSTM takes a whole padded batch as one ``(batch, steps, dim)`` node
-plus a boolean mask, and runs each direction as a single graph node with a
+plus a boolean mask, and runs both directions as a single graph node with a
 hand-written BPTT gradient.  The char CNN takes one ``(rows, steps, dim)``
 node and is likewise one graph node with a hand-written gradient.
 Parameters are immutable during inference and mutated only by the training
@@ -156,81 +156,91 @@ def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tu
 
 
 def _schedule(mask: np.ndarray):
-    """Real (mask-on) positions in time-major order.
+    """Real (mask-on) positions in time-major order, rows sorted by
+    descending real-step count.
 
-    Returns the ``(rows, times)`` index pair that gathers them from a
-    ``(B, T, ...)`` array, and per timestep the slice of those positions it
-    owns plus the batch rows they sit in (a full slice when every row is
-    real, so dense steps need no fancy indexing).
+    Returns the row order, the ``(rows, times)`` index pair that gathers the
+    real positions from a ``(B, T, ...)`` array, and per timestep the slice
+    of those positions it owns, the rows of the sorted state they update and
+    the batch rows they sit in.  Under prefix masks (post-padded tokens) and
+    suffix masks (pre-padded characters) the real rows of every step are a
+    leading run of the sorted order, as in a packed sequence, so the state
+    is read and written through a slice; other masks fall back to an index
+    array.
     """
-    times, rows = np.nonzero(mask.T)
-    bounds = np.concatenate(([0], np.cumsum(mask.sum(axis=0))))
-    batch = mask.shape[0]
+    order = np.argsort(-mask.sum(axis=1), kind="stable")
+    sorted_mask = mask[order]
+    times, sorted_rows = np.nonzero(sorted_mask.T)
+    rows = order[sorted_rows]
+    bounds = np.concatenate(([0], np.cumsum(sorted_mask.sum(axis=0))))
     steps = []
     for t in range(mask.shape[1]):
         lo, hi = int(bounds[t]), int(bounds[t + 1])
-        steps.append((slice(lo, hi), slice(None) if hi - lo == batch else rows[lo:hi]))
-    return (rows, times), steps
+        state = slice(0, hi - lo) if sorted_mask[: hi - lo, t].all() else sorted_rows[lo:hi]
+        steps.append((slice(lo, hi), state, rows[lo:hi]))
+    return order, (rows, times), steps
 
 
-def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, batch: int, keep: bool):
+def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, out: np.ndarray, keep: bool):
     """Run the recurrence over the steps in ``order``; ``xw`` holds the input
-    projection of every real position.  Masked rows keep their state and
-    emit zeros.  With ``keep``, also returns the per-position activations
-    BPTT needs: gates (i, f, g, o), recurrent input, previous cell, tanh(cell).
+    projection of every real position.  The state is held in the schedule's
+    sorted row order (``rec_mask`` too); each step's output is written
+    straight to its batch rows of ``out`` (B, T, cells), which stays zero at
+    masked positions.  Masked rows keep their state.  With ``keep``, returns
+    the per-position activations BPTT needs: gates (i, f, g, o), recurrent
+    input, previous cell, tanh(cell).
     """
     cells = params.cells
     u, bias = params.w_recurrent.value, params.bias.value
-    h = np.zeros((batch, cells))
-    c = np.zeros((batch, cells))
-    out = np.zeros((batch, len(steps), cells))
+    h = np.zeros((out.shape[0], cells))
+    c = np.zeros((out.shape[0], cells))
     n = xw.shape[0]
     cache = None
     if keep:
         cache = (np.empty((n, 4 * cells)), np.empty((n, cells)), np.empty((n, cells)), np.empty((n, cells)))
     for t in order:
-        seg, rows = steps[t]
+        seg, state, rows = steps[t]
         if seg.start == seg.stop:
             continue
-        h_in = h[rows]
+        h_in = h[state]
         if rec_mask is not None:
-            h_in = h_in * rec_mask[rows]
+            h_in = h_in * rec_mask[state]
         z = xw[seg] + h_in @ u
         z += bias
         act = logistic(z)
         act[:, 2 * cells : 3 * cells] = np.tanh(z[:, 2 * cells : 3 * cells])
-        c_prev = c[rows]
+        c_prev = c[state]
         c_new = act[:, cells : 2 * cells] * c_prev + act[:, :cells] * act[:, 2 * cells : 3 * cells]
         tc = np.tanh(c_new)
         h_new = act[:, 3 * cells :] * tc
         if keep:
             for buf, val in zip(cache, (act, h_in, c_prev, tc)):
                 buf[seg] = val
-        h[rows] = h_new
-        c[rows] = c_new
+        h[state] = h_new
+        c[state] = c_new
         out[rows, t] = h_new
-    return out, cache
+    return cache
 
 
-def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_out: np.ndarray) -> np.ndarray:
-    """Backpropagate ``grad_out`` (B, T, cells) through the recurrence.
-    Returns the gradient of every real position's pre-activation (N, 4*cells)."""
+def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_real: np.ndarray, batch: int) -> np.ndarray:
+    """Backpropagate ``grad_real`` (N, cells), the output gradient of every
+    real position, through the recurrence.  Returns the gradient of every
+    real position's pre-activation (N, 4*cells)."""
     gates, h_ins, c_prevs, tcs = cache
     cells = params.cells
     u_t = params.w_recurrent.value.T
-    batch = grad_out.shape[0]
     dz_all = np.empty_like(gates)
     dh = np.zeros((batch, cells))
     dc = np.zeros((batch, cells))
     for t in reversed(order):
-        seg, rows = steps[t]
+        seg, state, _ = steps[t]
         if seg.start == seg.stop:
             continue
         act, tc = gates[seg], tcs[seg]
         i, f = act[:, :cells], act[:, cells : 2 * cells]
         g, o = act[:, 2 * cells : 3 * cells], act[:, 3 * cells :]
-        dh_t = dh[rows] + grad_out[rows, t]
-        dc_t = dc[rows] + dh_t * o * (1.0 - tc * tc)
+        dh_t = dh[state] + grad_real[seg]
+        dc_t = dc[state] + dh_t * o * (1.0 - tc * tc)
         dz = dz_all[seg]
         dz[:, :cells] = dc_t * g * i * (1.0 - i)
         dz[:, cells : 2 * cells] = dc_t * c_prevs[seg] * f * (1.0 - f)
@@ -238,41 +248,10 @@ def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_out: np.ndarra
         dz[:, 3 * cells :] = dh_t * tc * o * (1.0 - o)
         dh_prev = dz @ u_t
         if rec_mask is not None:
-            dh_prev *= rec_mask[rows]
-        dh[rows] = dh_prev
-        dc[rows] = dc_t * f
+            dh_prev *= rec_mask[state]
+        dh[state] = dh_prev
+        dc[state] = dc_t * f
     return dz_all
-
-
-def _lstm_direction(params: LstmParams, x: Node, schedule, reverse: bool, rec_mask, keep: bool) -> Node:
-    """One LSTM direction as a single graph node over ``x`` (B, T, in).
-
-    The input projection runs as one matmul over the real positions; the
-    recurrence and its BPTT gradient run in numpy.  Without ``keep`` no
-    activations are retained, and a backward pass recomputes them.
-    """
-    gather, steps = schedule
-    batch = x.value.shape[0]
-    order = range(len(steps) - 1, -1, -1) if reverse else range(len(steps))
-
-    def forward(keep_cache: bool):
-        x_real = x.value[gather]
-        out, cache = _recur(params, x_real @ params.w_input.value, steps, order, rec_mask, batch, keep_cache)
-        return out, (x_real, cache) if keep_cache else None
-
-    out, saved = forward(keep)
-    parents = (x, params.w_input, params.w_recurrent, params.bias)
-
-    def joint_vjp(g):
-        x_real, cache = saved if saved is not None else forward(True)[1]
-        dz = _bptt(params, cache, steps, order, rec_mask, g)
-        dx = None
-        if x.requires_grad:
-            dx = np.zeros(x.value.shape)
-            dx[gather] = dz @ params.w_input.value.T
-        return dx, x_real.T @ dz, cache[1].T @ dz, dz.sum(axis=0)
-
-    return ad.joint_result("lstm_sequence", out, parents, joint_vjp)
 
 
 def bilstm_sequence(
@@ -288,33 +267,61 @@ def bilstm_sequence(
     ``mask`` (batch, steps); returns (batch, steps, 2*cells) holding
     concat(h_fwd_t, h_bwd_t).
 
-    Each direction is one graph node.  Masked positions, wherever they sit,
-    produce zero vectors, leave their row's state untouched and receive no
-    gradient.  When training with ``recurrent_dropout``, one mask per
-    direction (forward first) is sampled and reused at every timestep.  Only
-    train mode retains activations for the backward pass.
+    Both directions form one graph node and write straight into their half
+    of the output.  The input projection runs as one matmul per direction
+    over the real positions only; the recurrence and its BPTT gradient run
+    in numpy.  Masked positions, wherever they sit, produce zero vectors,
+    leave their row's state untouched and receive no gradient.  When
+    training with ``recurrent_dropout``, one mask per direction (forward
+    first) is sampled and reused at every timestep.  Only train mode
+    retains activations; a backward pass in eval mode recomputes them.
     """
     if x.value.ndim != 3:
         raise LayerError(f"bilstm_sequence: expected (batch, steps, in) input, got shape {x.value.shape}")
-    batch, steps, width = x.value.shape
-    if steps == 0:
+    batch, length, width = x.value.shape
+    if length == 0:
         raise LayerError("bilstm_sequence: empty sequence")
     for p in (fwd, bwd):
         if width != p.input_dim:
             raise LayerError(f"bilstm_sequence: input dim {width} != {p.input_dim}")
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (batch, steps):
-        raise LayerError(f"bilstm_sequence: mask shape {mask.shape} != {(batch, steps)}")
+    if mask.shape != (batch, length):
+        raise LayerError(f"bilstm_sequence: mask shape {mask.shape} != {(batch, length)}")
     train = mode == "train"
+    row_order, gather, steps = _schedule(mask)
     rec_masks = [None, None]
     if train and recurrent_dropout > 0.0:
         if rng is None:
             raise LayerError("bilstm_sequence: recurrent dropout in train mode needs an rng")
-        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng) for p in (fwd, bwd)]
-    schedule = _schedule(mask)
-    out_f = _lstm_direction(fwd, x, schedule, False, rec_masks[0], train)
-    out_b = _lstm_direction(bwd, x, schedule, True, rec_masks[1], train)
-    return ad.concat_last([out_f, out_b])
+        # Drawn in batch order, held in the schedule's sorted order.
+        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng)[row_order] for p in (fwd, bwd)]
+    directions = (
+        (fwd, range(length), rec_masks[0], slice(0, fwd.cells)),
+        (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
+    )
+
+    def forward(keep: bool):
+        x_real = x.value[gather]
+        out = np.zeros((batch, length, fwd.cells + bwd.cells))
+        caches = [_recur(p, x_real @ p.w_input.value, steps, order, rec, out[..., half], keep)
+                  for p, order, rec, half in directions]
+        return out, (x_real, caches) if keep else None
+
+    out, saved = forward(train)
+    parents = (x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias)
+
+    def joint_vjp(g):
+        x_real, caches = saved if saved is not None else forward(True)[1]
+        dx = np.zeros(x.value.shape) if x.requires_grad else None
+        grads = [dx]
+        for (p, order, rec, half), cache in zip(directions, caches):
+            dz = _bptt(p, cache, steps, order, rec, g[..., half][gather], batch)
+            if dx is not None:
+                dx[gather] += dz @ p.w_input.value.T
+            grads += [x_real.T @ dz, cache[1].T @ dz, dz.sum(axis=0)]
+        return grads
+
+    return ad.joint_result("bilstm_sequence", out, parents, joint_vjp)
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -324,14 +331,17 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([x[:, j : j + n] for j in range(k)], axis=-1)
 
 
-def conv1d_globalmaxpool(params: Conv1dParams, x: Node) -> Node:
+def conv1d_globalmaxpool(params: Conv1dParams, x: Node, lengths=None) -> Node:
     """Valid (no-pad) convolution with ReLU, then per-filter max over windows.
 
     ``x`` is (rows, steps, in); returns (rows, filters) as one graph node.
-    Since ``relu(max z) == max(relu z)``, the forward takes the first argmax
-    of the pre-activations and rectifies after; the gradient reaches only
-    that window, and only where its pre-activation is positive.  The caller
-    guarantees ``steps >= kernel_size`` by pre-padding character sequences.
+    With ``lengths`` (rows,), row ``r`` pools only the windows that start
+    before position ``lengths[r]``, so whatever follows a row's content
+    beyond its last window cannot win the max.  Since
+    ``relu(max z) == max(relu z)``, the forward takes the first argmax of
+    the pre-activations and rectifies after; the gradient reaches only that
+    window, and only where its pre-activation is positive.  The caller
+    guarantees ``steps >= kernel_size`` by padding character sequences.
     """
     if x.value.ndim != 3:
         raise LayerError(f"conv1d_globalmaxpool: expected (rows, steps, in) input, got shape {x.value.shape}")
@@ -344,6 +354,11 @@ def conv1d_globalmaxpool(params: Conv1dParams, x: Node) -> Node:
     n = steps - k + 1
     w_flat = params.kernels.value.reshape(k * width, filters)
     z = (_windows(x.value, k).reshape(rows * n, k * width) @ w_flat + params.bias.value).reshape(rows, n, filters)
+    if lengths is not None:
+        lengths = np.asarray(lengths)
+        if lengths.shape != (rows,) or rows and not 1 <= lengths.min() <= lengths.max() <= n:
+            raise LayerError(f"conv1d_globalmaxpool: lengths must be {rows} window counts in [1, {n}]")
+        z[np.arange(n)[None, :] >= lengths[:, None]] = -np.inf
     best = z.argmax(axis=1)[:, None, :]
     top = np.take_along_axis(z, best, axis=1)[:, 0]
     live = top > 0

@@ -8,9 +8,11 @@ one/two-layer BiLSTM over the raw character sequence.  A token-level BiLSTM,
 a linearly activated dense layer and a linear-chain CRF sit on top.
 
 A batch flows through as whole tensors: the token input is one
-``(batch, max_len, input_width)`` node, each BiLSTM direction and each char
-conv is one graph node, the BiLSTMs compute only real (unmasked) positions,
-and the dense layer is a single matmul over all positions.
+``(batch, max_len, input_width)`` node, each BiLSTM and each char conv is
+one graph node, the BiLSTMs compute only real (unmasked) positions, and the
+dense layer is a single matmul over all positions.  Character features read
+only real characters, so a sentence's emissions do not depend on the other
+sentences in its batch.
 
 Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .corpus import Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
+from .corpus import PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
 from .crf import CrfParams, init_crf_params, viterbi_decode
 from .embeddings import EmbeddingStore, lookup_word
 from .layers import (
@@ -62,7 +64,7 @@ __all__ = [
 CHAR_VARIANTS = ("none", "cnn", "cnn3", "bilstm", "bilstm2")
 
 MODEL_MAGIC = b"MNER1"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 class ModelError(Exception):
@@ -122,7 +124,7 @@ class ModelConfig:
         return "cnn" if self.char_variant in ("cnn", "cnn3") else "rnn"
 
     @property
-    def min_char_pad(self) -> int:
+    def max_kernel(self) -> int:
         return max(self.resolved_kernels, default=1)
 
     @property
@@ -251,33 +253,55 @@ def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: 
     )
 
 
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(rows, axis=0, return_inverse=True)`` from one lexsort over
+    the columns (first column primary), without sorting a structured dtype."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.ndarray]:
     """Character feature matrix over the distinct character rows of the batch.
 
     Returns (features (U, char_dim), inverse (B*T,)): position p uses row
     ``inverse[p]``.  Deduplication shares one feature computation among equal
     character rows; gradients accumulate exactly as if computed per position.
+    A row's feature reads only its real characters, never the padding, so it
+    does not depend on how wide the batch pads its longest token.
     """
     cfg = model.config
     b, t, p = batch.char_indices.shape
-    rows = batch.char_indices.reshape(b * t, p)
-    uniq, inverse = np.unique(rows, axis=0, return_inverse=True)
+    uniq, inverse = _unique_rows(batch.char_indices.reshape(b * t, p))
+    real = uniq != PAD_INDEX
+    lengths = real.sum(axis=1)
 
     out = ad.reshape(embed_lookup(model.char_table, uniq), (len(uniq), p, cfg.char_emb_dim))
     if cfg.char_variant in ("cnn", "cnn3"):
-        feats = [conv1d_globalmaxpool(conv, out) for conv in model.char_convs]
+        # Post-padded rows: pool the windows that start inside the decorated
+        # token; the batch pads enough for all of them to exist.  The all-pad
+        # row of padded token positions keeps one window; nothing reads it.
+        windows = np.maximum(lengths, 1)
+        feats = [conv1d_globalmaxpool(conv, out, windows) for conv in model.char_convs]
         feat = feats[0] if len(feats) == 1 else ad.concat_last(feats)
     else:
-        every = np.ones((len(uniq), p), dtype=bool)
         for fwd, bwd in model.char_lstms:
-            out = bilstm_sequence(fwd, bwd, out, every, mode=mode)
-        # Final-state readout: forward half after the last character,
-        # backward half after the first.
+            out = bilstm_sequence(fwd, bwd, out, real, mode=mode)
+        # Pre-padded rows: the forward half is read after the last character,
+        # the backward half after the first real one.
         c = cfg.char_lstm_cells
+        flat = ad.reshape(out, (len(uniq) * p, 2 * c))
+        starts = np.arange(len(uniq)) * p
+        last = ad.gather_rows(flat, starts + p - 1)
+        first = ad.gather_rows(flat, starts + np.minimum(p - lengths, p - 1))
         feat = ad.concat_last(
-            [ad.slice_(out, (slice(None), -1, slice(0, c))), ad.slice_(out, (slice(None), 0, slice(c, 2 * c)))]
+            [ad.slice_(last, (slice(None), slice(0, c))), ad.slice_(first, (slice(None), slice(c, 2 * c)))]
         )
-    return feat, inverse.reshape(-1)
+    return feat, inverse
 
 
 def forward_emissions(
@@ -353,7 +377,7 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
         batch = batch_from_sentences(
-            group, model.char_vocab, model.config.required_char_mode, model.config.min_char_pad
+            group, model.char_vocab, model.config.required_char_mode, model.config.max_kernel
         )
         em = forward_emissions(model, batch, embedding_store, mode="eval").value
         for i, sent in enumerate(group):
@@ -413,8 +437,14 @@ def load_model(path: str | Path) -> NerModel:
         except ValueError as exc:
             raise ModelFormatError(f"{path}: unreadable header length") from exc
         header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
-        if header.get("version") != MODEL_VERSION:
-            raise ModelFormatError(f"{path}: unsupported version {header.get('version')}")
+        version = header.get("version")
+        if version == 1:
+            raise ModelFormatError(
+                f"{path}: version 1 model; its character features read the padding, "
+                f"so it must be retrained for version {MODEL_VERSION}"
+            )
+        if version != MODEL_VERSION:
+            raise ModelFormatError(f"{path}: unsupported version {version}")
 
         config = ModelConfig.from_dict(header["config"])
         vocab = None

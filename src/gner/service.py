@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .corpus import GERMEVAL_CLASSES
+from .corpus import GERMEVAL_CLASSES, Sentence, Token
 from .embeddings import EmbeddingStore, load_store
-from .model import NerModel, load_model, predict
+from .model import NerModel, load_model, predict_batch
 
 __all__ = [
     "ServiceError",
@@ -130,7 +130,7 @@ def _bad_request(message: str) -> tuple[int, dict]:
 
 
 def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
-    """Validate a request body and run prediction.
+    """Validate a request body and tag all its sentences in one batched call.
 
     Returns (http_status, response_body).  The response's label lists align
     one-to-one with the request's token lists.
@@ -156,7 +156,8 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
         return 404, {"error": f"unknown model {name!r}", "models": registry.names()}
 
     started = time.perf_counter()
-    labels = [predict(entry.model, entry.store, sent) for sent in sentences]
+    batch = [Sentence([Token(tok) for tok in sent], ["O"] * len(sent)) for sent in sentences]
+    labels = predict_batch(entry.model, entry.store, batch)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     return 200, {"model": name, "labels": labels, "timing_ms": elapsed_ms}
 

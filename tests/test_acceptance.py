@@ -200,7 +200,7 @@ def test_criterion_2_gradient_suite():
     for variant in CHAR_VARIANTS:
         model, vocab, config, sents = _toy_model(variant)
         store = make_embedding_store(sents, dim=8, seed=1)
-        batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.min_char_pad)
+        batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
         gold_idx = [config.label_schema.index_of(lab) for lab in sents[0].outer_labels]
 
         def loss():

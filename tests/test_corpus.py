@@ -202,7 +202,7 @@ def test_make_batches_partition_property(n, batch_size, seed):
 
 def test_batch_char_indices_shape_and_mask_rows():
     vocab = corpus.build_char_vocab([_sent("ab", "c")])
-    batch = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "rnn", min_char_pad=1)
+    batch = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "rnn", max_kernel=1)
     assert batch.char_indices.shape == (2, 2, 2)
     # Masked position (sentence 2, token 2) holds only padding.
     assert (batch.char_indices[1, 1] == corpus.PAD_INDEX).all()

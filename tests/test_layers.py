@@ -226,13 +226,12 @@ def _ragged_mask(rng, batch, steps):
     return mask
 
 
-@pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
-def test_fused_bilstm_matches_step_reference(mode, rate):
-    rng = np.random.default_rng(21)
+def _check_against_step_reference(mask, mode, rate, seed):
+    rng = np.random.default_rng(seed)
+    batch, steps = mask.shape
     fwd, bwd = _lstm(5, 3, 1), _lstm(5, 3, 2)
-    mask = _ragged_mask(rng, 4, 6)
-    x = ad.leaf(rng.uniform(-1, 1, (4, 6, 5)), requires_grad=True)
-    weights = ad.constant(rng.uniform(-1, 1, (4, 6, 6)))
+    x = ad.leaf(rng.uniform(-1, 1, (batch, steps, 5)), requires_grad=True)
+    weights = ad.constant(rng.uniform(-1, 1, (batch, steps, 6)))
     params = [x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
 
     def run(fn):
@@ -245,11 +244,32 @@ def test_fused_bilstm_matches_step_reference(mode, rate):
     np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
     for got, want in zip(fused_grads, ref_grads):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    # Masked positions, and the all-off row entirely, emit zeros and take
-    # no gradient.
+    # Masked positions, and all-off rows entirely, emit zeros and take no
+    # gradient.
     np.testing.assert_array_equal(fused[~mask], 0.0)
     np.testing.assert_array_equal(fused_grads[0][~mask], 0.0)
+
+
+@pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
+def test_fused_bilstm_matches_step_reference(mode, rate):
+    mask = _ragged_mask(np.random.default_rng(21), 4, 6)
     assert not mask[1].any()
+    _check_against_step_reference(mask, mode, rate, seed=21)
+
+
+@pytest.mark.parametrize("layout", ["prefix", "suffix"])
+@pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
+def test_sorted_schedule_matches_step_reference(mode, rate, layout):
+    # Post-padded token rows (prefix masks) and pre-padded character rows
+    # (suffix masks) with unsorted lengths and one all-off row.
+    lengths = np.array([3, 0, 6, 1, 5, 3])
+    mask = np.arange(6)[None, :] < lengths[:, None]
+    if layout == "suffix":
+        mask = mask[:, ::-1]
+    # Every step then runs on a leading slice of the length-sorted rows.
+    _, _, steps = layers._schedule(mask)
+    assert all(isinstance(state, slice) for _, state, _ in steps)
+    _check_against_step_reference(mask, mode, rate, seed=23)
 
 
 def test_fused_bilstm_input_gradient_check():
@@ -347,6 +367,28 @@ def test_conv_matches_window_reference(k):
     x = rng.uniform(-1, 1, (4, 7, 3))
     out = layers.conv1d_globalmaxpool(p, ad.constant(x))
     np.testing.assert_allclose(out.value, _conv_reference(p.kernels.value, p.bias.value, x), rtol=1e-12, atol=1e-14)
+
+
+def test_conv_lengths_pool_only_windows_starting_inside_the_row():
+    # Row r pools windows 0..lengths[r]-1: the same as the unmasked conv
+    # over the row cut to lengths[r] + k - 1 steps, whatever follows.
+    rng = np.random.default_rng(32)
+    p = layers.init_conv1d_params(3, 2, 4, rng)
+    p.bias.value[:] = rng.uniform(-0.5, 0.5, 4)
+    x = rng.uniform(-1, 1, (3, 8, 2))
+    lengths = np.array([1, 4, 6])
+    x[0, 3:] = x[1, 6:] = 50.0  # far outside the real rows' range
+    out = layers.conv1d_globalmaxpool(p, ad.constant(x), lengths)
+    for r, n in enumerate(lengths):
+        want = _conv_reference(p.kernels.value, p.bias.value, x[r : r + 1, : n + 2])
+        np.testing.assert_allclose(out.value[r : r + 1], want, rtol=1e-12, atol=1e-14)
+    xl = ad.leaf(x, requires_grad=True)
+    grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, xl, lengths)))
+    np.testing.assert_array_equal(grads[xl][0, 3:], 0.0)
+    np.testing.assert_array_equal(grads[xl][1, 6:], 0.0)
+    for bad in ([0, 1, 1], [1, 1, 7], [1, 1]):
+        with pytest.raises(layers.LayerError, match="lengths"):
+            layers.conv1d_globalmaxpool(p, ad.constant(x), np.array(bad))
 
 
 def test_conv_gradient_check_input_kernels_and_bias():

@@ -38,8 +38,17 @@ def _toy_setup(variant, n_sentences=3, seed=0):
     config = _toy_config(variant)
     model = M.build_model(config, vocab, seed=seed)
     store = make_embedding_store(sents, dim=8, seed=seed)
-    batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.min_char_pad)
+    batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
     return model, store, batch, sents
+
+
+def _randomize_biases(model, seed):
+    # Fresh biases are zero (forget gates one), which makes an all-pad
+    # window or pad step yield exact zeros; trained biases do not.
+    rng = np.random.default_rng(seed)
+    for name, node in model.parameters():
+        if name.endswith("bias"):
+            node.value[:] = rng.uniform(-0.5, 0.5, node.value.shape)
 
 
 def test_input_width_per_variant():
@@ -102,37 +111,91 @@ def test_emissions_invariant_to_padding_length():
     model, store, _, sents = _toy_setup("bilstm")
     s = sents[0]
     cfg = model.config
-    plain = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode, cfg.min_char_pad)
-    padded = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode, cfg.min_char_pad,
+    plain = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode, cfg.max_kernel)
+    padded = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode, cfg.max_kernel,
                                   pad_to=len(s) + 5)
     em_plain = M.forward_emissions(model, plain, store, mode="eval").value[0, : len(s)]
     em_padded = M.forward_emissions(model, padded, store, mode="eval").value[0, : len(s)]
     np.testing.assert_allclose(em_plain, em_padded, atol=1e-12)
 
 
-@pytest.mark.parametrize("variant", ["cnn", "bilstm"])
+@pytest.mark.parametrize("variant", M.CHAR_VARIANTS)
 def test_batched_forward_matches_single_sentence(variant):
-    # Equal-length tokens keep the char pad length identical across
-    # batchings, so batched and per-sentence emissions must agree exactly;
-    # this exercises the shared-feature scatter across a ragged batch.
+    # Token lengths differ across the sentences, so each batching pads the
+    # characters to a different width; character features read only real
+    # characters, so batched and per-sentence emissions must still agree.
     sents = [
         Sentence([Token(t) for t in ("Anna", "mag", "Ulm", ".")], ["B-PER", "O", "B-LOC", "O"]),
-        Sentence([Token(t) for t in ("Omar", "ruft", "an", ".")], ["B-PER", "O", "O", "O"]),
+        Sentence([Token(t) for t in ("Omar", "telefoniert", "Oberammergau", ".")], ["B-PER", "O", "B-LOC", "O"]),
         Sentence([Token(t) for t in ("hier", "ist", "es")], ["O", "O", "O"]),
+        Sentence([Token("x")], ["O"]),
     ]
     vocab = build_char_vocab(sents)
     config = _toy_config(variant)
-    model = M.build_model(config, vocab, seed=4)
+    model = M.build_model(config, vocab if variant != "none" else None, seed=4)
+    _randomize_biases(model, 4)
     store = make_embedding_store(sents, dim=8, seed=4)
-    pad = max(len(t.text) for s in sents for t in s.tokens) + (4 if variant == "cnn" else 0)
-    big = batch_from_sentences(sents, vocab, config.required_char_mode, config.min_char_pad,
-                               char_pad_to=pad)
+    big = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
     em_big = M.forward_emissions(model, big, store, mode="eval").value
     for i, s in enumerate(sents):
-        single = batch_from_sentences([s], vocab, config.required_char_mode, config.min_char_pad,
-                                      char_pad_to=pad)
+        single = batch_from_sentences([s], vocab, config.required_char_mode, config.max_kernel)
+        if variant != "none":
+            assert single.char_pad_len < big.char_pad_len or i == 1
         em_one = M.forward_emissions(model, single, store, mode="eval").value
-        np.testing.assert_allclose(em_big[i, : len(s)], em_one[0, : len(s)], atol=1e-12)
+        np.testing.assert_allclose(em_big[i, : len(s)], em_one[0, : len(s)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["cnn", "cnn3"])
+def test_cnn_features_ignore_windows_past_the_token(variant):
+    # Every window holding a real character scores below the bias and an
+    # all-pad window scores the bias exactly, so pooling all-pad windows,
+    # which only the longer partner's padding creates, would change "Ulm".
+    short = Sentence([Token("Ulm")], ["B-LOC"])
+    long = Sentence([Token("Donaudampfschifffahrt")], ["O"])
+    vocab = build_char_vocab([short, long])
+    config = _toy_config(variant)
+    model = M.build_model(config, vocab, seed=5)
+    model.char_table.rows.value[1:] = np.abs(model.char_table.rows.value[1:]) + 0.1
+    for conv in model.char_convs:
+        conv.kernels.value[:] = -np.abs(conv.kernels.value) - 0.1
+        conv.bias.value[:] = 1.0
+    store = make_embedding_store([short, long], dim=8, seed=5)
+
+    def emissions(sents):
+        batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
+        return M.forward_emissions(model, batch, store).value[0, :1]
+
+    np.testing.assert_allclose(emissions([short, long]), emissions([short]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", M.CHAR_VARIANTS)
+def test_predict_batch_independent_of_batch_size(variant):
+    # The labels and emissions of a sentence do not depend on which other
+    # sentences share its batch, nor on how wide they pad it.
+    sents = make_corpus(64, seed=9, with_subclasses=False)
+    sents = [Sentence(s.tokens, [l.replace("OTH", "MISC") for l in s.outer_labels], None, s.source_id)
+             for s in sents]
+    vocab = build_char_vocab(sents[:20])  # later sentences bring unknown characters
+    config = _toy_config(variant)
+    model = M.build_model(config, vocab if variant != "none" else None, seed=9)
+    _randomize_biases(model, 9)
+    store = make_embedding_store(sents, dim=8, seed=9)
+    labels = {size: M.predict_batch(model, store, sents, batch_size=size) for size in (1, 7, 64)}
+    assert labels[1] == labels[7] == labels[64]
+
+    def emissions(size):
+        out = []
+        for lo in range(0, len(sents), size):
+            group = sents[lo : lo + size]
+            batch = batch_from_sentences(group, model.char_vocab, config.required_char_mode, config.max_kernel)
+            em = M.forward_emissions(model, batch, store).value
+            out += [em[i, : len(s)] for i, s in enumerate(group)]
+        return out
+
+    alone = emissions(1)
+    for size in (7, 64):
+        for got, want in zip(emissions(size), alone):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
 def test_none_variant_emissions_and_labels_independent_of_batch_partners():
@@ -192,7 +255,7 @@ def test_end_to_end_gradient_check_all_variants(variant):
     config = _toy_config(variant)
     model = M.build_model(config, vocab if variant != "none" else None, seed=3)
     store = make_embedding_store(sents, dim=8, seed=3)
-    batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.min_char_pad)
+    batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
     schema = config.label_schema
 
     def loss():
@@ -240,6 +303,31 @@ def test_load_rejects_bad_magic(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(M.ModelFormatError, match="magic"):
         M.load_model(path)
+
+
+def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
+    # Version 1 models were trained on character features that read the
+    # padding; their weights do not fit the padding-free features.
+    model, _, _, _ = _toy_setup("bilstm")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    raw = path.read_bytes()
+    old = raw.replace(b'"version": 2', b'"version": 1', 1)
+    assert old != raw
+    path.write_bytes(old)
+    with pytest.raises(M.ModelFormatError, match="retrained"):
+        M.load_model(path)
+
+
+def test_unique_rows_matches_numpy_unique():
+    rng = np.random.default_rng(12)
+    rows = rng.integers(0, 3, (400, 5))
+    rows[:, :2] = 0  # leading pad columns, as in pre-padded character rows
+    uniq, inverse = M._unique_rows(rows)
+    want_uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(uniq, want_uniq)
+    np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+    np.testing.assert_array_equal(uniq[inverse], rows)
 
 
 def test_load_rejects_truncated_file(tmp_path):

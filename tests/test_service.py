@@ -61,6 +61,28 @@ def test_handle_request_round_trips_offline_predict(registry, fixture_world):
     assert body["timing_ms"] >= 0.0
 
 
+def test_multi_sentence_request_is_one_batch_with_per_sentence_labels(registry, fixture_world, monkeypatch):
+    # Sentences of different lengths and token widths share one batch; each
+    # gets exactly the labels it gets alone.
+    sentences = [s.texts() for s in fixture_world.sentences[::7]]
+    assert len({len(s) for s in sentences}) > 3
+    entry = registry.get("germeval-outer")
+    alone = [predict(entry.model, entry.store, s) for s in sentences]
+    calls = []
+    batched = svc.predict_batch
+    monkeypatch.setattr(svc, "predict_batch", lambda *a, **k: calls.append(a) or batched(*a, **k))
+    status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": sentences})
+    assert status == 200
+    assert body["labels"] == alone
+    assert len(calls) == 1
+
+
+def test_handle_request_without_sentences_returns_no_labels(registry):
+    status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": []})
+    assert status == 200
+    assert body["labels"] == []
+
+
 def test_handle_request_schema_violations(registry):
     status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": ["raw string"]})
     assert status == 400 and "sentence 0" in body["error"]
