@@ -371,54 +371,39 @@ def build_char_vocab(sentences: Iterable[Sentence]) -> CharVocab:
     return CharVocab.from_chars(chars)
 
 
-def decorated_char_length(token_text: str, first: bool, last: bool, mode: str) -> int:
-    if mode == "rnn":
-        return len(token_text)
-    return len(token_text) + 2 + (1 if first else 0) + (1 if last else 0)
-
-
-def build_char_sequences(sentence: Sentence, vocab: CharVocab, mode: str, pad_len: int) -> list[list[int]]:
-    """Per-token character index sequences.
+def build_char_sequences(sentence: Sentence, vocab: CharVocab, mode: str) -> list[list[int]]:
+    """Per-token character index sequences, unpadded.
 
     ``cnn`` mode wraps every token in word-boundary symbols, additionally
-    marking the sentence start/end on the first/last token, then post-pads;
-    ``rnn`` mode uses the raw characters pre-padded to ``pad_len``.
+    marking the sentence start/end on the first/last token; ``rnn`` mode
+    uses the raw characters.
     """
     if mode not in ("cnn", "rnn"):
         raise CorpusError(f"unknown char mode {mode!r}")
     out = []
     last = len(sentence) - 1
     for t, tok in enumerate(sentence.tokens):
+        symbols = list(tok.text)
         if mode == "cnn":
-            symbols = [WORD_START, *tok.text, WORD_END]
+            symbols = [WORD_START, *symbols, WORD_END]
             if t == 0:
                 symbols.insert(0, SENT_START)
             if t == last:
                 symbols.append(SENT_END)
-            if len(symbols) > pad_len:
-                raise CorpusError(
-                    f"pad_len {pad_len} too small for decorated token of length {len(symbols)}"
-                )
-            idx = [vocab.lookup(s) for s in symbols] + [PAD_INDEX] * (pad_len - len(symbols))
-        else:
-            if len(tok.text) > pad_len:
-                raise CorpusError(f"pad_len {pad_len} too small for token of length {len(tok.text)}")
-            idx = [PAD_INDEX] * (pad_len - len(tok.text)) + [vocab.lookup(ch) for ch in tok.text]
-        out.append(idx)
+        out.append([vocab.lookup(s) for s in symbols])
     return out
 
 
 @dataclass
 class Batch:
     """Padded mini-batch: ``mask`` marks real tokens, ``char_indices`` is a
-    (batch, max_len, char_pad_len) index array when a char mode is set
-    (masked positions hold all-pad rows)."""
+    (batch, max_len, chars) index array when a char mode is set, each row
+    post-padded to the batch's longest (masked positions hold all-pad rows)."""
 
     sentences: list[Sentence]
     max_len: int
     mask: np.ndarray
     char_mode: str | None = None
-    char_pad_len: int = 0
     char_indices: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -429,50 +414,31 @@ def batch_from_sentences(
     sentences: Sequence[Sentence],
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
-    max_kernel: int = 5,
-    pad_to: int | None = None,
 ) -> Batch:
-    """Assemble one padded batch.
-
-    Character sequences are padded to the batch's longest decorated token;
-    in ``cnn`` mode ``max_kernel - 1`` more pad symbols follow it, so every
-    window of the widest kernel that starts inside a token exists.
-    ``pad_to`` forces extra token-level padding.
-    """
+    """Assemble one padded batch; every character sequence is post-padded
+    to the batch's longest."""
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
     max_len = max(len(s) for s in sentences)
-    if pad_to is not None:
-        if pad_to < max_len:
-            raise CorpusError(f"pad_to {pad_to} < longest sentence {max_len}")
-        max_len = pad_to
     mask = np.zeros((len(sentences), max_len), dtype=bool)
     for b, s in enumerate(sentences):
         mask[b, : len(s)] = True
 
     char_indices = None
-    pad_len = 0
     if char_mode is not None:
         if char_vocab is None:
             raise CorpusError("char sequences need a char vocabulary")
-        pad_len = max(
-            decorated_char_length(tok.text, t == 0, t == len(s) - 1, char_mode)
-            for s in sentences
-            for t, tok in enumerate(s.tokens)
-        )
-        if char_mode == "cnn":
-            pad_len += max_kernel - 1
+        rows = [build_char_sequences(s, char_vocab, char_mode) for s in sentences]
+        pad_len = max(len(row) for sent_rows in rows for row in sent_rows)
         char_indices = np.full((len(sentences), max_len, pad_len), PAD_INDEX, dtype=np.int64)
-        for b, s in enumerate(sentences):
-            rows = build_char_sequences(s, char_vocab, char_mode, pad_len)
-            for t, row in enumerate(rows):
-                char_indices[b, t] = row
+        for b, sent_rows in enumerate(rows):
+            for t, row in enumerate(sent_rows):
+                char_indices[b, t, : len(row)] = row
     return Batch(
         sentences=list(sentences),
         max_len=max_len,
         mask=mask,
         char_mode=char_mode,
-        char_pad_len=pad_len,
         char_indices=char_indices,
     )
 
@@ -483,7 +449,6 @@ def make_batches(
     seed: int,
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
-    max_kernel: int = 5,
 ) -> list[Batch]:
     """Shuffle by seed, bucket by similar length, pad per batch.
 
@@ -501,6 +466,6 @@ def make_batches(
     groups = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     rng.shuffle(groups)
     return [
-        batch_from_sentences([sentences[i] for i in g], char_vocab, char_mode, max_kernel)
+        batch_from_sentences([sentences[i] for i in g], char_vocab, char_mode)
         for g in groups
     ]

@@ -72,29 +72,31 @@ def _parse_floats(parts: list[str], line_no: int) -> np.ndarray:
         raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from exc
 
 
-def load_text_vectors(path: str | Path, expected_dim: int | None = None) -> EmbeddingStore:
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise EmbeddingError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def load_text_vectors(path: str | Path) -> EmbeddingStore:
     """Load whitespace-separated text vectors into a plain store.
 
     Duplicate words keep their first occurrence (counted and logged);
     inconsistent dimensions raise an error naming the offending line.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise EmbeddingError(f"cannot read {path}: {exc}") from exc
-
+    lines = _read_lines(path)
     vectors: dict[str, np.ndarray] = {}
     duplicates = 0
-    dim = expected_dim
+    dim = None
     start = 0
     if lines:
         head = lines[0].split()
         if len(head) == 2 and all(p.lstrip("+-").isdigit() for p in head):
-            header_dim = int(head[1])
-            if dim is not None and header_dim != dim:
-                raise EmbeddingError(f"line 1: header dim {header_dim} != expected {dim}")
-            dim = header_dim
+            dim = int(head[1])
             start = 1
 
     for i, line in enumerate(lines[start:], start=start + 1):
@@ -125,15 +127,15 @@ def load_fasttext_store(path: str | Path) -> EmbeddingStore:
     ``word_count`` word-vector lines, then ``bucket_count`` bucket rows.
     """
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise EmbeddingError(f"cannot read {path}: {exc}") from exc
+    lines = _read_lines(path)
     if not lines:
         raise EmbeddingError(f"{path}: empty file")
     head = lines[0].split()
-    if len(head) != 6 or head[0] != FASTTEXT_MAGIC:
-        raise EmbeddingError(f"{path}: expected '{FASTTEXT_MAGIC} dim min_n max_n bucket_count word_count' header")
+    if len(head) != 6 or head[0] != FASTTEXT_MAGIC or not all(v.isascii() and v.isdigit() for v in head[1:]):
+        raise EmbeddingError(
+            f"{path}: expected '{FASTTEXT_MAGIC} dim min_n max_n bucket_count word_count' header "
+            f"with non-negative integer fields, got {lines[0][:80]!r}"
+        )
     dim, min_n, max_n, bucket_count, word_count = (int(v) for v in head[1:])
 
     body = [ln for ln in lines[1:] if ln.strip()]
@@ -176,11 +178,10 @@ def _format_vector(vec: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in vec)
 
 
-def write_text_vectors(store: EmbeddingStore, path: str | Path, header: bool = True):
+def write_text_vectors(store: EmbeddingStore, path: str | Path):
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"{len(store.word_vectors)} {store.dim}\n")
+        fh.write(f"{len(store.word_vectors)} {store.dim}\n")
         for word, vec in store.word_vectors.items():
             fh.write(f"{word} {_format_vector(vec)}\n")
 
@@ -201,15 +202,12 @@ def write_fasttext_store(store: EmbeddingStore, path: str | Path):
             fh.write(f"{_format_vector(row)}\n")
 
 
-def load_store(path: str | Path, kind: str, expected_dim: int | None = None) -> EmbeddingStore:
+def load_store(path: str | Path, kind: str) -> EmbeddingStore:
     """Load a store by declared kind ("plain" or "fasttext")."""
     if kind == "plain":
-        return load_text_vectors(path, expected_dim)
+        return load_text_vectors(path)
     if kind == "fasttext":
-        store = load_fasttext_store(path)
-        if expected_dim is not None and store.dim != expected_dim:
-            raise EmbeddingError(f"{path}: dim {store.dim} != expected {expected_dim}")
-        return store
+        return load_fasttext_store(path)
     raise EmbeddingError(f"unknown embedding kind {kind!r}")
 
 

@@ -37,16 +37,12 @@ class LayerError(Exception):
     pass
 
 
-# Gate slices of the fused LSTM weight matrices, in order:
-# input gate, forget gate, cell candidate, output gate.
-GATE_ORDER = ("input", "forget", "candidate", "output")
-
-
 @dataclass
 class LstmParams:
     """Fused LSTM weights: ``w_input`` is (input_dim, 4*cells), ``w_recurrent``
-    is (cells, 4*cells), ``bias`` is (4*cells,).  The forget-gate bias slice
-    is initialized to 1.0."""
+    is (cells, 4*cells), ``bias`` is (4*cells,).  The gate blocks are, in
+    order: input gate, forget gate, cell candidate, output gate.  The
+    forget-gate bias slice is initialized to 1.0."""
 
     w_input: Node
     w_recurrent: Node
@@ -162,8 +158,8 @@ def _schedule(mask: np.ndarray):
     Returns the row order, the ``(rows, times)`` index pair that gathers the
     real positions from a ``(B, T, ...)`` array, and per timestep the slice
     of those positions it owns, the rows of the sorted state they update and
-    the batch rows they sit in.  Under prefix masks (post-padded tokens) and
-    suffix masks (pre-padded characters) the real rows of every step are a
+    the batch rows they sit in.  Under prefix masks (post-padded rows) and
+    suffix masks (pre-padded rows) the real rows of every step are a
     leading run of the sorted order, as in a packed sequence, so the state
     is read and written through a slice; other masks fall back to an index
     array.
@@ -325,55 +321,55 @@ def bilstm_sequence(
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    """(rows, steps, in) -> (rows, steps-k+1, k*in): window ``w`` holds
-    positions w..w+k-1 side by side, matching the kernels' (k, in) layout."""
-    n = x.shape[1] - k + 1
-    return np.concatenate([x[:, j : j + n] for j in range(k)], axis=-1)
+    """(rows, steps, in) -> (rows, steps, k*in): window ``w`` holds
+    positions w..w+k-1 side by side, matching the kernels' (k, in) layout;
+    positions past the last step are zeros."""
+    rows, steps, width = x.shape
+    cols = np.zeros((rows, steps, k * width))
+    for j in range(min(k, steps)):
+        cols[:, : steps - j, j * width : (j + 1) * width] = x[:, j:]
+    return cols
 
 
-def conv1d_globalmaxpool(params: Conv1dParams, x: Node, lengths=None) -> Node:
-    """Valid (no-pad) convolution with ReLU, then per-filter max over windows.
+def conv1d_globalmaxpool(params: Conv1dParams, x: Node, lengths) -> Node:
+    """Convolution with ReLU, then per-filter max over windows.
 
     ``x`` is (rows, steps, in); returns (rows, filters) as one graph node.
-    With ``lengths`` (rows,), row ``r`` pools only the windows that start
-    before position ``lengths[r]``, so whatever follows a row's content
-    beyond its last window cannot win the max.  Since
+    Row ``r`` pools only the windows that start before position
+    ``lengths[r]`` (1 <= lengths[r] <= steps), so whatever follows a row's
+    content beyond its last window cannot win the max.  A window that runs
+    past the last step reads zeros there.  Since
     ``relu(max z) == max(relu z)``, the forward takes the first argmax of
     the pre-activations and rectifies after; the gradient reaches only that
-    window, and only where its pre-activation is positive.  The caller
-    guarantees ``steps >= kernel_size`` by padding character sequences.
+    window, and only where its pre-activation is positive.
     """
     if x.value.ndim != 3:
         raise LayerError(f"conv1d_globalmaxpool: expected (rows, steps, in) input, got shape {x.value.shape}")
     rows, steps, width = x.value.shape
     k, filters = params.kernel_size, params.filters
-    if steps < k:
-        raise LayerError(f"conv1d_globalmaxpool: sequence length {steps} < kernel size {k}")
     if width != params.in_dim:
         raise LayerError(f"conv1d_globalmaxpool: input dim {width} != {params.in_dim}")
-    n = steps - k + 1
+    lengths = np.asarray(lengths)
+    if lengths.shape != (rows,) or rows and not 1 <= lengths.min() <= lengths.max() <= steps:
+        raise LayerError(f"conv1d_globalmaxpool: lengths must be {rows} window counts in [1, {steps}]")
     w_flat = params.kernels.value.reshape(k * width, filters)
-    z = (_windows(x.value, k).reshape(rows * n, k * width) @ w_flat + params.bias.value).reshape(rows, n, filters)
-    if lengths is not None:
-        lengths = np.asarray(lengths)
-        if lengths.shape != (rows,) or rows and not 1 <= lengths.min() <= lengths.max() <= n:
-            raise LayerError(f"conv1d_globalmaxpool: lengths must be {rows} window counts in [1, {n}]")
-        z[np.arange(n)[None, :] >= lengths[:, None]] = -np.inf
+    z = (_windows(x.value, k).reshape(rows * steps, k * width) @ w_flat + params.bias.value).reshape(rows, steps, filters)
+    z[np.arange(steps)[None, :] >= lengths[:, None]] = -np.inf
     best = z.argmax(axis=1)[:, None, :]
     top = np.take_along_axis(z, best, axis=1)[:, 0]
     live = top > 0
 
     def joint_vjp(g):
-        dz = np.zeros((rows, n, filters))
+        dz = np.zeros((rows, steps, filters))
         np.put_along_axis(dz, best, (g * live)[:, None, :], axis=1)
-        dz = dz.reshape(rows * n, filters)
-        cols = _windows(x.value, k).reshape(rows * n, k * width)
+        dz = dz.reshape(rows * steps, filters)
+        cols = _windows(x.value, k).reshape(rows * steps, k * width)
         dx = None
         if x.requires_grad:
-            dcols = (dz @ w_flat.T).reshape(rows, n, k * width)
+            dcols = (dz @ w_flat.T).reshape(rows, steps, k * width)
             dx = np.zeros(x.value.shape)
-            for j in range(k):
-                dx[:, j : j + n] += dcols[..., j * width : (j + 1) * width]
+            for j in range(min(k, steps)):
+                dx[:, j:] += dcols[:, : steps - j, j * width : (j + 1) * width]
         return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)
 
     parents = (x, params.kernels, params.bias)

@@ -124,10 +124,6 @@ class ModelConfig:
         return "cnn" if self.char_variant in ("cnn", "cnn3") else "rnn"
 
     @property
-    def max_kernel(self) -> int:
-        return max(self.resolved_kernels, default=1)
-
-    @property
     def num_labels(self) -> int:
         return len(self.label_schema)
 
@@ -278,26 +274,25 @@ def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.n
     b, t, p = batch.char_indices.shape
     uniq, inverse = _unique_rows(batch.char_indices.reshape(b * t, p))
     real = uniq != PAD_INDEX
-    lengths = real.sum(axis=1)
+    # Rows are post-padded.  The all-pad row of padded token positions
+    # counts one step; nothing reads its feature.
+    lengths = np.maximum(real.sum(axis=1), 1)
 
     out = ad.reshape(embed_lookup(model.char_table, uniq), (len(uniq), p, cfg.char_emb_dim))
     if cfg.char_variant in ("cnn", "cnn3"):
-        # Post-padded rows: pool the windows that start inside the decorated
-        # token; the batch pads enough for all of them to exist.  The all-pad
-        # row of padded token positions keeps one window; nothing reads it.
-        windows = np.maximum(lengths, 1)
-        feats = [conv1d_globalmaxpool(conv, out, windows) for conv in model.char_convs]
+        # Pool the windows that start inside the decorated token.
+        feats = [conv1d_globalmaxpool(conv, out, lengths) for conv in model.char_convs]
         feat = feats[0] if len(feats) == 1 else ad.concat_last(feats)
     else:
         for fwd, bwd in model.char_lstms:
             out = bilstm_sequence(fwd, bwd, out, real, mode=mode)
-        # Pre-padded rows: the forward half is read after the last character,
-        # the backward half after the first real one.
+        # The forward half is read after the last character, the backward
+        # half after the first.
         c = cfg.char_lstm_cells
         flat = ad.reshape(out, (len(uniq) * p, 2 * c))
         starts = np.arange(len(uniq)) * p
-        last = ad.gather_rows(flat, starts + p - 1)
-        first = ad.gather_rows(flat, starts + np.minimum(p - lengths, p - 1))
+        last = ad.gather_rows(flat, starts + lengths - 1)
+        first = ad.gather_rows(flat, starts)
         feat = ad.concat_last(
             [ad.slice_(last, (slice(None), slice(0, c))), ad.slice_(first, (slice(None), slice(c, 2 * c)))]
         )
@@ -376,9 +371,7 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
     out: list[list[str]] = []
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
-        batch = batch_from_sentences(
-            group, model.char_vocab, model.config.required_char_mode, model.config.max_kernel
-        )
+        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
         em = forward_emissions(model, batch, embedding_store, mode="eval").value
         for i, sent in enumerate(group):
             path, _ = viterbi_decode(model.crf, em[i, : len(sent)])
@@ -436,7 +429,14 @@ def load_model(path: str | Path) -> NerModel:
             header_len = int(fh.readline().strip())
         except ValueError as exc:
             raise ModelFormatError(f"{path}: unreadable header length") from exc
-        header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        if header_len < 0:
+            raise ModelFormatError(f"{path}: negative header length {header_len}")
+        try:
+            header = json.loads(_read_exact(fh, header_len, "header").decode("utf-8"))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ModelFormatError(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ModelFormatError(f"{path}: header is not a JSON object")
         version = header.get("version")
         if version == 1:
             raise ModelFormatError(
@@ -446,18 +446,19 @@ def load_model(path: str | Path) -> NerModel:
         if version != MODEL_VERSION:
             raise ModelFormatError(f"{path}: unsupported version {version}")
 
-        config = ModelConfig.from_dict(header["config"])
-        vocab = None
-        if header["char_vocab"] is not None:
-            vocab = CharVocab({sym: i for i, sym in enumerate(header["char_vocab"])})
-        model = build_model(config, vocab, seed=0)
+        try:
+            config = ModelConfig.from_dict(header["config"])
+            symbols = header["char_vocab"]
+            vocab = None if symbols is None else CharVocab({sym: i for i, sym in enumerate(symbols)})
+            model = build_model(config, vocab, seed=0)
+            declared = [(d["name"], tuple(d["shape"])) for d in header["params"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ModelFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
 
-        declared = header["params"]
         params = model.parameters()
-        if [d["name"] for d in declared] != [name for name, _ in params]:
+        if [name for name, _ in declared] != [name for name, _ in params]:
             raise ModelFormatError(f"{path}: parameter blocks do not match the configured architecture")
-        for d, (name, node) in zip(declared, params):
-            shape = tuple(d["shape"])
+        for (_, shape), (name, node) in zip(declared, params):
             if shape != node.value.shape:
                 raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {node.value.shape}")
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1

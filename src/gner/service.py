@@ -91,7 +91,8 @@ class ModelRegistry:
 
         ``{"models": {name: {"model": path, "embeddings": path,
         "embedding_kind": "plain"|"fasttext"}}}``; paths are relative to the
-        config file.  Any unloadable entry fails startup.
+        config file.  Any unloadable entry, or a store whose dimension is
+        not the model's word dimension, fails startup.
         """
         config_path = Path(config_path)
         try:
@@ -110,6 +111,8 @@ class ModelRegistry:
                 key = (spec["embeddings"], spec.get("embedding_kind", "plain"))
                 if key not in stores:
                     stores[key] = load_store(base / key[0], key[1])
+                if stores[key].dim != model.config.word_dim:
+                    raise ServiceError(f"embedding dim {stores[key].dim} != model word_dim {model.config.word_dim}")
                 entries[name] = RegisteredModel(model, stores[key])
             except Exception as exc:
                 raise ServiceError(f"registry entry {name!r} failed to load: {exc}") from exc

@@ -164,7 +164,6 @@ def train_epoch(
         seed=epoch_seed,
         char_vocab=model.char_vocab,
         char_mode=model.config.required_char_mode,
-        max_kernel=model.config.max_kernel,
     )
     rng = np.random.default_rng(epoch_seed + 0x9E3779B9)
     losses = []

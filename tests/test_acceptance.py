@@ -165,7 +165,7 @@ def test_criterion_2_gradient_suite():
     cxs = ad.constant(rng.uniform(-1, 1, (1, 7, 4)))
     wc = ad.constant(rng.uniform(-1, 1, (1, 4)))
     err = _grad_check(
-        lambda: ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(conv, cxs), wc)),
+        lambda: ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(conv, cxs, [5]), wc)),
         [conv.kernels, conv.bias],
     )
     failures += [("conv1d_globalmaxpool", err)] if err > 1e-4 else []
@@ -200,7 +200,7 @@ def test_criterion_2_gradient_suite():
     for variant in CHAR_VARIANTS:
         model, vocab, config, sents = _toy_model(variant)
         store = make_embedding_store(sents, dim=8, seed=1)
-        batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
+        batch = batch_from_sentences(sents, vocab, config.required_char_mode)
         gold_idx = [config.label_schema.index_of(lab) for lab in sents[0].outer_labels]
 
         def loss():

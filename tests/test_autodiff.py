@@ -19,7 +19,7 @@ def test_relu_definition():
     p.bias.value[:] = 0.0
 
     def relu(v):
-        return float(layers.conv1d_globalmaxpool(p, ad.constant(np.full((1, 1, 1), v))).value[0, 0])
+        return float(layers.conv1d_globalmaxpool(p, ad.constant(np.full((1, 1, 1), v)), [1]).value[0, 0])
 
     assert relu(-2.0) == 0.0
     assert relu(2.0) == 2.0

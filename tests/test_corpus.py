@@ -154,25 +154,19 @@ def test_char_vocab_reserved_slots():
     assert vocab.lookup("Đ") == corpus.UNK_INDEX
 
 
-def test_char_sequences_rnn_prepads():
-    vocab = corpus.build_char_vocab([_sent("ab")])
-    rows = corpus.build_char_sequences(_sent("ab"), vocab, "rnn", 4)
+def test_char_sequences_rnn_raw_unpadded():
+    vocab = corpus.build_char_vocab([_sent("ab", "b")])
+    rows = corpus.build_char_sequences(_sent("ab", "b"), vocab, "rnn")
     a, b = vocab.lookup("a"), vocab.lookup("b")
-    assert rows == [[0, 0, a, b]]
+    assert rows == [[a, b], [b]]
 
 
 def test_char_sequences_cnn_decoration_order():
     vocab = corpus.build_char_vocab([_sent("ab")])
-    rows = corpus.build_char_sequences(_sent("ab"), vocab, "cnn", 8)
+    rows = corpus.build_char_sequences(_sent("ab"), vocab, "cnn")
     a, b = vocab.lookup("a"), vocab.lookup("b")
     s0, w0, w1, s1 = (vocab.lookup(v) for v in ("<S>", "<W>", "</W>", "</S>"))
-    assert rows == [[s0, w0, a, b, w1, s1, 0, 0]]
-
-
-def test_char_sequences_pad_too_small():
-    vocab = corpus.build_char_vocab([_sent("abcdef")])
-    with pytest.raises(corpus.CorpusError, match="pad_len"):
-        corpus.build_char_sequences(_sent("abcdef"), vocab, "rnn", 3)
+    assert rows == [[s0, w0, a, b, w1, s1]]
 
 
 def test_make_batches_sizes():
@@ -202,10 +196,19 @@ def test_make_batches_partition_property(n, batch_size, seed):
 
 def test_batch_char_indices_shape_and_mask_rows():
     vocab = corpus.build_char_vocab([_sent("ab", "c")])
-    batch = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "rnn", max_kernel=1)
+    batch = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "rnn")
     assert batch.char_indices.shape == (2, 2, 2)
+    # Every row is post-padded to the longest token.
+    a, b, c = (vocab.lookup(ch) for ch in "abc")
+    assert batch.char_indices[:, 0].tolist() == [[a, b], [a, 0]]
+    assert batch.char_indices[0, 1].tolist() == [c, 0]
     # Masked position (sentence 2, token 2) holds only padding.
     assert (batch.char_indices[1, 1] == corpus.PAD_INDEX).all()
+    # cnn rows are decorated and post-padded the same way, with nothing more.
+    cnn = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "cnn")
+    rows = corpus.build_char_sequences(_sent("ab", "c"), vocab, "cnn")
+    assert cnn.char_indices.shape == (2, 2, 5)
+    assert cnn.char_indices[0].tolist() == [rows[0], rows[1] + [0]]
 
 
 def test_round_trip_germeval(tmp_path):

@@ -187,6 +187,21 @@ def test_fasttext_bad_header(tmp_path):
         emb.load_fasttext_store(bad)
 
 
+@pytest.mark.parametrize("head", ["FTXT1 3 3 6 x 1", "FTXT1 3 3 6 2.5 1", "FTXT1 -3 3 6 2 1", "FTXT1 3 3 6 2"])
+def test_fasttext_malformed_header_fields_are_format_errors(tmp_path, head):
+    bad = _write(tmp_path, "bad.ftxt", head + "\nwort 1 2 3\n1 2 3\n4 5 6\n")
+    with pytest.raises(emb.EmbeddingError, match="header"):
+        emb.load_fasttext_store(bad)
+
+
+@pytest.mark.parametrize("kind", ["plain", "fasttext"])
+def test_non_utf8_store_is_a_format_error(tmp_path, kind):
+    p = tmp_path / "v.txt"
+    p.write_bytes(b"a 1 0\n\xff\xfe 0 1\n")
+    with pytest.raises(emb.EmbeddingError, match="UTF-8"):
+        emb.load_store(p, kind)
+
+
 def test_load_store_dispatch(tmp_path):
     p = _write(tmp_path, "v.txt", "a 1 0\n")
     assert emb.load_store(p, "plain").kind == "plain"

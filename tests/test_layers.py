@@ -260,8 +260,8 @@ def test_fused_bilstm_matches_step_reference(mode, rate):
 @pytest.mark.parametrize("layout", ["prefix", "suffix"])
 @pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
 def test_sorted_schedule_matches_step_reference(mode, rate, layout):
-    # Post-padded token rows (prefix masks) and pre-padded character rows
-    # (suffix masks) with unsorted lengths and one all-off row.
+    # Post-padded rows (prefix masks) and pre-padded rows (suffix masks)
+    # with unsorted lengths and one all-off row.
     lengths = np.array([3, 0, 6, 1, 5, 3])
     mask = np.arange(6)[None, :] < lengths[:, None]
     if layout == "suffix":
@@ -285,12 +285,18 @@ def test_fused_bilstm_input_gradient_check():
     assert ad.check_gradient(loss, [x], eps=1e-5, samples=45) <= 1e-4
 
 
+def _valid(p, x):
+    """Window counts that keep every window inside its row (a valid conv)."""
+    rows, steps, _ = x.value.shape
+    return np.full(rows, steps - p.kernel_size + 1)
+
+
 def test_conv_sum_kernel():
     p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
     p.kernels.value[:] = 1.0
     p.bias.value[:] = 0.0
     x = ad.constant(np.array([[[1.0], [2.0], [3.0]]]))
-    out = layers.conv1d_globalmaxpool(p, x)
+    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
     np.testing.assert_array_equal(out.value, np.array([[6.0]]))
 
 
@@ -302,7 +308,7 @@ def test_conv_per_filter_columnwise_max():
     p.kernels.value[0, 1, 1] = 1.0
     p.bias.value[:] = 0.0
     x = ad.constant(np.array([[[1.0, 5.0], [3.0, 2.0]]]))
-    out = layers.conv1d_globalmaxpool(p, x)
+    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
     np.testing.assert_array_equal(out.value, np.array([[3.0, 5.0]]))
 
 
@@ -311,23 +317,32 @@ def test_conv_relu_floor():
     p.kernels.value[:] = 1.0
     p.bias.value[:] = -100.0
     x = ad.constant(np.ones((1, 3, 1)))
-    out = layers.conv1d_globalmaxpool(p, x)
+    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
     np.testing.assert_array_equal(out.value, np.array([[0.0]]))
     # Positive pre-activations pass unchanged.
     p.bias.value[:] = 100.0
-    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x).value, np.array([[102.0]]))
+    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, _valid(p, x)).value, np.array([[102.0]]))
 
 
-def test_conv_sequence_shorter_than_kernel_rejected():
+def test_conv_sequence_shorter_than_kernel_reads_zeros():
+    # Two steps under a width-3 kernel: window 0 is 1*1 + 2*10 + 0*100,
+    # window 1 is 2*1 + 0*10 + 0*100.
     p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
-    with pytest.raises(layers.LayerError, match="kernel"):
-        layers.conv1d_globalmaxpool(p, ad.constant(np.ones((1, 2, 1))))
+    p.kernels.value[:, 0, 0] = [1.0, 10.0, 100.0]
+    p.bias.value[:] = 0.0
+    x = ad.constant(np.array([[[1.0], [2.0]]]))
+    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, [2]).value, [[21.0]])
+    p.kernels.value[:, 0, 0] = [1.0, -10.0, 100.0]
+    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, [2]).value, [[2.0]])
+    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, [1]).value, [[0.0]])
+    with pytest.raises(layers.LayerError, match="lengths"):
+        layers.conv1d_globalmaxpool(p, x, [3])
 
 
 def test_conv_gradient_reaches_only_argmax_positions():
     p = layers.init_conv1d_params(1, 2, 2, np.random.default_rng(2))
     x = ad.leaf(np.array([[[0.9, 0.1], [0.2, 0.8], [0.3, 0.2]]]), requires_grad=True)
-    out = layers.conv1d_globalmaxpool(p, x)
+    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
     grads = ad.backward(ad.sum_all(out))
     nonzero = [i for i in range(3) if np.any(grads[x][0, i] != 0)]
     # With kernel size 1, pre-activations are per-position; the max for each
@@ -343,7 +358,7 @@ def test_conv_gradient_check():
     w = ad.constant(rng.uniform(-1, 1, (1, 4)))
 
     def loss():
-        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x), w))
+        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x, _valid(p, x)), w))
 
     assert ad.check_gradient(loss, [p.kernels, p.bias], eps=1e-5, samples=28) <= 1e-4
 
@@ -364,9 +379,9 @@ def test_conv_matches_window_reference(k):
     rng = np.random.default_rng(30 + k)
     p = layers.init_conv1d_params(k, 3, 6, rng)
     p.bias.value[:] = rng.uniform(-0.5, 0.5, 6)
-    x = rng.uniform(-1, 1, (4, 7, 3))
-    out = layers.conv1d_globalmaxpool(p, ad.constant(x))
-    np.testing.assert_allclose(out.value, _conv_reference(p.kernels.value, p.bias.value, x), rtol=1e-12, atol=1e-14)
+    x = ad.constant(rng.uniform(-1, 1, (4, 7, 3)))
+    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
+    np.testing.assert_allclose(out.value, _conv_reference(p.kernels.value, p.bias.value, x.value), rtol=1e-12, atol=1e-14)
 
 
 def test_conv_lengths_pool_only_windows_starting_inside_the_row():
@@ -386,9 +401,36 @@ def test_conv_lengths_pool_only_windows_starting_inside_the_row():
     grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, xl, lengths)))
     np.testing.assert_array_equal(grads[xl][0, 3:], 0.0)
     np.testing.assert_array_equal(grads[xl][1, 6:], 0.0)
-    for bad in ([0, 1, 1], [1, 1, 7], [1, 1]):
+    for bad in ([0, 1, 1], [1, 1, 9], [1, 1]):
         with pytest.raises(layers.LayerError, match="lengths"):
             layers.conv1d_globalmaxpool(p, ad.constant(x), np.array(bad))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_overhang_matches_zero_padded_row(k):
+    # With lengths up to steps, windows run past the last step; they must
+    # read zeros there, as if each row were followed by k - 1 zero steps.
+    # Four steps under k = 5 also covers a row shorter than the kernel.
+    rng = np.random.default_rng(40 + k)
+    p = layers.init_conv1d_params(k, 3, 5, rng)
+    p.bias.value[:] = rng.uniform(-0.5, 0.5, 5)
+    x = rng.uniform(-1, 1, (4, 4, 3))
+    lengths = np.array([4, 1, 3, 4])
+    padded = np.concatenate([x, np.zeros((4, k - 1, 3))], axis=1)
+    w = ad.constant(rng.uniform(-1, 1, (4, 5)))
+
+    def run(inp):
+        xl = ad.leaf(inp, requires_grad=True)
+        out = layers.conv1d_globalmaxpool(p, xl, lengths)
+        grads = ad.backward(ad.sum_all(ad.mul(out, w)))
+        return out.value, grads[xl][:, :4], grads[p.kernels], grads[p.bias]
+
+    got, want = run(x), run(padded)
+    for g, r in zip(got, want):
+        np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
+    for r, n in enumerate(lengths):
+        ref = _conv_reference(p.kernels.value, p.bias.value, padded[r : r + 1, : n + k - 1])
+        np.testing.assert_allclose(got[0][r : r + 1], ref, rtol=1e-12, atol=1e-14)
 
 
 def test_conv_gradient_check_input_kernels_and_bias():
@@ -399,7 +441,7 @@ def test_conv_gradient_check_input_kernels_and_bias():
     w = ad.constant(rng.uniform(-1, 1, (3, 4)))
 
     def loss():
-        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x), w))
+        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x, _valid(p, x)), w))
 
     for params, samples in (([x], 36), ([p.kernels], 24), ([p.bias], 4)):
         err, stats = ad.check_gradient(loss, params, eps=1e-5, samples=samples, return_stats=True)
@@ -412,7 +454,7 @@ def test_conv_tied_windows_gradient_goes_to_first_argmax():
     p.kernels.value[:] = 1.0
     p.bias.value[:] = 0.0
     x = ad.leaf(np.array([[[2.0], [5.0], [1.0], [5.0]]]), requires_grad=True)
-    grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, x)))
+    grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, x, _valid(p, x))))
     np.testing.assert_array_equal(grads[x], np.array([[[0.0], [1.0], [0.0], [0.0]]]))
     np.testing.assert_array_equal(grads[p.kernels], np.array([[[5.0]]]))
 
@@ -427,12 +469,12 @@ def test_conv_all_negative_filter_gets_zero_gradient():
     only_first.kernels.value[:] = p.kernels.value[..., :1]
     only_first.bias.value[:] = 0.0
 
-    out = layers.conv1d_globalmaxpool(p, x)
+    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
     np.testing.assert_array_equal(out.value[:, 1], 0.0)
     grads = ad.backward(ad.sum_all(out))
     np.testing.assert_array_equal(grads[p.kernels][..., 1], 0.0)
     assert grads[p.bias][1] == 0.0
-    ref = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(only_first, x)))
+    ref = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(only_first, x, _valid(p, x))))
     np.testing.assert_array_equal(grads[x], ref[x])
 
 

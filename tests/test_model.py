@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from gner import autodiff as ad
+from gner import cli
+from gner import layers
 from gner import model as M
 from gner.corpus import (
     CorpusError,
@@ -38,7 +40,7 @@ def _toy_setup(variant, n_sentences=3, seed=0):
     config = _toy_config(variant)
     model = M.build_model(config, vocab, seed=seed)
     store = make_embedding_store(sents, dim=8, seed=seed)
-    batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
+    batch = batch_from_sentences(sents, vocab, config.required_char_mode)
     return model, store, batch, sents
 
 
@@ -80,7 +82,7 @@ def test_emissions_shape_contract():
 
 def test_char_mode_mismatch_rejected():
     model, store, _, sents = _toy_setup("bilstm")
-    wrong = batch_from_sentences(sents, model.char_vocab, "cnn", 5)
+    wrong = batch_from_sentences(sents, model.char_vocab, "cnn")
     with pytest.raises(M.ModelError, match="char-mode"):
         M.forward_emissions(model, wrong, store, mode="eval")
 
@@ -108,12 +110,15 @@ def test_masked_positions_carry_zero_gradient_into_token_lstm():
 
 
 def test_emissions_invariant_to_padding_length():
+    # A longer batch partner pads the sentence with more token positions and
+    # every character row with more pad steps.
     model, store, _, sents = _toy_setup("bilstm")
     s = sents[0]
+    longer = Sentence(s.tokens + [Token("Donaudampfschifffahrt")] * 5, s.outer_labels + ["O"] * 5)
     cfg = model.config
-    plain = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode, cfg.max_kernel)
-    padded = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode, cfg.max_kernel,
-                                  pad_to=len(s) + 5)
+    plain = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode)
+    padded = batch_from_sentences([s, longer], model.char_vocab, cfg.required_char_mode)
+    assert padded.max_len == len(s) + 5 and padded.char_indices.shape[2] > plain.char_indices.shape[2]
     em_plain = M.forward_emissions(model, plain, store, mode="eval").value[0, : len(s)]
     em_padded = M.forward_emissions(model, padded, store, mode="eval").value[0, : len(s)]
     np.testing.assert_allclose(em_plain, em_padded, atol=1e-12)
@@ -135,14 +140,33 @@ def test_batched_forward_matches_single_sentence(variant):
     model = M.build_model(config, vocab if variant != "none" else None, seed=4)
     _randomize_biases(model, 4)
     store = make_embedding_store(sents, dim=8, seed=4)
-    big = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
+    big = batch_from_sentences(sents, vocab, config.required_char_mode)
     em_big = M.forward_emissions(model, big, store, mode="eval").value
     for i, s in enumerate(sents):
-        single = batch_from_sentences([s], vocab, config.required_char_mode, config.max_kernel)
+        single = batch_from_sentences([s], vocab, config.required_char_mode)
         if variant != "none":
-            assert single.char_pad_len < big.char_pad_len or i == 1
+            assert single.char_indices.shape[2] < big.char_indices.shape[2] or i == 1
         em_one = M.forward_emissions(model, single, store, mode="eval").value
         np.testing.assert_allclose(em_big[i, : len(s)], em_one[0, : len(s)], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["bilstm", "bilstm2"])
+def test_char_bilstm_reads_each_direction_where_it_ends(variant):
+    # The forward half after the last character, the backward half after the
+    # first (Lample et al., 2016), as when each token runs alone, unpadded.
+    sents = [Sentence([Token("Ulm"), Token("Oberammergau")], ["B-LOC", "B-LOC"])]
+    vocab = build_char_vocab(sents)
+    model = M.build_model(_toy_config(variant), vocab, seed=8)
+    _randomize_biases(model, 8)
+    feat, inverse = M._char_features(model, batch_from_sentences(sents, vocab, "rnn"), "eval")
+    c = model.config.char_lstm_cells
+    for t, tok in enumerate(sents[0].tokens):
+        idx = [vocab.lookup(ch) for ch in tok.text]
+        out = ad.constant(model.char_table.rows.value[idx][None])
+        for fwd, bwd in model.char_lstms:
+            out = layers.bilstm_sequence(fwd, bwd, out, np.ones((1, len(idx)), dtype=bool))
+        want = np.concatenate([out.value[0, -1, :c], out.value[0, 0, c:]])
+        np.testing.assert_allclose(feat.value[inverse[t]], want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["cnn", "cnn3"])
@@ -162,7 +186,7 @@ def test_cnn_features_ignore_windows_past_the_token(variant):
     store = make_embedding_store([short, long], dim=8, seed=5)
 
     def emissions(sents):
-        batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
+        batch = batch_from_sentences(sents, vocab, config.required_char_mode)
         return M.forward_emissions(model, batch, store).value[0, :1]
 
     np.testing.assert_allclose(emissions([short, long]), emissions([short]), rtol=0, atol=1e-12)
@@ -187,7 +211,7 @@ def test_predict_batch_independent_of_batch_size(variant):
         out = []
         for lo in range(0, len(sents), size):
             group = sents[lo : lo + size]
-            batch = batch_from_sentences(group, model.char_vocab, config.required_char_mode, config.max_kernel)
+            batch = batch_from_sentences(group, model.char_vocab, config.required_char_mode)
             em = M.forward_emissions(model, batch, store).value
             out += [em[i, : len(s)] for i, s in enumerate(group)]
         return out
@@ -255,7 +279,7 @@ def test_end_to_end_gradient_check_all_variants(variant):
     config = _toy_config(variant)
     model = M.build_model(config, vocab if variant != "none" else None, seed=3)
     store = make_embedding_store(sents, dim=8, seed=3)
-    batch = batch_from_sentences(sents, vocab, config.required_char_mode, config.max_kernel)
+    batch = batch_from_sentences(sents, vocab, config.required_char_mode)
     schema = config.label_schema
 
     def loss():
@@ -322,12 +346,47 @@ def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
 def test_unique_rows_matches_numpy_unique():
     rng = np.random.default_rng(12)
     rows = rng.integers(0, 3, (400, 5))
-    rows[:, :2] = 0  # leading pad columns, as in pre-padded character rows
+    rows[:, -2:] = 0  # trailing pad columns, as in post-padded character rows
     uniq, inverse = M._unique_rows(rows)
     want_uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
     np.testing.assert_array_equal(uniq, want_uniq)
     np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
     np.testing.assert_array_equal(uniq[inverse], rows)
+
+
+def _with_header(raw: bytes, header: bytes, length: bytes | None = None) -> bytes:
+    """Replace the JSON header of a saved model, keeping the magic and the
+    parameter blocks."""
+    magic, old_len, rest = raw.split(b"\n", 2)
+    body = rest[int(old_len) :]
+    return b"\n".join([magic, length if length is not None else str(len(header)).encode(), header + body])
+
+
+@pytest.mark.parametrize("header, length", [
+    (b'\xff\xfe{"version": 2}', None),
+    (b'{"version": 2', None),
+    (b'{"version": 2}', None),
+    (b'[2]', None),
+    (b'{"version": 2, "config": {"char_variant": "cnn"}, "char_vocab": null, "params": []}', None),
+    (b'{"version": 2}', b"-5"),
+], ids=["not-utf8", "bad-json", "missing-fields", "not-an-object", "config-without-classes", "negative-length"])
+def test_load_reports_corrupt_header_as_format_error(tmp_path, header, length):
+    model, _, _, _ = _toy_setup("cnn")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    path.write_bytes(_with_header(path.read_bytes(), header, length))
+    with pytest.raises(M.ModelFormatError, match="header"):
+        M.load_model(path)
+
+
+def test_cli_predict_reports_corrupt_model_without_traceback(tmp_path, capsys):
+    model, _, _, _ = _toy_setup("cnn")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    path.write_bytes(_with_header(path.read_bytes(), b'{"version": 2}'))
+    rc = cli.main(["predict", "--model", str(path), "--embeddings", str(tmp_path / "unused.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: malformed header")
 
 
 def test_load_rejects_truncated_file(tmp_path):

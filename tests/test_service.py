@@ -10,6 +10,8 @@ import pytest
 from gner import cli
 from gner import service as svc
 from gner.corpus import germeval_schema
+from gner.datagen import make_embedding_store
+from gner.embeddings import write_text_vectors
 from gner.model import predict
 
 
@@ -47,6 +49,18 @@ def test_registry_startup_fails_on_missing_model(tmp_path):
     bad = tmp_path / "registry.json"
     bad.write_text('{"models": {"x": {"model": "missing.mner", "embeddings": "v.txt"}}}')
     with pytest.raises(svc.ServiceError, match="x"):
+        svc.ModelRegistry.load(bad)
+
+
+def test_registry_startup_fails_on_store_dim_mismatch(tmp_path, fixture_world):
+    # The fixture model reads 12-d word vectors; an 8-d store must stop
+    # startup, not fail every request for that model.
+    store = make_embedding_store(fixture_world.sentences, dim=8, seed=2)
+    write_text_vectors(store, tmp_path / "v8.txt")
+    bad = tmp_path / "registry.json"
+    bad.write_text(json.dumps({"models": {"narrow": {
+        "model": str(fixture_world.model_path), "embeddings": "v8.txt", "embedding_kind": "plain"}}}))
+    with pytest.raises(svc.ServiceError, match=r"'narrow'.*dim 8 != model word_dim 12"):
         svc.ModelRegistry.load(bad)
 
 
