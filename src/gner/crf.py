@@ -1,9 +1,13 @@
-"""Linear-chain CRF output layer.
+"""Linear-chain CRF output layer over whole batches.
 
-Sequence negative log-likelihood uses the logsumexp-stabilized forward
-recursion; its gradient (marginals minus the gold one-hot, via a
-forward-backward pass) is attached analytically so the loss plugs into the
-autodiff graph.  Brute-force path enumeration is provided as a test oracle.
+A batch is (B, T, L) emissions plus per-row lengths; what lies past a row's
+length is ignored.  A batch's negative log-likelihood, the mean over its
+sentences, is one autodiff node: its value comes from the logsumexp-stabilized
+forward recursion, its gradient from one backward recursion that runs only
+when a gradient is asked for.  Viterbi decoding is one max-plus pass with a
+vectorised backtrack.  All of them run over the rows sorted by length, so the
+rows still running at a step form a leading slice and ended rows keep their
+state.  Brute-force path enumeration over one sentence is the test oracle.
 Decoding is reentrant: parameters are read-only during inference.
 """
 
@@ -70,116 +74,117 @@ def _logsumexp(x: np.ndarray, axis: int | None = None) -> np.ndarray:
     return out.squeeze(axis) if axis is not None else out.reshape(())
 
 
-def _as_array(emissions) -> np.ndarray:
+def _as_array(emissions, ndim: int) -> np.ndarray:
     e = emissions.value if isinstance(emissions, Node) else np.asarray(emissions, dtype=np.float64)
-    if e.ndim != 2:
-        raise CrfError(f"emissions must be (T, L), got shape {tuple(e.shape)}")
+    if e.ndim != ndim or 0 in e.shape:
+        raise CrfError(f"emissions must be a non-empty {ndim}-D array, got shape {tuple(e.shape)}")
     if not np.isfinite(e).all():
         raise CrfError("non-finite emissions")
     return e
 
 
-def _forward_alphas(e: np.ndarray, trans: np.ndarray, start: np.ndarray) -> np.ndarray:
-    T = e.shape[0]
-    alphas = np.empty_like(e)
-    alphas[0] = start + e[0]
-    for t in range(1, T):
-        alphas[t] = e[t] + _logsumexp(alphas[t - 1][:, None] + trans, axis=0)
-    return alphas
+def _batch(emissions, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Checked (B, T, L) emissions and (B,) row lengths in [1, T], the rows
+    by descending length and, per step, how many of them are still running:
+    always a leading run of that order, as in a packed sequence."""
+    e = _as_array(emissions, 3)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != e.shape[:1] or lengths.min() < 1 or lengths.max() > e.shape[1]:
+        raise CrfError(f"lengths {lengths.tolist()} must give each of {e.shape[0]} rows 1 to {e.shape[1]} steps")
+    order = np.argsort(-lengths, kind="stable")
+    return e, lengths, order, (lengths[order] > np.arange(e.shape[1])[:, None]).sum(axis=1).tolist()
 
 
-def _backward_betas(e: np.ndarray, trans: np.ndarray, end: np.ndarray) -> np.ndarray:
-    T = e.shape[0]
-    betas = np.empty_like(e)
-    betas[T - 1] = end
-    for t in range(T - 2, -1, -1):
-        betas[t] = _logsumexp(trans + (e[t + 1] + betas[t + 1])[None, :], axis=1)
-    return betas
+def crf_negative_log_likelihood(params: CrfParams, emissions: Node, gold, lengths) -> Node:
+    """Mean over the batch's sentences of ``log Z - score(gold path)``, as
+    one scalar autodiff node.
 
-
-def crf_negative_log_likelihood(params: CrfParams, emissions: Node, gold: Sequence[int]) -> Node:
-    """Loss = logZ - score(gold path), as a scalar autodiff node.
-
-    ``score(y) = start[y1] + sum_t emissions[t, yt] + sum_t transitions[yt, yt+1]
-    + end[yT]``; logZ comes from the forward recursion in log space.  The
-    gradient w.r.t. emissions is (marginals - gold one-hot); transitions and
-    boundary scores get the matching pairwise/boundary marginal differences.
+    ``emissions`` is (B, T, L) and ``gold`` (B, T) label indices; row ``b``
+    spans its first ``lengths[b]`` steps, and gold entries past that are
+    ignored.  ``score(y) = start[y1] + sum_t emissions[t, yt] + sum_t
+    transitions[yt, yt+1] + end[yT]``.  The gradient w.r.t. the emissions is
+    (marginals - gold one-hot) / B, zero past each row's end; transitions and
+    boundary scores get the matching pairwise and boundary marginal
+    differences.
     """
-    e = _as_array(emissions)
-    T, L = e.shape
-    gold = list(gold)
-    if T < 1:
-        raise CrfError("empty sequence")
-    if len(gold) != T:
-        raise CrfError(f"gold length {len(gold)} != sequence length {T}")
-    if any(not 0 <= y < L for y in gold):
-        raise CrfError(f"gold label out of range for {L} labels: {gold}")
+    e, lengths, order, running = _batch(emissions, lengths)
+    B, T, L = e.shape
+    gold = np.asarray(gold, dtype=np.int64)
+    if gold.shape != (B, T):
+        raise CrfError(f"gold labels of shape {gold.shape} do not match (batch, length) {(B, T)}")
+    mask = np.arange(T) < lengths[:, None]
+    if gold[mask].min() < 0 or gold[mask].max() >= L:
+        raise CrfError(f"gold label out of range for {L} labels")
+    # From here on rows are in length order; the emission gradient goes back.
+    e, lengths, mask, gold = e[order], lengths[order], mask[order], np.where(mask, gold, 0)[order]
+    trans, start, end = params.transitions.value, params.start_scores.value, params.end_scores.value
+    rows, last = np.arange(B), lengths - 1
 
-    trans = params.transitions.value
-    start = params.start_scores.value
-    end = params.end_scores.value
+    # Forward recursion in log space, reducing over the contiguous (from) axis.
+    trans_t = np.ascontiguousarray(trans.T)
+    alphas = np.zeros_like(e)
+    alphas[:, 0] = start + e[:, 0]
+    for t in range(1, T):
+        n = running[t]
+        alphas[:n, t] = e[:n, t] + _logsumexp(alphas[:n, t - 1, None, :] + trans_t, axis=-1)
+    log_z = _logsumexp(alphas[rows, last] + end, axis=-1)
+    gold_score = start[gold[:, 0]] + end[gold[rows, last]]
+    gold_score += np.where(mask, np.take_along_axis(e, gold[..., None], axis=2)[..., 0], 0.0).sum(axis=1)
+    gold_score += np.where(mask[:, 1:], trans[gold[:, :-1], gold[:, 1:]], 0.0).sum(axis=1)
+    loss = float(np.mean(log_z - gold_score))
 
-    alphas = _forward_alphas(e, trans, start)
-    betas = _backward_betas(e, trans, end)
-    log_z = float(_logsumexp(alphas[T - 1] + end))
-
-    gold_score = start[gold[0]] + e[np.arange(T), gold].sum() + end[gold[T - 1]]
-    gold_score += sum(trans[gold[t], gold[t + 1]] for t in range(T - 1))
-    loss = log_z - float(gold_score)
-
-    # Marginals for the analytic gradient.
-    marg = np.exp(alphas + betas - log_z)
-    d_e = marg.copy()
-    d_e[np.arange(T), gold] -= 1.0
-
-    d_trans = np.zeros_like(trans)
-    for t in range(T - 1):
-        pair = np.exp(alphas[t][:, None] + trans + (e[t + 1] + betas[t + 1])[None, :] - log_z)
-        d_trans += pair
-    for t in range(T - 1):
-        d_trans[gold[t], gold[t + 1]] -= 1.0
-
-    d_start = marg[0].copy()
-    d_start[gold[0]] -= 1.0
-    d_end = marg[T - 1].copy()
-    d_end[gold[T - 1]] -= 1.0
+    def joint_vjp(g):
+        # Backward recursion, each row starting from beta = end at its last
+        # step; each step's pairwise marginals reuse its (rows, from, to) scores.
+        betas = np.zeros_like(e)
+        betas[rows, last] = end
+        d_trans = np.zeros((L, L))
+        for t in range(T - 2, -1, -1):
+            n = running[t + 1]
+            ahead = trans + (e[:n, t + 1] + betas[:n, t + 1])[:, None, :]
+            d_trans += np.exp(ahead + (alphas[:n, t] - log_z[:n, None])[:, :, None]).sum(axis=0)
+            betas[:n, t] = _logsumexp(ahead, axis=-1)
+        marg = np.exp(np.where(mask[..., None], alphas + betas - log_z[:, None, None], -np.inf))
+        d_e = marg - ((gold[..., None] == np.arange(L)) & mask[..., None])
+        pairs = (gold[:, :-1] * L + gold[:, 1:])[mask[:, 1:]]
+        d_trans -= np.bincount(pairs, minlength=L * L).reshape(L, L)
+        scale = float(g) / B
+        d_boundary = [d_e[:, 0].sum(axis=0) * scale, d_e[rows, last].sum(axis=0) * scale]
+        return [d_e[np.argsort(order)] * scale, d_trans * scale, *d_boundary]
 
     parents = (emissions, params.transitions, params.start_scores, params.end_scores)
-    vjps = (
-        lambda g: float(g) * d_e,
-        lambda g: float(g) * d_trans,
-        lambda g: float(g) * d_start,
-        lambda g: float(g) * d_end,
-    )
-    return Node(
-        np.asarray(loss),
-        requires_grad=any(p.requires_grad for p in parents),
-        op="crf_nll",
-        parents=parents,
-        vjps=vjps,
-    )
+    return ad.joint_result("crf_nll", np.asarray(loss), parents, joint_vjp)
 
 
-def viterbi_decode(params: CrfParams, emissions) -> tuple[list[int], float]:
-    """Best-scoring label path and its score; ties break toward the lowest
-    label index at every backtrack step."""
-    e = _as_array(emissions)
-    T, L = e.shape
-    trans = params.transitions.value
-    score = params.start_scores.value + e[0]
-    backptr = np.zeros((T, L), dtype=np.int64)
+def viterbi_decode(params: CrfParams, emissions, lengths) -> tuple[list[list[int]], np.ndarray]:
+    """Best-scoring label path of every row, and the (B,) path scores.
+
+    One max-plus pass over the (B, T, L) ``emissions``; row ``b`` spans its
+    first ``lengths[b]`` steps.  The backtrack starts each row from its best
+    last label and is vectorised over the rows still running.  Ties break
+    toward the lowest label index at every backtrack step.
+    """
+    e, lengths, order, running = _batch(emissions, lengths)
+    B, T, L = e.shape
+    e = e[order]
+    trans_t = params.transitions.value.T
+    score = params.start_scores.value + e[:, 0]
+    backptr = np.empty((T, B, L), dtype=np.int64)
     for t in range(1, T):
-        cand = score[:, None] + trans  # (from, to)
-        backptr[t] = cand.argmax(axis=0)  # argmax takes the lowest index on ties
-        score = e[t] + cand.max(axis=0)
-    score = score + params.end_scores.value
-    last = int(score.argmax())
-    best_score = float(score[last])
-    path = [last]
+        n = running[t]
+        cand = score[:n, None, :] + trans_t  # (row, to, from)
+        backptr[t, :n] = cand.argmax(axis=-1)  # argmax takes the lowest index on ties
+        score[:n] = e[:n, t] + cand.max(axis=-1)
+    score += params.end_scores.value
+    labels = np.empty((T, B), dtype=np.int64)
+    labels[:] = score.argmax(axis=-1)  # a row's labels from its last step on
+    rows = np.arange(B)
     for t in range(T - 1, 0, -1):
-        path.append(int(backptr[t, path[-1]]))
-    path.reverse()
-    return path, best_score
+        n = running[t]
+        labels[t - 1, :n] = backptr[t, rows[:n], labels[t, :n]]
+    unsort = np.argsort(order)
+    paths = labels[:, unsort]
+    return [paths[:n, b].tolist() for b, n in enumerate(lengths)], score[rows, labels[-1]][unsort]
 
 
 def _check_enumeration_guard(T: int, L: int):
@@ -199,7 +204,7 @@ def _path_score(params: CrfParams, e: np.ndarray, path: Sequence[int]) -> float:
 
 def brute_force_log_z(params: CrfParams, emissions) -> float:
     """Exact log partition function by enumerating all L^T paths."""
-    e = _as_array(emissions)
+    e = _as_array(emissions, 2)
     T, L = e.shape
     _check_enumeration_guard(T, L)
     scores = np.array([_path_score(params, e, p) for p in itertools.product(range(L), repeat=T)])
@@ -211,7 +216,7 @@ def brute_force_best_path(params: CrfParams, emissions) -> tuple[list[int], floa
     among equal-scoring paths, the one whose reversed sequence is
     lexicographically smallest wins (Viterbi backtracking fixes the last
     label first)."""
-    e = _as_array(emissions)
+    e = _as_array(emissions, 2)
     T, L = e.shape
     _check_enumeration_guard(T, L)
     best_path: tuple[int, ...] | None = None

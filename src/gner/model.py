@@ -12,7 +12,8 @@ A batch flows through as whole tensors: the token input is one
 one graph node, the BiLSTMs compute only real (unmasked) positions, and the
 dense layer is a single matmul over all positions.  Character features read
 only real characters, so a sentence's emissions do not depend on the other
-sentences in its batch.
+sentences in its batch.  The CRF decodes each group of sentences in one
+batched Viterbi pass, so one path serves a single sentence and a batch.
 
 Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
@@ -287,15 +288,13 @@ def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.n
         for fwd, bwd in model.char_lstms:
             out = bilstm_sequence(fwd, bwd, out, real, mode=mode)
         # The forward half is read after the last character, the backward
-        # half after the first.
+        # half after the first.  Viewed as (U*P*2, cells), the output's row
+        # 2*(u*P + t) + h is half h of step t of row u.
         c = cfg.char_lstm_cells
-        flat = ad.reshape(out, (len(uniq) * p, 2 * c))
+        halves = ad.reshape(out, (len(uniq) * p * 2, c))
         starts = np.arange(len(uniq)) * p
-        last = ad.gather_rows(flat, starts + lengths - 1)
-        first = ad.gather_rows(flat, starts)
-        feat = ad.concat_last(
-            [ad.slice_(last, (slice(None), slice(0, c))), ad.slice_(first, (slice(None), slice(c, 2 * c)))]
-        )
+        picks = np.stack([2 * (starts + lengths - 1), 2 * starts + 1], axis=1).reshape(-1)
+        feat = ad.reshape(ad.gather_rows(halves, picks), (len(uniq), 2 * c))
     return feat, inverse
 
 
@@ -325,6 +324,8 @@ def forward_emissions(
             )
         if batch.char_indices is None:
             raise ModelError("batch carries no character sequences")
+    if embedding_store.dim != cfg.word_dim:
+        raise ModelError(f"embedding store has dimension {embedding_store.dim}, the model's word_dim is {cfg.word_dim}")
     train = mode == "train"
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
@@ -366,16 +367,15 @@ def forward_emissions(
 
 def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: list[Sentence],
                   batch_size: int = 64) -> list[list[str]]:
-    """Viterbi-decoded BIO labels for each sentence, eval mode."""
+    """Viterbi-decoded BIO labels for each sentence, eval mode, one batched pass per group."""
     schema = model.config.label_schema
     out: list[list[str]] = []
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
         batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
         em = forward_emissions(model, batch, embedding_store, mode="eval").value
-        for i, sent in enumerate(group):
-            path, _ = viterbi_decode(model.crf, em[i, : len(sent)])
-            out.append([schema.label_of(y) for y in path])
+        paths, _ = viterbi_decode(model.crf, em, batch.mask.sum(axis=1))
+        out.extend([schema.label_of(y) for y in path] for path in paths)
     return out
 
 

@@ -4,10 +4,10 @@ checkpoint selection.
 Stage one runs small batches, stage two continues from the stage-one best
 checkpoint with large batches; the returned model is the best stage-two
 checkpoint by validation chunk F1 (ties break to the earliest epoch).  The
-per-batch loss is the sum of sentence CRF negative log-likelihoods divided
-by the number of sentences; gradients are clipped to a global norm before
-the optimizer step.  Word embeddings live outside the parameter set and are
-never updated.
+per-batch loss is the mean of the sentences' CRF negative log-likelihoods,
+one CRF graph node over the whole padded batch whatever its size;
+gradients are clipped to a global norm before the optimizer step.  Word
+embeddings live outside the parameter set and are never updated.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import LabelSchema, Sentence, make_batches
+from .corpus import Sentence, make_batches
 from .crf import crf_negative_log_likelihood
 from .embeddings import EmbeddingStore
 from .evaluation import evaluate_bio
@@ -117,10 +117,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> floa
     return total
 
 
-def _gold_indices(sentence: Sentence, schema: LabelSchema, level: str) -> list[int]:
-    return [schema.index_of(lab) for lab in sentence.labels(level)]
-
-
 def batch_loss(
     model: NerModel,
     batch,
@@ -129,17 +125,13 @@ def batch_loss(
     mode: str,
     rng: np.random.Generator | None,
 ) -> ad.Node:
-    """Mean per-sentence CRF negative log-likelihood for one batch."""
+    """Mean per-sentence CRF negative log-likelihood for one batch, as the
+    one CRF node over the batch's emissions."""
     schema = model.config.label_schema
     emissions = forward_emissions(model, batch, store, mode=mode, rng=rng)
-    losses = []
-    for i, sent in enumerate(batch.sentences):
-        em_i = ad.slice_(emissions, (i, slice(0, len(sent))))
-        losses.append(crf_negative_log_likelihood(model.crf, em_i, _gold_indices(sent, schema, level)))
-    total = losses[0]
-    for piece in losses[1:]:
-        total = ad.add(total, piece)
-    return ad.mul(total, ad.constant(1.0 / len(losses)))
+    gold = np.zeros(batch.mask.shape, dtype=np.int64)
+    gold[batch.mask] = [schema.index_of(lab) for sent in batch.sentences for lab in sent.labels(level)]
+    return crf_negative_log_likelihood(model.crf, emissions, gold, batch.mask.sum(axis=1))
 
 
 def train_epoch(

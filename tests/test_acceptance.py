@@ -50,9 +50,9 @@ from gner.datagen import (
 )
 from gner.embeddings import EmbeddingStore, load_fasttext_store, lookup_word
 from gner.evaluation import evaluate_bio, extract_chunks, germeval_combined
-from gner.model import CHAR_VARIANTS, ModelConfig, build_model, forward_emissions, predict
+from gner.model import CHAR_VARIANTS, ModelConfig, build_model, predict
 from gner.service import ModelRegistry, serve_in_thread
-from gner.training import NadamState, TrainConfig, evaluate_chunk_f1, train_epoch
+from gner.training import NadamState, TrainConfig, batch_loss, evaluate_chunk_f1, train_epoch
 
 
 def _report(criterion: int, text: str):
@@ -75,12 +75,13 @@ def test_criterion_1_crf_oracle_equivalence():
         params.end_scores.value[:] = rng.uniform(-2, 2, L)
         emissions = rng.uniform(-2, 2, (T, L))
 
+        # Each instance is a batch of one sentence.
         gold = [0] * T
-        loss = float(crf_negative_log_likelihood(params, ad.constant(emissions), gold).value)
+        loss = float(crf_negative_log_likelihood(params, ad.constant(emissions[None]), [gold], [T]).value)
         forward_log_z = loss + crf._path_score(params, emissions, gold)
         assert abs(forward_log_z - crf.brute_force_log_z(params, emissions)) <= 1e-9
 
-        path, _ = crf.viterbi_decode(params, emissions)
+        (path,), _ = crf.viterbi_decode(params, emissions[None], [T])
         brute_path, _ = crf.brute_force_best_path(params, emissions)
         assert path == brute_path
     elapsed = time.perf_counter() - started
@@ -188,10 +189,10 @@ def test_criterion_2_gradient_suite():
     cp.transitions.value[:] = rng.uniform(-1, 1, (5, 5))
     cp.start_scores.value[:] = rng.uniform(-1, 1, 5)
     cp.end_scores.value[:] = rng.uniform(-1, 1, 5)
-    em = ad.leaf(rng.uniform(-1, 1, (6, 5)), requires_grad=True)
-    gold = [0, 1, 2, 3, 4, 0]
+    em = ad.leaf(rng.uniform(-1, 1, (1, 6, 5)), requires_grad=True)
+    gold = [[0, 1, 2, 3, 4, 0]]
     err = _grad_check(
-        lambda: crf_negative_log_likelihood(cp, em, gold),
+        lambda: crf_negative_log_likelihood(cp, em, gold, [6]),
         [em, cp.transitions, cp.start_scores, cp.end_scores],
     )
     failures += [("crf_nll", err)] if err > 1e-4 else []
@@ -201,11 +202,9 @@ def test_criterion_2_gradient_suite():
         model, vocab, config, sents = _toy_model(variant)
         store = make_embedding_store(sents, dim=8, seed=1)
         batch = batch_from_sentences(sents, vocab, config.required_char_mode)
-        gold_idx = [config.label_schema.index_of(lab) for lab in sents[0].outer_labels]
 
         def loss():
-            em6 = forward_emissions(model, batch, store, mode="eval")
-            return crf_negative_log_likelihood(model.crf, ad.slice_(em6, (0, slice(0, 6))), gold_idx)
+            return batch_loss(model, batch, store, "outer", "eval", None)
 
         params = [node for _, node in model.parameters()]
         err, stats = _grad_check(loss, params, return_stats=True)

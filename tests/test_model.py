@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from gner.corpus import (
     conll_schema,
     germeval_schema,
 )
-from gner.crf import crf_negative_log_likelihood
 from gner.datagen import make_corpus, make_embedding_store
+from gner.embeddings import write_text_vectors
+from gner.training import batch_loss
 
 
 def _toy_config(variant, schema=None, **overrides):
@@ -280,16 +283,9 @@ def test_end_to_end_gradient_check_all_variants(variant):
     model = M.build_model(config, vocab if variant != "none" else None, seed=3)
     store = make_embedding_store(sents, dim=8, seed=3)
     batch = batch_from_sentences(sents, vocab, config.required_char_mode)
-    schema = config.label_schema
 
     def loss():
-        em = M.forward_emissions(model, batch, store, mode="eval")
-        total = None
-        for i, s in enumerate(sents):
-            gold = [schema.index_of(lab) for lab in s.outer_labels]
-            term = crf_negative_log_likelihood(model.crf, ad.slice_(em, (i, slice(0, len(s)))), gold)
-            total = term if total is None else ad.add(total, term)
-        return total
+        return batch_loss(model, batch, store, "outer", "eval", None)
 
     params = [node for _, node in model.parameters()]
     err, stats = ad.check_gradient(loss, params, eps=1e-5, samples=60, rng=np.random.default_rng(0),
@@ -387,6 +383,16 @@ def test_cli_predict_reports_corrupt_model_without_traceback(tmp_path, capsys):
     rc = cli.main(["predict", "--model", str(path), "--embeddings", str(tmp_path / "unused.txt")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed header")
+
+
+def test_cli_predict_reports_store_dimension_mismatch(tmp_path, capsys, monkeypatch):
+    model, _, _, sents = _toy_setup("none")  # word_dim 8
+    M.save_model(model, tmp_path / "model.mner")
+    write_text_vectors(make_embedding_store(sents, dim=5, seed=0), tmp_path / "v5.txt")
+    monkeypatch.setattr("sys.stdin", io.StringIO("Anna besucht Adlerburg\n"))
+    rc = cli.main(["predict", "--model", str(tmp_path / "model.mner"), "--embeddings", str(tmp_path / "v5.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: embedding store has dimension 5, the model's word_dim is 8")
 
 
 def test_load_rejects_truncated_file(tmp_path):

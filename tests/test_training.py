@@ -5,9 +5,9 @@ import pytest
 
 from gner import autodiff as ad
 from gner import training as tr
-from gner.corpus import Sentence, build_char_vocab, conll_schema
+from gner.corpus import Sentence, batch_from_sentences, build_char_vocab, conll_schema
 from gner.datagen import make_corpus, make_embedding_store
-from gner.model import ModelConfig, build_model
+from gner.model import ModelConfig, ModelError, build_model
 
 
 def _leaf_param(value):
@@ -111,6 +111,31 @@ def test_char_padding_row_never_updated():
     tr.train_epoch(model, sents, store, _cfg(stage1_batch=4, seed=3), stage=1, epoch_seed=9)
     np.testing.assert_array_equal(model.char_table.rows.value[0], pad_row_before)
     assert np.any(model.char_table.rows.value[1:] != other_rows_before)
+
+
+def test_train_epoch_rejects_store_of_wrong_dimension():
+    model, _, sents = _tiny_world()  # word_dim 8
+    with pytest.raises(ModelError, match="dimension 5, the model's word_dim is 8"):
+        tr.train_epoch(model, sents, make_embedding_store(sents, dim=5, seed=0), _cfg(stage1_batch=4), stage=1)
+
+
+def test_batch_loss_is_one_crf_node_over_the_batch():
+    model, store, sents = _tiny_world(n=5, seed=6)
+    assert len({len(s) for s in sents}) > 1, "need ragged lengths"
+    cfg = model.config
+    batch = batch_from_sentences(sents, model.char_vocab, cfg.required_char_mode)
+    loss = tr.batch_loss(model, batch, store, "outer", "eval", None)
+    ops, work, seen = [], [loss], set()
+    while work:
+        node = work.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.append(node.op)
+            work.extend(node.parents)
+    assert ops.count("crf_nll") == 1 and "slice" not in ops
+    alone = [tr.batch_loss(model, batch_from_sentences([s], model.char_vocab, cfg.required_char_mode),
+                           store, "outer", "eval", None) for s in sents]
+    assert float(loss.value) == pytest.approx(np.mean([float(a.value) for a in alone]), rel=1e-12)
 
 
 def test_empty_dataset_rejected():
