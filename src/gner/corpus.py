@@ -32,7 +32,6 @@ __all__ = [
     "parse_germeval",
     "parse_conll03",
     "write_germeval",
-    "write_conll03",
     "iob_to_bio",
     "extract_casing_feature",
     "CASING_FEATURE_NAMES",
@@ -255,15 +254,6 @@ def write_germeval(sentences: Iterable[Sentence], path: str | Path):
             inner = s.inner_labels if s.inner_labels is not None else ["O"] * len(s)
             for n, (tok, out_lab, in_lab) in enumerate(zip(s.tokens, s.outer_labels, inner), start=1):
                 fh.write(f"{n}\t{tok.text}\t{out_lab}\t{in_lab}\n")
-            fh.write("\n")
-
-
-def write_conll03(sentences: Iterable[Sentence], path: str | Path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        for s in sentences:
-            for tok, tag in zip(s.tokens, s.outer_labels):
-                fh.write(f"{tok.text} {tag}\n")
             fh.write("\n")
 
 

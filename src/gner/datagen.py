@@ -21,10 +21,7 @@ from .embeddings import EmbeddingStore
 __all__ = [
     "make_corpus",
     "make_ambiguous_corpus",
-    "make_conll_corpus",
-    "bio_to_iob1",
     "make_embedding_store",
-    "fixture_training_sentences",
     "FUNCTION_WORDS",
 ]
 
@@ -243,32 +240,6 @@ def make_ambiguous_corpus(n_sentences: int, seed: int = 0, split: str = "train")
     return sentences
 
 
-def make_conll_corpus(n_sentences: int, seed: int = 0, split: str = "train") -> list[Sentence]:
-    """Four-class corpus (PER/LOC/ORG/MISC) with outer labels only."""
-    sentences = []
-    for i, s in enumerate(make_corpus(n_sentences, seed, split, with_subclasses=False)):
-        outer = [lab.replace("OTH", "MISC") for lab in s.outer_labels]
-        sentences.append(Sentence(s.tokens, outer, None, source_id=f"synthetic-conll-{split}:{i}"))
-    return sentences
-
-
-def bio_to_iob1(labels: list[str]) -> list[str]:
-    """Render BIO as IOB1: chunks open with I-X except immediately after a
-    same-class chunk, where B-X disambiguates the boundary."""
-    out = []
-    for pos, label in enumerate(labels):
-        if label.startswith("B-"):
-            cls = label[2:]
-            prev = labels[pos - 1] if pos > 0 else "O"
-            if prev in (f"B-{cls}", f"I-{cls}"):
-                out.append(label)
-            else:
-                out.append("I-" + cls)
-        else:
-            out.append(label)
-    return out
-
-
 def make_embedding_store(
     sentences: list[Sentence],
     dim: int = 16,
@@ -295,23 +266,3 @@ def make_embedding_store(
     rng = np.random.default_rng(seed)
     vectors = {w: rng.normal(scale=0.5, size=dim) for w in sorted(words)}
     return EmbeddingStore(kind="plain", dim=dim, word_vectors=vectors)
-
-
-def fixture_training_sentences() -> list[Sentence]:
-    """Small hand-written sentences anchoring a few fixed surface forms
-    (notably "Aachen" as a location) for service and CLI fixtures."""
-    rows = [
-        (["Aachen", "liegt", "im", "Westen", "."], ["B-LOC", "O", "O", "O", "O"]),
-        (["Aachen", "liegt", "im", "Norden", "."], ["B-LOC", "O", "O", "O", "O"]),
-        (["Anna", "besucht", "Aachen", "."], ["B-PER", "O", "B-LOC", "O"]),
-        (["Jonas", "besucht", "Aachen", "gern", "."], ["B-PER", "O", "B-LOC", "O", "O"]),
-        (["die", "Ulmwerke", "GmbH", "liegt", "im", "Osten", "."],
-         ["O", "B-ORG", "I-ORG", "O", "O", "O", "O"]),
-        (["der", "Vorstand", "arbeitet", "im", "Büro", "."], ["O", "O", "O", "O", "O", "O"]),
-        (["heute", "gewinnt", "Anna", "gegen", "Jonas", "."],
-         ["O", "O", "B-PER", "O", "B-PER", "O"]),
-    ]
-    out = []
-    for i, (toks, labels) in enumerate(rows):
-        out.append(Sentence([Token(t) for t in toks], labels, ["O"] * len(toks), source_id=f"fixture:{i}"))
-    return out

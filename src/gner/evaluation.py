@@ -19,7 +19,6 @@ __all__ = [
     "ClassCounts",
     "EvalReport",
     "extract_chunks",
-    "chunks_to_bio",
     "prf1",
     "evaluate_bio",
     "germeval_combined",
@@ -76,20 +75,6 @@ def extract_chunks(labels: Sequence[str], strict: bool = False, level: str = "ou
             cur_cls, cur_start, cur_stray = cls, pos, True
     close(len(labels))
     return chunks
-
-
-def chunks_to_bio(chunks: Iterable[Chunk], length: int) -> list[str]:
-    """Render non-overlapping chunks back to a BIO sequence."""
-    labels = ["O"] * length
-    for c in sorted(chunks, key=lambda c: c.start):
-        if not 0 <= c.start < c.end <= length:
-            raise EvaluationError(f"chunk {c} out of bounds for length {length}")
-        if any(labels[i] != "O" for i in range(c.start, c.end)):
-            raise EvaluationError(f"chunk {c} overlaps another chunk")
-        labels[c.start] = f"B-{c.cls}"
-        for i in range(c.start + 1, c.end):
-            labels[i] = f"I-{c.cls}"
-    return labels
 
 
 @dataclass

@@ -1,11 +1,13 @@
-"""Parameterized layers on top of the autodiff core.
+"""The model's parameterized layers, each a forward and a backward function
+over plain float64 arrays.
 
-The BiLSTM takes a whole padded batch as one ``(batch, steps, dim)`` node
-plus a boolean mask, and runs both directions as a single graph node with a
-hand-written BPTT gradient.  The char CNN takes one ``(rows, steps, dim)``
-node and is likewise one graph node with a hand-written gradient.
-Parameters are immutable during inference and mutated only by the training
-loop.
+The BiLSTM takes a whole padded ``(batch, steps, dim)`` batch plus a boolean
+mask and runs both directions in one call; its backward is a hand-written
+BPTT over the activations the train-mode forward keeps.  The char CNN takes
+one ``(rows, steps, dim)`` array and max-pools each row's windows; its
+backward routes the gradient to each filter's winning window.  An eval-mode
+forward keeps nothing for a backward pass.  Parameters are immutable during
+inference and mutated in place only by the training loop.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import autodiff as ad
-from .autodiff import Node, logistic
 
 __all__ = [
     "LayerError",
@@ -27,9 +26,12 @@ __all__ = [
     "init_embedding_table",
     "init_dense_params",
     "bilstm_sequence",
+    "bilstm_backward",
     "conv1d_globalmaxpool",
+    "conv1d_backward",
     "dropout_mask",
     "embed_lookup",
+    "embed_backward",
 ]
 
 
@@ -44,41 +46,41 @@ class LstmParams:
     order: input gate, forget gate, cell candidate, output gate.  The
     forget-gate bias slice is initialized to 1.0."""
 
-    w_input: Node
-    w_recurrent: Node
-    bias: Node
+    w_input: np.ndarray
+    w_recurrent: np.ndarray
+    bias: np.ndarray
     cells: int
 
     def __post_init__(self):
         four = 4 * self.cells
-        if self.w_input.value.shape[1] != four or self.w_recurrent.value.shape != (self.cells, four) or self.bias.value.shape != (four,):
+        if self.w_input.shape[1] != four or self.w_recurrent.shape != (self.cells, four) or self.bias.shape != (four,):
             raise LayerError(
                 f"inconsistent LSTM shapes for cells={self.cells}: "
-                f"{self.w_input.value.shape}, {self.w_recurrent.value.shape}, {self.bias.value.shape}"
+                f"{self.w_input.shape}, {self.w_recurrent.shape}, {self.bias.shape}"
             )
 
     @property
     def input_dim(self) -> int:
-        return self.w_input.value.shape[0]
+        return self.w_input.shape[0]
 
 
 @dataclass
 class Conv1dParams:
     """1-D convolution kernels (kernel_size, in_dim, filters) plus bias."""
 
-    kernels: Node
-    bias: Node
+    kernels: np.ndarray
+    bias: np.ndarray
     kernel_size: int
     filters: int
 
     def __post_init__(self):
-        k, _, f = self.kernels.value.shape
-        if k != self.kernel_size or f != self.filters or self.bias.value.shape != (self.filters,):
-            raise LayerError(f"inconsistent conv shapes: kernels {self.kernels.value.shape}, bias {self.bias.value.shape}")
+        k, _, f = self.kernels.shape
+        if k != self.kernel_size or f != self.filters or self.bias.shape != (self.filters,):
+            raise LayerError(f"inconsistent conv shapes: kernels {self.kernels.shape}, bias {self.bias.shape}")
 
     @property
     def in_dim(self) -> int:
-        return self.kernels.value.shape[1]
+        return self.kernels.shape[1]
 
 
 @dataclass
@@ -86,17 +88,17 @@ class EmbeddingTable:
     """Lookup table of row vectors.  ``frozen_rows`` (e.g. the padding row)
     receive no parameter updates."""
 
-    rows: Node
+    rows: np.ndarray
     trainable: bool = True
     frozen_rows: tuple[int, ...] = ()
 
     @property
     def vocab_size(self) -> int:
-        return self.rows.value.shape[0]
+        return self.rows.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.rows.value.shape[1]
+        return self.rows.shape[1]
 
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -117,22 +119,12 @@ def init_lstm_params(input_dim: int, cells: int, rng: np.random.Generator) -> Ls
     w_rec = np.concatenate([_orthogonal(rng, cells) for _ in range(4)], axis=1)
     bias = np.zeros(4 * cells)
     bias[cells : 2 * cells] = 1.0
-    return LstmParams(
-        w_input=ad.leaf(w_in, requires_grad=True),
-        w_recurrent=ad.leaf(w_rec, requires_grad=True),
-        bias=ad.leaf(bias, requires_grad=True),
-        cells=cells,
-    )
+    return LstmParams(w_input=w_in, w_recurrent=w_rec, bias=bias, cells=cells)
 
 
 def init_conv1d_params(kernel_size: int, in_dim: int, filters: int, rng: np.random.Generator) -> Conv1dParams:
     kernels = _glorot(rng, (kernel_size * in_dim, filters)).reshape(kernel_size, in_dim, filters)
-    return Conv1dParams(
-        kernels=ad.leaf(kernels, requires_grad=True),
-        bias=ad.leaf(np.zeros(filters), requires_grad=True),
-        kernel_size=kernel_size,
-        filters=filters,
-    )
+    return Conv1dParams(kernels=kernels, bias=np.zeros(filters), kernel_size=kernel_size, filters=filters)
 
 
 def init_embedding_table(
@@ -143,12 +135,18 @@ def init_embedding_table(
     if pad_row is not None:
         rows[pad_row] = 0.0
         frozen = (pad_row,)
-    return EmbeddingTable(rows=ad.leaf(rows, requires_grad=trainable), trainable=trainable, frozen_rows=frozen)
+    return EmbeddingTable(rows=rows, trainable=trainable, frozen_rows=frozen)
 
 
-def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[Node, Node]:
+def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Weights (in_dim, out_dim) and bias for a linearly activated layer."""
-    return ad.leaf(_glorot(rng, (in_dim, out_dim)), requires_grad=True), ad.leaf(np.zeros(out_dim), requires_grad=True)
+    return _glorot(rng, (in_dim, out_dim)), np.zeros(out_dim)
+
+
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Overflow-free sigmoid: ``1/(1+e^-x)`` for x >= 0, ``e^x/(1+e^x)`` below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _schedule(mask: np.ndarray):
@@ -187,7 +185,7 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, out: np.n
     input, previous cell, tanh(cell).
     """
     cells = params.cells
-    u, bias = params.w_recurrent.value, params.bias.value
+    u, bias = params.w_recurrent, params.bias
     h = np.zeros((out.shape[0], cells))
     c = np.zeros((out.shape[0], cells))
     n = xw.shape[0]
@@ -227,7 +225,7 @@ def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_real: np.ndarr
     real position's pre-activation (N, 4*cells)."""
     gates, h_ins, c_prevs, tcs = cache
     cells = params.cells
-    u_t = params.w_recurrent.value.T
+    u_t = params.w_recurrent.T
     dz_all = np.empty_like(gates)
     dh = np.zeros((batch, cells))
     dc = np.zeros((batch, cells))
@@ -256,28 +254,28 @@ def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_real: np.ndarr
 def bilstm_sequence(
     fwd: LstmParams,
     bwd: LstmParams,
-    x: Node,
+    x: np.ndarray,
     mask,
     recurrent_dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> Node:
+) -> tuple[np.ndarray, tuple | None]:
     """Bidirectional LSTM over ``x`` (batch, steps, in) with a boolean
-    ``mask`` (batch, steps); returns (batch, steps, 2*cells) holding
-    concat(h_fwd_t, h_bwd_t).
+    ``mask`` (batch, steps).  Returns the (batch, steps, 2*cells) output,
+    holding concat(h_fwd_t, h_bwd_t), and the cache
+    :func:`bilstm_backward` reads, which only train mode keeps (None in
+    eval mode).
 
-    Both directions form one graph node and write straight into their half
-    of the output.  The input projection runs as one matmul per direction
-    over the real positions only; the recurrence and its BPTT gradient run
-    in numpy.  Masked positions, wherever they sit, produce zero vectors,
-    leave their row's state untouched and receive no gradient.  When
-    training with ``recurrent_dropout``, one mask per direction (forward
-    first) is sampled and reused at every timestep.  Only train mode
-    retains activations; a backward pass in eval mode recomputes them.
+    Both directions write straight into their half of the output.  The
+    input projection runs as one matmul per direction over the real
+    positions only; the recurrence runs in numpy.  Masked positions,
+    wherever they sit, produce zero vectors and leave their row's state
+    untouched.  When training with ``recurrent_dropout``, one mask per
+    direction (forward first) is sampled and reused at every timestep.
     """
-    if x.value.ndim != 3:
-        raise LayerError(f"bilstm_sequence: expected (batch, steps, in) input, got shape {x.value.shape}")
-    batch, length, width = x.value.shape
+    if x.ndim != 3:
+        raise LayerError(f"bilstm_sequence: expected (batch, steps, in) input, got shape {x.shape}")
+    batch, length, width = x.shape
     if length == 0:
         raise LayerError("bilstm_sequence: empty sequence")
     for p in (fwd, bwd):
@@ -298,29 +296,30 @@ def bilstm_sequence(
         (fwd, range(length), rec_masks[0], slice(0, fwd.cells)),
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
+    x_real = x[gather]
+    out = np.zeros((batch, length, fwd.cells + bwd.cells))
+    acts = [_recur(p, x_real @ p.w_input, steps, order, rec, out[..., half], train)
+            for p, order, rec, half in directions]
+    return out, (x.shape, gather, steps, directions, x_real, acts) if train else None
 
-    def forward(keep: bool):
-        x_real = x.value[gather]
-        out = np.zeros((batch, length, fwd.cells + bwd.cells))
-        caches = [_recur(p, x_real @ p.w_input.value, steps, order, rec, out[..., half], keep)
-                  for p, order, rec, half in directions]
-        return out, (x_real, caches) if keep else None
 
-    out, saved = forward(train)
-    parents = (x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias)
+def bilstm_backward(cache: tuple, grad: np.ndarray, need_input: bool = True):
+    """Gradients of a train-mode :func:`bilstm_sequence` call, given
+    ``grad``, the gradient of its output.
 
-    def joint_vjp(g):
-        x_real, caches = saved if saved is not None else forward(True)[1]
-        dx = np.zeros(x.value.shape) if x.requires_grad else None
-        grads = [dx]
-        for (p, order, rec, half), cache in zip(directions, caches):
-            dz = _bptt(p, cache, steps, order, rec, g[..., half][gather], batch)
-            if dx is not None:
-                dx[gather] += dz @ p.w_input.value.T
-            grads += [x_real.T @ dz, cache[1].T @ dz, dz.sum(axis=0)]
-        return grads
-
-    return ad.joint_result("bilstm_sequence", out, parents, joint_vjp)
+    Returns the input's gradient (None unless ``need_input``; zero at
+    masked positions) and, forward direction first, the gradients of each
+    direction's ``(w_input, w_recurrent, bias)``.
+    """
+    shape, gather, steps, directions, x_real, acts = cache
+    dx = np.zeros(shape) if need_input else None
+    params = []
+    for (p, order, rec, half), act in zip(directions, acts):
+        dz = _bptt(p, act, steps, order, rec, grad[..., half][gather], shape[0])
+        if dx is not None:
+            dx[gather] += dz @ p.w_input.T
+        params.append((x_real.T @ dz, act[1].T @ dz, dz.sum(axis=0)))
+    return dx, params
 
 
 def _windows(x: np.ndarray, k: int) -> np.ndarray:
@@ -334,49 +333,54 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     return cols
 
 
-def conv1d_globalmaxpool(params: Conv1dParams, x: Node, lengths) -> Node:
+def conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths, mode: str = "eval"):
     """Convolution with ReLU, then per-filter max over windows.
 
-    ``x`` is (rows, steps, in); returns (rows, filters) as one graph node.
-    Row ``r`` pools only the windows that start before position
-    ``lengths[r]`` (1 <= lengths[r] <= steps), so whatever follows a row's
-    content beyond its last window cannot win the max.  A window that runs
-    past the last step reads zeros there.  Since
+    ``x`` is (rows, steps, in); returns the (rows, filters) features and the
+    cache :func:`conv1d_backward` reads, which only train mode keeps (None
+    in eval mode).  Row ``r`` pools only the windows that start before
+    position ``lengths[r]`` (1 <= lengths[r] <= steps), so whatever follows
+    a row's content beyond its last window cannot win the max.  A window
+    that runs past the last step reads zeros there.  Since
     ``relu(max z) == max(relu z)``, the forward takes the first argmax of
-    the pre-activations and rectifies after; the gradient reaches only that
-    window, and only where its pre-activation is positive.
+    the pre-activations and rectifies after.
     """
-    if x.value.ndim != 3:
-        raise LayerError(f"conv1d_globalmaxpool: expected (rows, steps, in) input, got shape {x.value.shape}")
-    rows, steps, width = x.value.shape
+    if x.ndim != 3:
+        raise LayerError(f"conv1d_globalmaxpool: expected (rows, steps, in) input, got shape {x.shape}")
+    rows, steps, width = x.shape
     k, filters = params.kernel_size, params.filters
     if width != params.in_dim:
         raise LayerError(f"conv1d_globalmaxpool: input dim {width} != {params.in_dim}")
     lengths = np.asarray(lengths)
     if lengths.shape != (rows,) or rows and not 1 <= lengths.min() <= lengths.max() <= steps:
         raise LayerError(f"conv1d_globalmaxpool: lengths must be {rows} window counts in [1, {steps}]")
-    w_flat = params.kernels.value.reshape(k * width, filters)
-    z = (_windows(x.value, k).reshape(rows * steps, k * width) @ w_flat + params.bias.value).reshape(rows, steps, filters)
+    w_flat = params.kernels.reshape(k * width, filters)
+    z = (_windows(x, k).reshape(rows * steps, k * width) @ w_flat + params.bias).reshape(rows, steps, filters)
     z[np.arange(steps)[None, :] >= lengths[:, None]] = -np.inf
     best = z.argmax(axis=1)[:, None, :]
     top = np.take_along_axis(z, best, axis=1)[:, 0]
     live = top > 0
+    return np.where(live, top, 0.0), (params, x, best, live) if mode == "train" else None
 
-    def joint_vjp(g):
-        dz = np.zeros((rows, steps, filters))
-        np.put_along_axis(dz, best, (g * live)[:, None, :], axis=1)
-        dz = dz.reshape(rows * steps, filters)
-        cols = _windows(x.value, k).reshape(rows * steps, k * width)
-        dx = None
-        if x.requires_grad:
-            dcols = (dz @ w_flat.T).reshape(rows, steps, k * width)
-            dx = np.zeros(x.value.shape)
-            for j in range(min(k, steps)):
-                dx[:, j:] += dcols[:, : steps - j, j * width : (j + 1) * width]
-        return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)
 
-    parents = (x, params.kernels, params.bias)
-    return ad.joint_result("conv1d_globalmaxpool", np.where(live, top, 0.0), parents, joint_vjp)
+def conv1d_backward(cache: tuple, grad: np.ndarray):
+    """Gradients of a train-mode :func:`conv1d_globalmaxpool` call, given
+    ``grad``, the gradient of its (rows, filters) output: those of the
+    input, the kernels and the bias.  Each filter's gradient reaches only
+    its winning window, and only where that window's pre-activation is
+    positive."""
+    params, x, best, live = cache
+    rows, steps, width = x.shape
+    k, filters = params.kernel_size, params.filters
+    dz = np.zeros((rows, steps, filters))
+    np.put_along_axis(dz, best, (grad * live)[:, None, :], axis=1)
+    dz = dz.reshape(rows * steps, filters)
+    cols = _windows(x, k).reshape(rows * steps, k * width)
+    dcols = (dz @ params.kernels.reshape(k * width, filters).T).reshape(rows, steps, k * width)
+    dx = np.zeros(x.shape)
+    for j in range(min(k, steps)):
+        dx[:, j:] += dcols[:, : steps - j, j * width : (j + 1) * width]
+    return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)
 
 
 def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -387,10 +391,19 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
     return keep / (1.0 - rate)
 
 
-def embed_lookup(table: EmbeddingTable, indices) -> Node:
-    """Look up table rows; gradient w.r.t. a row sums over its occurrences."""
+def embed_lookup(table: EmbeddingTable, indices) -> np.ndarray:
+    """Table rows for an index array of any shape: ``indices.shape + (dim,)``."""
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
         bad = int(idx.flat[np.argmax((idx < 0) | (idx >= table.vocab_size))])
         raise IndexError(f"embed_lookup: index {bad} out of range [0, {table.vocab_size})")
-    return ad.gather_rows(table.rows, idx.reshape(-1))
+    return table.rows[idx]
+
+
+def embed_backward(table: EmbeddingTable, indices, grad: np.ndarray) -> np.ndarray:
+    """Gradient of the table rows, given ``grad``, the gradient of an
+    :func:`embed_lookup` output: a row's gradient sums over its
+    occurrences."""
+    d_rows = np.zeros(table.rows.shape)
+    np.add.at(d_rows, np.asarray(indices, dtype=np.int64).reshape(-1), grad.reshape(-1, table.dim))
+    return d_rows

@@ -7,13 +7,19 @@ a single CNN over the decorated character window, three parallel CNNs, or a
 one/two-layer BiLSTM over the raw character sequence.  A token-level BiLSTM,
 a linearly activated dense layer and a linear-chain CRF sit on top.
 
-A batch flows through as whole tensors: the token input is one
-``(batch, max_len, input_width)`` node, each BiLSTM and each char conv is
-one graph node, the BiLSTMs compute only real (unmasked) positions, and the
-dense layer is a single matmul over all positions.  Character features read
+A batch flows through as whole arrays: the token input is one
+``(batch, max_len, input_width)`` array, each BiLSTM and each char conv is
+one call, the BiLSTMs compute only real (unmasked) positions, and the dense
+layer is a single matmul over all positions.  Character features read
 only real characters, so a sentence's emissions do not depend on the other
 sentences in its batch.  The CRF decodes each group of sentences in one
 batched Viterbi pass, so one path serves a single sentence and a batch.
+
+Training runs :func:`forward_emissions` in train mode, which also returns
+the cache that :func:`backward` reads.  That reverse sweep takes the CRF's
+gradients and goes back through the layers in the fixed reverse order:
+dense, token BiLSTM, input dropout, char gather, char submodel, char
+embedding.
 
 Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
@@ -29,8 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Node
 from .corpus import PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
 from .crf import CrfParams, init_crf_params, viterbi_decode
 from .embeddings import EmbeddingStore, lookup_word
@@ -38,9 +42,12 @@ from .layers import (
     Conv1dParams,
     EmbeddingTable,
     LstmParams,
+    bilstm_backward,
     bilstm_sequence,
+    conv1d_backward,
     conv1d_globalmaxpool,
     dropout_mask,
+    embed_backward,
     embed_lookup,
     init_conv1d_params,
     init_embedding_table,
@@ -56,6 +63,7 @@ __all__ = [
     "NerModel",
     "build_model",
     "forward_emissions",
+    "backward",
     "predict",
     "predict_batch",
     "save_model",
@@ -164,13 +172,14 @@ class NerModel:
     char_lstms: list[tuple[LstmParams, LstmParams]] = field(default_factory=list)
     token_fwd: LstmParams = None  # type: ignore[assignment]
     token_bwd: LstmParams = None  # type: ignore[assignment]
-    dense_w: Node = None  # type: ignore[assignment]
-    dense_b: Node = None  # type: ignore[assignment]
+    dense_w: np.ndarray = None  # type: ignore[assignment]
+    dense_b: np.ndarray = None  # type: ignore[assignment]
     crf: CrfParams = None  # type: ignore[assignment]
 
-    def parameters(self) -> list[tuple[str, Node]]:
-        """All trainable parameters in a stable order."""
-        out: list[tuple[str, Node]] = []
+    def parameters(self) -> list[tuple[str, np.ndarray]]:
+        """All trainable parameters in a stable order; training updates the
+        arrays in place."""
+        out: list[tuple[str, np.ndarray]] = []
         if self.char_table is not None and self.char_table.trainable:
             out.append(("char_table.rows", self.char_table.rows))
         for i, conv in enumerate(self.char_convs):
@@ -199,11 +208,11 @@ class NerModel:
                 grads["char_table.rows"][r, :] = 0.0
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: node.value.copy() for name, node in self.parameters()}
+        return {name: p.copy() for name, p in self.parameters()}
 
     def restore(self, snap: dict[str, np.ndarray]):
-        for name, node in self.parameters():
-            node.value[:] = snap[name]
+        for name, p in self.parameters():
+            p[:] = snap[name]
 
 
 def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: int = 0) -> NerModel:
@@ -262,14 +271,15 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], inverse
 
 
-def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.ndarray]:
+def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[np.ndarray, np.ndarray, tuple | None]:
     """Character feature matrix over the distinct character rows of the batch.
 
-    Returns (features (U, char_dim), inverse (B*T,)): position p uses row
-    ``inverse[p]``.  Deduplication shares one feature computation among equal
-    character rows; gradients accumulate exactly as if computed per position.
-    A row's feature reads only its real characters, never the padding, so it
-    does not depend on how wide the batch pads its longest token.
+    Returns features (U, char_dim), inverse (B*T,) and, in train mode, the
+    cache :func:`backward` reads: position p uses row ``inverse[p]``.
+    Deduplication shares one feature computation among equal character
+    rows; gradients accumulate exactly as if computed per position.  A row's
+    feature reads only its real characters, never the padding, so it does
+    not depend on how wide the batch pads its longest token.
     """
     cfg = model.config
     b, t, p = batch.char_indices.shape
@@ -279,23 +289,22 @@ def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[Node, np.n
     # counts one step; nothing reads its feature.
     lengths = np.maximum(real.sum(axis=1), 1)
 
-    out = ad.reshape(embed_lookup(model.char_table, uniq), (len(uniq), p, cfg.char_emb_dim))
+    out = embed_lookup(model.char_table, uniq)
     if cfg.char_variant in ("cnn", "cnn3"):
         # Pool the windows that start inside the decorated token.
-        feats = [conv1d_globalmaxpool(conv, out, lengths) for conv in model.char_convs]
-        feat = feats[0] if len(feats) == 1 else ad.concat_last(feats)
+        pooled = [conv1d_globalmaxpool(conv, out, lengths, mode) for conv in model.char_convs]
+        feat = np.concatenate([f for f, _ in pooled], axis=1)
+        caches = [c for _, c in pooled]
     else:
+        caches = []
         for fwd, bwd in model.char_lstms:
-            out = bilstm_sequence(fwd, bwd, out, real, mode=mode)
+            out, cache = bilstm_sequence(fwd, bwd, out, real, mode=mode)
+            caches.append(cache)
         # The forward half is read after the last character, the backward
-        # half after the first.  Viewed as (U*P*2, cells), the output's row
-        # 2*(u*P + t) + h is half h of step t of row u.
+        # half after the first.
         c = cfg.char_lstm_cells
-        halves = ad.reshape(out, (len(uniq) * p * 2, c))
-        starts = np.arange(len(uniq)) * p
-        picks = np.stack([2 * (starts + lengths - 1), 2 * starts + 1], axis=1).reshape(-1)
-        feat = ad.reshape(ad.gather_rows(halves, picks), (len(uniq), 2 * c))
-    return feat, inverse
+        feat = np.concatenate([out[np.arange(len(uniq)), lengths - 1, :c], out[:, 0, c:]], axis=1)
+    return feat, inverse, (uniq, lengths, caches) if mode == "train" else None
 
 
 def forward_emissions(
@@ -304,13 +313,14 @@ def forward_emissions(
     embedding_store: EmbeddingStore,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> Node:
+):
     """Per-token label scores before the CRF, shaped (batch, max_len, labels).
 
-    The token input is one (batch, max_len, input_width) node.  Dropout
-    (input and recurrent, per-sequence-constant masks) is active only in
-    train mode.  Masked positions produce zero BiLSTM output and carry no
-    gradient into the token BiLSTM.
+    In eval mode returns the emissions alone and keeps nothing else.  In
+    train mode returns ``(emissions, cache)``, the cache being what
+    :func:`backward` reads, and applies dropout (input and recurrent,
+    per-sequence-constant masks).  Masked positions produce zero BiLSTM
+    output and carry no gradient into the token BiLSTM.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -331,27 +341,28 @@ def forward_emissions(
         raise ModelError("train mode with dropout needs an rng")
 
     b, t = len(batch.sentences), batch.max_len
-    words = np.zeros((b, t, cfg.word_dim + cfg.casing_dim))
-    cache: dict[str, np.ndarray] = {}
+    words = cfg.word_dim + cfg.casing_dim
+    x = np.zeros((b, t, cfg.input_width))
+    seen: dict[str, np.ndarray] = {}
     for i, sent in enumerate(batch.sentences):
         for j, tok in enumerate(sent.tokens):
-            vec = cache.get(tok.text)
+            vec = seen.get(tok.text)
             if vec is None:
                 vec, _ = lookup_word(embedding_store, tok.text)
-                cache[tok.text] = vec
-            words[i, j, : cfg.word_dim] = vec
-            words[i, j, cfg.word_dim :] = tok.casing
+                seen[tok.text] = vec
+            x[i, j, : cfg.word_dim] = vec
+            x[i, j, cfg.word_dim : words] = tok.casing
 
-    x = ad.constant(words)
+    char_map = chars = None
     if required is not None:
-        char_feat, char_map = _char_features(model, batch, mode)
-        chars = ad.reshape(ad.gather_rows(char_feat, char_map), (b, t, cfg.char_feature_dim))
-        x = ad.concat_last([x, chars])
+        char_feat, char_map, chars = _char_features(model, batch, mode)
+        x[..., words:] = char_feat[char_map].reshape(b, t, cfg.char_feature_dim)
+    in_mask = None
     if train and cfg.dropout > 0.0:
         in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng)
-        x = ad.mul(x, ad.constant(np.broadcast_to(in_mask, x.value.shape)))
+        x *= in_mask
 
-    hidden = bilstm_sequence(
+    hidden, token = bilstm_sequence(
         model.token_fwd,
         model.token_bwd,
         x,
@@ -360,9 +371,64 @@ def forward_emissions(
         mode=mode,
         rng=rng,
     )
-    flat = ad.reshape(hidden, (b * t, 2 * cfg.token_lstm_cells))
-    emissions = ad.add(ad.matmul(flat, model.dense_w), model.dense_b)
-    return ad.reshape(emissions, (b, t, cfg.num_labels))
+    flat = hidden.reshape(b * t, 2 * cfg.token_lstm_cells)
+    emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
+    if not train:
+        return emissions
+    return emissions, (flat, token, in_mask, char_map, chars)
+
+
+def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
+    """Every parameter's gradient, keyed and ordered as
+    :meth:`NerModel.parameters`, from a train-mode :func:`forward_emissions`
+    cache and the CRF's gradients w.r.t. (emissions, transitions, start
+    scores, end scores).
+
+    The sweep runs back through the layers in the order the forward fixes:
+    CRF, dense, token BiLSTM, input dropout, char gather, char submodel,
+    char embedding.
+    """
+    cfg = model.config
+    flat, token, in_mask, char_map, chars = cache
+    d_em, *d_crf = crf_grads
+    grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
+    b, t, labels = d_em.shape
+    g = d_em.reshape(b * t, labels)
+    grads["dense.w"], grads["dense.b"] = flat.T @ g, g.sum(axis=0)
+    d_hidden = (g @ model.dense_w.T).reshape(b, t, flat.shape[1])
+    d_x, token_grads = bilstm_backward(token, d_hidden, need_input=chars is not None)
+    _put_lstm(grads, "token_lstm", token_grads)
+    if chars is not None:
+        words = cfg.word_dim + cfg.casing_dim
+        d_chars = d_x[..., words:]
+        if in_mask is not None:
+            d_chars = d_chars * in_mask[..., words:]
+        uniq, lengths, caches = chars
+        d_feat = np.zeros((len(uniq), cfg.char_feature_dim))
+        np.add.at(d_feat, char_map, d_chars.reshape(b * t, cfg.char_feature_dim))
+        if cfg.char_variant in ("cnn", "cnn3"):
+            f = cfg.char_cnn_filters
+            d_emb = 0.0
+            for i, conv in enumerate(caches):
+                d_in, grads[f"char_conv{i}.kernels"], grads[f"char_conv{i}.bias"] = conv1d_backward(
+                    conv, d_feat[:, i * f : (i + 1) * f])
+                d_emb = d_emb + d_in
+        else:
+            c = cfg.char_lstm_cells
+            d_emb = np.zeros((len(uniq), uniq.shape[1], 2 * c))
+            d_emb[np.arange(len(uniq)), lengths - 1, :c] = d_feat[:, :c]
+            d_emb[:, 0, c:] = d_feat[:, c:]
+            for i in range(len(caches) - 1, -1, -1):
+                d_emb, lstm_grads = bilstm_backward(caches[i], d_emb)
+                _put_lstm(grads, f"char_lstm{i}", lstm_grads)
+        grads["char_table.rows"] = embed_backward(model.char_table, uniq, d_emb)
+    return {name: grads[name] for name, _ in model.parameters()}
+
+
+def _put_lstm(grads: dict[str, np.ndarray], prefix: str, lstm_grads):
+    for tag, direction in zip(("fwd", "bwd"), lstm_grads):
+        for field_name, g in zip(("w_input", "w_recurrent", "bias"), direction):
+            grads[f"{prefix}.{tag}.{field_name}"] = g
 
 
 def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: list[Sentence],
@@ -373,7 +439,7 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
         batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
-        em = forward_emissions(model, batch, embedding_store, mode="eval").value
+        em = forward_emissions(model, batch, embedding_store, mode="eval")
         paths, _ = viterbi_decode(model.crf, em, batch.mask.sum(axis=1))
         out.extend([schema.label_of(y) for y in path] for path in paths)
     return out
@@ -401,15 +467,15 @@ def save_model(model: NerModel, path: str | Path):
         "version": MODEL_VERSION,
         "config": model.config.to_dict(),
         "char_vocab": model.char_vocab.ordered_symbols() if model.char_vocab else None,
-        "params": [{"name": name, "shape": list(node.value.shape)} for name, node in params],
+        "params": [{"name": name, "shape": list(p.shape)} for name, p in params],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
     with path.open("wb") as fh:
         fh.write(MODEL_MAGIC + b"\n")
         fh.write(str(len(blob)).encode("ascii") + b"\n")
         fh.write(blob)
-        for _, node in params:
-            fh.write(np.ascontiguousarray(node.value, dtype="<f4").tobytes())
+        for _, p in params:
+            fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
 def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
@@ -458,12 +524,12 @@ def load_model(path: str | Path) -> NerModel:
         params = model.parameters()
         if [name for name, _ in declared] != [name for name, _ in params]:
             raise ModelFormatError(f"{path}: parameter blocks do not match the configured architecture")
-        for (_, shape), (name, node) in zip(declared, params):
-            if shape != node.value.shape:
-                raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {node.value.shape}")
+        for (_, shape), (name, p) in zip(declared, params):
+            if shape != p.shape:
+                raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {p.shape}")
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
             raw = _read_exact(fh, 4 * count, name)
-            node.value[:] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
+            p[:] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing bytes after parameter blocks")
     return model

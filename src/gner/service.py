@@ -11,7 +11,6 @@ layer stays a thin shell.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -216,12 +215,3 @@ def serve(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 8080) ->
     except OSError as exc:
         raise ServiceError(f"cannot bind {bind}:{port}: {exc}") from exc
     return server
-
-
-def serve_in_thread(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 0):
-    """Start the service on a daemon thread (port 0 picks a free port);
-    returns (server, thread)."""
-    server = serve(registry, bind, port)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server, thread

@@ -5,26 +5,26 @@ Stage one runs small batches, stage two continues from the stage-one best
 checkpoint with large batches; the returned model is the best stage-two
 checkpoint by validation chunk F1 (ties break to the earliest epoch).  The
 per-batch loss is the mean of the sentences' CRF negative log-likelihoods,
-one CRF graph node over the whole padded batch whatever its size;
-gradients are clipped to a global norm before the optimizer step.  Word
-embeddings live outside the parameter set and are never updated.
+one CRF call over the whole padded batch whatever its size, and the model's
+reverse sweep turns the CRF's gradients into every parameter's.  Gradients
+are clipped to a global norm before the optimizer step.  Word embeddings
+live outside the parameter set and are never updated.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .corpus import Sentence, make_batches
 from .crf import crf_negative_log_likelihood
 from .embeddings import EmbeddingStore
 from .evaluation import evaluate_bio
-from .model import NerModel, forward_emissions, predict_batch, save_model
+from .model import NerModel, backward, forward_emissions, predict_batch, save_model
 
 __all__ = [
     "TrainingError",
@@ -69,7 +69,7 @@ class NadamState:
 
 
 def nadam_step(
-    params: list[tuple[str, ad.Node]],
+    params: list[tuple[str, np.ndarray]],
     grads: dict[str, np.ndarray],
     state: NadamState,
     config: TrainConfig,
@@ -89,22 +89,22 @@ def nadam_step(
     b1, b2 = config.beta1, config.beta2
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
-    for name, node in params:
+    for name, p in params:
         g = grads.get(name)
         if g is None:
             continue
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for {name}")
         if name not in state.m:
-            state.m[name] = np.zeros_like(node.value)
-            state.v[name] = np.zeros_like(node.value)
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
         m *= b1
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
         m_bar = b1 * (m / bc1) + (1.0 - b1) * g / bc1
-        node.value -= config.learning_rate * m_bar / (np.sqrt(v / bc2) + config.epsilon)
+        p -= config.learning_rate * m_bar / (np.sqrt(v / bc2) + config.epsilon)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
@@ -122,16 +122,17 @@ def batch_loss(
     batch,
     store: EmbeddingStore,
     level: str,
-    mode: str,
     rng: np.random.Generator | None,
-) -> ad.Node:
-    """Mean per-sentence CRF negative log-likelihood for one batch, as the
-    one CRF node over the batch's emissions."""
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean per-sentence CRF negative log-likelihood of one batch under a
+    train-mode forward (dropout drawn from ``rng``), and every parameter's
+    gradient, keyed as :meth:`NerModel.parameters`."""
     schema = model.config.label_schema
-    emissions = forward_emissions(model, batch, store, mode=mode, rng=rng)
+    emissions, cache = forward_emissions(model, batch, store, mode="train", rng=rng)
     gold = np.zeros(batch.mask.shape, dtype=np.int64)
     gold[batch.mask] = [schema.index_of(lab) for sent in batch.sentences for lab in sent.labels(level)]
-    return crf_negative_log_likelihood(model.crf, emissions, gold, batch.mask.sum(axis=1))
+    loss, crf_grads = crf_negative_log_likelihood(model.crf, emissions, gold, batch.mask.sum(axis=1))
+    return loss, backward(model, cache, crf_grads)
 
 
 def train_epoch(
@@ -143,7 +144,13 @@ def train_epoch(
     state: NadamState | None = None,
     epoch_seed: int = 0,
 ) -> dict:
-    """One pass over all batches; returns {"mean_loss", "batches", "grad_norm"}."""
+    """One pass over all batches.
+
+    Returns ``mean_loss``, ``batches`` and ``grad_norm`` (the last batch's
+    pre-clip gradient norm), plus ``grad_norm_mean`` over the epoch's
+    batches, ``clip_share`` (the share of steps on which clipping fired),
+    ``wall_s`` and ``tokens_per_s``.
+    """
     if stage not in (1, 2):
         raise TrainingError(f"stage must be 1 or 2, got {stage}")
     if not data:
@@ -158,21 +165,25 @@ def train_epoch(
         char_mode=model.config.required_char_mode,
     )
     rng = np.random.default_rng(epoch_seed + 0x9E3779B9)
-    losses = []
-    last_norm = 0.0
+    started = time.perf_counter()
+    losses, norms = [], []
     for batch in batches:
-        loss = batch_loss(model, batch, embedding_store, config.label_level, "train", rng)
-        grad_map = ad.backward(loss)
-        grads = {
-            name: grad_map[node].copy()
-            for name, node in model.parameters()
-            if node in grad_map
-        }
+        loss, grads = batch_loss(model, batch, embedding_store, config.label_level, rng)
         model.zero_frozen_grad_rows(grads)
-        last_norm = clip_gradients(grads, config.gradient_clip_norm)
+        norms.append(clip_gradients(grads, config.gradient_clip_norm))
         nadam_step(model.parameters(), grads, state, config)
-        losses.append(float(loss.value))
-    return {"mean_loss": float(np.mean(losses)), "batches": len(batches), "grad_norm": last_norm}
+        losses.append(loss)
+    wall = time.perf_counter() - started
+    clip = config.gradient_clip_norm
+    return {
+        "mean_loss": float(np.mean(losses)),
+        "batches": len(batches),
+        "grad_norm": norms[-1],
+        "grad_norm_mean": float(np.mean(norms)),
+        "clip_share": float(np.mean([clip is not None and n > clip for n in norms])),
+        "wall_s": wall,
+        "tokens_per_s": sum(len(s) for s in data) / wall if wall > 0 else 0.0,
+    }
 
 
 def evaluate_chunk_f1(
@@ -194,6 +205,10 @@ class EpochRecord:
     mean_loss: float
     dev_f1: float
     checkpoint_id: str
+    grad_norm_mean: float = 0.0
+    clip_share: float = 0.0
+    wall_s: float = 0.0
+    tokens_per_s: float = 0.0
 
 
 @dataclass
@@ -203,18 +218,7 @@ class TrainReport:
     wall_clock_s: float = 0.0
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "stage": r.stage,
-                    "epoch": r.epoch,
-                    "mean_loss": r.mean_loss,
-                    "dev_f1": r.dev_f1,
-                    "checkpoint_id": r.checkpoint_id,
-                }
-            )
-            for r in self.rows
-        ]
+        lines = [json.dumps(asdict(r)) for r in self.rows]
         lines.append(json.dumps({"selected": self.selected, "wall_clock_s": self.wall_clock_s}))
         return "\n".join(lines) + "\n"
 
@@ -244,7 +248,8 @@ def _run_stage(
         ckpt_id = f"stage{stage}_epoch{epoch}"
         if checkpoint_dir is not None:
             save_model(model, checkpoint_dir / f"{ckpt_id}.mner")
-        report.rows.append(EpochRecord(stage, epoch, row["mean_loss"], dev_f1, ckpt_id))
+        report.rows.append(EpochRecord(stage, epoch, row["mean_loss"], dev_f1, ckpt_id, row["grad_norm_mean"],
+                                       row["clip_share"], row["wall_s"], row["tokens_per_s"]))
         # argmax with ties broken by the earliest epoch
         if dev_f1 > best_f1:
             best_f1 = dev_f1

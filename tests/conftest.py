@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 from gner.corpus import build_char_vocab, germeval_schema, write_germeval
-from gner.datagen import fixture_training_sentences, make_corpus, make_embedding_store
+from gner.datagen import make_corpus, make_embedding_store
 from gner.embeddings import write_text_vectors
 from gner.model import ModelConfig, build_model, save_model
 from gner.training import NadamState, TrainConfig, train_epoch
+from helpers import fixture_training_sentences
 
 
 @dataclass

@@ -1,0 +1,91 @@
+"""Fixture writers, synthetic CoNLL data and a threaded server, used only by
+the tests."""
+
+from __future__ import annotations
+
+import threading
+from pathlib import Path
+from typing import Iterable
+
+from gner.corpus import Sentence, Token
+from gner.datagen import make_corpus
+from gner.evaluation import Chunk, EvaluationError
+from gner.service import ModelRegistry, serve
+
+
+def write_conll03(sentences: Iterable[Sentence], path: str | Path):
+    """Write ``token tag`` lines with blank-line sentence breaks."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for s in sentences:
+            for tok, tag in zip(s.tokens, s.outer_labels):
+                fh.write(f"{tok.text} {tag}\n")
+            fh.write("\n")
+
+
+def chunks_to_bio(chunks: Iterable[Chunk], length: int) -> list[str]:
+    """Render non-overlapping chunks back to a BIO sequence."""
+    labels = ["O"] * length
+    for c in sorted(chunks, key=lambda c: c.start):
+        if not 0 <= c.start < c.end <= length:
+            raise EvaluationError(f"chunk {c} out of bounds for length {length}")
+        if any(labels[i] != "O" for i in range(c.start, c.end)):
+            raise EvaluationError(f"chunk {c} overlaps another chunk")
+        labels[c.start] = f"B-{c.cls}"
+        for i in range(c.start + 1, c.end):
+            labels[i] = f"I-{c.cls}"
+    return labels
+
+
+def make_conll_corpus(n_sentences: int, seed: int = 0, split: str = "train") -> list[Sentence]:
+    """Four-class corpus (PER/LOC/ORG/MISC) with outer labels only."""
+    sentences = []
+    for i, s in enumerate(make_corpus(n_sentences, seed, split, with_subclasses=False)):
+        outer = [lab.replace("OTH", "MISC") for lab in s.outer_labels]
+        sentences.append(Sentence(s.tokens, outer, None, source_id=f"synthetic-conll-{split}:{i}"))
+    return sentences
+
+
+def bio_to_iob1(labels: list[str]) -> list[str]:
+    """Render BIO as IOB1: chunks open with I-X except immediately after a
+    same-class chunk, where B-X disambiguates the boundary."""
+    out = []
+    for pos, label in enumerate(labels):
+        if label.startswith("B-"):
+            cls = label[2:]
+            prev = labels[pos - 1] if pos > 0 else "O"
+            if prev in (f"B-{cls}", f"I-{cls}"):
+                out.append(label)
+            else:
+                out.append("I-" + cls)
+        else:
+            out.append(label)
+    return out
+
+
+def fixture_training_sentences() -> list[Sentence]:
+    """Small hand-written sentences anchoring a few fixed surface forms
+    (notably "Aachen" as a location) for service and CLI fixtures."""
+    rows = [
+        (["Aachen", "liegt", "im", "Westen", "."], ["B-LOC", "O", "O", "O", "O"]),
+        (["Aachen", "liegt", "im", "Norden", "."], ["B-LOC", "O", "O", "O", "O"]),
+        (["Anna", "besucht", "Aachen", "."], ["B-PER", "O", "B-LOC", "O"]),
+        (["Jonas", "besucht", "Aachen", "gern", "."], ["B-PER", "O", "B-LOC", "O", "O"]),
+        (["die", "Ulmwerke", "GmbH", "liegt", "im", "Osten", "."],
+         ["O", "B-ORG", "I-ORG", "O", "O", "O", "O"]),
+        (["der", "Vorstand", "arbeitet", "im", "Büro", "."], ["O", "O", "O", "O", "O", "O"]),
+        (["heute", "gewinnt", "Anna", "gegen", "Jonas", "."],
+         ["O", "O", "B-PER", "O", "B-PER", "O"]),
+    ]
+    out = []
+    for i, (toks, labels) in enumerate(rows):
+        out.append(Sentence([Token(t) for t in toks], labels, ["O"] * len(toks), source_id=f"fixture:{i}"))
+    return out
+
+
+def serve_in_thread(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 0):
+    """Start the service on a daemon thread (port 0 picks a free port);
+    returns (server, thread)."""
+    server = serve(registry, bind, port)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    return server, thread

@@ -24,7 +24,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gner import autodiff as ad
 from gner import crf
 from gner import layers
 from gner.corpus import (
@@ -37,22 +36,17 @@ from gner.corpus import (
     iob_to_bio,
     parse_conll03,
     parse_germeval,
-    write_conll03,
     write_germeval,
 )
 from gner.crf import crf_negative_log_likelihood
-from gner.datagen import (
-    bio_to_iob1,
-    make_ambiguous_corpus,
-    make_conll_corpus,
-    make_corpus,
-    make_embedding_store,
-)
+from gner.datagen import make_ambiguous_corpus, make_corpus, make_embedding_store
 from gner.embeddings import EmbeddingStore, load_fasttext_store, lookup_word
 from gner.evaluation import evaluate_bio, extract_chunks, germeval_combined
-from gner.model import CHAR_VARIANTS, ModelConfig, build_model, predict
-from gner.service import ModelRegistry, serve_in_thread
+from gner.model import CHAR_VARIANTS, ModelConfig, backward, build_model, forward_emissions, predict
+from gner.service import ModelRegistry
 from gner.training import NadamState, TrainConfig, batch_loss, evaluate_chunk_f1, train_epoch
+from helpers import bio_to_iob1, make_conll_corpus, serve_in_thread, write_conll03
+from oracles import brute_force_best_path, brute_force_log_z, check_gradient, path_score
 
 
 def _report(criterion: int, text: str):
@@ -70,19 +64,19 @@ def test_criterion_1_crf_oracle_equivalence():
         T = int(rng.integers(1, 7))
         L = int(rng.integers(2, 6))
         params = crf.init_crf_params(L)
-        params.transitions.value[:] = rng.uniform(-2, 2, (L, L))
-        params.start_scores.value[:] = rng.uniform(-2, 2, L)
-        params.end_scores.value[:] = rng.uniform(-2, 2, L)
+        params.transitions[:] = rng.uniform(-2, 2, (L, L))
+        params.start_scores[:] = rng.uniform(-2, 2, L)
+        params.end_scores[:] = rng.uniform(-2, 2, L)
         emissions = rng.uniform(-2, 2, (T, L))
 
         # Each instance is a batch of one sentence.
         gold = [0] * T
-        loss = float(crf_negative_log_likelihood(params, ad.constant(emissions[None]), [gold], [T]).value)
-        forward_log_z = loss + crf._path_score(params, emissions, gold)
-        assert abs(forward_log_z - crf.brute_force_log_z(params, emissions)) <= 1e-9
+        loss, _ = crf_negative_log_likelihood(params, emissions[None], [gold], [T])
+        forward_log_z = loss + path_score(params, emissions, gold)
+        assert abs(forward_log_z - brute_force_log_z(params, emissions)) <= 1e-9
 
         (path,), _ = crf.viterbi_decode(params, emissions[None], [T])
-        brute_path, _ = crf.brute_force_best_path(params, emissions)
+        brute_path, _ = brute_force_best_path(params, emissions)
         assert path == brute_path
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
@@ -96,7 +90,7 @@ def test_criterion_1_crf_oracle_equivalence():
 _TOY_SCHEMA = LabelSchema(("LOC", "PER"))  # 5 labels
 
 
-def _toy_model(variant, seed=7):
+def _toy_model(variant, seed=7, token_lstm_cells=4):
     sents = _toy_sentences()
     vocab = build_char_vocab(sents)
     config = ModelConfig(
@@ -106,7 +100,7 @@ def _toy_model(variant, seed=7):
         char_emb_dim=4,
         char_cnn_filters=4,
         char_lstm_cells=4,
-        token_lstm_cells=4,
+        token_lstm_cells=token_lstm_cells,
         dropout=0.5,
     )
     model = build_model(config, vocab if variant != "none" else None, seed=seed)
@@ -122,12 +116,28 @@ def _toy_sentences():
     ]
 
 
-def _grad_check(loss_fn, params, samples=50, return_stats=False):
-    total = sum(p.value.size for p in params)
+def _grad_check(loss_fn, params, grads, samples=50, return_stats=False):
+    total = sum(p.size for p in params)
     assert total >= 50, f"check has only {total} scalar parameters"
-    return ad.check_gradient(
-        loss_fn, params, eps=1e-5, samples=samples, rng=np.random.default_rng(3), return_stats=return_stats
+    return check_gradient(
+        loss_fn, params, grads, eps=1e-5, samples=samples, rng=np.random.default_rng(3), return_stats=return_stats
     )
+
+
+def _emission_probe(model, store, weights):
+    """A linear loss over train-mode emissions, with dropout from a fresh
+    fixed-seed rng at every evaluation, and every parameter's gradient from
+    the model's reverse sweep."""
+    batch = batch_from_sentences(_toy_sentences(), model.char_vocab, model.config.required_char_mode)
+
+    def run():
+        em, cache = forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(5))
+        return float((em * weights).sum()), cache
+
+    _, cache = run()
+    L = model.config.num_labels
+    grads = backward(model, cache, (weights, np.zeros((L, L)), np.zeros(L), np.zeros(L)))
+    return (lambda: run()[0]), grads
 
 
 def test_criterion_2_gradient_suite():
@@ -136,78 +146,98 @@ def test_criterion_2_gradient_suite():
 
     # embedding table
     table = layers.init_embedding_table(15, 4, rng)
-    w = ad.constant(rng.uniform(-1, 1, (6, 4)))
-    err = _grad_check(lambda: ad.sum_all(ad.mul(layers.embed_lookup(table, [1, 3, 3, 7, 12, 1]), w)), [table.rows])
+    idx = [1, 3, 3, 7, 12, 1]
+    w = rng.uniform(-1, 1, (6, 4))
+    err = _grad_check(lambda: float((layers.embed_lookup(table, idx) * w).sum()), [table.rows],
+                      [layers.embed_backward(table, idx, w)])
     failures += [("embed_lookup", err)] if err > 1e-4 else []
 
-    # lstm cell: two steps, so the recurrent weights see a non-zero state
+    # lstm cell: two steps, so the recurrent weights see a non-zero state;
+    # one parameter set runs both directions, so its gradient is their sum
     p = layers.init_lstm_params(8, 4, rng)
-    x = ad.constant(rng.uniform(-1, 1, (1, 2, 8)))
-    wv = ad.constant(rng.uniform(-1, 1, (1, 2, 8)))
+    x = rng.uniform(-1, 1, (1, 2, 8))
+    wv = rng.uniform(-1, 1, (1, 2, 8))
+    ones = np.ones((1, 2), dtype=bool)
+    _, cache = layers.bilstm_sequence(p, p, x, ones, mode="train")
+    _, (gf, gb) = layers.bilstm_backward(cache, wv, need_input=False)
     err = _grad_check(
-        lambda: ad.sum_all(ad.mul(layers.bilstm_sequence(p, p, x, np.ones((1, 2), dtype=bool)), wv)),
+        lambda: float((layers.bilstm_sequence(p, p, x, ones)[0] * wv).sum()),
         [p.w_input, p.w_recurrent, p.bias],
+        [a + b for a, b in zip(gf, gb)],
     )
     failures += [("lstm_cell", err)] if err > 1e-4 else []
 
     # bilstm over a masked sequence
     fwd, bwd = layers.init_lstm_params(4, 4, rng), layers.init_lstm_params(4, 4, rng)
-    xs = ad.constant(rng.uniform(-1, 1, (1, 6, 4)))
+    xs = rng.uniform(-1, 1, (1, 6, 4))
     mask = np.array([[True, True, True, True, False, False]])
-    wm = ad.constant(rng.uniform(-1, 1, (1, 6, 8)))
+    wm = rng.uniform(-1, 1, (1, 6, 8))
+    _, cache = layers.bilstm_sequence(fwd, bwd, xs, mask, mode="train")
+    _, (gf, gb) = layers.bilstm_backward(cache, wm, need_input=False)
     err = _grad_check(
-        lambda: ad.sum_all(ad.mul(layers.bilstm_sequence(fwd, bwd, xs, mask), wm)),
+        lambda: float((layers.bilstm_sequence(fwd, bwd, xs, mask)[0] * wm).sum()),
         [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias],
+        [*gf, *gb],
     )
     failures += [("bilstm_sequence", err)] if err > 1e-4 else []
 
     # conv + global max pooling
     conv = layers.init_conv1d_params(3, 4, 4, rng)
-    cxs = ad.constant(rng.uniform(-1, 1, (1, 7, 4)))
-    wc = ad.constant(rng.uniform(-1, 1, (1, 4)))
+    cxs = rng.uniform(-1, 1, (1, 7, 4))
+    wc = rng.uniform(-1, 1, (1, 4))
+    _, cache = layers.conv1d_globalmaxpool(conv, cxs, [5], mode="train")
+    _, d_kernels, d_bias = layers.conv1d_backward(cache, wc)
     err = _grad_check(
-        lambda: ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(conv, cxs, [5]), wc)),
+        lambda: float((layers.conv1d_globalmaxpool(conv, cxs, [5])[0] * wc).sum()),
         [conv.kernels, conv.bias],
+        [d_kernels, d_bias],
     )
     failures += [("conv1d_globalmaxpool", err)] if err > 1e-4 else []
 
-    # dense, as the model inlines it: x @ w + b over all positions
-    dw = ad.leaf(rng.uniform(-1, 1, (12, 5)), requires_grad=True)
-    db = ad.leaf(rng.uniform(-1, 1, 5), requires_grad=True)
-    dx = ad.constant(rng.uniform(-1, 1, (3, 12)))
-    err = _grad_check(lambda: ad.sum_all(ad.add(ad.matmul(dx, dw), db)), [dw, db])
+    # dense, as the model inlines it: hidden @ w + b over all positions,
+    # (12, 5) weights behind a 6-cell token BiLSTM
+    model, _, _, sents = _toy_model("none", token_lstm_cells=6)
+    store = make_embedding_store(sents, dim=8, seed=1)
+    loss_fn, grads = _emission_probe(model, store, rng.uniform(-1, 1, (1, 6, 5)))
+    err = _grad_check(loss_fn, [model.dense_w, model.dense_b], [grads["dense.w"], grads["dense.b"]])
     failures += [("dense", err)] if err > 1e-4 else []
 
-    # dropout with a frozen mask (deterministic train-time path)
-    drop_x = ad.leaf(rng.uniform(-1, 1, (8, 8)), requires_grad=True)
-    frozen_mask = ad.constant(layers.dropout_mask((8, 8), 0.5, np.random.default_rng(5)))
-    err = _grad_check(lambda: ad.sum_all(ad.mul(drop_x, frozen_mask)), [drop_x])
+    # input dropout: the char embeddings reach the loss only through the
+    # input-dropout mask, drawn the same at every evaluation
+    model, _, _, sents = _toy_model("bilstm")
+    store = make_embedding_store(sents, dim=8, seed=1)
+    loss_fn, grads = _emission_probe(model, store, rng.uniform(-1, 1, (1, 6, 5)))
+    err = _grad_check(loss_fn, [model.char_table.rows], [grads["char_table.rows"]])
     failures += [("dropout", err)] if err > 1e-4 else []
 
     # crf loss wrt emissions and all parameters
     cp = crf.init_crf_params(5)
-    cp.transitions.value[:] = rng.uniform(-1, 1, (5, 5))
-    cp.start_scores.value[:] = rng.uniform(-1, 1, 5)
-    cp.end_scores.value[:] = rng.uniform(-1, 1, 5)
-    em = ad.leaf(rng.uniform(-1, 1, (1, 6, 5)), requires_grad=True)
+    cp.transitions[:] = rng.uniform(-1, 1, (5, 5))
+    cp.start_scores[:] = rng.uniform(-1, 1, 5)
+    cp.end_scores[:] = rng.uniform(-1, 1, 5)
+    em = rng.uniform(-1, 1, (1, 6, 5))
     gold = [[0, 1, 2, 3, 4, 0]]
+    _, crf_grads = crf_negative_log_likelihood(cp, em, gold, [6])
     err = _grad_check(
-        lambda: crf_negative_log_likelihood(cp, em, gold, [6]),
+        lambda: crf_negative_log_likelihood(cp, em, gold, [6])[0],
         [em, cp.transitions, cp.start_scores, cp.end_scores],
+        crf_grads,
     )
     failures += [("crf_nll", err)] if err > 1e-4 else []
 
-    # end-to-end loss for every variant
+    # end-to-end train-mode loss for every variant, dropout from a fresh
+    # fixed-seed rng at every evaluation
     for variant in CHAR_VARIANTS:
         model, vocab, config, sents = _toy_model(variant)
         store = make_embedding_store(sents, dim=8, seed=1)
         batch = batch_from_sentences(sents, vocab, config.required_char_mode)
 
         def loss():
-            return batch_loss(model, batch, store, "outer", "eval", None)
+            return batch_loss(model, batch, store, "outer", np.random.default_rng(5))
 
-        params = [node for _, node in model.parameters()]
-        err, stats = _grad_check(loss, params, return_stats=True)
+        _, grads = loss()
+        err, stats = _grad_check(lambda: loss()[0], [p for _, p in model.parameters()], list(grads.values()),
+                                 return_stats=True)
         failures += [(f"end-to-end/{variant}", err, stats)] if err > 1e-4 or stats["checked"] != 50 else []
 
     assert not failures, f"gradient checks failed: {failures}"

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from gner import corpus
 from gner.evaluation import extract_chunks
+from helpers import write_conll03
 
 GERMEVAL_FIXTURE = """\
 # http://example.org [2009-10-17]
@@ -226,7 +227,7 @@ def test_round_trip_conll(tmp_path):
     p.write_text(CONLL_FIXTURE, encoding="utf-8")
     sents = corpus.parse_conll03(p)
     out = tmp_path / "out.txt"
-    corpus.write_conll03(sents, out)
+    write_conll03(sents, out)
     assert corpus.parse_conll03(out) == sents
 
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gner import autodiff as ad
 from gner import crf
+from oracles import brute_force_best_path, brute_force_log_z, check_gradient, path_score
 
 
 def _zero_params(L):
@@ -15,16 +15,22 @@ def _zero_params(L):
 
 def _random_params(L, rng):
     p = crf.init_crf_params(L)
-    p.transitions.value[:] = rng.uniform(-2, 2, (L, L))
-    p.start_scores.value[:] = rng.uniform(-2, 2, L)
-    p.end_scores.value[:] = rng.uniform(-2, 2, L)
+    p.transitions[:] = rng.uniform(-2, 2, (L, L))
+    p.start_scores[:] = rng.uniform(-2, 2, L)
+    p.end_scores[:] = rng.uniform(-2, 2, L)
     return p
+
+
+def _nll_and_grads(p, e, gold):
+    """The batched loss and its gradients over a batch of the one (T, L)
+    sentence ``e``; the emission gradient is returned as (T, L)."""
+    loss, (d_e, *rest) = crf.crf_negative_log_likelihood(p, e[None], [gold], [len(e)])
+    return loss, [d_e[0], *rest]
 
 
 def _nll(p, e, gold):
     """The batched loss over a batch of the one (T, L) sentence ``e``."""
-    T, L = e.value.shape
-    return crf.crf_negative_log_likelihood(p, ad.reshape(e, (1, T, L)), [gold], [T])
+    return _nll_and_grads(p, e, gold)[0]
 
 
 def _viterbi(p, e):
@@ -35,26 +41,24 @@ def _viterbi(p, e):
 
 def test_two_step_two_label_uniform_loss_is_ln4():
     p = _zero_params(2)
-    e = ad.constant(np.zeros((2, 2)))
+    e = np.zeros((2, 2))
     for gold in ([0, 0], [0, 1], [1, 0], [1, 1]):
-        loss = _nll(p, e, gold)
-        assert float(loss.value) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert _nll(p, e, gold) == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_single_label_any_length_has_zero_loss():
     p = _zero_params(1)
     for T in (1, 3, 7):
-        loss = _nll(p, ad.constant(np.zeros((T, 1))), [0] * T)
-        assert float(loss.value) == pytest.approx(0.0, abs=1e-12)
+        assert _nll(p, np.zeros((T, 1)), [0] * T) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nll_matches_brute_force_on_random_instance():
     rng = np.random.default_rng(0)
     p = _random_params(4, rng)
-    e = ad.constant(rng.uniform(-2, 2, (5, 4)))
+    e = rng.uniform(-2, 2, (5, 4))
     gold = list(rng.integers(0, 4, 5))
-    loss = float(_nll(p, e, gold).value)
-    brute = crf.brute_force_log_z(p, e) - crf._path_score(p, e.value, gold)
+    loss = _nll(p, e, gold)
+    brute = brute_force_log_z(p, e) - path_score(p, e, gold)
     assert abs(loss - brute) <= 1e-9
 
 
@@ -83,7 +87,7 @@ def test_viterbi_equals_brute_force_on_random_instances():
         p = _random_params(L, rng)
         e = rng.uniform(-2, 2, (T, L))
         path, score = _viterbi(p, e)
-        bpath, bscore = crf.brute_force_best_path(p, e)
+        bpath, bscore = brute_force_best_path(p, e)
         assert path == bpath
         assert score == pytest.approx(bscore, abs=1e-9)
 
@@ -94,37 +98,36 @@ def test_forward_matches_brute_force_log_z_both_ways():
         T = int(rng.integers(1, 6))
         L = int(rng.integers(2, 5))
         p = _random_params(L, rng)
-        e = ad.constant(rng.uniform(-2, 2, (T, L)))
+        e = rng.uniform(-2, 2, (T, L))
         gold = [0] * T
-        forward_log_z = float(_nll(p, e, gold).value) + crf._path_score(p, e.value, gold)
-        assert abs(forward_log_z - crf.brute_force_log_z(p, e)) <= 1e-9
+        forward_log_z = _nll(p, e, gold) + path_score(p, e, gold)
+        assert abs(forward_log_z - brute_force_log_z(p, e)) <= 1e-9
 
 
 def test_brute_force_single_step_closed_form():
     rng = np.random.default_rng(3)
     p = _random_params(3, rng)
     e = rng.uniform(-1, 1, (1, 3))
-    scores = p.start_scores.value + e[0] + p.end_scores.value
+    scores = p.start_scores + e[0] + p.end_scores
     expect = float(np.log(np.exp(scores - scores.max()).sum()) + scores.max())
-    assert crf.brute_force_log_z(p, e) == pytest.approx(expect, abs=1e-12)
+    assert brute_force_log_z(p, e) == pytest.approx(expect, abs=1e-12)
 
 
 def test_brute_force_guard():
     p = _zero_params(10)
-    with pytest.raises(crf.CrfError, match="enumerate"):
-        crf.brute_force_log_z(p, np.zeros((7, 10)))
+    with pytest.raises(ValueError, match="enumerate"):
+        brute_force_log_z(p, np.zeros((7, 10)))
 
 
 def test_path_probabilities_sum_to_one():
     rng = np.random.default_rng(4)
     p = _random_params(3, rng)
-    e = ad.constant(rng.uniform(-2, 2, (3, 3)))
+    e = rng.uniform(-2, 2, (3, 3))
     total = 0.0
     import itertools
 
     for gold in itertools.product(range(3), repeat=3):
-        loss = float(_nll(p, e, list(gold)).value)
-        total += math.exp(-loss)
+        total += math.exp(-_nll(p, e, list(gold)))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -135,12 +138,12 @@ def test_emission_shift_moves_log_z_and_keeps_path(c):
     p = _random_params(3, rng)
     e = rng.uniform(-2, 2, (4, 3))
     gold = [0, 1, 2, 1]
-    base = _nll(p, ad.constant(e), gold)
-    shifted = _nll(p, ad.constant(e + c), gold)
+    base = _nll(p, e, gold)
+    shifted = _nll(p, e + c, gold)
     # gold score also gains T*c, so the loss (logZ - score) is unchanged;
     # check logZ via loss + score instead.
-    base_log_z = float(base.value) + crf._path_score(p, e, gold)
-    shifted_log_z = float(shifted.value) + crf._path_score(p, e + c, gold)
+    base_log_z = base + path_score(p, e, gold)
+    shifted_log_z = shifted + path_score(p, e + c, gold)
     assert shifted_log_z == pytest.approx(base_log_z + 4 * c, abs=1e-8)
     assert _viterbi(p, e)[0] == _viterbi(p, e + c)[0]
 
@@ -153,33 +156,28 @@ def test_viterbi_score_never_exceeds_log_z():
         p = _random_params(L, rng)
         e = rng.uniform(-2, 2, (T, L))
         _, vscore = _viterbi(p, e)
-        assert vscore <= crf.brute_force_log_z(p, e) + 1e-12
+        assert vscore <= brute_force_log_z(p, e) + 1e-12
 
 
 def test_emission_gradient_is_marginals_minus_gold_onehot():
     rng = np.random.default_rng(7)
     p = _random_params(3, rng)
-    e = ad.leaf(rng.uniform(-1, 1, (4, 3)), requires_grad=True)
+    e = rng.uniform(-1, 1, (4, 3))
     gold = [2, 0, 1, 1]
-
-    def loss():
-        return _nll(p, e, gold)
-
-    err = ad.check_gradient(loss, [e], eps=1e-5, samples=12)
+    d_e = _nll_and_grads(p, e, gold)[1][0]
+    np.testing.assert_allclose(d_e.sum(axis=1), 0.0, atol=1e-12)  # marginals sum to one, as does the one-hot
+    err = check_gradient(lambda: _nll(p, e, gold), [e], [d_e], eps=1e-5, samples=12)
     assert err <= 1e-5
 
 
 def test_all_crf_parameters_pass_gradient_check():
     rng = np.random.default_rng(8)
     p = _random_params(4, rng)
-    e = ad.leaf(rng.uniform(-1, 1, (5, 4)), requires_grad=True)
+    e = rng.uniform(-1, 1, (5, 4))
     gold = [3, 1, 0, 2, 2]
-
-    def loss():
-        return _nll(p, e, gold)
-
     params = [e, p.transitions, p.start_scores, p.end_scores]
-    assert ad.check_gradient(loss, params, eps=1e-5, samples=50) <= 1e-5
+    grads = _nll_and_grads(p, e, gold)[1]
+    assert check_gradient(lambda: _nll(p, e, gold), params, grads, eps=1e-5, samples=50) <= 1e-5
 
 
 def test_non_finite_emissions_rejected():
@@ -187,14 +185,14 @@ def test_non_finite_emissions_rejected():
     bad = np.zeros((2, 2))
     bad[0, 0] = np.inf
     with pytest.raises(crf.CrfError, match="finite"):
-        _nll(p, ad.constant(bad), [0, 0])
+        _nll(p, bad, [0, 0])
     with pytest.raises(crf.CrfError, match="finite"):
         _viterbi(p, bad)
 
 
 def test_gold_validation():
     p = _zero_params(2)
-    e = ad.constant(np.zeros((2, 2)))
+    e = np.zeros((2, 2))
     with pytest.raises(crf.CrfError, match="out of range"):
         _nll(p, e, [0, 5])
     with pytest.raises(crf.CrfError, match="length"):
@@ -213,9 +211,9 @@ def _ragged_batch(rng, integer):
         def draw(shape):
             return rng.uniform(-2, 2, shape)
     p = crf.init_crf_params(L)
-    p.transitions.value[:] = draw((L, L))
-    p.start_scores.value[:] = draw(L)
-    p.end_scores.value[:] = draw(L)
+    p.transitions[:] = draw((L, L))
+    p.start_scores[:] = draw(L)
+    p.end_scores[:] = draw(L)
     lengths = rng.integers(1, T + 1, B)
     lengths[rng.integers(B)] = 1
     return p, draw((B, T, L)), rng.integers(0, L, (B, T)), lengths
@@ -225,8 +223,8 @@ def _all_path_scores(p, e):
     """Scores of all L^T paths of one (T, L) sentence, vectorised."""
     T, L = e.shape
     paths = np.indices((L,) * T).reshape(T, -1).T
-    trans = p.transitions.value[paths[:, :-1], paths[:, 1:]].sum(axis=1)
-    boundary = p.start_scores.value[paths[:, 0]] + p.end_scores.value[paths[:, -1]]
+    trans = p.transitions[paths[:, :-1], paths[:, 1:]].sum(axis=1)
+    boundary = p.start_scores[paths[:, 0]] + p.end_scores[paths[:, -1]]
     return boundary + e[np.arange(T), paths].sum(axis=1) + trans
 
 
@@ -234,8 +232,8 @@ def test_batched_nll_is_mean_of_brute_force_rows():
     rng = np.random.default_rng(9)
     for trial in range(40):
         p, e, gold, lengths = _ragged_batch(rng, integer=trial % 2 == 0)
-        loss = float(crf.crf_negative_log_likelihood(p, ad.constant(e), gold, lengths).value)
-        rows = [crf.brute_force_log_z(p, e[b, :n]) - crf._path_score(p, e[b, :n], gold[b, :n])
+        loss, _ = crf.crf_negative_log_likelihood(p, e, gold, lengths)
+        rows = [brute_force_log_z(p, e[b, :n]) - path_score(p, e[b, :n], gold[b, :n])
                 for b, n in enumerate(lengths)]
         assert abs(loss - np.mean(rows)) <= 1e-9
 
@@ -248,7 +246,7 @@ def test_batched_viterbi_rows_equal_brute_force_ties_included():
         paths, scores = crf.viterbi_decode(p, e, lengths)
         assert len(paths) == len(lengths)
         for b, n in enumerate(lengths):
-            bpath, bscore = crf.brute_force_best_path(p, e[b, :n])
+            bpath, bscore = brute_force_best_path(p, e[b, :n])
             assert paths[b] == bpath
             assert scores[b] == pytest.approx(bscore, abs=1e-9)
             all_scores = _all_path_scores(p, e[b, :n])
@@ -259,7 +257,7 @@ def test_batched_viterbi_rows_equal_brute_force_ties_included():
 def test_batched_gradient_check_on_ragged_batch():
     rng = np.random.default_rng(11)
     p = _random_params(4, rng)
-    e = ad.leaf(rng.uniform(-1, 1, (3, 5, 4)), requires_grad=True)
+    e = rng.uniform(-1, 1, (3, 5, 4))
     gold = rng.integers(0, 4, (3, 5))
     lengths = [5, 1, 3]
 
@@ -267,8 +265,9 @@ def test_batched_gradient_check_on_ragged_batch():
         return crf.crf_negative_log_likelihood(p, e, gold, lengths)
 
     params = [e, p.transitions, p.start_scores, p.end_scores]
-    assert ad.check_gradient(loss, params, eps=1e-5, samples=50, rng=np.random.default_rng(0)) <= 1e-5
-    d_e = ad.backward(loss())[e]
+    grads = loss()[1]
+    assert check_gradient(lambda: loss()[0], params, grads, eps=1e-5, samples=50, rng=np.random.default_rng(0)) <= 1e-5
+    d_e = grads[0]
     assert not d_e[1, 1:].any() and not d_e[2, 3:].any()
 
 
@@ -284,10 +283,8 @@ def test_batched_crf_ignores_what_lies_past_each_row():
     gold2[past] = -1
     results = []
     for em, gd in ((e, gold), (e2, gold2)):
-        node = ad.leaf(em, requires_grad=True)
-        loss = crf.crf_negative_log_likelihood(p, node, gd, lengths)
-        grads = ad.backward(loss)
-        results.append((float(loss.value), grads[node], grads[p.transitions], crf.viterbi_decode(p, em, lengths)[0]))
+        loss, (d_e, d_trans, _, _) = crf.crf_negative_log_likelihood(p, em, gd, lengths)
+        results.append((loss, d_e, d_trans, crf.viterbi_decode(p, em, lengths)[0]))
     (l1, g1, t1, v1), (l2, g2, t2, v2) = results
     assert l1 == l2 and v1 == v2
     np.testing.assert_array_equal(g1, g2)
@@ -305,4 +302,4 @@ def test_batch_shape_validation():
         with pytest.raises(crf.CrfError, match="lengths"):
             crf.viterbi_decode(p, e, lengths)
         with pytest.raises(crf.CrfError, match="lengths"):
-            crf.crf_negative_log_likelihood(p, ad.constant(e), np.zeros((2, 3)), lengths)
+            crf.crf_negative_log_likelihood(p, e, np.zeros((2, 3)), lengths)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gner import evaluation as ev
 from gner.corpus import Sentence, Token
 from gner.embeddings import EmbeddingStore
+from helpers import chunks_to_bio
 
 
 def test_extract_simple_chunk():
@@ -133,9 +134,9 @@ def test_tp_plus_fn_equals_gold_chunk_count(rows):
 @settings(max_examples=80, deadline=None)
 def test_render_extract_render_fixpoint(labels):
     chunks = ev.extract_chunks(labels)
-    rendered = ev.chunks_to_bio(chunks, len(labels))
+    rendered = chunks_to_bio(chunks, len(labels))
     assert ev.extract_chunks(rendered) == chunks
-    assert ev.chunks_to_bio(ev.extract_chunks(rendered), len(labels)) == rendered
+    assert chunks_to_bio(ev.extract_chunks(rendered), len(labels)) == rendered
 
 
 def test_split_oov_iv():

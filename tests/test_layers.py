@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from gner import autodiff as ad
 from gner import layers
+from oracles import check_gradient
 
 
 def _lstm(input_dim, cells, seed=0):
@@ -13,54 +13,76 @@ def _lstm(input_dim, cells, seed=0):
 
 def _zero_lstm(input_dim, cells):
     p = _lstm(input_dim, cells)
-    p.w_input.value[:] = 0.0
-    p.w_recurrent.value[:] = 0.0
-    p.bias.value[:] = 0.0
+    p.w_input[:] = 0.0
+    p.w_recurrent[:] = 0.0
+    p.bias[:] = 0.0
     return p
 
 
 # ---------------------------------------------------------------------------
 # Step-by-step reference: the composition the fused bilstm_sequence replaced,
-# one cell update per timestep from elementary autodiff ops, with masked rows
-# blended back to their previous state.
+# one cell update per timestep in plain numpy, with masked rows blended back
+# to their previous state.  It uses only analytic operations, so it also
+# runs on complex arrays: its complex-step derivatives are gradients exact to
+# rounding, an oracle for the hand-written BPTT.
 
 
 def ref_cell_step(params, x_t, h_prev, c_prev):
-    z = ad.add(ad.add(ad.matmul(x_t, params.w_input), ad.matmul(h_prev, params.w_recurrent)), params.bias)
+    z = x_t @ params.w_input + h_prev @ params.w_recurrent + params.bias
     n = params.cells
-    zi, zf, zg, zo = (ad.slice_(z, (Ellipsis, slice(k * n, (k + 1) * n))) for k in range(4))
-    i, f, g, o = ad.sigmoid(zi), ad.sigmoid(zf), ad.tanh(zg), ad.sigmoid(zo)
-    c_t = ad.add(ad.mul(f, c_prev), ad.mul(i, g))
-    return ad.mul(o, ad.tanh(c_t)), c_t
+    zi, zf, zg, zo = (z[..., k * n : (k + 1) * n] for k in range(4))
+    i, f, o = (1.0 / (1.0 + np.exp(-v)) for v in (zi, zf, zo))
+    g = np.tanh(zg)
+    c_t = f * c_prev + i * g
+    return o * np.tanh(c_t), c_t
 
 
-def ref_direction(params, xs, mask, order, rec_mask):
-    shape = (xs[0].value.shape[0], params.cells)
-    h = ad.constant(np.zeros(shape))
-    c = ad.constant(np.zeros(shape))
-    outputs = [None] * len(xs)
+def ref_direction(params, x, mask, order, rec_mask):
+    batch, steps, _ = x.shape
+    h = np.zeros((batch, params.cells), dtype=x.dtype)
+    c = np.zeros((batch, params.cells), dtype=x.dtype)
+    out = np.zeros((batch, steps, params.cells), dtype=np.result_type(x, params.w_input))
     for t in order:
-        m = mask[:, t].astype(np.float64)
-        keep = ad.constant(np.repeat(m[:, None], params.cells, axis=1))
-        drop = ad.constant(np.repeat(1.0 - m[:, None], params.cells, axis=1))
-        h_in = h if rec_mask is None else ad.mul(h, ad.constant(rec_mask))
-        h_new, c_new = ref_cell_step(params, xs[t], h_in, c)
-        h = ad.add(ad.mul(h_new, keep), ad.mul(h, drop))
-        c = ad.add(ad.mul(c_new, keep), ad.mul(c, drop))
-        outputs[t] = ad.mul(h, keep)
-    return outputs
+        keep = mask[:, t, None].astype(np.float64)
+        h_in = h if rec_mask is None else h * rec_mask
+        h_new, c_new = ref_cell_step(params, x[:, t], h_in, c)
+        h = h_new * keep + h * (1.0 - keep)
+        c = c_new * keep + c * (1.0 - keep)
+        out[:, t] = h * keep
+    return out
 
 
 def ref_bilstm(fwd, bwd, x, mask, recurrent_dropout=0.0, mode="eval", rng=None):
-    batch, steps, _ = x.value.shape
+    batch, steps, _ = x.shape
     mask = np.asarray(mask, dtype=bool)
-    xs = [ad.slice_(x, (slice(None), t)) for t in range(steps)]
     rec = [None, None]
     if mode == "train" and recurrent_dropout > 0.0:
         rec = [layers.dropout_mask((batch, p.cells), recurrent_dropout, rng) for p in (fwd, bwd)]
-    out_f = ref_direction(fwd, xs, mask, range(steps), rec[0])
-    out_b = ref_direction(bwd, xs, mask, range(steps - 1, -1, -1), rec[1])
-    return ad.stack([ad.concat_last([f, b]) for f, b in zip(out_f, out_b)], axis=1)
+    return np.concatenate([ref_direction(fwd, x, mask, range(steps), rec[0]),
+                           ref_direction(bwd, x, mask, range(steps - 1, -1, -1), rec[1])], axis=-1)
+
+
+def complex_step_grads(loss, arrays, h=1e-30):
+    """d loss / d array for each array, one complex-step evaluation per
+    entry: ``Im(loss(a + ih)) / h`` is exact to rounding for analytic
+    ``loss``, which reads the arrays as they are when called."""
+    grads = []
+    for k, a in enumerate(arrays):
+        g = np.zeros(a.shape)
+        for i in range(a.size):
+            probe = [b.astype(complex) for b in arrays]
+            probe[k].flat[i] += 1j * h
+            g.flat[i] = loss(*probe).imag / h
+        grads.append(g)
+    return grads
+
+
+def bilstm_loss_and_grads(fwd, bwd, x, mask, weights, **kwargs):
+    """``sum(bilstm_sequence(...) * weights)`` under a train-mode forward,
+    with the input's gradient and each direction's parameter gradients."""
+    out, cache = layers.bilstm_sequence(fwd, bwd, x, mask, mode="train", **kwargs)
+    dx, (gf, gb) = layers.bilstm_backward(cache, weights)
+    return float((out * weights).sum()), dx, gf, gb
 
 
 def _ones(batch, steps):
@@ -69,14 +91,14 @@ def _ones(batch, steps):
 
 def test_lstm_step_all_zero_gives_zero_state():
     p = _zero_lstm(3, 2)
-    out = layers.bilstm_sequence(p, p, ad.constant(np.zeros((1, 1, 3))), _ones(1, 1))
-    np.testing.assert_array_equal(out.value, np.zeros((1, 1, 4)))
+    out, _ = layers.bilstm_sequence(p, p, np.zeros((1, 1, 3)), _ones(1, 1))
+    np.testing.assert_array_equal(out, np.zeros((1, 1, 4)))
 
 
 def test_lstm_step_output_shape():
     p = _lstm(32, 50)
-    out = layers.bilstm_sequence(p, p, ad.constant(np.ones((1, 1, 32))), _ones(1, 1))
-    assert out.value.shape == (1, 1, 100)
+    out, _ = layers.bilstm_sequence(p, p, np.ones((1, 1, 32)), _ones(1, 1))
+    assert out.shape == (1, 1, 100)
 
 
 def test_lstm_step_matches_scalar_oracle():
@@ -91,7 +113,7 @@ def test_lstm_step_matches_scalar_oracle():
         return 1.0 / (1.0 + math.exp(-v))
 
     def scalar_step(p, x_t, h0, c0):
-        wi, wr, b = p.w_input.value, p.w_recurrent.value, p.bias.value
+        wi, wr, b = p.w_input, p.w_recurrent, p.bias
         hs, cs = [], []
         for j in range(2):
             z = [0.0] * 4
@@ -116,55 +138,55 @@ def test_lstm_step_matches_scalar_oracle():
             h, c = scalar_step(p, x[t], h, c)
             expect[t, half] = h
 
-    out = layers.bilstm_sequence(fwd, bwd, ad.constant(x[None]), _ones(1, 2))
-    np.testing.assert_allclose(out.value[0], expect, atol=1e-12)
+    out, _ = layers.bilstm_sequence(fwd, bwd, x[None], _ones(1, 2))
+    np.testing.assert_allclose(out[0], expect, atol=1e-12)
 
 
 def test_lstm_step_dimension_mismatch():
     p = _lstm(3, 2)
     with pytest.raises(layers.LayerError, match="input dim"):
-        layers.bilstm_sequence(p, p, ad.constant(np.zeros((1, 1, 4))), _ones(1, 1))
+        layers.bilstm_sequence(p, p, np.zeros((1, 1, 4)), _ones(1, 1))
 
 
 def test_forget_gate_bias_initialized_to_one():
     p = _lstm(4, 3)
-    np.testing.assert_array_equal(p.bias.value[3:6], np.ones(3))
-    np.testing.assert_array_equal(p.bias.value[:3], np.zeros(3))
-    np.testing.assert_array_equal(p.bias.value[6:], np.zeros(6))
+    np.testing.assert_array_equal(p.bias[3:6], np.ones(3))
+    np.testing.assert_array_equal(p.bias[:3], np.zeros(3))
+    np.testing.assert_array_equal(p.bias[6:], np.zeros(6))
 
 
 def _seq(rng, n, dim):
-    return ad.constant(rng.uniform(-1, 1, (1, n, dim)))
+    return rng.uniform(-1, 1, (1, n, dim))
 
 
 def test_bilstm_output_width_is_twice_cells():
     rng = np.random.default_rng(0)
-    out = layers.bilstm_sequence(_lstm(8, 50, 1), _lstm(8, 50, 2), _seq(rng, 4, 8), _ones(1, 4))
-    assert out.value.shape == (1, 4, 100)
+    out, _ = layers.bilstm_sequence(_lstm(8, 50, 1), _lstm(8, 50, 2), _seq(rng, 4, 8), _ones(1, 4))
+    assert out.shape == (1, 4, 100)
 
 
 def test_bilstm_length_one_concatenates_both_directions_on_same_element():
     rng = np.random.default_rng(1)
     fwd, bwd = _lstm(4, 3, 1), _lstm(4, 3, 2)
     x = _seq(rng, 1, 4)
-    out = layers.bilstm_sequence(fwd, bwd, x, _ones(1, 1))
-    x0, zero = ad.constant(x.value[:, 0]), ad.constant(np.zeros((1, 3)))
+    out, _ = layers.bilstm_sequence(fwd, bwd, x, _ones(1, 1))
+    x0, zero = x[:, 0], np.zeros((1, 3))
     hf, _ = ref_cell_step(fwd, x0, zero, zero)
     hb, _ = ref_cell_step(bwd, x0, zero, zero)
-    np.testing.assert_allclose(out.value[:, 0], np.concatenate([hf.value, hb.value], axis=1))
+    np.testing.assert_allclose(out[:, 0], np.concatenate([hf, hb], axis=1))
 
 
 def test_bilstm_empty_sequence_rejected():
     with pytest.raises(layers.LayerError, match="empty"):
-        layers.bilstm_sequence(_lstm(4, 3), _lstm(4, 3), ad.constant(np.zeros((1, 0, 4))), _ones(1, 0))
+        layers.bilstm_sequence(_lstm(4, 3), _lstm(4, 3), np.zeros((1, 0, 4)), _ones(1, 0))
 
 
 def test_bilstm_reversal_symmetry():
     rng = np.random.default_rng(3)
     fwd, bwd = _lstm(5, 4, 1), _lstm(5, 4, 2)
     xs = _seq(rng, 6, 5)
-    out = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 6)).value[0]
-    swapped = layers.bilstm_sequence(bwd, fwd, ad.constant(xs.value[:, ::-1]), _ones(1, 6)).value[0]
+    out = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 6))[0][0]
+    swapped = layers.bilstm_sequence(bwd, fwd, xs[:, ::-1], _ones(1, 6))[0][0]
     for t in range(6):
         fwd_half, bwd_half = out[t, :4], out[t, 4:]
         np.testing.assert_allclose(swapped[5 - t], np.concatenate([bwd_half, fwd_half]), atol=1e-12)
@@ -175,11 +197,11 @@ def test_bilstm_masked_positions_are_zero_and_skip_state():
     fwd, bwd = _lstm(3, 2, 1), _lstm(3, 2, 2)
     xs = _seq(rng, 4, 3)
     mask = np.array([[True, True, False, False]])
-    out = layers.bilstm_sequence(fwd, bwd, xs, mask).value[0]
+    out = layers.bilstm_sequence(fwd, bwd, xs, mask)[0][0]
     np.testing.assert_array_equal(out[2], np.zeros(4))
     np.testing.assert_array_equal(out[3], np.zeros(4))
     # Same result as running the unmasked prefix alone.
-    ref = layers.bilstm_sequence(fwd, bwd, ad.constant(xs.value[:, :2]), _ones(1, 2)).value[0]
+    ref = layers.bilstm_sequence(fwd, bwd, xs[:, :2], _ones(1, 2))[0][0]
     for t in range(2):
         np.testing.assert_allclose(out[t], ref[t], atol=1e-12)
 
@@ -187,21 +209,20 @@ def test_bilstm_masked_positions_are_zero_and_skip_state():
 def test_masked_positions_contribute_zero_gradient():
     rng = np.random.default_rng(5)
     fwd, bwd = _lstm(3, 2, 1), _lstm(3, 2, 2)
-    xs = _seq(rng, 3, 3).value
+    xs = _seq(rng, 3, 3)
     mask = np.array([[True, False, True]])
 
     def grads_with(x1):
         seq = xs.copy()
         seq[0, 1] = x1
-        out = layers.bilstm_sequence(fwd, bwd, ad.constant(seq), mask)
-        g = ad.backward(ad.sum_all(out))
-        return {name: g[node].copy() for name, node in
-                [("wi", fwd.w_input), ("wr", fwd.w_recurrent), ("b", fwd.bias)]}
+        _, dx, gf, gb = bilstm_loss_and_grads(fwd, bwd, seq, mask, np.ones((1, 3, 4)))
+        np.testing.assert_array_equal(dx[0, 1], 0.0)
+        return gf + gb
 
     a = grads_with(rng.uniform(-1, 1, 3))
     b = grads_with(rng.uniform(-1, 1, 3))
-    for k in a:
-        np.testing.assert_array_equal(a[k], b[k])
+    for ga, gb in zip(a, b):
+        np.testing.assert_array_equal(ga, gb)
 
 
 def test_bilstm_gradient_check_with_mask():
@@ -209,13 +230,14 @@ def test_bilstm_gradient_check_with_mask():
     fwd, bwd = _lstm(3, 2, 7), _lstm(3, 2, 8)
     xs = _seq(rng, 4, 3)
     mask = np.array([[True, True, True, False]])
-    weights = ad.constant(rng.uniform(-1, 1, (1, 4, 4)))
+    weights = rng.uniform(-1, 1, (1, 4, 4))
+    _, _, gf, gb = bilstm_loss_and_grads(fwd, bwd, xs, mask, weights)
 
     def loss():
-        return ad.sum_all(ad.mul(layers.bilstm_sequence(fwd, bwd, xs, mask), weights))
+        return float((layers.bilstm_sequence(fwd, bwd, xs, mask)[0] * weights).sum())
 
     params = [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
-    assert ad.check_gradient(loss, params, eps=1e-5, samples=60) <= 1e-4
+    assert check_gradient(loss, params, [*gf, *gb], eps=1e-5, samples=60) <= 1e-4
 
 
 def _ragged_mask(rng, batch, steps):
@@ -230,24 +252,27 @@ def _check_against_step_reference(mask, mode, rate, seed):
     rng = np.random.default_rng(seed)
     batch, steps = mask.shape
     fwd, bwd = _lstm(5, 3, 1), _lstm(5, 3, 2)
-    x = ad.leaf(rng.uniform(-1, 1, (batch, steps, 5)), requires_grad=True)
-    weights = ad.constant(rng.uniform(-1, 1, (batch, steps, 6)))
-    params = [x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
+    x = rng.uniform(-1, 1, (batch, steps, 5))
+    weights = rng.uniform(-1, 1, (batch, steps, 6))
+    arrays = [x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
 
-    def run(fn):
-        out = fn(fwd, bwd, x, mask, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
-        grads = ad.backward(ad.sum_all(ad.mul(out, weights)))
-        return out.value, [grads[p] for p in params]
+    def ref(x, *weights_and_biases):
+        f, b = (layers.LstmParams(*weights_and_biases[k : k + 3], cells=3) for k in (0, 3))
+        return ref_bilstm(f, b, x, mask, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
 
-    fused, fused_grads = run(layers.bilstm_sequence)
-    ref, ref_grads = run(ref_bilstm)
-    np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-12)
-    for got, want in zip(fused_grads, ref_grads):
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+    fused, _ = layers.bilstm_sequence(fwd, bwd, x, mask, recurrent_dropout=rate, mode=mode,
+                                      rng=np.random.default_rng(8))
+    np.testing.assert_allclose(fused, ref(*arrays), rtol=1e-12, atol=1e-12)
+    # Gradients come from the train path; with rate 0 it computes what eval does.
+    _, dx, gf, gb = bilstm_loss_and_grads(fwd, bwd, x, mask, weights, recurrent_dropout=rate,
+                                          rng=np.random.default_rng(8))
+    want = complex_step_grads(lambda *a: (ref(*a) * weights).sum(), arrays)
+    for got, w in zip([dx, *gf, *gb], want):
+        np.testing.assert_allclose(got, w, rtol=1e-12, atol=1e-12)
     # Masked positions, and all-off rows entirely, emit zeros and take no
     # gradient.
     np.testing.assert_array_equal(fused[~mask], 0.0)
-    np.testing.assert_array_equal(fused_grads[0][~mask], 0.0)
+    np.testing.assert_array_equal(dx[~mask], 0.0)
 
 
 @pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
@@ -276,75 +301,83 @@ def test_fused_bilstm_input_gradient_check():
     rng = np.random.default_rng(22)
     fwd, bwd = _lstm(3, 2, 3), _lstm(3, 2, 4)
     mask = _ragged_mask(rng, 3, 5)
-    x = ad.leaf(rng.uniform(-1, 1, (3, 5, 3)), requires_grad=True)
-    weights = ad.constant(rng.uniform(-1, 1, (3, 5, 4)))
+    x = rng.uniform(-1, 1, (3, 5, 3))
+    weights = rng.uniform(-1, 1, (3, 5, 4))
+    _, dx, _, _ = bilstm_loss_and_grads(fwd, bwd, x, mask, weights)
 
     def loss():
-        return ad.sum_all(ad.mul(layers.bilstm_sequence(fwd, bwd, x, mask), weights))
+        return float((layers.bilstm_sequence(fwd, bwd, x, mask)[0] * weights).sum())
 
-    assert ad.check_gradient(loss, [x], eps=1e-5, samples=45) <= 1e-4
+    assert check_gradient(loss, [x], [dx], eps=1e-5, samples=45) <= 1e-4
 
 
 def _valid(p, x):
     """Window counts that keep every window inside its row (a valid conv)."""
-    rows, steps, _ = x.value.shape
+    rows, steps, _ = x.shape
     return np.full(rows, steps - p.kernel_size + 1)
+
+
+def _conv(p, x, lengths):
+    return layers.conv1d_globalmaxpool(p, x, lengths)[0]
+
+
+def _conv_grads(p, x, lengths, weights):
+    """Gradients of ``sum(conv1d_globalmaxpool(p, x, lengths) * weights)``
+    w.r.t. the input, the kernels and the bias."""
+    _, cache = layers.conv1d_globalmaxpool(p, x, lengths, mode="train")
+    return layers.conv1d_backward(cache, weights)
 
 
 def test_conv_sum_kernel():
     p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
-    p.kernels.value[:] = 1.0
-    p.bias.value[:] = 0.0
-    x = ad.constant(np.array([[[1.0], [2.0], [3.0]]]))
-    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
-    np.testing.assert_array_equal(out.value, np.array([[6.0]]))
+    p.kernels[:] = 1.0
+    p.bias[:] = 0.0
+    x = np.array([[[1.0], [2.0], [3.0]]])
+    np.testing.assert_array_equal(_conv(p, x, _valid(p, x)), np.array([[6.0]]))
 
 
 def test_conv_per_filter_columnwise_max():
     # Two positions with activations [[1,5],[3,2]] pool to [3,5].
     p = layers.init_conv1d_params(1, 2, 2, np.random.default_rng(0))
-    p.kernels.value[:] = 0.0
-    p.kernels.value[0, 0, 0] = 1.0
-    p.kernels.value[0, 1, 1] = 1.0
-    p.bias.value[:] = 0.0
-    x = ad.constant(np.array([[[1.0, 5.0], [3.0, 2.0]]]))
-    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
-    np.testing.assert_array_equal(out.value, np.array([[3.0, 5.0]]))
+    p.kernels[:] = 0.0
+    p.kernels[0, 0, 0] = 1.0
+    p.kernels[0, 1, 1] = 1.0
+    p.bias[:] = 0.0
+    x = np.array([[[1.0, 5.0], [3.0, 2.0]]])
+    np.testing.assert_array_equal(_conv(p, x, _valid(p, x)), np.array([[3.0, 5.0]]))
 
 
 def test_conv_relu_floor():
     p = layers.init_conv1d_params(2, 1, 1, np.random.default_rng(0))
-    p.kernels.value[:] = 1.0
-    p.bias.value[:] = -100.0
-    x = ad.constant(np.ones((1, 3, 1)))
-    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
-    np.testing.assert_array_equal(out.value, np.array([[0.0]]))
+    p.kernels[:] = 1.0
+    p.bias[:] = -100.0
+    x = np.ones((1, 3, 1))
+    np.testing.assert_array_equal(_conv(p, x, _valid(p, x)), np.array([[0.0]]))
     # Positive pre-activations pass unchanged.
-    p.bias.value[:] = 100.0
-    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, _valid(p, x)).value, np.array([[102.0]]))
+    p.bias[:] = 100.0
+    np.testing.assert_array_equal(_conv(p, x, _valid(p, x)), np.array([[102.0]]))
 
 
 def test_conv_sequence_shorter_than_kernel_reads_zeros():
     # Two steps under a width-3 kernel: window 0 is 1*1 + 2*10 + 0*100,
     # window 1 is 2*1 + 0*10 + 0*100.
     p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
-    p.kernels.value[:, 0, 0] = [1.0, 10.0, 100.0]
-    p.bias.value[:] = 0.0
-    x = ad.constant(np.array([[[1.0], [2.0]]]))
-    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, [2]).value, [[21.0]])
-    p.kernels.value[:, 0, 0] = [1.0, -10.0, 100.0]
-    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, [2]).value, [[2.0]])
-    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, [1]).value, [[0.0]])
+    p.kernels[:, 0, 0] = [1.0, 10.0, 100.0]
+    p.bias[:] = 0.0
+    x = np.array([[[1.0], [2.0]]])
+    np.testing.assert_array_equal(_conv(p, x, [2]), [[21.0]])
+    p.kernels[:, 0, 0] = [1.0, -10.0, 100.0]
+    np.testing.assert_array_equal(_conv(p, x, [2]), [[2.0]])
+    np.testing.assert_array_equal(_conv(p, x, [1]), [[0.0]])
     with pytest.raises(layers.LayerError, match="lengths"):
         layers.conv1d_globalmaxpool(p, x, [3])
 
 
 def test_conv_gradient_reaches_only_argmax_positions():
     p = layers.init_conv1d_params(1, 2, 2, np.random.default_rng(2))
-    x = ad.leaf(np.array([[[0.9, 0.1], [0.2, 0.8], [0.3, 0.2]]]), requires_grad=True)
-    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
-    grads = ad.backward(ad.sum_all(out))
-    nonzero = [i for i in range(3) if np.any(grads[x][0, i] != 0)]
+    x = np.array([[[0.9, 0.1], [0.2, 0.8], [0.3, 0.2]]])
+    dx, _, _ = _conv_grads(p, x, _valid(p, x), np.ones((1, 2)))
+    nonzero = [i for i in range(3) if np.any(dx[0, i] != 0)]
     # With kernel size 1, pre-activations are per-position; the max for each
     # filter lives at exactly one position, so at most 2 positions get grad.
     assert 1 <= len(nonzero) <= 2
@@ -354,13 +387,14 @@ def test_conv_gradient_reaches_only_argmax_positions():
 def test_conv_gradient_check():
     rng = np.random.default_rng(9)
     p = layers.init_conv1d_params(3, 2, 4, rng)
-    x = ad.constant(rng.uniform(-1, 1, (1, 5, 2)))
-    w = ad.constant(rng.uniform(-1, 1, (1, 4)))
+    x = rng.uniform(-1, 1, (1, 5, 2))
+    w = rng.uniform(-1, 1, (1, 4))
+    _, d_kernels, d_bias = _conv_grads(p, x, _valid(p, x), w)
 
     def loss():
-        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x, _valid(p, x)), w))
+        return float((_conv(p, x, _valid(p, x)) * w).sum())
 
-    assert ad.check_gradient(loss, [p.kernels, p.bias], eps=1e-5, samples=28) <= 1e-4
+    assert check_gradient(loss, [p.kernels, p.bias], [d_kernels, d_bias], eps=1e-5, samples=28) <= 1e-4
 
 
 def _conv_reference(kernels, bias, x):
@@ -378,10 +412,10 @@ def _conv_reference(kernels, bias, x):
 def test_conv_matches_window_reference(k):
     rng = np.random.default_rng(30 + k)
     p = layers.init_conv1d_params(k, 3, 6, rng)
-    p.bias.value[:] = rng.uniform(-0.5, 0.5, 6)
-    x = ad.constant(rng.uniform(-1, 1, (4, 7, 3)))
-    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
-    np.testing.assert_allclose(out.value, _conv_reference(p.kernels.value, p.bias.value, x.value), rtol=1e-12, atol=1e-14)
+    p.bias[:] = rng.uniform(-0.5, 0.5, 6)
+    x = rng.uniform(-1, 1, (4, 7, 3))
+    out = _conv(p, x, _valid(p, x))
+    np.testing.assert_allclose(out, _conv_reference(p.kernels, p.bias, x), rtol=1e-12, atol=1e-14)
 
 
 def test_conv_lengths_pool_only_windows_starting_inside_the_row():
@@ -389,21 +423,20 @@ def test_conv_lengths_pool_only_windows_starting_inside_the_row():
     # over the row cut to lengths[r] + k - 1 steps, whatever follows.
     rng = np.random.default_rng(32)
     p = layers.init_conv1d_params(3, 2, 4, rng)
-    p.bias.value[:] = rng.uniform(-0.5, 0.5, 4)
+    p.bias[:] = rng.uniform(-0.5, 0.5, 4)
     x = rng.uniform(-1, 1, (3, 8, 2))
     lengths = np.array([1, 4, 6])
     x[0, 3:] = x[1, 6:] = 50.0  # far outside the real rows' range
-    out = layers.conv1d_globalmaxpool(p, ad.constant(x), lengths)
+    out = _conv(p, x, lengths)
     for r, n in enumerate(lengths):
-        want = _conv_reference(p.kernels.value, p.bias.value, x[r : r + 1, : n + 2])
-        np.testing.assert_allclose(out.value[r : r + 1], want, rtol=1e-12, atol=1e-14)
-    xl = ad.leaf(x, requires_grad=True)
-    grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, xl, lengths)))
-    np.testing.assert_array_equal(grads[xl][0, 3:], 0.0)
-    np.testing.assert_array_equal(grads[xl][1, 6:], 0.0)
+        want = _conv_reference(p.kernels, p.bias, x[r : r + 1, : n + 2])
+        np.testing.assert_allclose(out[r : r + 1], want, rtol=1e-12, atol=1e-14)
+    dx, _, _ = _conv_grads(p, x, lengths, np.ones((3, 4)))
+    np.testing.assert_array_equal(dx[0, 3:], 0.0)
+    np.testing.assert_array_equal(dx[1, 6:], 0.0)
     for bad in ([0, 1, 1], [1, 1, 9], [1, 1]):
         with pytest.raises(layers.LayerError, match="lengths"):
-            layers.conv1d_globalmaxpool(p, ad.constant(x), np.array(bad))
+            layers.conv1d_globalmaxpool(p, x, np.array(bad))
 
 
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -413,69 +446,67 @@ def test_conv_overhang_matches_zero_padded_row(k):
     # Four steps under k = 5 also covers a row shorter than the kernel.
     rng = np.random.default_rng(40 + k)
     p = layers.init_conv1d_params(k, 3, 5, rng)
-    p.bias.value[:] = rng.uniform(-0.5, 0.5, 5)
+    p.bias[:] = rng.uniform(-0.5, 0.5, 5)
     x = rng.uniform(-1, 1, (4, 4, 3))
     lengths = np.array([4, 1, 3, 4])
     padded = np.concatenate([x, np.zeros((4, k - 1, 3))], axis=1)
-    w = ad.constant(rng.uniform(-1, 1, (4, 5)))
+    w = rng.uniform(-1, 1, (4, 5))
 
     def run(inp):
-        xl = ad.leaf(inp, requires_grad=True)
-        out = layers.conv1d_globalmaxpool(p, xl, lengths)
-        grads = ad.backward(ad.sum_all(ad.mul(out, w)))
-        return out.value, grads[xl][:, :4], grads[p.kernels], grads[p.bias]
+        dx, d_kernels, d_bias = _conv_grads(p, inp, lengths, w)
+        return _conv(p, inp, lengths), dx[:, :4], d_kernels, d_bias
 
     got, want = run(x), run(padded)
     for g, r in zip(got, want):
         np.testing.assert_allclose(g, r, rtol=1e-12, atol=1e-14)
     for r, n in enumerate(lengths):
-        ref = _conv_reference(p.kernels.value, p.bias.value, padded[r : r + 1, : n + k - 1])
+        ref = _conv_reference(p.kernels, p.bias, padded[r : r + 1, : n + k - 1])
         np.testing.assert_allclose(got[0][r : r + 1], ref, rtol=1e-12, atol=1e-14)
 
 
 def test_conv_gradient_check_input_kernels_and_bias():
     rng = np.random.default_rng(31)
     p = layers.init_conv1d_params(3, 2, 4, rng)
-    p.bias.value[:] = rng.uniform(-0.5, 0.5, 4)
-    x = ad.leaf(rng.uniform(-1, 1, (3, 6, 2)), requires_grad=True)
-    w = ad.constant(rng.uniform(-1, 1, (3, 4)))
+    p.bias[:] = rng.uniform(-0.5, 0.5, 4)
+    x = rng.uniform(-1, 1, (3, 6, 2))
+    w = rng.uniform(-1, 1, (3, 4))
+    grads = _conv_grads(p, x, _valid(p, x), w)
 
     def loss():
-        return ad.sum_all(ad.mul(layers.conv1d_globalmaxpool(p, x, _valid(p, x)), w))
+        return float((_conv(p, x, _valid(p, x)) * w).sum())
 
-    for params, samples in (([x], 36), ([p.kernels], 24), ([p.bias], 4)):
-        err, stats = ad.check_gradient(loss, params, eps=1e-5, samples=samples, return_stats=True)
+    for params, g, samples in (([x], grads[:1], 36), ([p.kernels], grads[1:2], 24), ([p.bias], grads[2:], 4)):
+        err, stats = check_gradient(loss, params, g, eps=1e-5, samples=samples, return_stats=True)
         assert stats["checked"] == samples
         assert err <= 1e-4
 
 
 def test_conv_tied_windows_gradient_goes_to_first_argmax():
     p = layers.init_conv1d_params(1, 1, 1, np.random.default_rng(0))
-    p.kernels.value[:] = 1.0
-    p.bias.value[:] = 0.0
-    x = ad.leaf(np.array([[[2.0], [5.0], [1.0], [5.0]]]), requires_grad=True)
-    grads = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(p, x, _valid(p, x))))
-    np.testing.assert_array_equal(grads[x], np.array([[[0.0], [1.0], [0.0], [0.0]]]))
-    np.testing.assert_array_equal(grads[p.kernels], np.array([[[5.0]]]))
+    p.kernels[:] = 1.0
+    p.bias[:] = 0.0
+    x = np.array([[[2.0], [5.0], [1.0], [5.0]]])
+    dx, d_kernels, _ = _conv_grads(p, x, _valid(p, x), np.ones((1, 1)))
+    np.testing.assert_array_equal(dx, np.array([[[0.0], [1.0], [0.0], [0.0]]]))
+    np.testing.assert_array_equal(d_kernels, np.array([[[5.0]]]))
 
 
 def test_conv_all_negative_filter_gets_zero_gradient():
     # Filter 1's bias keeps every window negative: it outputs 0 and passes
     # no gradient, while filter 0 still reaches its argmax window.
     p = layers.init_conv1d_params(2, 2, 2, np.random.default_rng(4))
-    p.bias.value[:] = [0.0, -100.0]
-    x = ad.leaf(np.random.default_rng(5).uniform(0.1, 1, (2, 5, 2)), requires_grad=True)
+    p.bias[:] = [0.0, -100.0]
+    x = np.random.default_rng(5).uniform(0.1, 1, (2, 5, 2))
     only_first = layers.init_conv1d_params(2, 2, 1, np.random.default_rng(0))
-    only_first.kernels.value[:] = p.kernels.value[..., :1]
-    only_first.bias.value[:] = 0.0
+    only_first.kernels[:] = p.kernels[..., :1]
+    only_first.bias[:] = 0.0
 
-    out = layers.conv1d_globalmaxpool(p, x, _valid(p, x))
-    np.testing.assert_array_equal(out.value[:, 1], 0.0)
-    grads = ad.backward(ad.sum_all(out))
-    np.testing.assert_array_equal(grads[p.kernels][..., 1], 0.0)
-    assert grads[p.bias][1] == 0.0
-    ref = ad.backward(ad.sum_all(layers.conv1d_globalmaxpool(only_first, x, _valid(p, x))))
-    np.testing.assert_array_equal(grads[x], ref[x])
+    np.testing.assert_array_equal(_conv(p, x, _valid(p, x))[:, 1], 0.0)
+    dx, d_kernels, d_bias = _conv_grads(p, x, _valid(p, x), np.ones((2, 2)))
+    np.testing.assert_array_equal(d_kernels[..., 1], 0.0)
+    assert d_bias[1] == 0.0
+    ref_dx, _, _ = _conv_grads(only_first, x, _valid(p, x), np.ones((2, 1)))
+    np.testing.assert_array_equal(dx, ref_dx)
 
 
 def test_dropout_identity_cases():
@@ -505,47 +536,52 @@ def test_recurrent_dropout_mask_constant_across_timesteps():
     np.testing.assert_array_equal(m0, m1)
     # And within one bilstm call the mask object is sampled once per direction:
     xs = _seq(rng, 5, 4)
-    out_a = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 5), recurrent_dropout=0.5, mode="train",
-                                   rng=np.random.default_rng(7))
-    out_b = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 5), recurrent_dropout=0.5, mode="train",
-                                   rng=np.random.default_rng(7))
-    np.testing.assert_array_equal(out_a.value, out_b.value)
+    out_a, _ = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 5), recurrent_dropout=0.5, mode="train",
+                                      rng=np.random.default_rng(7))
+    out_b, _ = layers.bilstm_sequence(fwd, bwd, xs, _ones(1, 5), recurrent_dropout=0.5, mode="train",
+                                      rng=np.random.default_rng(7))
+    np.testing.assert_array_equal(out_a, out_b)
 
 
 def test_embed_lookup_rows_and_bounds():
     table = layers.init_embedding_table(5, 3, np.random.default_rng(0))
     out = layers.embed_lookup(table, [0])
-    np.testing.assert_array_equal(out.value[0], table.rows.value[0])
+    np.testing.assert_array_equal(out[0], table.rows[0])
     with pytest.raises(IndexError, match="5"):
         layers.embed_lookup(table, [5])
 
 
 def test_embed_repeated_index_doubles_gradient():
     table = layers.init_embedding_table(4, 2, np.random.default_rng(1))
-    single = ad.backward(ad.sum_all(layers.embed_lookup(table, [2])))[table.rows]
-    double = ad.backward(ad.sum_all(layers.embed_lookup(table, [2, 2])))[table.rows]
+    single = layers.embed_backward(table, [2], np.ones((1, 2)))
+    double = layers.embed_backward(table, [2, 2], np.ones((2, 2)))
     np.testing.assert_array_equal(double[2], 2.0 * single[2])
 
 
 def test_lstm_full_step_gradient_check():
-    # Two steps, so the recurrent weights see a non-zero state.
+    # Two steps, so the recurrent weights see a non-zero state.  One
+    # parameter set runs both directions, so its gradient is their sum.
     rng = np.random.default_rng(10)
     p = _lstm(4, 3, seed=3)
-    x = ad.constant(rng.uniform(-1, 1, (1, 2, 4)))
-    w = ad.constant(rng.uniform(-1, 1, (1, 2, 6)))
+    x = rng.uniform(-1, 1, (1, 2, 4))
+    w = rng.uniform(-1, 1, (1, 2, 6))
+    _, _, gf, gb = bilstm_loss_and_grads(p, p, x, _ones(1, 2), w)
 
     def loss():
-        return ad.sum_all(ad.mul(layers.bilstm_sequence(p, p, x, _ones(1, 2)), w))
+        return float((layers.bilstm_sequence(p, p, x, _ones(1, 2))[0] * w).sum())
 
-    assert ad.check_gradient(loss, [p.w_input, p.w_recurrent, p.bias], eps=1e-5, samples=60) <= 1e-4
+    grads = [a + b for a, b in zip(gf, gb)]
+    assert check_gradient(loss, [p.w_input, p.w_recurrent, p.bias], grads, eps=1e-5, samples=60) <= 1e-4
 
 
 def test_embedding_gradient_check():
     rng = np.random.default_rng(12)
     table = layers.init_embedding_table(6, 3, rng)
-    w = ad.constant(rng.uniform(-1, 1, (4, 3)))
+    w = rng.uniform(-1, 1, (4, 3))
+    idx = [1, 3, 3, 5]
 
     def loss():
-        return ad.sum_all(ad.mul(layers.embed_lookup(table, [1, 3, 3, 5]), w))
+        return float((layers.embed_lookup(table, idx) * w).sum())
 
-    assert ad.check_gradient(loss, [table.rows], eps=1e-5, samples=18) <= 1e-4
+    grads = [layers.embed_backward(table, idx, w)]
+    assert check_gradient(loss, [table.rows], grads, eps=1e-5, samples=18) <= 1e-4

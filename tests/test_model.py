@@ -3,7 +3,6 @@ import io
 import numpy as np
 import pytest
 
-from gner import autodiff as ad
 from gner import cli
 from gner import layers
 from gner import model as M
@@ -19,6 +18,7 @@ from gner.corpus import (
 from gner.datagen import make_corpus, make_embedding_store
 from gner.embeddings import write_text_vectors
 from gner.training import batch_loss
+from oracles import check_gradient
 
 
 def _toy_config(variant, schema=None, **overrides):
@@ -51,9 +51,9 @@ def _randomize_biases(model, seed):
     # Fresh biases are zero (forget gates one), which makes an all-pad
     # window or pad step yield exact zeros; trained biases do not.
     rng = np.random.default_rng(seed)
-    for name, node in model.parameters():
+    for name, p in model.parameters():
         if name.endswith("bias"):
-            node.value[:] = rng.uniform(-0.5, 0.5, node.value.shape)
+            p[:] = rng.uniform(-0.5, 0.5, p.shape)
 
 
 def test_input_width_per_variant():
@@ -72,15 +72,35 @@ def test_unknown_variant_rejected():
 
 def test_eval_forward_is_deterministic():
     model, store, batch, _ = _toy_setup("bilstm")
-    a = M.forward_emissions(model, batch, store, mode="eval").value
-    b = M.forward_emissions(model, batch, store, mode="eval").value
+    a = M.forward_emissions(model, batch, store, mode="eval")
+    b = M.forward_emissions(model, batch, store, mode="eval")
     assert a.tobytes() == b.tobytes()
 
 
 def test_emissions_shape_contract():
     model, store, batch, sents = _toy_setup("cnn")
     em = M.forward_emissions(model, batch, store, mode="eval")
-    assert em.value.shape == (len(sents), batch.max_len, len(model.config.label_schema))
+    assert em.shape == (len(sents), batch.max_len, len(model.config.label_schema))
+
+
+@pytest.mark.parametrize("variant", ["cnn3", "bilstm2"])
+def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkeypatch):
+    model, store, batch, sents = _toy_setup(variant)
+    caches = []
+    for name in ("bilstm_sequence", "conv1d_globalmaxpool"):
+        def recorded(*args, _fn=getattr(M, name), **kwargs):
+            out, cache = _fn(*args, **kwargs)
+            caches.append(cache)
+            return out, cache
+
+        monkeypatch.setattr(M, name, recorded)
+    em = M.forward_emissions(model, batch, store, mode="eval")
+    assert type(em) is np.ndarray and em.shape == (len(sents), batch.max_len, model.config.num_labels)
+    assert len(caches) >= 2 and all(c is None for c in caches)
+    caches.clear()
+    train_em, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
+    assert train_em.shape == em.shape and cache is not None
+    assert len(caches) >= 2 and all(c is not None for c in caches)
 
 
 def test_char_mode_mismatch_rejected():
@@ -95,21 +115,17 @@ def test_masked_positions_carry_zero_gradient_into_token_lstm():
     longest = max(len(s) for s in sents)
     assert any(len(s) < longest for s in sents), "need ragged lengths"
 
-    em = M.forward_emissions(model, batch, store, mode="eval")
-    # Select only masked rows; their gradient path into parameters must vanish.
-    loss_terms = []
-    for i, s in enumerate(sents):
-        if len(s) < batch.max_len:
-            loss_terms.append(ad.sum_all(ad.slice_(em, (i, slice(len(s), batch.max_len)))))
-    total = loss_terms[0]
-    for term in loss_terms[1:]:
-        total = ad.add(total, term)
-    grads = ad.backward(total)
-    g = grads.get(model.token_fwd.w_input)
+    em, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
+    # A loss over the masked positions alone; its gradient path into the
+    # token BiLSTM must vanish.
+    d_em = np.where(batch.mask[..., None], 0.0, 1.0) * np.ones(em.shape)
+    L = model.config.num_labels
+    grads = M.backward(model, cache, (d_em, np.zeros((L, L)), np.zeros(L), np.zeros(L)))
     # Masked outputs are exact zeros with no dependence on LSTM weights; only
     # the dense bias feeds them.
-    assert g is None or not np.any(g)
-    assert grads.get(model.token_fwd.w_recurrent) is None or not np.any(grads[model.token_fwd.w_recurrent])
+    for name, g in grads.items():
+        assert np.any(g) == (name == "dense.b"), name
+    np.testing.assert_array_equal(grads["dense.b"], (~batch.mask).sum())
 
 
 def test_emissions_invariant_to_padding_length():
@@ -122,8 +138,8 @@ def test_emissions_invariant_to_padding_length():
     plain = batch_from_sentences([s], model.char_vocab, cfg.required_char_mode)
     padded = batch_from_sentences([s, longer], model.char_vocab, cfg.required_char_mode)
     assert padded.max_len == len(s) + 5 and padded.char_indices.shape[2] > plain.char_indices.shape[2]
-    em_plain = M.forward_emissions(model, plain, store, mode="eval").value[0, : len(s)]
-    em_padded = M.forward_emissions(model, padded, store, mode="eval").value[0, : len(s)]
+    em_plain = M.forward_emissions(model, plain, store, mode="eval")[0, : len(s)]
+    em_padded = M.forward_emissions(model, padded, store, mode="eval")[0, : len(s)]
     np.testing.assert_allclose(em_plain, em_padded, atol=1e-12)
 
 
@@ -144,12 +160,12 @@ def test_batched_forward_matches_single_sentence(variant):
     _randomize_biases(model, 4)
     store = make_embedding_store(sents, dim=8, seed=4)
     big = batch_from_sentences(sents, vocab, config.required_char_mode)
-    em_big = M.forward_emissions(model, big, store, mode="eval").value
+    em_big = M.forward_emissions(model, big, store, mode="eval")
     for i, s in enumerate(sents):
         single = batch_from_sentences([s], vocab, config.required_char_mode)
         if variant != "none":
             assert single.char_indices.shape[2] < big.char_indices.shape[2] or i == 1
-        em_one = M.forward_emissions(model, single, store, mode="eval").value
+        em_one = M.forward_emissions(model, single, store, mode="eval")
         np.testing.assert_allclose(em_big[i, : len(s)], em_one[0, : len(s)], rtol=0, atol=1e-12)
 
 
@@ -161,15 +177,15 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
     vocab = build_char_vocab(sents)
     model = M.build_model(_toy_config(variant), vocab, seed=8)
     _randomize_biases(model, 8)
-    feat, inverse = M._char_features(model, batch_from_sentences(sents, vocab, "rnn"), "eval")
+    feat, inverse, _ = M._char_features(model, batch_from_sentences(sents, vocab, "rnn"), "eval")
     c = model.config.char_lstm_cells
     for t, tok in enumerate(sents[0].tokens):
         idx = [vocab.lookup(ch) for ch in tok.text]
-        out = ad.constant(model.char_table.rows.value[idx][None])
+        out = model.char_table.rows[idx][None]
         for fwd, bwd in model.char_lstms:
-            out = layers.bilstm_sequence(fwd, bwd, out, np.ones((1, len(idx)), dtype=bool))
-        want = np.concatenate([out.value[0, -1, :c], out.value[0, 0, c:]])
-        np.testing.assert_allclose(feat.value[inverse[t]], want, rtol=0, atol=1e-12)
+            out, _ = layers.bilstm_sequence(fwd, bwd, out, np.ones((1, len(idx)), dtype=bool))
+        want = np.concatenate([out[0, -1, :c], out[0, 0, c:]])
+        np.testing.assert_allclose(feat[inverse[t]], want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["cnn", "cnn3"])
@@ -182,15 +198,15 @@ def test_cnn_features_ignore_windows_past_the_token(variant):
     vocab = build_char_vocab([short, long])
     config = _toy_config(variant)
     model = M.build_model(config, vocab, seed=5)
-    model.char_table.rows.value[1:] = np.abs(model.char_table.rows.value[1:]) + 0.1
+    model.char_table.rows[1:] = np.abs(model.char_table.rows[1:]) + 0.1
     for conv in model.char_convs:
-        conv.kernels.value[:] = -np.abs(conv.kernels.value) - 0.1
-        conv.bias.value[:] = 1.0
+        conv.kernels[:] = -np.abs(conv.kernels) - 0.1
+        conv.bias[:] = 1.0
     store = make_embedding_store([short, long], dim=8, seed=5)
 
     def emissions(sents):
         batch = batch_from_sentences(sents, vocab, config.required_char_mode)
-        return M.forward_emissions(model, batch, store).value[0, :1]
+        return M.forward_emissions(model, batch, store)[0, :1]
 
     np.testing.assert_allclose(emissions([short, long]), emissions([short]), rtol=0, atol=1e-12)
 
@@ -215,7 +231,7 @@ def test_predict_batch_independent_of_batch_size(variant):
         for lo in range(0, len(sents), size):
             group = sents[lo : lo + size]
             batch = batch_from_sentences(group, model.char_vocab, config.required_char_mode)
-            em = M.forward_emissions(model, batch, store).value
+            em = M.forward_emissions(model, batch, store)
             out += [em[i, : len(s)] for i, s in enumerate(group)]
         return out
 
@@ -237,8 +253,8 @@ def test_none_variant_emissions_and_labels_independent_of_batch_partners():
     store = make_embedding_store(sents, dim=8, seed=6)
     assert len(long) > 4 * max(len(s) for s in sents)
     for s in sents:
-        alone = M.forward_emissions(model, batch_from_sentences([s]), store).value[0]
-        mixed = M.forward_emissions(model, batch_from_sentences([long, s]), store).value[1, : len(s)]
+        alone = M.forward_emissions(model, batch_from_sentences([s]), store)[0]
+        mixed = M.forward_emissions(model, batch_from_sentences([long, s]), store)[1, : len(s)]
         np.testing.assert_allclose(mixed, alone, rtol=0, atol=1e-12)
     batched = M.predict_batch(model, store, [long] + sents)
     assert batched == [M.predict(model, store, s.texts()) for s in [long] + sents]
@@ -254,8 +270,8 @@ def test_variant_none_ignores_char_inputs():
     store = make_embedding_store(sents, dim=8)
     bare = batch_from_sentences(sents)
     with_chars = batch_from_sentences(sents, vocab, "rnn")
-    a = M.forward_emissions(model, bare, store, mode="eval").value
-    b = M.forward_emissions(model, with_chars, store, mode="eval").value
+    a = M.forward_emissions(model, bare, store, mode="eval")
+    b = M.forward_emissions(model, with_chars, store, mode="eval")
     np.testing.assert_array_equal(a, b)
 
 
@@ -285,11 +301,13 @@ def test_end_to_end_gradient_check_all_variants(variant):
     batch = batch_from_sentences(sents, vocab, config.required_char_mode)
 
     def loss():
-        return batch_loss(model, batch, store, "outer", "eval", None)
+        # Train mode, with the dropout masks drawn the same at every evaluation.
+        return batch_loss(model, batch, store, "outer", np.random.default_rng(1))
 
-    params = [node for _, node in model.parameters()]
-    err, stats = ad.check_gradient(loss, params, eps=1e-5, samples=60, rng=np.random.default_rng(0),
-                                   return_stats=True)
+    _, grads = loss()
+    params = [p for _, p in model.parameters()]
+    err, stats = check_gradient(lambda: loss()[0], params, list(grads.values()), eps=1e-5, samples=60,
+                                rng=np.random.default_rng(0), return_stats=True)
     assert stats["checked"] == 60, f"{variant}: {stats}"
     assert err <= 1e-4, f"{variant}: max rel error {err}"
 
@@ -304,14 +322,14 @@ def test_save_load_round_trip_predictions(tmp_path):
     # Serialized parameters are exactly the float32 rounding of the originals,
     # and a second save/load cycle is bit-stable.
     originals = dict(model.parameters())
-    for name, node in loaded.parameters():
-        expected = originals[name].value.astype("<f4").astype(np.float64)
-        np.testing.assert_array_equal(node.value, expected)
+    for name, p in loaded.parameters():
+        expected = originals[name].astype("<f4").astype(np.float64)
+        np.testing.assert_array_equal(p, expected)
     path2 = tmp_path / "model2.mner"
     M.save_model(loaded, path2)
     again = M.load_model(path2)
-    for name, node in loaded.parameters():
-        np.testing.assert_array_equal(node.value, dict(again.parameters())[name].value)
+    for name, p in loaded.parameters():
+        np.testing.assert_array_equal(p, dict(again.parameters())[name])
 
 
 def test_load_rejects_bad_magic(tmp_path):

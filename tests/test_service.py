@@ -13,6 +13,7 @@ from gner.corpus import germeval_schema
 from gner.datagen import make_embedding_store
 from gner.embeddings import write_text_vectors
 from gner.model import predict
+from helpers import serve_in_thread
 
 
 def test_map_labels_combined_cases():
@@ -134,7 +135,7 @@ def _post(url, payload):
 
 @pytest.fixture()
 def live_server(registry):
-    server, thread = svc.serve_in_thread(registry, "127.0.0.1", 0)
+    server, thread = serve_in_thread(registry, "127.0.0.1", 0)
     try:
         yield f"http://127.0.0.1:{server.server_address[1]}"
     finally:
@@ -271,8 +272,9 @@ def test_cli_train_round_trip(fixture_world, tmp_path, capsys):
 
 
 def test_cli_train_combined_model_mixes_corpus_formats(fixture_world, tmp_path):
-    from gner.corpus import Sentence, write_conll03, write_germeval
-    from gner.datagen import make_conll_corpus, make_corpus
+    from gner.corpus import write_germeval
+    from gner.datagen import make_corpus
+    from helpers import make_conll_corpus, write_conll03
     from gner.model import load_model
 
     germeval_sents = make_corpus(12, seed=5)

@@ -1,17 +1,18 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gner import autodiff as ad
 from gner import training as tr
 from gner.corpus import Sentence, batch_from_sentences, build_char_vocab, conll_schema
 from gner.datagen import make_corpus, make_embedding_store
+from gner.crf import crf_negative_log_likelihood
 from gner.model import ModelConfig, ModelError, build_model
 
 
 def _leaf_param(value):
-    return ad.leaf(np.array(value, dtype=np.float64), requires_grad=True)
+    return np.array(value, dtype=np.float64)
 
 
 def _cfg(**kw):
@@ -22,14 +23,14 @@ def test_nadam_zero_gradient_leaves_parameters_unchanged():
     p = _leaf_param([1.0, -2.0])
     state = tr.NadamState()
     tr.nadam_step([("p", p)], {"p": np.zeros(2)}, state, _cfg())
-    np.testing.assert_array_equal(p.value, [1.0, -2.0])
+    np.testing.assert_array_equal(p, [1.0, -2.0])
 
 
 def test_nadam_descends_on_square():
     p = _leaf_param([1.0])
     state = tr.NadamState()
     tr.nadam_step([("p", p)], {"p": np.array([2.0])}, state, _cfg())  # grad of x^2 at 1
-    assert abs(float(p.value[0])) < 1.0
+    assert abs(float(p[0])) < 1.0
 
 
 def test_nadam_three_step_scalar_trajectory_matches_reference():
@@ -52,8 +53,8 @@ def test_nadam_three_step_scalar_trajectory_matches_reference():
     state = tr.NadamState()
     got = []
     for _ in range(3):
-        tr.nadam_step([("p", p)], {"p": 2.0 * p.value.copy()}, state, _cfg())
-        got.append(float(p.value[0]))
+        tr.nadam_step([("p", p)], {"p": 2.0 * p.copy()}, state, _cfg())
+        got.append(float(p[0]))
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
@@ -106,11 +107,11 @@ def test_word_embeddings_never_updated():
 
 def test_char_padding_row_never_updated():
     model, store, sents = _tiny_world(seed=3)
-    pad_row_before = model.char_table.rows.value[0].copy()
-    other_rows_before = model.char_table.rows.value[1:].copy()
+    pad_row_before = model.char_table.rows[0].copy()
+    other_rows_before = model.char_table.rows[1:].copy()
     tr.train_epoch(model, sents, store, _cfg(stage1_batch=4, seed=3), stage=1, epoch_seed=9)
-    np.testing.assert_array_equal(model.char_table.rows.value[0], pad_row_before)
-    assert np.any(model.char_table.rows.value[1:] != other_rows_before)
+    np.testing.assert_array_equal(model.char_table.rows[0], pad_row_before)
+    assert np.any(model.char_table.rows[1:] != other_rows_before)
 
 
 def test_train_epoch_rejects_store_of_wrong_dimension():
@@ -119,23 +120,63 @@ def test_train_epoch_rejects_store_of_wrong_dimension():
         tr.train_epoch(model, sents, make_embedding_store(sents, dim=5, seed=0), _cfg(stage1_batch=4), stage=1)
 
 
-def test_batch_loss_is_one_crf_node_over_the_batch():
+def test_batch_loss_is_one_crf_node_over_the_batch(monkeypatch):
     model, store, sents = _tiny_world(n=5, seed=6)
     assert len({len(s) for s in sents}) > 1, "need ragged lengths"
     cfg = model.config
+    cfg.dropout = 0.0  # so that a sentence's loss does not depend on its batch's masks
+    calls = []
+
+    def counted(params, emissions, gold, lengths):
+        calls.append(emissions.shape)
+        return crf_negative_log_likelihood(params, emissions, gold, lengths)
+
+    monkeypatch.setattr(tr, "crf_negative_log_likelihood", counted)
     batch = batch_from_sentences(sents, model.char_vocab, cfg.required_char_mode)
-    loss = tr.batch_loss(model, batch, store, "outer", "eval", None)
-    ops, work, seen = [], [loss], set()
-    while work:
-        node = work.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            ops.append(node.op)
-            work.extend(node.parents)
-    assert ops.count("crf_nll") == 1 and "slice" not in ops
+    loss, grads = tr.batch_loss(model, batch, store, "outer", None)
+    assert calls == [(len(sents), batch.max_len, cfg.num_labels)]
     alone = [tr.batch_loss(model, batch_from_sentences([s], model.char_vocab, cfg.required_char_mode),
-                           store, "outer", "eval", None) for s in sents]
-    assert float(loss.value) == pytest.approx(np.mean([float(a.value) for a in alone]), rel=1e-12)
+                           store, "outer", None) for s in sents]
+    assert loss == pytest.approx(np.mean([a for a, _ in alone]), rel=1e-12)
+    # The batch mean's gradient is the mean of the sentences' gradients.
+    assert list(grads) == [name for name, _ in model.parameters()]
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, np.mean([a[name] for _, a in alone], axis=0), rtol=1e-10, atol=1e-13)
+
+
+def test_train_epoch_reports_gradient_norms_clipping_and_throughput(monkeypatch):
+    model, store, sents = _tiny_world(n=10, seed=2)
+    cfg = _cfg(stage1_batch=4, gradient_clip_norm=8.0, seed=2)  # fires on some steps, not all
+    norms = []
+    real_clip = tr.clip_gradients
+
+    def recorded(grads, max_norm):
+        norms.append(real_clip(grads, max_norm))
+        return norms[-1]
+
+    monkeypatch.setattr(tr, "clip_gradients", recorded)
+    row = tr.train_epoch(model, sents, store, cfg, stage=1, epoch_seed=3)
+    monkeypatch.undo()
+    assert row["batches"] == len(norms) == 3
+    assert row["grad_norm"] == norms[-1]
+    assert row["grad_norm_mean"] == pytest.approx(np.mean(norms), rel=1e-12)
+    assert row["clip_share"] == pytest.approx(np.mean([n > 8.0 for n in norms]))
+    assert 0.0 < row["clip_share"] < 1.0
+    assert row["wall_s"] > 0.0
+    assert row["tokens_per_s"] == pytest.approx(sum(len(s) for s in sents) / row["wall_s"], rel=1e-12)
+
+    unclipped = tr.train_epoch(model, sents, store, _cfg(stage1_batch=4, gradient_clip_norm=None), stage=1)
+    assert unclipped["clip_share"] == 0.0
+
+    best, report = tr.train_two_stage(model, sents[:8], sents[8:], store,
+                                      _cfg(stage1_epochs=1, stage2_epochs=1, stage1_batch=4, stage2_batch=8))
+    records = [json.loads(line) for line in report.to_jsonl().splitlines()[:-1]]
+    assert len(records) == 2
+    for record, r in zip(records, report.rows):
+        assert record["grad_norm_mean"] == r.grad_norm_mean > 0.0
+        assert 0.0 <= record["clip_share"] == r.clip_share <= 1.0
+        assert record["wall_s"] == r.wall_s > 0.0
+        assert record["tokens_per_s"] == r.tokens_per_s > 0.0
 
 
 def test_empty_dataset_rejected():
@@ -206,6 +247,4 @@ def test_report_serialization_round_trip(tmp_path):
     report.save(path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
-    import json
-
     assert json.loads(lines[0])["dev_f1"] == 0.5
