@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from pathlib import Path
 
@@ -57,8 +58,14 @@ def _map_combined(sentences: list[Sentence]) -> list[Sentence]:
 
 def _cmd_train(args) -> int:
     config_path = Path(args.config)
-    spec = json.loads(config_path.read_text(encoding="utf-8"))
+    try:
+        spec = json.loads(config_path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise TrainingError(f"{config_path}: not a JSON run configuration: {exc}") from None
     base = config_path.parent
+    missing = [key for key in ("train_path", "dev_path", "embeddings") if key not in spec]
+    if missing:
+        raise TrainingError(f"{config_path}: run configuration lacks {', '.join(missing)}")
 
     fmt = spec.get("format", "germeval")
     schema_name = spec.get("schema", "combined" if spec.get("combined_mapping") else fmt)
@@ -87,8 +94,11 @@ def _cmd_train(args) -> int:
 
     model_kwargs = {"embedding_kind": emb_spec.get("kind", "plain"), "word_dim": store.dim}
     model_kwargs.update(spec.get("model", {}))
-    model_cfg = ModelConfig(label_schema=schema, **model_kwargs)
-    train_cfg = TrainConfig(**spec.get("training", {}))
+    try:
+        model_cfg = ModelConfig(label_schema=schema, **model_kwargs)
+        train_cfg = TrainConfig(**spec.get("training", {}))
+    except TypeError as exc:  # an unknown "model" or "training" key
+        raise TrainingError(f"{config_path}: {exc}") from None
     vocab = build_char_vocab(train_sents) if model_cfg.char_variant != "none" else None
     model = build_model(model_cfg, vocab, seed=train_cfg.seed)
 
@@ -145,19 +155,29 @@ def _cmd_predict(args) -> int:
 def resolve_bind(bind_flag: str | None, port_flag: int | None) -> tuple[str, int]:
     """CLI flags win over GNER_BIND/GNER_PORT, which win over defaults."""
     bind = bind_flag or os.environ.get(ENV_BIND, "127.0.0.1")
-    port = port_flag if port_flag is not None else int(os.environ.get(ENV_PORT, "8080"))
+    try:
+        port = port_flag if port_flag is not None else int(os.environ.get(ENV_PORT, "8080"))
+    except ValueError:
+        raise ServiceError(f"${ENV_PORT} is not a port number: {os.environ[ENV_PORT]!r}") from None
+    if not 0 <= port <= 65535:
+        raise ServiceError(f"port {port} is outside 0-65535")
     return bind, port
 
 
 def _cmd_serve(args) -> int:
-    registry = ModelRegistry.load(args.registry)
     bind, port = resolve_bind(args.bind, args.port)
+    registry = ModelRegistry.load(args.registry)
     server = serve(registry, bind, port)
-    print(f"serving {registry.names()} on http://{bind}:{port}")
+    # SIGTERM, and SIGINT even where the launching shell ignores it, stop
+    # the server the way Ctrl-C does.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        print(f"serving {registry.names()} on http://{bind}:{server.server_address[1]}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
-        server.shutdown()
+        pass
+    server.server_close()
     return 0
 
 

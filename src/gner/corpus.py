@@ -386,18 +386,24 @@ def build_char_sequences(sentence: Sentence, vocab: CharVocab, mode: str) -> lis
 
 @dataclass
 class Batch:
-    """Padded mini-batch: ``mask`` marks real tokens, ``char_indices`` is a
-    (batch, max_len, chars) index array when a char mode is set, each row
-    post-padded to the batch's longest (masked positions hold all-pad rows)."""
+    """Post-padded mini-batch: sentence ``b`` holds its tokens at positions
+    ``0 .. lengths[b] - 1``; ``char_indices`` is a (batch, max_len, chars)
+    index array when a char mode is set, each row post-padded to the
+    batch's longest (padding positions hold all-pad rows)."""
 
     sentences: list[Sentence]
     max_len: int
-    mask: np.ndarray
+    lengths: np.ndarray
     char_mode: str | None = None
     char_indices: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """(batch, max_len) booleans marking the real token positions."""
+        return np.arange(self.max_len) < self.lengths[:, None]
 
 
 def batch_from_sentences(
@@ -409,10 +415,8 @@ def batch_from_sentences(
     to the batch's longest."""
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
-    max_len = max(len(s) for s in sentences)
-    mask = np.zeros((len(sentences), max_len), dtype=bool)
-    for b, s in enumerate(sentences):
-        mask[b, : len(s)] = True
+    lengths = np.array([len(s) for s in sentences])
+    max_len = int(lengths.max())
 
     char_indices = None
     if char_mode is not None:
@@ -427,7 +431,7 @@ def batch_from_sentences(
     return Batch(
         sentences=list(sentences),
         max_len=max_len,
-        mask=mask,
+        lengths=lengths,
         char_mode=char_mode,
         char_indices=char_indices,
     )

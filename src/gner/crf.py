@@ -5,10 +5,10 @@ length is ignored.  :func:`crf_negative_log_likelihood` returns a batch's
 negative log-likelihood, the mean over its sentences, together with its
 gradients: the value comes from the logsumexp-stabilized forward recursion,
 the gradients from one backward recursion.  Viterbi decoding is one
-max-plus pass with a vectorised backtrack.  All of them run over the rows
-sorted by length, so the rows still running at a step form a leading slice
-and ended rows keep their state.  Decoding is reentrant: parameters are
-read-only during inference.
+max-plus pass with a vectorised backtrack.  All of them run on the
+:func:`~gner.layers.length_schedule` order, so the rows still running at a
+step form a leading slice and ended rows keep their state.  Decoding is
+reentrant: parameters are read-only during inference.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .layers import LayerError, length_schedule
 
 __all__ = [
     "CrfError",
@@ -66,19 +68,16 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 def _batch(emissions, lengths) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Checked (B, T, L) emissions and (B,) row lengths in [1, T], the rows
-    by descending length and, per step, how many of them are still running:
-    always a leading run of that order, as in a packed sequence."""
+    """Checked (B, T, L) emissions and their :func:`length_schedule`."""
     e = np.asarray(emissions, dtype=np.float64)
     if e.ndim != 3 or 0 in e.shape:
         raise CrfError(f"emissions must be a non-empty 3-D array, got shape {tuple(e.shape)}")
     if not np.isfinite(e).all():
         raise CrfError("non-finite emissions")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != e.shape[:1] or lengths.min() < 1 or lengths.max() > e.shape[1]:
-        raise CrfError(f"lengths {lengths.tolist()} must give each of {e.shape[0]} rows 1 to {e.shape[1]} steps")
-    order = np.argsort(-lengths, kind="stable")
-    return e, lengths, order, (lengths[order] > np.arange(e.shape[1])[:, None]).sum(axis=1).tolist()
+    try:
+        return (e, *length_schedule(lengths, *e.shape[:2]))
+    except LayerError as exc:
+        raise CrfError(str(exc)) from None
 
 
 def crf_negative_log_likelihood(params: CrfParams, emissions, gold, lengths):
@@ -98,11 +97,11 @@ def crf_negative_log_likelihood(params: CrfParams, emissions, gold, lengths):
     gold = np.asarray(gold, dtype=np.int64)
     if gold.shape != (B, T):
         raise CrfError(f"gold labels of shape {gold.shape} do not match (batch, length) {(B, T)}")
-    mask = np.arange(T) < lengths[:, None]
-    if gold[mask].min() < 0 or gold[mask].max() >= L:
+    real = np.arange(T) < lengths[:, None]
+    if gold[real].min() < 0 or gold[real].max() >= L:
         raise CrfError(f"gold label out of range for {L} labels")
     # From here on rows are in length order; the emission gradient goes back.
-    e, lengths, mask, gold = e[order], lengths[order], mask[order], np.where(mask, gold, 0)[order]
+    e, lengths, real, gold = e[order], lengths[order], real[order], np.where(real, gold, 0)[order]
     trans, start, end = params.transitions, params.start_scores, params.end_scores
     rows, last = np.arange(B), lengths - 1
 
@@ -115,8 +114,8 @@ def crf_negative_log_likelihood(params: CrfParams, emissions, gold, lengths):
         alphas[:n, t] = e[:n, t] + _logsumexp(alphas[:n, t - 1, None, :] + trans_t)
     log_z = _logsumexp(alphas[rows, last] + end)
     gold_score = start[gold[:, 0]] + end[gold[rows, last]]
-    gold_score += np.where(mask, np.take_along_axis(e, gold[..., None], axis=2)[..., 0], 0.0).sum(axis=1)
-    gold_score += np.where(mask[:, 1:], trans[gold[:, :-1], gold[:, 1:]], 0.0).sum(axis=1)
+    gold_score += np.where(real, np.take_along_axis(e, gold[..., None], axis=2)[..., 0], 0.0).sum(axis=1)
+    gold_score += np.where(real[:, 1:], trans[gold[:, :-1], gold[:, 1:]], 0.0).sum(axis=1)
     loss = float(np.mean(log_z - gold_score))
 
     # Backward recursion, each row starting from beta = end at its last
@@ -129,9 +128,9 @@ def crf_negative_log_likelihood(params: CrfParams, emissions, gold, lengths):
         ahead = trans + (e[:n, t + 1] + betas[:n, t + 1])[:, None, :]
         d_trans += np.exp(ahead + (alphas[:n, t] - log_z[:n, None])[:, :, None]).sum(axis=0)
         betas[:n, t] = _logsumexp(ahead)
-    marg = np.exp(np.where(mask[..., None], alphas + betas - log_z[:, None, None], -np.inf))
-    d_e = marg - ((gold[..., None] == np.arange(L)) & mask[..., None])
-    pairs = (gold[:, :-1] * L + gold[:, 1:])[mask[:, 1:]]
+    marg = np.exp(np.where(real[..., None], alphas + betas - log_z[:, None, None], -np.inf))
+    d_e = marg - ((gold[..., None] == np.arange(L)) & real[..., None])
+    pairs = (gold[:, :-1] * L + gold[:, 1:])[real[:, 1:]]
     d_trans -= np.bincount(pairs, minlength=L * L).reshape(L, L)
     scale = 1.0 / B
     grads = (d_e[np.argsort(order)] * scale, d_trans * scale,

@@ -1,13 +1,15 @@
 """The model's parameterized layers, each a forward and a backward function
 over plain float64 arrays.
 
-The BiLSTM takes a whole padded ``(batch, steps, dim)`` batch plus a boolean
-mask and runs both directions in one call; its backward is a hand-written
-BPTT over the activations the train-mode forward keeps.  The char CNN takes
-one ``(rows, steps, dim)`` array and max-pools each row's windows; its
-backward routes the gradient to each filter's winning window.  An eval-mode
-forward keeps nothing for a backward pass.  Parameters are immutable during
-inference and mutated in place only by the training loop.
+A sequence batch is a post-padded ``(rows, steps, dim)`` array plus each
+row's length, and :func:`length_schedule` is the one place that checks the
+lengths and orders the rows by them.  The BiLSTM runs both directions in
+one call on that order; its backward is a hand-written BPTT over the
+activations the train-mode forward keeps.  The char CNN max-pools each
+row's windows; its backward routes the gradient to each filter's winning
+window.  An eval-mode forward keeps nothing for a backward pass.
+Parameters are immutable during inference and mutated in place only by the
+training loop.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "LayerError",
+    "length_schedule",
     "LstmParams",
     "Conv1dParams",
     "EmbeddingTable",
@@ -85,12 +88,9 @@ class Conv1dParams:
 
 @dataclass
 class EmbeddingTable:
-    """Lookup table of row vectors.  ``frozen_rows`` (e.g. the padding row)
-    receive no parameter updates."""
+    """Lookup table of row vectors."""
 
     rows: np.ndarray
-    trainable: bool = True
-    frozen_rows: tuple[int, ...] = ()
 
     @property
     def vocab_size(self) -> int:
@@ -127,15 +127,11 @@ def init_conv1d_params(kernel_size: int, in_dim: int, filters: int, rng: np.rand
     return Conv1dParams(kernels=kernels, bias=np.zeros(filters), kernel_size=kernel_size, filters=filters)
 
 
-def init_embedding_table(
-    vocab_size: int, dim: int, rng: np.random.Generator, trainable: bool = True, pad_row: int | None = 0
-) -> EmbeddingTable:
+def init_embedding_table(vocab_size: int, dim: int, rng: np.random.Generator) -> EmbeddingTable:
+    """Uniform rows, except row 0, the padding index, which is zero."""
     rows = rng.uniform(-np.sqrt(3.0 / dim), np.sqrt(3.0 / dim), size=(vocab_size, dim))
-    frozen: tuple[int, ...] = ()
-    if pad_row is not None:
-        rows[pad_row] = 0.0
-        frozen = (pad_row,)
-    return EmbeddingTable(rows=rows, trainable=trainable, frozen_rows=frozen)
+    rows[0] = 0.0
+    return EmbeddingTable(rows=rows)
 
 
 def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -149,39 +145,28 @@ def logistic(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _schedule(mask: np.ndarray):
-    """Real (mask-on) positions in time-major order, rows sorted by
-    descending real-step count.
-
-    Returns the row order, the ``(rows, times)`` index pair that gathers the
-    real positions from a ``(B, T, ...)`` array, and per timestep the slice
-    of those positions it owns, the rows of the sorted state they update and
-    the batch rows they sit in.  Under prefix masks (post-padded rows) and
-    suffix masks (pre-padded rows) the real rows of every step are a
-    leading run of the sorted order, as in a packed sequence, so the state
-    is read and written through a slice; other masks fall back to an index
-    array.
-    """
-    order = np.argsort(-mask.sum(axis=1), kind="stable")
-    sorted_mask = mask[order]
-    times, sorted_rows = np.nonzero(sorted_mask.T)
-    rows = order[sorted_rows]
-    bounds = np.concatenate(([0], np.cumsum(sorted_mask.sum(axis=0))))
-    steps = []
-    for t in range(mask.shape[1]):
-        lo, hi = int(bounds[t]), int(bounds[t + 1])
-        state = slice(0, hi - lo) if sorted_mask[: hi - lo, t].all() else sorted_rows[lo:hi]
-        steps.append((slice(lo, hi), state, rows[lo:hi]))
-    return order, (rows, times), steps
+def length_schedule(lengths, batch: int, steps: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Checked per-row ``lengths`` of a ``(batch, steps)`` layout whose rows
+    each hold their entries at steps ``0 .. lengths[b] - 1``; the rows by
+    descending length (ties keep batch order); and per step how many rows
+    are still running.  Those are always a leading run of that order, as in
+    a packed sequence, so a recurrence holds its state in that order and
+    updates a leading slice of it at every step."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (batch,) or batch and not 1 <= lengths.min() <= lengths.max() <= steps:
+        raise LayerError(f"lengths {lengths.tolist()} must give each of {batch} rows 1 to {steps} steps")
+    order = np.argsort(-lengths, kind="stable")
+    return lengths, order, (lengths[order] > np.arange(steps)[:, None]).sum(axis=1).tolist()
 
 
-def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, out: np.ndarray, keep: bool):
-    """Run the recurrence over the steps in ``order``; ``xw`` holds the input
-    projection of every real position.  The state is held in the schedule's
-    sorted row order (``rec_mask`` too); each step's output is written
-    straight to its batch rows of ``out`` (B, T, cells), which stays zero at
-    masked positions.  Masked rows keep their state.  With ``keep``, returns
-    the per-position activations BPTT needs: gates (i, f, g, o), recurrent
+def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.ndarray, keep: bool):
+    """Run the recurrence over ``times``; ``xw`` holds the input projection
+    of every real position in the schedule's packed order.  The state is
+    held in the schedule's row order (``rec_mask`` too) and each step
+    updates the rows still running, a leading slice of it; the step's
+    output is written straight to their batch rows of ``out`` (B, T, cells),
+    which stays zero past each row's length.  With ``keep``, returns the
+    per-position activations BPTT needs: gates (i, f, g, o), recurrent
     input, previous cell, tanh(cell).
     """
     cells = params.cells
@@ -192,13 +177,11 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, out: np.n
     cache = None
     if keep:
         cache = (np.empty((n, 4 * cells)), np.empty((n, cells)), np.empty((n, cells)), np.empty((n, cells)))
-    for t in order:
-        seg, state, rows = steps[t]
-        if seg.start == seg.stop:
-            continue
-        h_in = h[state]
+    for t in times:
+        seg, running, rows = steps[t]
+        h_in = h[:running]
         if rec_mask is not None:
-            h_in = h_in * rec_mask[state]
+            h_in = h_in * rec_mask[:running]
         z = xw[seg] + h_in @ u
         z += bias
         # One logistic over all four gate blocks: splitting the candidate
@@ -206,20 +189,20 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, order, rec_mask, out: np.n
         # serve-oov (2 vCPUs), where ufunc calls dominate small batches.
         act = logistic(z)
         act[:, 2 * cells : 3 * cells] = np.tanh(z[:, 2 * cells : 3 * cells])
-        c_prev = c[state]
+        c_prev = c[:running]
         c_new = act[:, cells : 2 * cells] * c_prev + act[:, :cells] * act[:, 2 * cells : 3 * cells]
         tc = np.tanh(c_new)
         h_new = act[:, 3 * cells :] * tc
         if keep:
             for buf, val in zip(cache, (act, h_in, c_prev, tc)):
                 buf[seg] = val
-        h[state] = h_new
-        c[state] = c_new
+        h[:running] = h_new
+        c[:running] = c_new
         out[rows, t] = h_new
     return cache
 
 
-def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_real: np.ndarray, batch: int) -> np.ndarray:
+def _bptt(params: LstmParams, cache, steps, times, rec_mask, grad_real: np.ndarray, batch: int) -> np.ndarray:
     """Backpropagate ``grad_real`` (N, cells), the output gradient of every
     real position, through the recurrence.  Returns the gradient of every
     real position's pre-activation (N, 4*cells)."""
@@ -229,15 +212,13 @@ def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_real: np.ndarr
     dz_all = np.empty_like(gates)
     dh = np.zeros((batch, cells))
     dc = np.zeros((batch, cells))
-    for t in reversed(order):
-        seg, state, _ = steps[t]
-        if seg.start == seg.stop:
-            continue
+    for t in reversed(times):
+        seg, running, _ = steps[t]
         act, tc = gates[seg], tcs[seg]
         i, f = act[:, :cells], act[:, cells : 2 * cells]
         g, o = act[:, 2 * cells : 3 * cells], act[:, 3 * cells :]
-        dh_t = dh[state] + grad_real[seg]
-        dc_t = dc[state] + dh_t * o * (1.0 - tc * tc)
+        dh_t = dh[:running] + grad_real[seg]
+        dc_t = dc[:running] + dh_t * o * (1.0 - tc * tc)
         dz = dz_all[seg]
         dz[:, :cells] = dc_t * g * i * (1.0 - i)
         dz[:, cells : 2 * cells] = dc_t * c_prevs[seg] * f * (1.0 - f)
@@ -245,9 +226,9 @@ def _bptt(params: LstmParams, cache, steps, order, rec_mask, grad_real: np.ndarr
         dz[:, 3 * cells :] = dh_t * tc * o * (1.0 - o)
         dh_prev = dz @ u_t
         if rec_mask is not None:
-            dh_prev *= rec_mask[state]
-        dh[state] = dh_prev
-        dc[state] = dc_t * f
+            dh_prev *= rec_mask[:running]
+        dh[:running] = dh_prev
+        dc[:running] = dc_t * f
     return dz_all
 
 
@@ -255,51 +236,50 @@ def bilstm_sequence(
     fwd: LstmParams,
     bwd: LstmParams,
     x: np.ndarray,
-    mask,
+    lengths,
     recurrent_dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, tuple | None]:
-    """Bidirectional LSTM over ``x`` (batch, steps, in) with a boolean
-    ``mask`` (batch, steps).  Returns the (batch, steps, 2*cells) output,
-    holding concat(h_fwd_t, h_bwd_t), and the cache
-    :func:`bilstm_backward` reads, which only train mode keeps (None in
-    eval mode).
+    """Bidirectional LSTM over ``x`` (batch, steps, in), whose row ``b``
+    holds its sequence at steps ``0 .. lengths[b] - 1``.  Returns the
+    (batch, steps, 2*cells) output, holding concat(h_fwd_t, h_bwd_t) and
+    zero past each row's length, and the cache :func:`bilstm_backward`
+    reads, which only train mode keeps (None in eval mode).
 
     Both directions write straight into their half of the output.  The
     input projection runs as one matmul per direction over the real
-    positions only; the recurrence runs in numpy.  Masked positions,
-    wherever they sit, produce zero vectors and leave their row's state
-    untouched.  When training with ``recurrent_dropout``, one mask per
-    direction (forward first) is sampled and reused at every timestep.
+    positions only; the recurrence runs in numpy on the
+    :func:`length_schedule` order, the backward direction starting each row
+    at its last real step.  When training with ``recurrent_dropout``, one
+    mask per direction (forward first) is sampled and reused at every
+    timestep.
     """
     if x.ndim != 3:
         raise LayerError(f"bilstm_sequence: expected (batch, steps, in) input, got shape {x.shape}")
     batch, length, width = x.shape
-    if length == 0:
-        raise LayerError("bilstm_sequence: empty sequence")
     for p in (fwd, bwd):
         if width != p.input_dim:
             raise LayerError(f"bilstm_sequence: input dim {width} != {p.input_dim}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (batch, length):
-        raise LayerError(f"bilstm_sequence: mask shape {mask.shape} != {(batch, length)}")
+    _, order, running = length_schedule(lengths, batch, length)
     train = mode == "train"
-    row_order, gather, steps = _schedule(mask)
     rec_masks = [None, None]
     if train and recurrent_dropout > 0.0:
         if rng is None:
             raise LayerError("bilstm_sequence: recurrent dropout in train mode needs an rng")
-        # Drawn in batch order, held in the schedule's sorted order.
-        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng)[row_order] for p in (fwd, bwd)]
+        # Drawn in batch order, held in the schedule's row order.
+        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng)[order] for p in (fwd, bwd)]
+    bounds = np.cumsum([0, *running])
+    steps = [(slice(bounds[t], bounds[t + 1]), n, order[:n]) for t, n in enumerate(running)]
+    gather = (np.concatenate([rows for _, _, rows in steps]), np.repeat(np.arange(length), running))
     directions = (
         (fwd, range(length), rec_masks[0], slice(0, fwd.cells)),
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
     x_real = x[gather]
     out = np.zeros((batch, length, fwd.cells + bwd.cells))
-    acts = [_recur(p, x_real @ p.w_input, steps, order, rec, out[..., half], train)
-            for p, order, rec, half in directions]
+    acts = [_recur(p, x_real @ p.w_input, steps, times, rec, out[..., half], train)
+            for p, times, rec, half in directions]
     return out, (x.shape, gather, steps, directions, x_real, acts) if train else None
 
 
@@ -307,15 +287,15 @@ def bilstm_backward(cache: tuple, grad: np.ndarray, need_input: bool = True):
     """Gradients of a train-mode :func:`bilstm_sequence` call, given
     ``grad``, the gradient of its output.
 
-    Returns the input's gradient (None unless ``need_input``; zero at
-    masked positions) and, forward direction first, the gradients of each
+    Returns the input's gradient (None unless ``need_input``; zero past
+    each row's length) and, forward direction first, the gradients of each
     direction's ``(w_input, w_recurrent, bias)``.
     """
     shape, gather, steps, directions, x_real, acts = cache
     dx = np.zeros(shape) if need_input else None
     params = []
-    for (p, order, rec, half), act in zip(directions, acts):
-        dz = _bptt(p, act, steps, order, rec, grad[..., half][gather], shape[0])
+    for (p, times, rec, half), act in zip(directions, acts):
+        dz = _bptt(p, act, steps, times, rec, grad[..., half][gather], shape[0])
         if dx is not None:
             dx[gather] += dz @ p.w_input.T
         params.append((x_real.T @ dz, act[1].T @ dz, dz.sum(axis=0)))
@@ -351,9 +331,7 @@ def conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths, mode: str
     k, filters = params.kernel_size, params.filters
     if width != params.in_dim:
         raise LayerError(f"conv1d_globalmaxpool: input dim {width} != {params.in_dim}")
-    lengths = np.asarray(lengths)
-    if lengths.shape != (rows,) or rows and not 1 <= lengths.min() <= lengths.max() <= steps:
-        raise LayerError(f"conv1d_globalmaxpool: lengths must be {rows} window counts in [1, {steps}]")
+    lengths, _, _ = length_schedule(lengths, rows, steps)
     w_flat = params.kernels.reshape(k * width, filters)
     z = (_windows(x, k).reshape(rows * steps, k * width) @ w_flat + params.bias).reshape(rows, steps, filters)
     z[np.arange(steps)[None, :] >= lengths[:, None]] = -np.inf

@@ -9,11 +9,12 @@ a linearly activated dense layer and a linear-chain CRF sit on top.
 
 A batch flows through as whole arrays: the token input is one
 ``(batch, max_len, input_width)`` array, each BiLSTM and each char conv is
-one call, the BiLSTMs compute only real (unmasked) positions, and the dense
-layer is a single matmul over all positions.  Character features read
-only real characters, so a sentence's emissions do not depend on the other
-sentences in its batch.  The CRF decodes each group of sentences in one
-batched Viterbi pass, so one path serves a single sentence and a batch.
+one call, and the dense layer is a single matmul over all positions.  Every
+sequence is described by its length: the token BiLSTM runs over each
+sentence's tokens, and the char submodel over each real token's characters,
+so a sentence's emissions do not depend on the other sentences in its
+batch.  The CRF decodes each group of sentences in one batched Viterbi
+pass, so one path serves a single sentence and a batch.
 
 Training runs :func:`forward_emissions` in train mode, which also returns
 the cache that :func:`backward` reads.  That reverse sweep takes the CRF's
@@ -35,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
+from .corpus import CASING_FEATURE_NAMES, PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
 from .crf import CrfParams, init_crf_params, viterbi_decode
 from .embeddings import EmbeddingStore, lookup_word
 from .layers import (
@@ -89,10 +90,8 @@ class ModelConfig:
     label_schema: LabelSchema
     char_variant: str = "bilstm"
     word_dim: int = 300
-    casing_dim: int = 7
     char_emb_dim: int = 32
     char_cnn_filters: int = 32
-    char_cnn_kernels: tuple[int, ...] | None = None
     char_lstm_cells: int = 50
     token_lstm_cells: int = 200
     dropout: float = 0.5
@@ -101,25 +100,21 @@ class ModelConfig:
     def __post_init__(self):
         if self.char_variant not in CHAR_VARIANTS:
             raise ModelError(f"unknown char variant {self.char_variant!r}; choose from {CHAR_VARIANTS}")
-        if self.char_cnn_kernels is not None:
-            self.char_cnn_kernels = tuple(self.char_cnn_kernels)
 
     @property
-    def resolved_kernels(self) -> tuple[int, ...]:
-        if self.char_cnn_kernels is not None:
-            return self.char_cnn_kernels
-        if self.char_variant == "cnn":
-            return (3,)
-        if self.char_variant == "cnn3":
-            return (3, 4, 5)
-        return ()
+    def casing_dim(self) -> int:
+        return len(CASING_FEATURE_NAMES)
+
+    @property
+    def char_cnn_kernels(self) -> tuple[int, ...]:
+        return {"cnn": (3,), "cnn3": (3, 4, 5)}.get(self.char_variant, ())
 
     @property
     def char_feature_dim(self) -> int:
         if self.char_variant == "none":
             return 0
         if self.char_variant in ("cnn", "cnn3"):
-            return self.char_cnn_filters * len(self.resolved_kernels)
+            return self.char_cnn_filters * len(self.char_cnn_kernels)
         return 2 * self.char_lstm_cells
 
     @property
@@ -141,10 +136,8 @@ class ModelConfig:
             "entity_classes": list(self.label_schema.entity_classes),
             "char_variant": self.char_variant,
             "word_dim": self.word_dim,
-            "casing_dim": self.casing_dim,
             "char_emb_dim": self.char_emb_dim,
             "char_cnn_filters": self.char_cnn_filters,
-            "char_cnn_kernels": list(self.char_cnn_kernels) if self.char_cnn_kernels else None,
             "char_lstm_cells": self.char_lstm_cells,
             "token_lstm_cells": self.token_lstm_cells,
             "dropout": self.dropout,
@@ -155,12 +148,15 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
         classes = tuple(d.pop("entity_classes"))
-        kernels = d.pop("char_cnn_kernels", None)
-        return cls(
-            label_schema=LabelSchema(classes),
-            char_cnn_kernels=tuple(kernels) if kernels else None,
-            **d,
-        )
+        # Older version-2 headers also carry these two, now derived, values.
+        kernels, casing = d.pop("char_cnn_kernels", None), d.pop("casing_dim", None)
+        config = cls(label_schema=LabelSchema(classes), **d)
+        if kernels is not None and tuple(kernels) != config.char_cnn_kernels or casing not in (None, config.casing_dim):
+            raise ValueError(
+                f"char_cnn_kernels {kernels} and casing_dim {casing} must be the {config.char_variant!r} "
+                f"variant's {list(config.char_cnn_kernels)} and {config.casing_dim}"
+            )
+        return config
 
 
 @dataclass
@@ -180,7 +176,7 @@ class NerModel:
         """All trainable parameters in a stable order; training updates the
         arrays in place."""
         out: list[tuple[str, np.ndarray]] = []
-        if self.char_table is not None and self.char_table.trainable:
+        if self.char_table is not None:
             out.append(("char_table.rows", self.char_table.rows))
         for i, conv in enumerate(self.char_convs):
             out.append((f"char_conv{i}.kernels", conv.kernels))
@@ -200,12 +196,6 @@ class NerModel:
         out.append(("crf.start", self.crf.start_scores))
         out.append(("crf.end", self.crf.end_scores))
         return out
-
-    def zero_frozen_grad_rows(self, grads: dict[str, np.ndarray]):
-        """Padding embedding rows receive no update."""
-        if self.char_table is not None and "char_table.rows" in grads:
-            for r in self.char_table.frozen_rows:
-                grads["char_table.rows"][r, :] = 0.0
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.copy() for name, p in self.parameters()}
@@ -230,7 +220,7 @@ def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: 
         if config.char_variant in ("cnn", "cnn3"):
             char_convs = [
                 init_conv1d_params(k, config.char_emb_dim, config.char_cnn_filters, rng)
-                for k in config.resolved_kernels
+                for k in config.char_cnn_kernels
             ]
         else:
             layers = 2 if config.char_variant == "bilstm2" else 1
@@ -272,22 +262,20 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """Character feature matrix over the distinct character rows of the batch.
+    """Character feature matrix over the distinct character rows of the
+    batch's real tokens.
 
-    Returns features (U, char_dim), inverse (B*T,) and, in train mode, the
-    cache :func:`backward` reads: position p uses row ``inverse[p]``.
+    Returns features (U, char_dim), inverse (N,) over the N real tokens in
+    ``batch.mask`` order and, in train mode, the cache :func:`backward`
+    reads: token n uses row ``inverse[n]``.
     Deduplication shares one feature computation among equal character
-    rows; gradients accumulate exactly as if computed per position.  A row's
+    rows; gradients accumulate exactly as if computed per token.  A row's
     feature reads only its real characters, never the padding, so it does
     not depend on how wide the batch pads its longest token.
     """
     cfg = model.config
-    b, t, p = batch.char_indices.shape
-    uniq, inverse = _unique_rows(batch.char_indices.reshape(b * t, p))
-    real = uniq != PAD_INDEX
-    # Rows are post-padded.  The all-pad row of padded token positions
-    # counts one step; nothing reads its feature.
-    lengths = np.maximum(real.sum(axis=1), 1)
+    uniq, inverse = _unique_rows(batch.char_indices[batch.mask])
+    lengths = (uniq != PAD_INDEX).sum(axis=1)
 
     out = embed_lookup(model.char_table, uniq)
     if cfg.char_variant in ("cnn", "cnn3"):
@@ -298,7 +286,7 @@ def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[np.ndarray
     else:
         caches = []
         for fwd, bwd in model.char_lstms:
-            out, cache = bilstm_sequence(fwd, bwd, out, real, mode=mode)
+            out, cache = bilstm_sequence(fwd, bwd, out, lengths, mode=mode)
             caches.append(cache)
         # The forward half is read after the last character, the backward
         # half after the first.
@@ -319,8 +307,8 @@ def forward_emissions(
     In eval mode returns the emissions alone and keeps nothing else.  In
     train mode returns ``(emissions, cache)``, the cache being what
     :func:`backward` reads, and applies dropout (input and recurrent,
-    per-sequence-constant masks).  Masked positions produce zero BiLSTM
-    output and carry no gradient into the token BiLSTM.
+    per-sequence-constant masks).  Positions past a sentence's length
+    produce zero BiLSTM output and carry no gradient into the token BiLSTM.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -353,10 +341,11 @@ def forward_emissions(
             x[i, j, : cfg.word_dim] = vec
             x[i, j, cfg.word_dim : words] = tok.casing
 
+    real = batch.mask
     char_map = chars = None
     if required is not None:
         char_feat, char_map, chars = _char_features(model, batch, mode)
-        x[..., words:] = char_feat[char_map].reshape(b, t, cfg.char_feature_dim)
+        x[real, words:] = char_feat[char_map]
     in_mask = None
     if train and cfg.dropout > 0.0:
         in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng)
@@ -366,7 +355,7 @@ def forward_emissions(
         model.token_fwd,
         model.token_bwd,
         x,
-        batch.mask,
+        batch.lengths,
         recurrent_dropout=cfg.dropout if train else 0.0,
         mode=mode,
         rng=rng,
@@ -375,7 +364,7 @@ def forward_emissions(
     emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
     if not train:
         return emissions
-    return emissions, (flat, token, in_mask, char_map, chars)
+    return emissions, (flat, token, in_mask, real, char_map, chars)
 
 
 def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
@@ -389,7 +378,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     char embedding.
     """
     cfg = model.config
-    flat, token, in_mask, char_map, chars = cache
+    flat, token, in_mask, real, char_map, chars = cache
     d_em, *d_crf = crf_grads
     grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
     b, t, labels = d_em.shape
@@ -405,7 +394,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
             d_chars = d_chars * in_mask[..., words:]
         uniq, lengths, caches = chars
         d_feat = np.zeros((len(uniq), cfg.char_feature_dim))
-        np.add.at(d_feat, char_map, d_chars.reshape(b * t, cfg.char_feature_dim))
+        np.add.at(d_feat, char_map, d_chars[real])
         if cfg.char_variant in ("cnn", "cnn3"):
             f = cfg.char_cnn_filters
             d_emb = 0.0
@@ -422,6 +411,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
                 d_emb, lstm_grads = bilstm_backward(caches[i], d_emb)
                 _put_lstm(grads, f"char_lstm{i}", lstm_grads)
         grads["char_table.rows"] = embed_backward(model.char_table, uniq, d_emb)
+        grads["char_table.rows"][PAD_INDEX] = 0.0  # the padding row stays zero
     return {name: grads[name] for name, _ in model.parameters()}
 
 
@@ -440,7 +430,7 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
         group = sentences[lo : lo + batch_size]
         batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
         em = forward_emissions(model, batch, embedding_store, mode="eval")
-        paths, _ = viterbi_decode(model.crf, em, batch.mask.sum(axis=1))
+        paths, _ = viterbi_decode(model.crf, em, batch.lengths)
         out.extend([schema.label_of(y) for y in path] for path in paths)
     return out
 

@@ -56,7 +56,6 @@ class TrainConfig:
     seed: int = 0
     gradient_clip_norm: float | None = 5.0
     label_level: str = "outer"
-    reset_stage2_optimizer: bool = True
 
 
 @dataclass
@@ -131,7 +130,7 @@ def batch_loss(
     emissions, cache = forward_emissions(model, batch, store, mode="train", rng=rng)
     gold = np.zeros(batch.mask.shape, dtype=np.int64)
     gold[batch.mask] = [schema.index_of(lab) for sent in batch.sentences for lab in sent.labels(level)]
-    loss, crf_grads = crf_negative_log_likelihood(model.crf, emissions, gold, batch.mask.sum(axis=1))
+    loss, crf_grads = crf_negative_log_likelihood(model.crf, emissions, gold, batch.lengths)
     return loss, backward(model, cache, crf_grads)
 
 
@@ -169,7 +168,6 @@ def train_epoch(
     losses, norms = [], []
     for batch in batches:
         loss, grads = batch_loss(model, batch, embedding_store, config.label_level, rng)
-        model.zero_frozen_grad_rows(grads)
         norms.append(clip_gradients(grads, config.gradient_clip_norm))
         nadam_step(model.parameters(), grads, state, config)
         losses.append(loss)
@@ -275,6 +273,10 @@ def train_two_stage(
         raise TrainingError("training on an empty dataset")
     if not dev:
         raise TrainingError("two-stage training needs a validation set")
+    if min(config.stage1_epochs, config.stage2_epochs) < 1:
+        raise TrainingError(
+            f"each stage needs at least one epoch, got {config.stage1_epochs} and {config.stage2_epochs}"
+        )
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if checkpoint_dir is not None:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)
@@ -285,10 +287,8 @@ def train_two_stage(
     best1 = _run_stage(model, train, dev, embedding_store, config, 1, config.stage1_epochs,
                        state, report, checkpoint_dir)
     model.restore(best1)
-    if config.reset_stage2_optimizer:
-        state = NadamState()
     best2 = _run_stage(model, train, dev, embedding_store, config, 2, config.stage2_epochs,
-                       state, report, checkpoint_dir)
+                       NadamState(), report, checkpoint_dir)
     model.restore(best2)
     report.wall_clock_s = time.perf_counter() - started
     return model, report

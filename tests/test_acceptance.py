@@ -157,25 +157,23 @@ def test_criterion_2_gradient_suite():
     p = layers.init_lstm_params(8, 4, rng)
     x = rng.uniform(-1, 1, (1, 2, 8))
     wv = rng.uniform(-1, 1, (1, 2, 8))
-    ones = np.ones((1, 2), dtype=bool)
-    _, cache = layers.bilstm_sequence(p, p, x, ones, mode="train")
+    _, cache = layers.bilstm_sequence(p, p, x, [2], mode="train")
     _, (gf, gb) = layers.bilstm_backward(cache, wv, need_input=False)
     err = _grad_check(
-        lambda: float((layers.bilstm_sequence(p, p, x, ones)[0] * wv).sum()),
+        lambda: float((layers.bilstm_sequence(p, p, x, [2])[0] * wv).sum()),
         [p.w_input, p.w_recurrent, p.bias],
         [a + b for a, b in zip(gf, gb)],
     )
     failures += [("lstm_cell", err)] if err > 1e-4 else []
 
-    # bilstm over a masked sequence
+    # bilstm over a sequence of 4 steps padded to 6
     fwd, bwd = layers.init_lstm_params(4, 4, rng), layers.init_lstm_params(4, 4, rng)
     xs = rng.uniform(-1, 1, (1, 6, 4))
-    mask = np.array([[True, True, True, True, False, False]])
     wm = rng.uniform(-1, 1, (1, 6, 8))
-    _, cache = layers.bilstm_sequence(fwd, bwd, xs, mask, mode="train")
+    _, cache = layers.bilstm_sequence(fwd, bwd, xs, [4], mode="train")
     _, (gf, gb) = layers.bilstm_backward(cache, wm, need_input=False)
     err = _grad_check(
-        lambda: float((layers.bilstm_sequence(fwd, bwd, xs, mask)[0] * wm).sum()),
+        lambda: float((layers.bilstm_sequence(fwd, bwd, xs, [4])[0] * wm).sum()),
         [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias],
         [*gf, *gb],
     )

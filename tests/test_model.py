@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from gner import cli
 from gner import layers
 from gner import model as M
 from gner.corpus import (
+    PAD_INDEX,
     CorpusError,
     Sentence,
     Token,
@@ -183,7 +185,7 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
         idx = [vocab.lookup(ch) for ch in tok.text]
         out = model.char_table.rows[idx][None]
         for fwd, bwd in model.char_lstms:
-            out, _ = layers.bilstm_sequence(fwd, bwd, out, np.ones((1, len(idx)), dtype=bool))
+            out, _ = layers.bilstm_sequence(fwd, bwd, out, [len(idx)])
         want = np.concatenate([out[0, -1, :c], out[0, 0, c:]])
         np.testing.assert_allclose(feat[inverse[t]], want, rtol=0, atol=1e-12)
 
@@ -305,8 +307,13 @@ def test_end_to_end_gradient_check_all_variants(variant):
         return batch_loss(model, batch, store, "outer", np.random.default_rng(1))
 
     _, grads = loss()
-    params = [p for _, p in model.parameters()]
-    err, stats = check_gradient(lambda: loss()[0], params, list(grads.values()), eps=1e-5, samples=60,
+    # The char table's padding row is frozen: its gradient is zero, which
+    # is checked here, and the finite differences cover the other rows.
+    if variant != "none":
+        np.testing.assert_array_equal(grads["char_table.rows"][PAD_INDEX], 0.0)
+    params = [p[PAD_INDEX + 1 :] if name == "char_table.rows" else p for name, p in model.parameters()]
+    analytic = [g[PAD_INDEX + 1 :] if name == "char_table.rows" else g for name, g in grads.items()]
+    err, stats = check_gradient(lambda: loss()[0], params, analytic, eps=1e-5, samples=60,
                                 rng=np.random.default_rng(0), return_stats=True)
     assert stats["checked"] == 60, f"{variant}: {stats}"
     assert err <= 1e-4, f"{variant}: max rel error {err}"
@@ -391,6 +398,30 @@ def test_load_reports_corrupt_header_as_format_error(tmp_path, header, length):
     path.write_bytes(_with_header(path.read_bytes(), header, length))
     with pytest.raises(M.ModelFormatError, match="header"):
         M.load_model(path)
+
+
+@pytest.mark.parametrize("variant", ["cnn", "cnn3", "bilstm"])
+def test_load_checks_the_derived_config_keys_of_older_headers(tmp_path, variant):
+    # Version-2 files written while the char CNN kernels and the casing width
+    # were settable carry both; they load when they hold the derived values.
+    model, store, _, sents = _toy_setup(variant)
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    raw = path.read_bytes()
+    _, length, rest = raw.split(b"\n", 2)
+    header = json.loads(rest[: int(length)])
+    kernels = list(model.config.char_cnn_kernels)
+    for extra in ({"char_cnn_kernels": None, "casing_dim": 7}, {"char_cnn_kernels": kernels, "casing_dim": 7}):
+        header["config"].update(extra)
+        path.write_bytes(_with_header(raw, json.dumps(header).encode()))
+        loaded = M.load_model(path)
+        assert loaded.config.char_cnn_kernels == model.config.char_cnn_kernels
+        assert M.predict_batch(loaded, store, sents) == M.predict_batch(model, store, sents)
+    for extra in ({"casing_dim": 8}, {"casing_dim": 7, "char_cnn_kernels": kernels + [6]}):
+        header["config"].update(extra)
+        path.write_bytes(_with_header(raw, json.dumps(header).encode()))
+        with pytest.raises(M.ModelFormatError, match="char_cnn_kernels .* and casing_dim"):
+            M.load_model(path)
 
 
 def test_cli_predict_reports_corrupt_model_without_traceback(tmp_path, capsys):

@@ -1,19 +1,26 @@
 import io
 import json
+import os
+import signal
 import socket
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from gner import cli
 from gner import service as svc
-from gner.corpus import germeval_schema
+from gner.corpus import germeval_schema, write_germeval
 from gner.datagen import make_embedding_store
 from gner.embeddings import write_text_vectors
 from gner.model import predict
 from helpers import serve_in_thread
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_map_labels_combined_cases():
@@ -271,6 +278,33 @@ def test_cli_train_round_trip(fixture_world, tmp_path, capsys):
     assert report_path.exists()
 
 
+def _run_config(store_path, drop=None, **extra) -> str:
+    config = {"train_path": "train.tsv", "dev_path": "dev.tsv",
+              "embeddings": {"path": str(store_path), "kind": "plain"}, **extra}
+    config.pop(drop, None)
+    return json.dumps(config)
+
+
+@pytest.mark.parametrize("text, message", [
+    (lambda store: _run_config(store)[:-1], "not a JSON run configuration"),
+    (lambda store: _run_config(store, drop="train_path"), "lacks train_path"),
+    (lambda store: _run_config(store, drop="dev_path"), "lacks dev_path"),
+    (lambda store: _run_config(store, drop="embeddings"), "lacks embeddings"),
+    (lambda store: _run_config(store, model={"char_variant": "cnn", "cnn_kernels": [3]}),
+     "unexpected keyword argument 'cnn_kernels'"),
+    (lambda store: _run_config(store, training={"reset_stage2_optimizer": False}),
+     "unexpected keyword argument 'reset_stage2_optimizer'"),
+], ids=["not-json", "no-train", "no-dev", "no-embeddings", "unknown-model-key", "unknown-training-key"])
+def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, capsys, text, message):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(text(fixture_world.store_path), encoding="utf-8")
+    for name in ("train.tsv", "dev.tsv"):
+        write_germeval(fixture_world.sentences[:4], tmp_path / name)
+    assert cli.main(["train", "--config", str(config_path), "--out", str(tmp_path / "m.mner")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: ") and message in err
+
+
 def test_cli_train_combined_model_mixes_corpus_formats(fixture_world, tmp_path):
     from gner.corpus import write_germeval
     from gner.datagen import make_corpus
@@ -310,6 +344,37 @@ def test_serve_bind_resolution(monkeypatch):
     assert cli.resolve_bind(None, None) == ("0.0.0.0", 9000)
     # flags take precedence over the environment
     assert cli.resolve_bind("10.0.0.1", 7777) == ("10.0.0.1", 7777)
+
+
+def test_serve_rejects_a_port_out_of_range_or_not_a_number(monkeypatch, fixture_world, capsys):
+    registry = str(fixture_world.registry_path)
+    monkeypatch.delenv(cli.ENV_PORT, raising=False)
+    assert cli.main(["serve", "--registry", registry, "--port", "70000"]) == 1
+    assert capsys.readouterr().err == "error: port 70000 is outside 0-65535\n"
+    monkeypatch.setenv(cli.ENV_PORT, "80a")
+    assert cli.main(["serve", "--registry", registry]) == 1
+    assert capsys.readouterr().err == f"error: ${cli.ENV_PORT} is not a port number: '80a'\n"
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_serve_stops_cleanly_on_signal_even_when_started_with_sigint_ignored(fixture_world, signum):
+    # A job started in the background by a non-interactive shell inherits
+    # SIGINT ignored; the server must still stop on it, and on SIGTERM.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gner.cli", "serve", "--registry", str(fixture_world.registry_path), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+    )
+    try:
+        assert proc.stdout.readline().startswith("serving ['germeval-outer'] on http://127.0.0.1:")
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 0, err
+    assert err == ""
 
 
 def test_cli_split_oov(fixture_world, tmp_path, capsys):

@@ -185,6 +185,13 @@ def test_empty_dataset_rejected():
         tr.train_epoch(model, [], store, _cfg(), stage=1)
 
 
+@pytest.mark.parametrize("epochs", [{"stage1_epochs": 0}, {"stage2_epochs": 0}, {"stage2_epochs": -1}])
+def test_two_stage_rejects_a_stage_without_epochs(epochs):
+    model, store, sents = _tiny_world()
+    with pytest.raises(tr.TrainingError, match="at least one epoch"):
+        tr.train_two_stage(model, sents[:8], sents[8:], store, _cfg(stage1_batch=4, **epochs))
+
+
 def test_loss_decreases_over_first_epochs():
     model, store, sents = _tiny_world(n=10, seed=4)
     state = tr.NadamState()
