@@ -271,6 +271,18 @@ def test_fused_bilstm_matches_step_reference(mode, rate):
     _check_against_step_reference([3, 1, 6, 1, 5, 3], mode, rate, seed=21)
 
 
+@pytest.mark.parametrize("layout", ["prefix"])
+@pytest.mark.parametrize("mode,rate", [("eval", 0.0), ("train", 0.0), ("train", 0.5)])
+def test_sorted_schedule_matches_step_reference(mode, rate, layout):
+    # Post-padded rows (each a prefix of its row) with unsorted lengths.
+    lengths = np.array([3, 2, 6, 1, 5, 3])
+    # Every step then runs on a leading slice of the length-sorted rows.
+    _, order, running = layers.length_schedule(lengths, 6, 6)
+    for t, n in enumerate(running):
+        assert (lengths[order[:n]] > t).all() and (lengths[order[n:]] <= t).all()
+    _check_against_step_reference(lengths, mode, rate, seed=23)
+
+
 def test_length_schedule_orders_rows_and_counts_running_rows():
     lengths, order, running = layers.length_schedule([3, 1, 6, 1, 5, 3], 6, 6)
     np.testing.assert_array_equal(lengths, [3, 1, 6, 1, 5, 3])
