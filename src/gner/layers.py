@@ -1,5 +1,9 @@
 """The model's parameterized layers, each a forward and a backward function
-over plain float64 arrays.
+over plain arrays.
+
+The BiLSTM and the char CNN run in their weights' dtype and raise
+:class:`LayerError` on an input of another, so nothing upcasts without
+notice: a built model trains in float64 and a loaded one infers in float32.
 
 A sequence batch is a post-padded ``(rows, steps, dim)`` array plus each
 row's length, and :func:`length_schedule` is the one place that checks the
@@ -140,9 +144,13 @@ def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tu
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
-    """Overflow-free sigmoid: ``1/(1+e^-x)`` for x >= 0, ``e^x/(1+e^x)`` below."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """Overflow-free sigmoid in ``x``'s dtype, as ``0.5*tanh(0.5*x) + 0.5``:
+    one transcendental ufunc, within 4.5e-16 absolute of ``1/(1+e^-x)`` in
+    float64, and exactly 0 or 1 far out in the tails."""
+    y = np.tanh(0.5 * x)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def length_schedule(lengths, batch: int, steps: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -171,8 +179,8 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
     """
     cells = params.cells
     u, bias = params.w_recurrent, params.bias
-    h = np.zeros((out.shape[0], cells))
-    c = np.zeros((out.shape[0], cells))
+    h = np.zeros((out.shape[0], cells), dtype=out.dtype)
+    c = np.zeros((out.shape[0], cells), dtype=out.dtype)
     n = xw.shape[0]
     cache = None
     if keep:
@@ -261,6 +269,8 @@ def bilstm_sequence(
     for p in (fwd, bwd):
         if width != p.input_dim:
             raise LayerError(f"bilstm_sequence: input dim {width} != {p.input_dim}")
+        if x.dtype != p.w_input.dtype:
+            raise LayerError(f"bilstm_sequence: {x.dtype} input, {p.w_input.dtype} weights")
     _, order, running = length_schedule(lengths, batch, length)
     train = mode == "train"
     rec_masks = [None, None]
@@ -277,7 +287,7 @@ def bilstm_sequence(
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
     x_real = x[gather]
-    out = np.zeros((batch, length, fwd.cells + bwd.cells))
+    out = np.zeros((batch, length, fwd.cells + bwd.cells), dtype=x.dtype)
     acts = [_recur(p, x_real @ p.w_input, steps, times, rec, out[..., half], train)
             for p, times, rec, half in directions]
     return out, (x.shape, gather, steps, directions, x_real, acts) if train else None
@@ -307,7 +317,7 @@ def _windows(x: np.ndarray, k: int) -> np.ndarray:
     positions w..w+k-1 side by side, matching the kernels' (k, in) layout;
     positions past the last step are zeros."""
     rows, steps, width = x.shape
-    cols = np.zeros((rows, steps, k * width))
+    cols = np.zeros((rows, steps, k * width), dtype=x.dtype)
     for j in range(min(k, steps)):
         cols[:, : steps - j, j * width : (j + 1) * width] = x[:, j:]
     return cols
@@ -331,6 +341,8 @@ def conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths, mode: str
     k, filters = params.kernel_size, params.filters
     if width != params.in_dim:
         raise LayerError(f"conv1d_globalmaxpool: input dim {width} != {params.in_dim}")
+    if x.dtype != params.kernels.dtype:
+        raise LayerError(f"conv1d_globalmaxpool: {x.dtype} input, {params.kernels.dtype} kernels")
     lengths, _, _ = length_schedule(lengths, rows, steps)
     w_flat = params.kernels.reshape(k * width, filters)
     z = (_windows(x, k).reshape(rows * steps, k * width) @ w_flat + params.bias).reshape(rows, steps, filters)

@@ -25,6 +25,11 @@ embedding.
 Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
 across positions, which is both faster and gradient-equivalent.
+
+A model runs in the one dtype its parameters share.  :func:`build_model`
+draws float64 parameters, and only those train.  :func:`save_model` stores
+float32 blocks, and :func:`load_model` returns them as they are, so a loaded
+model infers in float32; the CRF still scores in float64.
 """
 
 from __future__ import annotations
@@ -122,6 +127,10 @@ class ModelConfig:
         return self.word_dim + self.casing_dim + self.char_feature_dim
 
     @property
+    def char_lstm_layers(self) -> int:
+        return {"bilstm": 1, "bilstm2": 2}.get(self.char_variant, 0)
+
+    @property
     def required_char_mode(self) -> str | None:
         if self.char_variant == "none":
             return None
@@ -197,6 +206,14 @@ class NerModel:
         out.append(("crf.end", self.crf.end_scores))
         return out
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype all parameters share: float64 when built, float32 when loaded."""
+        dtypes = {p.dtype for _, p in self.parameters()}
+        if len(dtypes) != 1:
+            raise ModelError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
+        return dtypes.pop()
+
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.copy() for name, p in self.parameters()}
 
@@ -223,9 +240,8 @@ def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: 
                 for k in config.char_cnn_kernels
             ]
         else:
-            layers = 2 if config.char_variant == "bilstm2" else 1
             in_dim = config.char_emb_dim
-            for _ in range(layers):
+            for _ in range(config.char_lstm_layers):
                 char_lstms.append(
                     (init_lstm_params(in_dim, config.char_lstm_cells, rng),
                      init_lstm_params(in_dim, config.char_lstm_cells, rng))
@@ -246,6 +262,32 @@ def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: 
         dense_w=dense_w,
         dense_b=dense_b,
         crf=init_crf_params(config.num_labels),
+    )
+
+
+def _assemble(config: ModelConfig, char_vocab: CharVocab | None, param) -> NerModel:
+    """The configured architecture, each parameter array taken from
+    ``param(name, shape)``, which is called in :meth:`NerModel.parameters`
+    order."""
+    emb, filters, cells, labels = config.char_emb_dim, config.char_cnn_filters, config.char_lstm_cells, config.num_labels
+
+    def lstm(prefix: str, in_dim: int, n: int) -> LstmParams:
+        shapes = (("w_input", (in_dim, 4 * n)), ("w_recurrent", (n, 4 * n)), ("bias", (4 * n,)))
+        return LstmParams(*(param(f"{prefix}.{name}", shape) for name, shape in shapes), cells=n)
+
+    return NerModel(
+        config=config,
+        char_vocab=char_vocab,
+        char_table=EmbeddingTable(param("char_table.rows", (len(char_vocab), emb))) if config.char_variant != "none" else None,
+        char_convs=[Conv1dParams(param(f"char_conv{i}.kernels", (k, emb, filters)), param(f"char_conv{i}.bias", (filters,)),
+                                 k, filters) for i, k in enumerate(config.char_cnn_kernels)],
+        char_lstms=[tuple(lstm(f"char_lstm{i}.{tag}", emb if i == 0 else 2 * cells, cells) for tag in ("fwd", "bwd"))
+                    for i in range(config.char_lstm_layers)],
+        token_fwd=lstm("token_lstm.fwd", config.input_width, config.token_lstm_cells),
+        token_bwd=lstm("token_lstm.bwd", config.input_width, config.token_lstm_cells),
+        dense_w=param("dense.w", (2 * config.token_lstm_cells, labels)),
+        dense_b=param("dense.b", (labels,)),
+        crf=CrfParams(param("crf.transitions", (labels, labels)), param("crf.start", (labels,)), param("crf.end", (labels,))),
     )
 
 
@@ -304,8 +346,9 @@ def forward_emissions(
 ):
     """Per-token label scores before the CRF, shaped (batch, max_len, labels).
 
-    In eval mode returns the emissions alone and keeps nothing else.  In
-    train mode returns ``(emissions, cache)``, the cache being what
+    The emissions come in the parameters' dtype.  In eval mode returns the
+    emissions alone and keeps nothing else.  In train mode, which needs
+    float64 parameters, returns ``(emissions, cache)``, the cache being what
     :func:`backward` reads, and applies dropout (input and recurrent,
     per-sequence-constant masks).  Positions past a sentence's length
     produce zero BiLSTM output and carry no gradient into the token BiLSTM.
@@ -325,12 +368,15 @@ def forward_emissions(
     if embedding_store.dim != cfg.word_dim:
         raise ModelError(f"embedding store has dimension {embedding_store.dim}, the model's word_dim is {cfg.word_dim}")
     train = mode == "train"
+    dtype = model.dtype
+    if train and dtype != np.float64:
+        raise ModelError(f"train mode needs float64 parameters, this model's are {dtype}")
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
     b, t = len(batch.sentences), batch.max_len
     words = cfg.word_dim + cfg.casing_dim
-    x = np.zeros((b, t, cfg.input_width))
+    x = np.zeros((b, t, cfg.input_width), dtype=dtype)
     seen: dict[str, np.ndarray] = {}
     for i, sent in enumerate(batch.sentences):
         for j, tok in enumerate(sent.tokens):
@@ -447,7 +493,8 @@ def predict(model: NerModel, embedding_store: EmbeddingStore, tokens: list[str])
 
 # ---------------------------------------------------------------------------
 # serialization: MNER1 magic, JSON header (config, schema, char vocab,
-# declared parameter shapes), then named blocks of little-endian float32.
+# declared parameter shapes), then named blocks of little-endian float32,
+# which load as the model's float32 parameters.
 
 
 def save_model(model: NerModel, path: str | Path):
@@ -505,21 +552,25 @@ def load_model(path: str | Path) -> NerModel:
         try:
             config = ModelConfig.from_dict(header["config"])
             symbols = header["char_vocab"]
+            if symbols is None and config.char_variant != "none":
+                raise ValueError(f"char variant {config.char_variant!r} needs a character vocabulary")
             vocab = None if symbols is None else CharVocab({sym: i for i, sym in enumerate(symbols)})
-            model = build_model(config, vocab, seed=0)
-            declared = [(d["name"], tuple(d["shape"])) for d in header["params"]]
+            declared = iter([(d["name"], tuple(d["shape"])) for d in header["params"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
 
-        params = model.parameters()
-        if [name for name, _ in declared] != [name for name, _ in params]:
+        def block(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            declared_name, declared_shape = next(declared, (None, None))
+            if declared_name != name:
+                raise ModelFormatError(f"{path}: parameter blocks do not match the configured architecture")
+            if declared_shape != shape:
+                raise ModelFormatError(f"{path}: {name} has shape {declared_shape}, expected {shape}")
+            raw = _read_exact(fh, 4 * int(np.prod(shape, dtype=np.int64)), name)
+            return np.frombuffer(raw, dtype="<f4").astype(np.float32).reshape(shape)
+
+        model = _assemble(config, vocab, block)
+        if next(declared, None) is not None:
             raise ModelFormatError(f"{path}: parameter blocks do not match the configured architecture")
-        for (_, shape), (name, p) in zip(declared, params):
-            if shape != p.shape:
-                raise ModelFormatError(f"{path}: {name} has shape {shape}, expected {p.shape}")
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            raw = _read_exact(fh, 4 * count, name)
-            p[:] = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise ModelFormatError(f"{path}: trailing bytes after parameter blocks")
     return model

@@ -144,6 +144,51 @@ def test_lstm_step_dimension_mismatch():
         layers.bilstm_sequence(p, p, np.zeros((1, 1, 4)), [1])
 
 
+def _as_dtype(params, dtype):
+    """A copy of LSTM or conv params with every array cast to ``dtype``."""
+    fields = {k: v.astype(dtype) if isinstance(v, np.ndarray) else v for k, v in vars(params).items()}
+    return type(params)(**fields)
+
+
+@pytest.mark.parametrize("x_dtype, w_dtype", [(np.float64, np.float32), (np.float32, np.float64)])
+def test_fused_ops_reject_an_input_dtype_other_than_their_weights(x_dtype, w_dtype):
+    # A float64 input would upcast every float32 matmul (and the other way
+    # round narrow it) without notice; both ops refuse instead.
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-1, 1, (2, 4, 3)).astype(x_dtype)
+    p = _as_dtype(_lstm(3, 2), w_dtype)
+    conv = _as_dtype(layers.init_conv1d_params(3, 3, 2, rng), w_dtype)
+    with pytest.raises(layers.LayerError, match="bilstm_sequence: .* input, .* weights"):
+        layers.bilstm_sequence(p, p, x, [4, 2])
+    with pytest.raises(layers.LayerError, match="conv1d_globalmaxpool: .* input, .* kernels"):
+        layers.conv1d_globalmaxpool(conv, x, [4, 2])
+
+
+def test_fused_ops_run_in_float32_and_stay_close_to_float64():
+    rng = np.random.default_rng(32)
+    x = rng.uniform(-1, 1, (3, 5, 4))
+    p, conv = _lstm(4, 3, 7), layers.init_conv1d_params(3, 4, 2, rng)
+    p.bias[:] = rng.uniform(-0.5, 0.5, p.bias.shape)
+    conv.bias[:] = rng.uniform(-0.5, 0.5, conv.bias.shape)
+    lengths = [5, 2, 4]
+    for run in (lambda q, c, v: layers.bilstm_sequence(q, q, v, lengths)[0],
+                lambda q, c, v: layers.conv1d_globalmaxpool(c, v, lengths)[0]):
+        want = run(p, conv, x)
+        got = run(_as_dtype(p, np.float32), _as_dtype(conv, np.float32), x.astype(np.float32))
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+
+def test_logistic_tanh_form():
+    x = np.linspace(-40.0, 40.0, 80001)
+    np.testing.assert_allclose(layers.logistic(x), 1.0 / (1.0 + np.exp(-x)), rtol=0, atol=4.5e-16)
+    with np.errstate(all="raise"):
+        np.testing.assert_array_equal(layers.logistic(np.array([-1e4, 1e4])), [0.0, 1.0])
+        tails = layers.logistic(np.array([-1e4, 1e4], dtype=np.float32))
+    np.testing.assert_array_equal(tails, [0.0, 1.0])
+    assert layers.logistic(np.linspace(-3, 3, 7, dtype=np.float32)).dtype == np.float32
+
+
 def test_forget_gate_bias_initialized_to_one():
     p = _lstm(4, 3)
     np.testing.assert_array_equal(p.bias[3:6], np.ones(3))

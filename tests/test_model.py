@@ -19,8 +19,13 @@ from gner.corpus import (
 )
 from gner.datagen import make_corpus, make_embedding_store
 from gner.embeddings import write_text_vectors
-from gner.training import batch_loss
+from gner.training import TrainConfig, batch_loss, train_epoch
+from helpers import fixture_training_sentences
 from oracles import check_gradient
+
+# Largest |float32 - float64| emission difference allowed for one model run
+# in both dtypes (measured at most 2e-5 at paper size).
+PARITY_ATOL = 1e-4
 
 
 def _toy_config(variant, schema=None, **overrides):
@@ -326,17 +331,60 @@ def test_save_load_round_trip_predictions(tmp_path):
     loaded = M.load_model(path)
     for s in sents:
         assert M.predict(model, store, s.texts()) == M.predict(loaded, store, s.texts())
-    # Serialized parameters are exactly the float32 rounding of the originals,
-    # and a second save/load cycle is bit-stable.
+    # Loaded parameters are float32, bit-equal to the float32 rounding of the
+    # originals, and a second save/load cycle is bit-stable.
     originals = dict(model.parameters())
     for name, p in loaded.parameters():
-        expected = originals[name].astype("<f4").astype(np.float64)
-        np.testing.assert_array_equal(p, expected)
+        assert p.dtype == np.float32, name
+        assert p.tobytes() == originals[name].astype(np.float32).tobytes(), name
     path2 = tmp_path / "model2.mner"
     M.save_model(loaded, path2)
-    again = M.load_model(path2)
+    again = dict(M.load_model(path2).parameters())
     for name, p in loaded.parameters():
-        np.testing.assert_array_equal(p, dict(again.parameters())[name])
+        assert again[name].dtype == np.float32 and again[name].tobytes() == p.tobytes(), name
+
+
+@pytest.mark.parametrize("variant", M.CHAR_VARIANTS)
+def test_loaded_float32_model_matches_its_float64_widening(tmp_path, variant):
+    # The same paper-size parameters run in both dtypes: the loaded float32
+    # model, and its exact widening to float64.  Random biases keep pad
+    # faults visible.
+    sents = fixture_training_sentences() + make_corpus(40, seed=12)
+    vocab = build_char_vocab(sents[:30])  # later sentences bring unknown characters
+    config = M.ModelConfig(label_schema=germeval_schema(), char_variant=variant)
+    model = M.build_model(config, vocab if variant != "none" else None, seed=12)
+    _randomize_biases(model, 12)
+    M.save_model(model, tmp_path / "model.mner")
+    narrow = M.load_model(tmp_path / "model.mner")
+    params = dict(narrow.parameters())
+    wide = M._assemble(narrow.config, narrow.char_vocab, lambda name, _: params[name].astype(np.float64))
+    assert (narrow.dtype, wide.dtype) == (np.float32, np.float64)
+    store = make_embedding_store(sents, dim=config.word_dim, seed=12)
+    labels = M.predict_batch(narrow, store, sents)
+    assert labels == M.predict_batch(wide, store, sents)
+    assert len({lab for row in labels for lab in row}) > 3
+    for lo in range(0, len(sents), 16):
+        batch = batch_from_sentences(sents[lo : lo + 16], vocab, config.required_char_mode)
+        em32, em64 = (M.forward_emissions(m, batch, store) for m in (narrow, wide))
+        assert (em32.dtype, em64.dtype) == (np.float32, np.float64)
+        np.testing.assert_allclose(em32, em64, rtol=0, atol=PARITY_ATOL)
+
+
+def test_only_float64_models_train(tmp_path):
+    model, store, batch, sents = _toy_setup("cnn")
+    M.save_model(model, tmp_path / "model.mner")
+    loaded = M.load_model(tmp_path / "model.mner")
+    before = loaded.snapshot()
+    with pytest.raises(M.ModelError, match="train mode needs float64 parameters"):
+        batch_loss(loaded, batch, store, "outer", np.random.default_rng(0))
+    with pytest.raises(M.ModelError, match="train mode needs float64 parameters"):
+        train_epoch(loaded, sents, store, TrainConfig(stage1_batch=2), stage=1)
+    for name, p in loaded.parameters():
+        assert p.dtype == np.float32 and p.tobytes() == before[name].tobytes(), name
+    # A model whose parameters mix dtypes runs in neither.
+    loaded.dense_b = loaded.dense_b.astype(np.float64)
+    with pytest.raises(M.ModelError, match="mix dtypes"):
+        M.forward_emissions(loaded, batch, store)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -422,6 +470,35 @@ def test_load_checks_the_derived_config_keys_of_older_headers(tmp_path, variant)
         path.write_bytes(_with_header(raw, json.dumps(header).encode()))
         with pytest.raises(M.ModelFormatError, match="char_cnn_kernels .* and casing_dim"):
             M.load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["params"].reverse(), "do not match the configured architecture"),
+    (lambda h: h["params"].pop(), "do not match the configured architecture"),
+    (lambda h: h["params"].append({"name": "extra", "shape": [1]}), "do not match the configured architecture"),
+    (lambda h: h["params"][-1].update(shape=[3]), r"crf.end has shape \(3,\), expected \(9,\)"),
+    (lambda h: h.update(char_vocab=None), "needs a character vocabulary"),
+], ids=["reordered", "missing", "extra", "wrong-shape", "no-char-vocab"])
+def test_load_checks_declared_parameters_against_the_architecture(tmp_path, edit, message):
+    model, _, _, _ = _toy_setup("cnn")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    raw = path.read_bytes()
+    _, length, rest = raw.split(b"\n", 2)
+    header = json.loads(rest[: int(length)])
+    edit(header)
+    path.write_bytes(_with_header(raw, json.dumps(header).encode()))
+    with pytest.raises(M.ModelFormatError, match=message):
+        M.load_model(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    model, _, _, _ = _toy_setup("cnn")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(M.ModelFormatError, match="trailing bytes"):
+        M.load_model(path)
 
 
 def test_cli_predict_reports_corrupt_model_without_traceback(tmp_path, capsys):
