@@ -97,7 +97,7 @@ def _cmd_train(args) -> int:
     try:
         model_cfg = ModelConfig(label_schema=schema, **model_kwargs)
         train_cfg = TrainConfig(**spec.get("training", {}))
-    except TypeError as exc:  # an unknown "model" or "training" key
+    except (TypeError, ModelError, TrainingError) as exc:  # an unknown or ill-typed "model" or "training" key
         raise TrainingError(f"{config_path}: {exc}") from None
     vocab = build_char_vocab(train_sents) if model_cfg.char_variant != "none" else None
     model = build_model(model_cfg, vocab, seed=train_cfg.seed)

@@ -22,7 +22,6 @@ from .layers import LayerError, length_schedule
 __all__ = [
     "CrfError",
     "CrfParams",
-    "init_crf_params",
     "crf_negative_log_likelihood",
     "viterbi_decode",
 ]
@@ -51,14 +50,6 @@ class CrfParams:
     @property
     def num_labels(self) -> int:
         return self.start_scores.shape[0]
-
-
-def init_crf_params(num_labels: int) -> CrfParams:
-    return CrfParams(
-        transitions=np.zeros((num_labels, num_labels)),
-        start_scores=np.zeros(num_labels),
-        end_scores=np.zeros(num_labels),
-    )
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:

@@ -12,8 +12,11 @@ one call on that order; its backward is a hand-written BPTT over the
 activations the train-mode forward keeps.  The char CNN max-pools each
 row's windows; its backward routes the gradient to each filter's winning
 window.  An eval-mode forward keeps nothing for a backward pass.
-Parameters are immutable during inference and mutated in place only by the
-training loop.
+A layer's parameter record holds only its arrays, and its sizes are read
+from their shapes; the character table is a bare ``(vocab, dim)`` array.
+Nothing here draws initial values: :func:`gner.model.build_model` does, by
+parameter name.  Parameters are immutable during inference and mutated in
+place only by the training loop.
 """
 
 from __future__ import annotations
@@ -27,11 +30,6 @@ __all__ = [
     "length_schedule",
     "LstmParams",
     "Conv1dParams",
-    "EmbeddingTable",
-    "init_lstm_params",
-    "init_conv1d_params",
-    "init_embedding_table",
-    "init_dense_params",
     "bilstm_sequence",
     "bilstm_backward",
     "conv1d_globalmaxpool",
@@ -50,21 +48,22 @@ class LayerError(Exception):
 class LstmParams:
     """Fused LSTM weights: ``w_input`` is (input_dim, 4*cells), ``w_recurrent``
     is (cells, 4*cells), ``bias`` is (4*cells,).  The gate blocks are, in
-    order: input gate, forget gate, cell candidate, output gate.  The
-    forget-gate bias slice is initialized to 1.0."""
+    order: input gate, forget gate, cell candidate, output gate."""
 
     w_input: np.ndarray
     w_recurrent: np.ndarray
     bias: np.ndarray
-    cells: int
 
     def __post_init__(self):
-        four = 4 * self.cells
-        if self.w_input.shape[1] != four or self.w_recurrent.shape != (self.cells, four) or self.bias.shape != (four,):
+        n = self.cells
+        if self.w_input.shape[1:] != (4 * n,) or self.w_recurrent.shape != (n, 4 * n) or self.bias.shape != (4 * n,):
             raise LayerError(
-                f"inconsistent LSTM shapes for cells={self.cells}: "
-                f"{self.w_input.shape}, {self.w_recurrent.shape}, {self.bias.shape}"
+                f"inconsistent LSTM shapes: {self.w_input.shape}, {self.w_recurrent.shape}, {self.bias.shape}"
             )
+
+    @property
+    def cells(self) -> int:
+        return self.w_recurrent.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -77,70 +76,22 @@ class Conv1dParams:
 
     kernels: np.ndarray
     bias: np.ndarray
-    kernel_size: int
-    filters: int
 
     def __post_init__(self):
-        k, _, f = self.kernels.shape
-        if k != self.kernel_size or f != self.filters or self.bias.shape != (self.filters,):
+        if self.kernels.ndim != 3 or self.bias.shape != (self.filters,):
             raise LayerError(f"inconsistent conv shapes: kernels {self.kernels.shape}, bias {self.bias.shape}")
+
+    @property
+    def kernel_size(self) -> int:
+        return self.kernels.shape[0]
 
     @property
     def in_dim(self) -> int:
         return self.kernels.shape[1]
 
-
-@dataclass
-class EmbeddingTable:
-    """Lookup table of row vectors."""
-
-    rows: np.ndarray
-
     @property
-    def vocab_size(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
-
-
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
-
-
-def init_lstm_params(input_dim: int, cells: int, rng: np.random.Generator) -> LstmParams:
-    """Glorot-uniform input weights, per-gate orthogonal recurrent weights,
-    zero bias except the forget gate at 1.0."""
-    w_in = _glorot(rng, (input_dim, 4 * cells))
-    w_rec = np.concatenate([_orthogonal(rng, cells) for _ in range(4)], axis=1)
-    bias = np.zeros(4 * cells)
-    bias[cells : 2 * cells] = 1.0
-    return LstmParams(w_input=w_in, w_recurrent=w_rec, bias=bias, cells=cells)
-
-
-def init_conv1d_params(kernel_size: int, in_dim: int, filters: int, rng: np.random.Generator) -> Conv1dParams:
-    kernels = _glorot(rng, (kernel_size * in_dim, filters)).reshape(kernel_size, in_dim, filters)
-    return Conv1dParams(kernels=kernels, bias=np.zeros(filters), kernel_size=kernel_size, filters=filters)
-
-
-def init_embedding_table(vocab_size: int, dim: int, rng: np.random.Generator) -> EmbeddingTable:
-    """Uniform rows, except row 0, the padding index, which is zero."""
-    rows = rng.uniform(-np.sqrt(3.0 / dim), np.sqrt(3.0 / dim), size=(vocab_size, dim))
-    rows[0] = 0.0
-    return EmbeddingTable(rows=rows)
-
-
-def init_dense_params(in_dim: int, out_dim: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Weights (in_dim, out_dim) and bias for a linearly activated layer."""
-    return _glorot(rng, (in_dim, out_dim)), np.zeros(out_dim)
+    def filters(self) -> int:
+        return self.kernels.shape[-1]
 
 
 def logistic(x: np.ndarray) -> np.ndarray:
@@ -381,19 +332,21 @@ def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) 
     return keep / (1.0 - rate)
 
 
-def embed_lookup(table: EmbeddingTable, indices) -> np.ndarray:
-    """Table rows for an index array of any shape: ``indices.shape + (dim,)``."""
+def embed_lookup(table: np.ndarray, indices) -> np.ndarray:
+    """Rows of the (vocab, dim) ``table`` for an index array of any shape:
+    ``indices.shape + (dim,)``."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.vocab_size):
-        bad = int(idx.flat[np.argmax((idx < 0) | (idx >= table.vocab_size))])
-        raise IndexError(f"embed_lookup: index {bad} out of range [0, {table.vocab_size})")
-    return table.rows[idx]
+    vocab = table.shape[0]
+    if idx.size and (idx.min() < 0 or idx.max() >= vocab):
+        bad = int(idx.flat[np.argmax((idx < 0) | (idx >= vocab))])
+        raise IndexError(f"embed_lookup: index {bad} out of range [0, {vocab})")
+    return table[idx]
 
 
-def embed_backward(table: EmbeddingTable, indices, grad: np.ndarray) -> np.ndarray:
-    """Gradient of the table rows, given ``grad``, the gradient of an
+def embed_backward(table: np.ndarray, indices, grad: np.ndarray) -> np.ndarray:
+    """Gradient of the table's rows, given ``grad``, the gradient of an
     :func:`embed_lookup` output: a row's gradient sums over its
     occurrences."""
-    d_rows = np.zeros(table.rows.shape)
-    np.add.at(d_rows, np.asarray(indices, dtype=np.int64).reshape(-1), grad.reshape(-1, table.dim))
+    d_rows = np.zeros(table.shape)
+    np.add.at(d_rows, np.asarray(indices, dtype=np.int64).reshape(-1), grad.reshape(-1, table.shape[1]))
     return d_rows

@@ -26,6 +26,10 @@ Word vectors come from an external store and are never trained.  Character
 features are computed once per distinct character row in a batch and shared
 across positions, which is both faster and gradient-equivalent.
 
+The architecture is written down once, in :func:`_assemble`, which asks
+for each parameter array by name and shape: :func:`build_model` draws new
+ones by name, :func:`load_model` reads a saved file's blocks.
+
 A model runs in the one dtype its parameters share.  :func:`build_model`
 draws float64 parameters, and only those train.  :func:`save_model` stores
 float32 blocks, and :func:`load_model` returns them as they are, so a loaded
@@ -36,17 +40,17 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import CASING_FEATURE_NAMES, PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
-from .crf import CrfParams, init_crf_params, viterbi_decode
+from .crf import CrfParams, viterbi_decode
 from .embeddings import EmbeddingStore, lookup_word
 from .layers import (
     Conv1dParams,
-    EmbeddingTable,
     LstmParams,
     bilstm_backward,
     bilstm_sequence,
@@ -55,10 +59,6 @@ from .layers import (
     dropout_mask,
     embed_backward,
     embed_lookup,
-    init_conv1d_params,
-    init_embedding_table,
-    init_dense_params,
-    init_lstm_params,
 )
 
 __all__ = [
@@ -105,6 +105,13 @@ class ModelConfig:
     def __post_init__(self):
         if self.char_variant not in CHAR_VARIANTS:
             raise ModelError(f"unknown char variant {self.char_variant!r}; choose from {CHAR_VARIANTS}")
+        for name in ("word_dim", "char_emb_dim", "char_cnn_filters", "char_lstm_cells", "token_lstm_cells"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ModelError(f"{name} must be an integer >= 1, got {value!r}")
+        d = self.dropout
+        if not isinstance(d, (int, float)) or isinstance(d, bool) or not 0.0 <= d < 1.0:
+            raise ModelError(f"dropout must be a number in [0, 1), got {d!r}")
 
     @property
     def casing_dim(self) -> int:
@@ -172,7 +179,7 @@ class ModelConfig:
 class NerModel:
     config: ModelConfig
     char_vocab: CharVocab | None
-    char_table: EmbeddingTable | None
+    char_table: np.ndarray | None
     char_convs: list[Conv1dParams] = field(default_factory=list)
     char_lstms: list[tuple[LstmParams, LstmParams]] = field(default_factory=list)
     token_fwd: LstmParams = None  # type: ignore[assignment]
@@ -186,7 +193,7 @@ class NerModel:
         arrays in place."""
         out: list[tuple[str, np.ndarray]] = []
         if self.char_table is not None:
-            out.append(("char_table.rows", self.char_table.rows))
+            out.append(("char_table.rows", self.char_table))
         for i, conv in enumerate(self.char_convs):
             out.append((f"char_conv{i}.kernels", conv.kernels))
             out.append((f"char_conv{i}.bias", conv.bias))
@@ -223,64 +230,58 @@ class NerModel:
 
 
 def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: int = 0) -> NerModel:
-    """Initialize all parameters for the configured variant."""
-    rng = np.random.default_rng(seed)
-    needs_chars = config.char_variant != "none"
-    if needs_chars and char_vocab is None:
+    """The configured architecture with new float64 parameters drawn from
+    ``seed`` by :func:`_initial`."""
+    if config.char_variant != "none" and char_vocab is None:
         raise ModelError(f"char variant {config.char_variant!r} needs a character vocabulary")
+    return _assemble(config, char_vocab, _initial(np.random.default_rng(seed)))
 
-    char_table = None
-    char_convs: list[Conv1dParams] = []
-    char_lstms: list[tuple[LstmParams, LstmParams]] = []
-    if needs_chars:
-        char_table = init_embedding_table(len(char_vocab), config.char_emb_dim, rng)
-        if config.char_variant in ("cnn", "cnn3"):
-            char_convs = [
-                init_conv1d_params(k, config.char_emb_dim, config.char_cnn_filters, rng)
-                for k in config.char_cnn_kernels
-            ]
+
+def _initial(rng: np.random.Generator):
+    """A ``param(name, shape)`` for :func:`_assemble` that draws a new
+    float64 array from ``rng`` by its name: Glorot-uniform (fan-in
+    ``prod(shape[:-1])``) LSTM input weights, conv kernels and dense weights;
+    four orthogonal gate blocks per recurrent matrix; char rows uniform
+    within ±√(3/dim) under a zero padding row; zeros for the rest, but 1 for
+    an LSTM's forget-gate bias."""
+
+    def param(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        kind = name.rsplit(".", 1)[-1]
+        if kind == "rows":
+            out = rng.uniform(-np.sqrt(3.0 / shape[1]), np.sqrt(3.0 / shape[1]), size=shape)
+            out[PAD_INDEX] = 0.0
+        elif kind in ("w_input", "kernels") or name == "dense.w":
+            limit = np.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+            out = rng.uniform(-limit, limit, size=shape)
+        elif kind == "w_recurrent":
+            blocks = [np.linalg.qr(rng.normal(size=(shape[0], shape[0]))) for _ in range(4)]
+            out = np.concatenate([q * np.sign(np.diag(r)) for q, r in blocks], axis=1)
         else:
-            in_dim = config.char_emb_dim
-            for _ in range(config.char_lstm_layers):
-                char_lstms.append(
-                    (init_lstm_params(in_dim, config.char_lstm_cells, rng),
-                     init_lstm_params(in_dim, config.char_lstm_cells, rng))
-                )
-                in_dim = 2 * config.char_lstm_cells
+            out = np.zeros(shape)
+            if "lstm" in name:
+                out[shape[0] // 4 : shape[0] // 2] = 1.0  # the forget gate's block
+        return out
 
-    token_fwd = init_lstm_params(config.input_width, config.token_lstm_cells, rng)
-    token_bwd = init_lstm_params(config.input_width, config.token_lstm_cells, rng)
-    dense_w, dense_b = init_dense_params(2 * config.token_lstm_cells, config.num_labels, rng)
-    return NerModel(
-        config=config,
-        char_vocab=char_vocab,
-        char_table=char_table,
-        char_convs=char_convs,
-        char_lstms=char_lstms,
-        token_fwd=token_fwd,
-        token_bwd=token_bwd,
-        dense_w=dense_w,
-        dense_b=dense_b,
-        crf=init_crf_params(config.num_labels),
-    )
+    return param
 
 
 def _assemble(config: ModelConfig, char_vocab: CharVocab | None, param) -> NerModel:
     """The configured architecture, each parameter array taken from
     ``param(name, shape)``, which is called in :meth:`NerModel.parameters`
-    order."""
+    order.  :func:`build_model` draws the arrays, :func:`load_model` reads
+    them."""
     emb, filters, cells, labels = config.char_emb_dim, config.char_cnn_filters, config.char_lstm_cells, config.num_labels
 
     def lstm(prefix: str, in_dim: int, n: int) -> LstmParams:
         shapes = (("w_input", (in_dim, 4 * n)), ("w_recurrent", (n, 4 * n)), ("bias", (4 * n,)))
-        return LstmParams(*(param(f"{prefix}.{name}", shape) for name, shape in shapes), cells=n)
+        return LstmParams(*(param(f"{prefix}.{name}", shape) for name, shape in shapes))
 
     return NerModel(
         config=config,
         char_vocab=char_vocab,
-        char_table=EmbeddingTable(param("char_table.rows", (len(char_vocab), emb))) if config.char_variant != "none" else None,
-        char_convs=[Conv1dParams(param(f"char_conv{i}.kernels", (k, emb, filters)), param(f"char_conv{i}.bias", (filters,)),
-                                 k, filters) for i, k in enumerate(config.char_cnn_kernels)],
+        char_table=param("char_table.rows", (len(char_vocab), emb)) if config.char_variant != "none" else None,
+        char_convs=[Conv1dParams(param(f"char_conv{i}.kernels", (k, emb, filters)),
+                                 param(f"char_conv{i}.bias", (filters,))) for i, k in enumerate(config.char_cnn_kernels)],
         char_lstms=[tuple(lstm(f"char_lstm{i}.{tag}", emb if i == 0 else 2 * cells, cells) for tag in ("fwd", "bwd"))
                     for i in range(config.char_lstm_layers)],
         token_fwd=lstm("token_lstm.fwd", config.input_width, config.token_lstm_cells),
@@ -377,15 +378,14 @@ def forward_emissions(
     b, t = len(batch.sentences), batch.max_len
     words = cfg.word_dim + cfg.casing_dim
     x = np.zeros((b, t, cfg.input_width), dtype=dtype)
-    seen: dict[str, np.ndarray] = {}
+    seen: dict[str, np.ndarray] = {}  # word vector and casing one-hot, per distinct text
     for i, sent in enumerate(batch.sentences):
         for j, tok in enumerate(sent.tokens):
-            vec = seen.get(tok.text)
-            if vec is None:
+            row = seen.get(tok.text)
+            if row is None:
                 vec, _ = lookup_word(embedding_store, tok.text)
-                seen[tok.text] = vec
-            x[i, j, : cfg.word_dim] = vec
-            x[i, j, cfg.word_dim : words] = tok.casing
+                row = seen[tok.text] = np.concatenate([vec, tok.casing])
+            x[i, j, :words] = row
 
     real = batch.mask
     char_map = chars = None
@@ -556,7 +556,7 @@ def load_model(path: str | Path) -> NerModel:
                 raise ValueError(f"char variant {config.char_variant!r} needs a character vocabulary")
             vocab = None if symbols is None else CharVocab({sym: i for i, sym in enumerate(symbols)})
             declared = iter([(d["name"], tuple(d["shape"])) for d in header["params"]])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ModelError) as exc:
             raise ModelFormatError(f"{path}: malformed header ({type(exc).__name__}: {exc})") from exc
 
         def block(name: str, shape: tuple[int, ...]) -> np.ndarray:

@@ -57,6 +57,12 @@ class TrainConfig:
     gradient_clip_norm: float | None = 5.0
     label_level: str = "outer"
 
+    def __post_init__(self):
+        for name in ("stage1_epochs", "stage1_batch", "stage2_epochs", "stage2_batch"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise TrainingError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass
 class NadamState:

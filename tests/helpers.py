@@ -1,5 +1,5 @@
-"""Fixture writers, synthetic CoNLL data and a threaded server, used only by
-the tests."""
+"""Fixture writers, synthetic CoNLL data, layer parameters drawn as a built
+model draws them, and a threaded server, used only by the tests."""
 
 from __future__ import annotations
 
@@ -7,9 +7,14 @@ import threading
 from pathlib import Path
 from typing import Iterable
 
+import numpy as np
+
 from gner.corpus import Sentence, Token
+from gner.crf import CrfParams
 from gner.datagen import make_corpus
 from gner.evaluation import Chunk, EvaluationError
+from gner.layers import Conv1dParams, LstmParams
+from gner.model import _initial
 from gner.service import ModelRegistry, serve
 
 
@@ -80,6 +85,31 @@ def fixture_training_sentences() -> list[Sentence]:
     for i, (toks, labels) in enumerate(rows):
         out.append(Sentence([Token(t) for t in toks], labels, ["O"] * len(toks), source_id=f"fixture:{i}"))
     return out
+
+
+def lstm_params(input_dim: int, cells: int, rng: np.random.Generator) -> LstmParams:
+    """LSTM weights initialized as :func:`gner.model.build_model` initializes each LSTM."""
+    param = _initial(rng)
+    return LstmParams(param("lstm.w_input", (input_dim, 4 * cells)), param("lstm.w_recurrent", (cells, 4 * cells)),
+                      param("lstm.bias", (4 * cells,)))
+
+
+def conv_params(kernel_size: int, in_dim: int, filters: int, rng: np.random.Generator) -> Conv1dParams:
+    """Conv kernels and bias initialized as a built model's char CNN."""
+    param = _initial(rng)
+    return Conv1dParams(param("char_conv.kernels", (kernel_size, in_dim, filters)), param("char_conv.bias", (filters,)))
+
+
+def char_table(vocab_size: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A (vocab_size, dim) character table initialized as a built model's."""
+    return _initial(rng)("char_table.rows", (vocab_size, dim))
+
+
+def crf_params(num_labels: int) -> CrfParams:
+    """CRF scores initialized as a built model's: all zero."""
+    param = _initial(np.random.default_rng(0))
+    n = num_labels
+    return CrfParams(param("crf.transitions", (n, n)), param("crf.start", (n,)), param("crf.end", (n,)))
 
 
 def serve_in_thread(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 0):

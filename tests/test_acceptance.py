@@ -45,7 +45,16 @@ from gner.evaluation import evaluate_bio, extract_chunks, germeval_combined
 from gner.model import CHAR_VARIANTS, ModelConfig, backward, build_model, forward_emissions, predict
 from gner.service import ModelRegistry
 from gner.training import NadamState, TrainConfig, batch_loss, evaluate_chunk_f1, train_epoch
-from helpers import bio_to_iob1, make_conll_corpus, serve_in_thread, write_conll03
+from helpers import (
+    bio_to_iob1,
+    char_table,
+    conv_params,
+    crf_params,
+    lstm_params,
+    make_conll_corpus,
+    serve_in_thread,
+    write_conll03,
+)
 from oracles import brute_force_best_path, brute_force_log_z, check_gradient, path_score
 
 
@@ -63,7 +72,7 @@ def test_criterion_1_crf_oracle_equivalence():
     for _ in range(200):
         T = int(rng.integers(1, 7))
         L = int(rng.integers(2, 6))
-        params = crf.init_crf_params(L)
+        params = crf_params(L)
         params.transitions[:] = rng.uniform(-2, 2, (L, L))
         params.start_scores[:] = rng.uniform(-2, 2, L)
         params.end_scores[:] = rng.uniform(-2, 2, L)
@@ -145,16 +154,16 @@ def test_criterion_2_gradient_suite():
     failures = []
 
     # embedding table
-    table = layers.init_embedding_table(15, 4, rng)
+    table = char_table(15, 4, rng)
     idx = [1, 3, 3, 7, 12, 1]
     w = rng.uniform(-1, 1, (6, 4))
-    err = _grad_check(lambda: float((layers.embed_lookup(table, idx) * w).sum()), [table.rows],
+    err = _grad_check(lambda: float((layers.embed_lookup(table, idx) * w).sum()), [table],
                       [layers.embed_backward(table, idx, w)])
     failures += [("embed_lookup", err)] if err > 1e-4 else []
 
     # lstm cell: two steps, so the recurrent weights see a non-zero state;
     # one parameter set runs both directions, so its gradient is their sum
-    p = layers.init_lstm_params(8, 4, rng)
+    p = lstm_params(8, 4, rng)
     x = rng.uniform(-1, 1, (1, 2, 8))
     wv = rng.uniform(-1, 1, (1, 2, 8))
     _, cache = layers.bilstm_sequence(p, p, x, [2], mode="train")
@@ -167,7 +176,7 @@ def test_criterion_2_gradient_suite():
     failures += [("lstm_cell", err)] if err > 1e-4 else []
 
     # bilstm over a sequence of 4 steps padded to 6
-    fwd, bwd = layers.init_lstm_params(4, 4, rng), layers.init_lstm_params(4, 4, rng)
+    fwd, bwd = lstm_params(4, 4, rng), lstm_params(4, 4, rng)
     xs = rng.uniform(-1, 1, (1, 6, 4))
     wm = rng.uniform(-1, 1, (1, 6, 8))
     _, cache = layers.bilstm_sequence(fwd, bwd, xs, [4], mode="train")
@@ -180,7 +189,7 @@ def test_criterion_2_gradient_suite():
     failures += [("bilstm_sequence", err)] if err > 1e-4 else []
 
     # conv + global max pooling
-    conv = layers.init_conv1d_params(3, 4, 4, rng)
+    conv = conv_params(3, 4, 4, rng)
     cxs = rng.uniform(-1, 1, (1, 7, 4))
     wc = rng.uniform(-1, 1, (1, 4))
     _, cache = layers.conv1d_globalmaxpool(conv, cxs, [5], mode="train")
@@ -205,11 +214,11 @@ def test_criterion_2_gradient_suite():
     model, _, _, sents = _toy_model("bilstm")
     store = make_embedding_store(sents, dim=8, seed=1)
     loss_fn, grads = _emission_probe(model, store, rng.uniform(-1, 1, (1, 6, 5)))
-    err = _grad_check(loss_fn, [model.char_table.rows], [grads["char_table.rows"]])
+    err = _grad_check(loss_fn, [model.char_table], [grads["char_table.rows"]])
     failures += [("dropout", err)] if err > 1e-4 else []
 
     # crf loss wrt emissions and all parameters
-    cp = crf.init_crf_params(5)
+    cp = crf_params(5)
     cp.transitions[:] = rng.uniform(-1, 1, (5, 5))
     cp.start_scores[:] = rng.uniform(-1, 1, 5)
     cp.end_scores[:] = rng.uniform(-1, 1, 5)

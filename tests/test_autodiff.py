@@ -10,13 +10,14 @@ from gner import layers
 from gner import model as M
 from gner.corpus import Sentence, Token, batch_from_sentences, build_char_vocab, conll_schema
 from gner.datagen import make_embedding_store
+from helpers import conv_params
 from oracles import check_gradient
 
 
 def test_relu_definition():
     # The rectifier lives inside the fused char conv: a 1x1 identity kernel
     # with zero bias turns the conv into relu of its single input.
-    p = layers.init_conv1d_params(1, 1, 1, np.random.default_rng(0))
+    p = conv_params(1, 1, 1, np.random.default_rng(0))
     p.kernels[:] = 1.0
     p.bias[:] = 0.0
 

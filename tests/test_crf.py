@@ -6,15 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gner import crf
+from helpers import crf_params
 from oracles import brute_force_best_path, brute_force_log_z, check_gradient, path_score
 
 
 def _zero_params(L):
-    return crf.init_crf_params(L)
+    return crf_params(L)
 
 
 def _random_params(L, rng):
-    p = crf.init_crf_params(L)
+    p = crf_params(L)
     p.transitions[:] = rng.uniform(-2, 2, (L, L))
     p.start_scores[:] = rng.uniform(-2, 2, L)
     p.end_scores[:] = rng.uniform(-2, 2, L)
@@ -210,7 +211,7 @@ def _ragged_batch(rng, integer):
     else:
         def draw(shape):
             return rng.uniform(-2, 2, shape)
-    p = crf.init_crf_params(L)
+    p = crf_params(L)
     p.transitions[:] = draw((L, L))
     p.start_scores[:] = draw(L)
     p.end_scores[:] = draw(L)

@@ -34,10 +34,20 @@ def _loaded_names(path: Path) -> set[str]:
     return names
 
 
+def _public_names(name: str) -> set[str]:
+    """A module's ``__all__`` plus every top-level function and class whose
+    name has no leading underscore, exported or not."""
+    module = importlib.import_module(name)
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    return defined | set(getattr(module, "__all__", []))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     # The package ships no API that only tests use: every name a module
-    # exports, unless the package root re-exports it, is read somewhere in
-    # src/, scripts/ or perfbench/.
+    # exports or defines as a public function or class, unless the package
+    # root re-exports it, is read somewhere in src/, scripts/ or perfbench/.
     used = set()
     for tree in ("src", "scripts", "perfbench"):
         for path in sorted((ROOT / tree).rglob("*.py")):
@@ -45,7 +55,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     unused = [
         f"{name}.{attr}"
         for name in MODULES[1:]
-        for attr in getattr(importlib.import_module(name), "__all__", [])
+        for attr in sorted(_public_names(name))
         if attr not in gner.__all__ and attr not in used
     ]
-    assert not unused, f"exported but used only by tests: {unused}"
+    assert not unused, f"public but used only by tests: {unused}"

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from gner import crf, layers
+from gner import model as M
+from gner.corpus import PAD_INDEX, build_char_vocab, germeval_schema
+from gner.datagen import make_corpus
+from helpers import char_table, conv_params, crf_params, lstm_params
 from oracles import check_gradient
 
 
 def _lstm(input_dim, cells, seed=0):
-    return layers.init_lstm_params(input_dim, cells, np.random.default_rng(seed))
+    return lstm_params(input_dim, cells, np.random.default_rng(seed))
 
 
 def _zero_lstm(input_dim, cells):
@@ -157,7 +161,7 @@ def test_fused_ops_reject_an_input_dtype_other_than_their_weights(x_dtype, w_dty
     rng = np.random.default_rng(31)
     x = rng.uniform(-1, 1, (2, 4, 3)).astype(x_dtype)
     p = _as_dtype(_lstm(3, 2), w_dtype)
-    conv = _as_dtype(layers.init_conv1d_params(3, 3, 2, rng), w_dtype)
+    conv = _as_dtype(conv_params(3, 3, 2, rng), w_dtype)
     with pytest.raises(layers.LayerError, match="bilstm_sequence: .* input, .* weights"):
         layers.bilstm_sequence(p, p, x, [4, 2])
     with pytest.raises(layers.LayerError, match="conv1d_globalmaxpool: .* input, .* kernels"):
@@ -167,7 +171,7 @@ def test_fused_ops_reject_an_input_dtype_other_than_their_weights(x_dtype, w_dty
 def test_fused_ops_run_in_float32_and_stay_close_to_float64():
     rng = np.random.default_rng(32)
     x = rng.uniform(-1, 1, (3, 5, 4))
-    p, conv = _lstm(4, 3, 7), layers.init_conv1d_params(3, 4, 2, rng)
+    p, conv = _lstm(4, 3, 7), conv_params(3, 4, 2, rng)
     p.bias[:] = rng.uniform(-0.5, 0.5, p.bias.shape)
     conv.bias[:] = rng.uniform(-0.5, 0.5, conv.bias.shape)
     lengths = [5, 2, 4]
@@ -189,11 +193,47 @@ def test_logistic_tanh_form():
     assert layers.logistic(np.linspace(-3, 3, 7, dtype=np.float32)).dtype == np.float32
 
 
+def _assert_uniform_within(p, limit):
+    # Within the limit, and not drawn from a much narrower range.
+    assert np.abs(p).max() <= limit and np.abs(p).max() > 0.5 * limit
+
+
 def test_forget_gate_bias_initialized_to_one():
-    p = _lstm(4, 3)
-    np.testing.assert_array_equal(p.bias[3:6], np.ones(3))
-    np.testing.assert_array_equal(p.bias[:3], np.zeros(3))
-    np.testing.assert_array_equal(p.bias[6:], np.zeros(6))
+    # build_model's initializer, rule by rule, over every variant's arrays.
+    sents = make_corpus(3, seed=0)
+    for variant in M.CHAR_VARIANTS:
+        config = M.ModelConfig(germeval_schema(), char_variant=variant, word_dim=8, char_emb_dim=4,
+                               char_cnn_filters=3, char_lstm_cells=5, token_lstm_cells=6)
+        vocab = build_char_vocab(sents) if variant != "none" else None
+        model = M.build_model(config, vocab, seed=3)
+        drawn = set()
+        for name, p in model.parameters():
+            kind = name.rsplit(".", 1)[-1]
+            assert p.dtype == np.float64
+            if name == "char_table.rows":
+                np.testing.assert_array_equal(p[PAD_INDEX], 0.0)
+                _assert_uniform_within(np.delete(p, PAD_INDEX, axis=0), math.sqrt(3.0 / p.shape[1]))
+                drawn.add(name)
+            elif kind in ("w_input", "kernels") or name == "dense.w":
+                # Glorot-uniform; a conv kernel's fan-in is kernel_size * in_dim.
+                _assert_uniform_within(p, math.sqrt(6.0 / (math.prod(p.shape[:-1]) + p.shape[-1])))
+                drawn.add(name)
+            elif kind == "w_recurrent":
+                n = p.shape[0]
+                for k in range(4):
+                    gate = p[:, k * n : (k + 1) * n]
+                    np.testing.assert_allclose(gate.T @ gate, np.eye(n), rtol=0, atol=1e-12)
+                drawn.add(name)
+            elif "lstm" in name and kind == "bias":
+                n = p.shape[0] // 4
+                np.testing.assert_array_equal(p[n : 2 * n], 1.0)
+                np.testing.assert_array_equal(np.delete(p, np.s_[n : 2 * n]), 0.0)
+            else:  # conv and dense biases, the CRF
+                np.testing.assert_array_equal(p, 0.0)
+        same, other = (M.build_model(config, vocab, seed=s).parameters() for s in (3, 4))
+        for (name, p), (_, q), (_, r) in zip(model.parameters(), same, other):
+            np.testing.assert_array_equal(p, q)
+            assert np.array_equal(p, r) == (name not in drawn), name
 
 
 def _seq(rng, n, dim):
@@ -291,7 +331,7 @@ def _check_against_step_reference(lengths, mode, rate, seed):
     arrays = [x, fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
 
     def ref(x, *weights_and_biases):
-        f, b = (layers.LstmParams(*weights_and_biases[k : k + 3], cells=3) for k in (0, 3))
+        f, b = (layers.LstmParams(*weights_and_biases[k : k + 3]) for k in (0, 3))
         return ref_bilstm(f, b, x, lengths, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
 
     fused, _ = layers.bilstm_sequence(fwd, bwd, x, lengths, recurrent_dropout=rate, mode=mode,
@@ -341,8 +381,8 @@ def test_every_sequence_op_rejects_lengths_outside_one_to_steps():
     rng = np.random.default_rng(24)
     x = rng.uniform(-1, 1, (2, 4, 3))
     p = _lstm(3, 2)
-    conv = layers.init_conv1d_params(3, 3, 2, rng)
-    cp = crf.init_crf_params(3)
+    conv = conv_params(3, 3, 2, rng)
+    cp = crf_params(3)
     for bad in ([0, 4], [4, 5], [4], [4, 4, 4]):
         with pytest.raises(layers.LayerError, match="lengths"):
             layers.bilstm_sequence(p, p, x, bad)
@@ -386,7 +426,7 @@ def _conv_grads(p, x, lengths, weights):
 
 
 def test_conv_sum_kernel():
-    p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
+    p = conv_params(3, 1, 1, np.random.default_rng(0))
     p.kernels[:] = 1.0
     p.bias[:] = 0.0
     x = np.array([[[1.0], [2.0], [3.0]]])
@@ -395,7 +435,7 @@ def test_conv_sum_kernel():
 
 def test_conv_per_filter_columnwise_max():
     # Two positions with activations [[1,5],[3,2]] pool to [3,5].
-    p = layers.init_conv1d_params(1, 2, 2, np.random.default_rng(0))
+    p = conv_params(1, 2, 2, np.random.default_rng(0))
     p.kernels[:] = 0.0
     p.kernels[0, 0, 0] = 1.0
     p.kernels[0, 1, 1] = 1.0
@@ -405,7 +445,7 @@ def test_conv_per_filter_columnwise_max():
 
 
 def test_conv_relu_floor():
-    p = layers.init_conv1d_params(2, 1, 1, np.random.default_rng(0))
+    p = conv_params(2, 1, 1, np.random.default_rng(0))
     p.kernels[:] = 1.0
     p.bias[:] = -100.0
     x = np.ones((1, 3, 1))
@@ -418,7 +458,7 @@ def test_conv_relu_floor():
 def test_conv_sequence_shorter_than_kernel_reads_zeros():
     # Two steps under a width-3 kernel: window 0 is 1*1 + 2*10 + 0*100,
     # window 1 is 2*1 + 0*10 + 0*100.
-    p = layers.init_conv1d_params(3, 1, 1, np.random.default_rng(0))
+    p = conv_params(3, 1, 1, np.random.default_rng(0))
     p.kernels[:, 0, 0] = [1.0, 10.0, 100.0]
     p.bias[:] = 0.0
     x = np.array([[[1.0], [2.0]]])
@@ -431,7 +471,7 @@ def test_conv_sequence_shorter_than_kernel_reads_zeros():
 
 
 def test_conv_gradient_reaches_only_argmax_positions():
-    p = layers.init_conv1d_params(1, 2, 2, np.random.default_rng(2))
+    p = conv_params(1, 2, 2, np.random.default_rng(2))
     x = np.array([[[0.9, 0.1], [0.2, 0.8], [0.3, 0.2]]])
     dx, _, _ = _conv_grads(p, x, _valid(p, x), np.ones((1, 2)))
     nonzero = [i for i in range(3) if np.any(dx[0, i] != 0)]
@@ -443,7 +483,7 @@ def test_conv_gradient_reaches_only_argmax_positions():
 
 def test_conv_gradient_check():
     rng = np.random.default_rng(9)
-    p = layers.init_conv1d_params(3, 2, 4, rng)
+    p = conv_params(3, 2, 4, rng)
     x = rng.uniform(-1, 1, (1, 5, 2))
     w = rng.uniform(-1, 1, (1, 4))
     _, d_kernels, d_bias = _conv_grads(p, x, _valid(p, x), w)
@@ -468,7 +508,7 @@ def _conv_reference(kernels, bias, x):
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_conv_matches_window_reference(k):
     rng = np.random.default_rng(30 + k)
-    p = layers.init_conv1d_params(k, 3, 6, rng)
+    p = conv_params(k, 3, 6, rng)
     p.bias[:] = rng.uniform(-0.5, 0.5, 6)
     x = rng.uniform(-1, 1, (4, 7, 3))
     out = _conv(p, x, _valid(p, x))
@@ -479,7 +519,7 @@ def test_conv_lengths_pool_only_windows_starting_inside_the_row():
     # Row r pools windows 0..lengths[r]-1: the same as the unmasked conv
     # over the row cut to lengths[r] + k - 1 steps, whatever follows.
     rng = np.random.default_rng(32)
-    p = layers.init_conv1d_params(3, 2, 4, rng)
+    p = conv_params(3, 2, 4, rng)
     p.bias[:] = rng.uniform(-0.5, 0.5, 4)
     x = rng.uniform(-1, 1, (3, 8, 2))
     lengths = np.array([1, 4, 6])
@@ -502,7 +542,7 @@ def test_conv_overhang_matches_zero_padded_row(k):
     # read zeros there, as if each row were followed by k - 1 zero steps.
     # Four steps under k = 5 also covers a row shorter than the kernel.
     rng = np.random.default_rng(40 + k)
-    p = layers.init_conv1d_params(k, 3, 5, rng)
+    p = conv_params(k, 3, 5, rng)
     p.bias[:] = rng.uniform(-0.5, 0.5, 5)
     x = rng.uniform(-1, 1, (4, 4, 3))
     lengths = np.array([4, 1, 3, 4])
@@ -523,7 +563,7 @@ def test_conv_overhang_matches_zero_padded_row(k):
 
 def test_conv_gradient_check_input_kernels_and_bias():
     rng = np.random.default_rng(31)
-    p = layers.init_conv1d_params(3, 2, 4, rng)
+    p = conv_params(3, 2, 4, rng)
     p.bias[:] = rng.uniform(-0.5, 0.5, 4)
     x = rng.uniform(-1, 1, (3, 6, 2))
     w = rng.uniform(-1, 1, (3, 4))
@@ -539,7 +579,7 @@ def test_conv_gradient_check_input_kernels_and_bias():
 
 
 def test_conv_tied_windows_gradient_goes_to_first_argmax():
-    p = layers.init_conv1d_params(1, 1, 1, np.random.default_rng(0))
+    p = conv_params(1, 1, 1, np.random.default_rng(0))
     p.kernels[:] = 1.0
     p.bias[:] = 0.0
     x = np.array([[[2.0], [5.0], [1.0], [5.0]]])
@@ -551,10 +591,10 @@ def test_conv_tied_windows_gradient_goes_to_first_argmax():
 def test_conv_all_negative_filter_gets_zero_gradient():
     # Filter 1's bias keeps every window negative: it outputs 0 and passes
     # no gradient, while filter 0 still reaches its argmax window.
-    p = layers.init_conv1d_params(2, 2, 2, np.random.default_rng(4))
+    p = conv_params(2, 2, 2, np.random.default_rng(4))
     p.bias[:] = [0.0, -100.0]
     x = np.random.default_rng(5).uniform(0.1, 1, (2, 5, 2))
-    only_first = layers.init_conv1d_params(2, 2, 1, np.random.default_rng(0))
+    only_first = conv_params(2, 2, 1, np.random.default_rng(0))
     only_first.kernels[:] = p.kernels[..., :1]
     only_first.bias[:] = 0.0
 
@@ -601,15 +641,15 @@ def test_recurrent_dropout_mask_constant_across_timesteps():
 
 
 def test_embed_lookup_rows_and_bounds():
-    table = layers.init_embedding_table(5, 3, np.random.default_rng(0))
+    table = char_table(5, 3, np.random.default_rng(0))
     out = layers.embed_lookup(table, [0])
-    np.testing.assert_array_equal(out[0], table.rows[0])
+    np.testing.assert_array_equal(out[0], table[0])
     with pytest.raises(IndexError, match="5"):
         layers.embed_lookup(table, [5])
 
 
 def test_embed_repeated_index_doubles_gradient():
-    table = layers.init_embedding_table(4, 2, np.random.default_rng(1))
+    table = char_table(4, 2, np.random.default_rng(1))
     single = layers.embed_backward(table, [2], np.ones((1, 2)))
     double = layers.embed_backward(table, [2, 2], np.ones((2, 2)))
     np.testing.assert_array_equal(double[2], 2.0 * single[2])
@@ -633,7 +673,7 @@ def test_lstm_full_step_gradient_check():
 
 def test_embedding_gradient_check():
     rng = np.random.default_rng(12)
-    table = layers.init_embedding_table(6, 3, rng)
+    table = char_table(6, 3, rng)
     w = rng.uniform(-1, 1, (4, 3))
     idx = [1, 3, 3, 5]
 
@@ -641,4 +681,4 @@ def test_embedding_gradient_check():
         return float((layers.embed_lookup(table, idx) * w).sum())
 
     grads = [layers.embed_backward(table, idx, w)]
-    assert check_gradient(loss, [table.rows], grads, eps=1e-5, samples=18) <= 1e-4
+    assert check_gradient(loss, [table], grads, eps=1e-5, samples=18) <= 1e-4

@@ -188,7 +188,7 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
     c = model.config.char_lstm_cells
     for t, tok in enumerate(sents[0].tokens):
         idx = [vocab.lookup(ch) for ch in tok.text]
-        out = model.char_table.rows[idx][None]
+        out = model.char_table[idx][None]
         for fwd, bwd in model.char_lstms:
             out, _ = layers.bilstm_sequence(fwd, bwd, out, [len(idx)])
         want = np.concatenate([out[0, -1, :c], out[0, 0, c:]])
@@ -205,7 +205,7 @@ def test_cnn_features_ignore_windows_past_the_token(variant):
     vocab = build_char_vocab([short, long])
     config = _toy_config(variant)
     model = M.build_model(config, vocab, seed=5)
-    model.char_table.rows[1:] = np.abs(model.char_table.rows[1:]) + 0.1
+    model.char_table[1:] = np.abs(model.char_table[1:]) + 0.1
     for conv in model.char_convs:
         conv.kernels[:] = -np.abs(conv.kernels) - 0.1
         conv.bias[:] = 1.0
@@ -438,7 +438,11 @@ def _with_header(raw: bytes, header: bytes, length: bytes | None = None) -> byte
     (b'[2]', None),
     (b'{"version": 2, "config": {"char_variant": "cnn"}, "char_vocab": null, "params": []}', None),
     (b'{"version": 2}', b"-5"),
-], ids=["not-utf8", "bad-json", "missing-fields", "not-an-object", "config-without-classes", "negative-length"])
+    *[(b'{"version": 2, "config": {"entity_classes": ["LOC"], %s}, "char_vocab": ["x"], "params": []}' % field, None)
+      for field in (b'"word_dim": "8"', b'"char_lstm_cells": true', b'"dropout": "x"', b'"dropout": 1.0',
+                    b'"char_variant": "lstm"')],
+], ids=["not-utf8", "bad-json", "missing-fields", "not-an-object", "config-without-classes", "negative-length",
+        "string-size", "bool-size", "string-dropout", "dropout-of-one", "unknown-variant"])
 def test_load_reports_corrupt_header_as_format_error(tmp_path, header, length):
     model, _, _, _ = _toy_setup("cnn")
     path = tmp_path / "model.mner"

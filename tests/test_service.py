@@ -294,7 +294,12 @@ def _run_config(store_path, drop=None, **extra) -> str:
      "unexpected keyword argument 'cnn_kernels'"),
     (lambda store: _run_config(store, training={"reset_stage2_optimizer": False}),
      "unexpected keyword argument 'reset_stage2_optimizer'"),
-], ids=["not-json", "no-train", "no-dev", "no-embeddings", "unknown-model-key", "unknown-training-key"])
+    (lambda store: _run_config(store, model={"dropout": "x"}), "dropout must be a number in [0, 1), got 'x'"),
+    (lambda store: _run_config(store, model={"token_lstm_cells": "4"}),
+     "token_lstm_cells must be an integer >= 1, got '4'"),
+    (lambda store: _run_config(store, training={"stage1_epochs": "1"}), "stage1_epochs must be an integer, got '1'"),
+], ids=["not-json", "no-train", "no-dev", "no-embeddings", "unknown-model-key", "unknown-training-key",
+        "string-dropout", "string-size", "string-epochs"])
 def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, capsys, text, message):
     config_path = tmp_path / "run.json"
     config_path.write_text(text(fixture_world.store_path), encoding="utf-8")

@@ -107,11 +107,11 @@ def test_word_embeddings_never_updated():
 
 def test_char_padding_row_never_updated():
     model, store, sents = _tiny_world(seed=3)
-    pad_row_before = model.char_table.rows[0].copy()
-    other_rows_before = model.char_table.rows[1:].copy()
+    pad_row_before = model.char_table[0].copy()
+    other_rows_before = model.char_table[1:].copy()
     tr.train_epoch(model, sents, store, _cfg(stage1_batch=4, seed=3), stage=1, epoch_seed=9)
-    np.testing.assert_array_equal(model.char_table.rows[0], pad_row_before)
-    assert np.any(model.char_table.rows[1:] != other_rows_before)
+    np.testing.assert_array_equal(model.char_table[0], pad_row_before)
+    assert np.any(model.char_table[1:] != other_rows_before)
 
 
 def test_train_epoch_rejects_store_of_wrong_dimension():
