@@ -69,7 +69,12 @@ def _cmd_train(args) -> int:
 
     fmt = spec.get("format", "germeval")
     schema_name = spec.get("schema", "combined" if spec.get("combined_mapping") else fmt)
+    if not isinstance(schema_name, str) or schema_name not in _SCHEMAS:
+        raise TrainingError(f"{config_path}: unknown schema {schema_name!r}; choose from {sorted(_SCHEMAS)}")
     schema = _SCHEMAS[schema_name]()
+    emb_spec = spec["embeddings"]
+    if not isinstance(emb_spec, dict) or not isinstance(emb_spec.get("path"), str):
+        raise TrainingError(f'{config_path}: embeddings must be an object with a "path" string, got {emb_spec!r}')
 
     def load_split(key):
         # Entries are paths (using the global format) or {"path", "format"}
@@ -89,7 +94,6 @@ def _cmd_train(args) -> int:
         train_sents = _map_combined(train_sents)
         dev_sents = _map_combined(dev_sents)
 
-    emb_spec = spec["embeddings"]
     store = load_store(base / emb_spec["path"], emb_spec.get("kind", "plain"))
 
     model_kwargs = {"embedding_kind": emb_spec.get("kind", "plain"), "word_dim": store.dim}

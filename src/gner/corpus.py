@@ -54,10 +54,6 @@ _LABEL_RE = re.compile(r"^([BI])-(\S+)$")
 class Token:
     text: str
 
-    @property
-    def casing(self) -> np.ndarray:
-        return extract_casing_feature(self.text)
-
 
 @dataclass
 class Sentence:
@@ -361,41 +357,41 @@ def build_char_vocab(sentences: Iterable[Sentence]) -> CharVocab:
     return CharVocab.from_chars(chars)
 
 
-def build_char_sequences(sentence: Sentence, vocab: CharVocab, mode: str) -> list[list[int]]:
-    """Per-token character index sequences, unpadded.
+def build_char_sequences(keys: Sequence[tuple[str, bool, bool]], vocab: CharVocab, mode: str) -> list[list[int]]:
+    """Each ``(text, first, last)`` token key's character index row, unpadded.
 
-    ``cnn`` mode wraps every token in word-boundary symbols, additionally
-    marking the sentence start/end on the first/last token; ``rnn`` mode
-    uses the raw characters.
+    ``cnn`` mode wraps the text in word-boundary symbols, additionally
+    marking the sentence start/end on a first/last token; ``rnn`` mode uses
+    the raw characters.
     """
     if mode not in ("cnn", "rnn"):
         raise CorpusError(f"unknown char mode {mode!r}")
     out = []
-    last = len(sentence) - 1
-    for t, tok in enumerate(sentence.tokens):
-        symbols = list(tok.text)
+    for text, first, last in keys:
+        symbols = list(text)
         if mode == "cnn":
-            symbols = [WORD_START, *symbols, WORD_END]
-            if t == 0:
-                symbols.insert(0, SENT_START)
-            if t == last:
-                symbols.append(SENT_END)
+            symbols = [SENT_START] * first + [WORD_START, *symbols, WORD_END] + [SENT_END] * last
         out.append([vocab.lookup(s) for s in symbols])
     return out
 
 
 @dataclass
 class Batch:
-    """Post-padded mini-batch: sentence ``b`` holds its tokens at positions
-    ``0 .. lengths[b] - 1``; ``char_indices`` is a (batch, max_len, chars)
-    index array when a char mode is set, each row post-padded to the
-    batch's longest (padding positions hold all-pad rows)."""
+    """Post-padded mini-batch over a table of distinct token keys: sentence
+    ``b`` holds its tokens at positions ``0 .. lengths[b] - 1``, and
+    ``token_keys[b, t]`` indexes ``keys`` (0 at padding positions).  A key
+    is ``(text, first, last)``, the two flags set only in ``cnn`` char mode,
+    where a sentence's first and last token carry boundary symbols.  With a
+    char mode, ``key_chars`` is each key's character row, post-padded to the
+    longest: ``(len(keys), chars)``."""
 
     sentences: list[Sentence]
     max_len: int
     lengths: np.ndarray
+    keys: list[tuple[str, bool, bool]]
+    token_keys: np.ndarray
     char_mode: str | None = None
-    char_indices: np.ndarray | None = None
+    key_chars: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -405,35 +401,60 @@ class Batch:
         """(batch, max_len) booleans marking the real token positions."""
         return np.arange(self.max_len) < self.lengths[:, None]
 
+    @property
+    def char_indices(self) -> np.ndarray | None:
+        """(batch, max_len, chars): each real position's character row, and
+        all-pad rows at padding positions; None without a char mode."""
+        if self.key_chars is None:
+            return None
+        out = self.key_chars[self.token_keys]
+        out[~self.mask] = PAD_INDEX
+        return out
+
 
 def batch_from_sentences(
     sentences: Sequence[Sentence],
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
 ) -> Batch:
-    """Assemble one padded batch; every character sequence is post-padded
-    to the batch's longest."""
+    """Assemble one padded batch and its token-key table, keys in order of
+    first occurrence.  With a char mode each key's character row is built
+    once, and the keys are ordered by those rows, lexicographically."""
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
+    if char_mode is not None and char_vocab is None:
+        raise CorpusError("char sequences need a char vocabulary")
     lengths = np.array([len(s) for s in sentences])
-    max_len = int(lengths.max())
-
-    char_indices = None
+    cnn = char_mode == "cnn"
+    index: dict[tuple[str, bool, bool], int] = {}
+    real_keys = np.array([index.setdefault((tok.text, cnn and t == 0, cnn and t == len(s) - 1), len(index))
+                          for s in sentences for t, tok in enumerate(s.tokens)], dtype=np.int64)
+    keys = list(index)
+    key_chars = None
     if char_mode is not None:
-        if char_vocab is None:
-            raise CorpusError("char sequences need a char vocabulary")
-        rows = [build_char_sequences(s, char_vocab, char_mode) for s in sentences]
-        pad_len = max(len(row) for sent_rows in rows for row in sent_rows)
-        char_indices = np.full((len(sentences), max_len, pad_len), PAD_INDEX, dtype=np.int64)
-        for b, sent_rows in enumerate(rows):
-            for t, row in enumerate(sent_rows):
-                char_indices[b, t, : len(row)] = row
+        chars = build_char_sequences(keys, char_vocab, char_mode)
+        # Keys in character-row order: the char submodel's weight gradients
+        # sum over the rows in this order, which then depends on the batch's
+        # set of keys alone.
+        order = sorted(range(len(keys)), key=chars.__getitem__)
+        rank = np.empty(len(keys), dtype=np.int64)
+        rank[order] = np.arange(len(keys))
+        real_keys = rank[real_keys]
+        keys, chars = [keys[u] for u in order], [chars[u] for u in order]
+        widths = np.array([len(row) for row in chars])
+        key_chars = np.full((len(keys), widths.max()), PAD_INDEX, dtype=np.int64)
+        key_chars[np.arange(widths.max()) < widths[:, None]] = np.concatenate(chars)
+    max_len = int(lengths.max())
+    token_keys = np.zeros((len(sentences), max_len), dtype=np.int64)
+    token_keys[np.arange(max_len) < lengths[:, None]] = real_keys
     return Batch(
         sentences=list(sentences),
         max_len=max_len,
         lengths=lengths,
+        keys=keys,
+        token_keys=token_keys,
         char_mode=char_mode,
-        char_indices=char_indices,
+        key_chars=key_chars,
     )
 
 

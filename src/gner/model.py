@@ -19,12 +19,15 @@ pass, so one path serves a single sentence and a batch.
 Training runs :func:`forward_emissions` in train mode, which also returns
 the cache that :func:`backward` reads.  That reverse sweep takes the CRF's
 gradients and goes back through the layers in the fixed reverse order:
-dense, token BiLSTM, input dropout, char gather, char submodel, char
+dense, token BiLSTM, input dropout, key gather, char submodel, char
 embedding.
 
-Word vectors come from an external store and are never trained.  Character
-features are computed once per distinct character row in a batch and shared
-across positions, which is both faster and gradient-equivalent.
+Word vectors come from an external store and are never trained.  A batch's
+input is built once per token key (the text, plus in ``cnn`` char mode
+whether it opens or closes its sentence): one ``(keys, input_width)`` table
+of word vector, casing one-hot and character feature, gathered onto the
+positions.  A key's character gradient sums over the positions that share
+it.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
@@ -46,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CASING_FEATURE_NAMES, PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token, batch_from_sentences
+from .corpus import (CASING_FEATURE_NAMES, PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token,
+                     batch_from_sentences, extract_casing_feature)
 from .crf import CrfParams, viterbi_decode
 from .embeddings import EmbeddingStore, lookup_word
 from .layers import (
@@ -175,7 +179,7 @@ class ModelConfig:
         return config
 
 
-@dataclass
+@dataclass(frozen=True)
 class NerModel:
     config: ModelConfig
     char_vocab: CharVocab | None
@@ -187,31 +191,12 @@ class NerModel:
     dense_w: np.ndarray = None  # type: ignore[assignment]
     dense_b: np.ndarray = None  # type: ignore[assignment]
     crf: CrfParams = None  # type: ignore[assignment]
+    named_parameters: list[tuple[str, np.ndarray]] = field(default_factory=list, repr=False)
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
-        """All trainable parameters in a stable order; training updates the
-        arrays in place."""
-        out: list[tuple[str, np.ndarray]] = []
-        if self.char_table is not None:
-            out.append(("char_table.rows", self.char_table))
-        for i, conv in enumerate(self.char_convs):
-            out.append((f"char_conv{i}.kernels", conv.kernels))
-            out.append((f"char_conv{i}.bias", conv.bias))
-        for i, (fwd, bwd) in enumerate(self.char_lstms):
-            for tag, p in (("fwd", fwd), ("bwd", bwd)):
-                out.append((f"char_lstm{i}.{tag}.w_input", p.w_input))
-                out.append((f"char_lstm{i}.{tag}.w_recurrent", p.w_recurrent))
-                out.append((f"char_lstm{i}.{tag}.bias", p.bias))
-        for tag, p in (("fwd", self.token_fwd), ("bwd", self.token_bwd)):
-            out.append((f"token_lstm.{tag}.w_input", p.w_input))
-            out.append((f"token_lstm.{tag}.w_recurrent", p.w_recurrent))
-            out.append((f"token_lstm.{tag}.bias", p.bias))
-        out.append(("dense.w", self.dense_w))
-        out.append(("dense.b", self.dense_b))
-        out.append(("crf.transitions", self.crf.transitions))
-        out.append(("crf.start", self.crf.start_scores))
-        out.append(("crf.end", self.crf.end_scores))
-        return out
+        """All trainable parameters in the order :func:`_assemble` asked for
+        them; training updates the arrays in place."""
+        return list(self.named_parameters)
 
     @property
     def dtype(self) -> np.dtype:
@@ -267,60 +252,48 @@ def _initial(rng: np.random.Generator):
 
 def _assemble(config: ModelConfig, char_vocab: CharVocab | None, param) -> NerModel:
     """The configured architecture, each parameter array taken from
-    ``param(name, shape)``, which is called in :meth:`NerModel.parameters`
-    order.  :func:`build_model` draws the arrays, :func:`load_model` reads
-    them."""
+    ``param(name, shape)``; the order of those calls is the order of
+    :meth:`NerModel.parameters`.  :func:`build_model` draws the arrays,
+    :func:`load_model` reads them."""
     emb, filters, cells, labels = config.char_emb_dim, config.char_cnn_filters, config.char_lstm_cells, config.num_labels
+    named: list[tuple[str, np.ndarray]] = []
+
+    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
+        array = param(name, shape)
+        named.append((name, array))
+        return array
 
     def lstm(prefix: str, in_dim: int, n: int) -> LstmParams:
         shapes = (("w_input", (in_dim, 4 * n)), ("w_recurrent", (n, 4 * n)), ("bias", (4 * n,)))
-        return LstmParams(*(param(f"{prefix}.{name}", shape) for name, shape in shapes))
+        return LstmParams(*(take(f"{prefix}.{name}", shape) for name, shape in shapes))
 
     return NerModel(
         config=config,
         char_vocab=char_vocab,
-        char_table=param("char_table.rows", (len(char_vocab), emb)) if config.char_variant != "none" else None,
-        char_convs=[Conv1dParams(param(f"char_conv{i}.kernels", (k, emb, filters)),
-                                 param(f"char_conv{i}.bias", (filters,))) for i, k in enumerate(config.char_cnn_kernels)],
+        char_table=take("char_table.rows", (len(char_vocab), emb)) if config.char_variant != "none" else None,
+        char_convs=[Conv1dParams(take(f"char_conv{i}.kernels", (k, emb, filters)),
+                                 take(f"char_conv{i}.bias", (filters,))) for i, k in enumerate(config.char_cnn_kernels)],
         char_lstms=[tuple(lstm(f"char_lstm{i}.{tag}", emb if i == 0 else 2 * cells, cells) for tag in ("fwd", "bwd"))
                     for i in range(config.char_lstm_layers)],
         token_fwd=lstm("token_lstm.fwd", config.input_width, config.token_lstm_cells),
         token_bwd=lstm("token_lstm.bwd", config.input_width, config.token_lstm_cells),
-        dense_w=param("dense.w", (2 * config.token_lstm_cells, labels)),
-        dense_b=param("dense.b", (labels,)),
-        crf=CrfParams(param("crf.transitions", (labels, labels)), param("crf.start", (labels,)), param("crf.end", (labels,))),
+        dense_w=take("dense.w", (2 * config.token_lstm_cells, labels)),
+        dense_b=take("dense.b", (labels,)),
+        crf=CrfParams(take("crf.transitions", (labels, labels)), take("crf.start", (labels,)), take("crf.end", (labels,))),
+        named_parameters=named,
     )
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(rows, axis=0, return_inverse=True)`` from one lexsort over
-    the columns (first column primary), without sorting a structured dtype."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(rows), dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
-
-
-def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[np.ndarray, np.ndarray, tuple | None]:
-    """Character feature matrix over the distinct character rows of the
-    batch's real tokens.
-
-    Returns features (U, char_dim), inverse (N,) over the N real tokens in
-    ``batch.mask`` order and, in train mode, the cache :func:`backward`
-    reads: token n uses row ``inverse[n]``.
-    Deduplication shares one feature computation among equal character
-    rows; gradients accumulate exactly as if computed per token.  A row's
-    feature reads only its real characters, never the padding, so it does
-    not depend on how wide the batch pads its longest token.
-    """
+def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.ndarray, tuple | None]:
+    """The character feature (U, char_dim) of each of the U post-padded
+    character rows ``rows`` (one per token key) and, in train mode, the
+    cache :func:`backward` reads.  A row's feature reads only its real
+    characters, never the padding, so it does not depend on how wide the
+    batch pads its longest token."""
     cfg = model.config
-    uniq, inverse = _unique_rows(batch.char_indices[batch.mask])
-    lengths = (uniq != PAD_INDEX).sum(axis=1)
+    lengths = (rows != PAD_INDEX).sum(axis=1)
 
-    out = embed_lookup(model.char_table, uniq)
+    out = embed_lookup(model.char_table, rows)
     if cfg.char_variant in ("cnn", "cnn3"):
         # Pool the windows that start inside the decorated token.
         pooled = [conv1d_globalmaxpool(conv, out, lengths, mode) for conv in model.char_convs]
@@ -334,8 +307,8 @@ def _char_features(model: NerModel, batch: Batch, mode: str) -> tuple[np.ndarray
         # The forward half is read after the last character, the backward
         # half after the first.
         c = cfg.char_lstm_cells
-        feat = np.concatenate([out[np.arange(len(uniq)), lengths - 1, :c], out[:, 0, c:]], axis=1)
-    return feat, inverse, (uniq, lengths, caches) if mode == "train" else None
+        feat = np.concatenate([out[np.arange(len(rows)), lengths - 1, :c], out[:, 0, c:]], axis=1)
+    return feat, (rows, lengths, caches) if mode == "train" else None
 
 
 def forward_emissions(
@@ -358,14 +331,11 @@ def forward_emissions(
     if mode not in ("train", "eval"):
         raise ModelError(f"unknown mode {mode!r}")
     required = cfg.required_char_mode
-    if required is not None:
-        if batch.char_mode != required:
-            raise ModelError(
-                f"char-mode mismatch: variant {cfg.char_variant!r} needs {required!r} "
-                f"sequences, batch has {batch.char_mode!r}"
-            )
-        if batch.char_indices is None:
-            raise ModelError("batch carries no character sequences")
+    if required is not None and batch.char_mode != required:
+        raise ModelError(
+            f"char-mode mismatch: variant {cfg.char_variant!r} needs {required!r} "
+            f"sequences, batch has {batch.char_mode!r}"
+        )
     if embedding_store.dim != cfg.word_dim:
         raise ModelError(f"embedding store has dimension {embedding_store.dim}, the model's word_dim is {cfg.word_dim}")
     train = mode == "train"
@@ -375,23 +345,19 @@ def forward_emissions(
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
-    b, t = len(batch.sentences), batch.max_len
+    # One input row per token key: word vector, casing one-hot, char feature.
     words = cfg.word_dim + cfg.casing_dim
-    x = np.zeros((b, t, cfg.input_width), dtype=dtype)
-    seen: dict[str, np.ndarray] = {}  # word vector and casing one-hot, per distinct text
-    for i, sent in enumerate(batch.sentences):
-        for j, tok in enumerate(sent.tokens):
-            row = seen.get(tok.text)
-            if row is None:
-                vec, _ = lookup_word(embedding_store, tok.text)
-                row = seen[tok.text] = np.concatenate([vec, tok.casing])
-            x[i, j, :words] = row
-
-    real = batch.mask
-    char_map = chars = None
+    table = np.empty((len(batch.keys), cfg.input_width), dtype=dtype)
+    for u, (text, _, _) in enumerate(batch.keys):
+        table[u, :words] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
+    chars = None
     if required is not None:
-        char_feat, char_map, chars = _char_features(model, batch, mode)
-        x[real, words:] = char_feat[char_map]
+        table[:, words:], chars = _char_features(model, batch.key_chars, mode)
+    b, t = len(batch.sentences), batch.max_len
+    real = batch.mask
+    real_keys = batch.token_keys[real]
+    x = np.zeros((b, t, cfg.input_width), dtype=dtype)
+    x[real] = table[real_keys]
     in_mask = None
     if train and cfg.dropout > 0.0:
         in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng)
@@ -410,7 +376,7 @@ def forward_emissions(
     emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
     if not train:
         return emissions
-    return emissions, (flat, token, in_mask, real, char_map, chars)
+    return emissions, (flat, token, in_mask, real, real_keys, chars)
 
 
 def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
@@ -420,11 +386,11 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     scores, end scores).
 
     The sweep runs back through the layers in the order the forward fixes:
-    CRF, dense, token BiLSTM, input dropout, char gather, char submodel,
+    CRF, dense, token BiLSTM, input dropout, key gather, char submodel,
     char embedding.
     """
     cfg = model.config
-    flat, token, in_mask, real, char_map, chars = cache
+    flat, token, in_mask, real, real_keys, chars = cache
     d_em, *d_crf = crf_grads
     grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
     b, t, labels = d_em.shape
@@ -438,9 +404,9 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
         d_chars = d_x[..., words:]
         if in_mask is not None:
             d_chars = d_chars * in_mask[..., words:]
-        uniq, lengths, caches = chars
-        d_feat = np.zeros((len(uniq), cfg.char_feature_dim))
-        np.add.at(d_feat, char_map, d_chars[real])
+        rows, lengths, caches = chars
+        d_feat = np.zeros((len(rows), cfg.char_feature_dim))
+        np.add.at(d_feat, real_keys, d_chars[real])
         if cfg.char_variant in ("cnn", "cnn3"):
             f = cfg.char_cnn_filters
             d_emb = 0.0
@@ -450,13 +416,13 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
                 d_emb = d_emb + d_in
         else:
             c = cfg.char_lstm_cells
-            d_emb = np.zeros((len(uniq), uniq.shape[1], 2 * c))
-            d_emb[np.arange(len(uniq)), lengths - 1, :c] = d_feat[:, :c]
+            d_emb = np.zeros((*rows.shape, 2 * c))
+            d_emb[np.arange(len(rows)), lengths - 1, :c] = d_feat[:, :c]
             d_emb[:, 0, c:] = d_feat[:, c:]
             for i in range(len(caches) - 1, -1, -1):
                 d_emb, lstm_grads = bilstm_backward(caches[i], d_emb)
                 _put_lstm(grads, f"char_lstm{i}", lstm_grads)
-        grads["char_table.rows"] = embed_backward(model.char_table, uniq, d_emb)
+        grads["char_table.rows"] = embed_backward(model.char_table, rows, d_emb)
         grads["char_table.rows"][PAD_INDEX] = 0.0  # the padding row stays zero
     return {name: grads[name] for name, _ in model.parameters()}
 

@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gner import corpus
+from gner.datagen import make_corpus
 from gner.evaluation import extract_chunks
 from helpers import write_conll03
 
@@ -157,17 +159,39 @@ def test_char_vocab_reserved_slots():
 
 def test_char_sequences_rnn_raw_unpadded():
     vocab = corpus.build_char_vocab([_sent("ab", "b")])
-    rows = corpus.build_char_sequences(_sent("ab", "b"), vocab, "rnn")
+    rows = corpus.build_char_sequences([("ab", False, False), ("b", False, False)], vocab, "rnn")
     a, b = vocab.lookup("a"), vocab.lookup("b")
     assert rows == [[a, b], [b]]
 
 
 def test_char_sequences_cnn_decoration_order():
     vocab = corpus.build_char_vocab([_sent("ab")])
-    rows = corpus.build_char_sequences(_sent("ab"), vocab, "cnn")
+    keys = [("ab", True, True), ("ab", True, False), ("ab", False, True), ("ab", False, False)]
+    rows = corpus.build_char_sequences(keys, vocab, "cnn")
     a, b = vocab.lookup("a"), vocab.lookup("b")
     s0, w0, w1, s1 = (vocab.lookup(v) for v in ("<S>", "<W>", "</W>", "</S>"))
-    assert rows == [[s0, w0, a, b, w1, s1]]
+    assert rows == [[s0, w0, a, b, w1, s1], [s0, w0, a, b, w1], [w0, a, b, w1, s1], [w0, a, b, w1]]
+
+
+def test_token_keys_mark_first_and_last_only_in_cnn_mode():
+    vocab = corpus.build_char_vocab([_sent("Ulm", "mag")])
+    sentence = _sent("Ulm", "mag", "Ulm")
+    cnn = corpus.batch_from_sentences([sentence], vocab, "cnn")
+    first, middle, last = (cnn.keys[k] for k in cnn.token_keys[0])
+    assert len(cnn.keys) == 3
+    assert (first, middle, last) == (("Ulm", True, False), ("mag", False, False), ("Ulm", False, True))
+    assert corpus.batch_from_sentences([_sent("Ulm")], vocab, "cnn").keys == [("Ulm", True, True)]
+    # Each key's character row is its decorated text.
+    np.testing.assert_array_equal(
+        cnn.key_chars, [row + [corpus.PAD_INDEX] * (cnn.key_chars.shape[1] - len(row))
+                        for row in corpus.build_char_sequences(cnn.keys, vocab, "cnn")])
+    for mode in ("rnn", None):
+        plain = corpus.batch_from_sentences([sentence], vocab if mode else None, mode)
+        assert sorted(plain.keys) == [("Ulm", False, False), ("mag", False, False)]
+        assert plain.token_keys[0, 0] == plain.token_keys[0, 2] != plain.token_keys[0, 1]
+    # Keys are shared across the sentences of a batch.
+    both = corpus.batch_from_sentences([sentence, _sent("mag", "Ulm", "Ulm")], vocab, "rnn")
+    assert len(both.keys) == 2 and sorted(set(both.token_keys[both.mask].tolist())) == [0, 1]
 
 
 def test_make_batches_sizes():
@@ -195,6 +219,30 @@ def test_make_batches_partition_property(n, batch_size, seed):
             assert row[: len(s)].all() and not row[len(s):].any()
 
 
+def _occurrence_layout(sentences, vocab, mode) -> np.ndarray:
+    """(batch, max_len, chars): one character row per token occurrence,
+    decorated per position in ``cnn`` mode, post-padded to the longest."""
+    rows = []
+    for s in sentences:
+        sent_rows = []
+        for t, tok in enumerate(s.tokens):
+            symbols = list(tok.text)
+            if mode == "cnn":
+                symbols = ["<W>", *symbols, "</W>"]
+                if t == 0:
+                    symbols.insert(0, "<S>")
+                if t == len(s) - 1:
+                    symbols.append("</S>")
+            sent_rows.append([vocab.lookup(ch) for ch in symbols])
+        rows.append(sent_rows)
+    width = max(len(row) for sent_rows in rows for row in sent_rows)
+    out = np.full((len(sentences), max(len(s) for s in sentences), width), corpus.PAD_INDEX, dtype=np.int64)
+    for b, sent_rows in enumerate(rows):
+        for t, row in enumerate(sent_rows):
+            out[b, t, : len(row)] = row
+    return out
+
+
 def test_batch_char_indices_shape_and_mask_rows():
     vocab = corpus.build_char_vocab([_sent("ab", "c")])
     batch = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "rnn")
@@ -207,9 +255,20 @@ def test_batch_char_indices_shape_and_mask_rows():
     assert (batch.char_indices[1, 1] == corpus.PAD_INDEX).all()
     # cnn rows are decorated and post-padded the same way, with nothing more.
     cnn = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "cnn")
-    rows = corpus.build_char_sequences(_sent("ab", "c"), vocab, "cnn")
+    rows = corpus.build_char_sequences([("ab", True, False), ("c", False, True)], vocab, "cnn")
     assert cnn.char_indices.shape == (2, 2, 5)
     assert cnn.char_indices[0].tolist() == [rows[0], rows[1] + [0]]
+    # The view from the key table is the per-occurrence layout: repeated
+    # tokens, one-token sentences, unknown characters and padding included.
+    sents = make_corpus(40, seed=3)
+    vocab = corpus.build_char_vocab(sents[:10])
+    sents += [_sent("Ulm"), _sent("Ulm", "Ulm", "Ulm"), _sent("ǅ", "ǅ")]
+    for mode in ("rnn", "cnn"):
+        for group in (sents, sents[-3:], sents[:1]):
+            view = corpus.batch_from_sentences(group, vocab, mode).char_indices
+            assert view.dtype == np.int64
+            np.testing.assert_array_equal(view, _occurrence_layout(group, vocab, mode))
+    assert corpus.batch_from_sentences(sents, None, None).char_indices is None
 
 
 def test_round_trip_germeval(tmp_path):

@@ -110,6 +110,28 @@ def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkey
     assert len(caches) >= 2 and all(c is not None for c in caches)
 
 
+@pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
+def test_word_vectors_looked_up_once_per_token_key(variant, monkeypatch):
+    model, store, _, sents = _toy_setup(variant, n_sentences=6)
+    sents = sents + [Sentence([Token(t) for t in ("Ulm", "mag", "Ulm")], ["O"] * 3)]
+    batch = batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode)
+    looked_up = []
+
+    def counted(store, text, _fn=M.lookup_word):
+        looked_up.append(text)
+        return _fn(store, text)
+
+    monkeypatch.setattr(M, "lookup_word", counted)
+    em = M.forward_emissions(model, batch, store, mode="eval")
+    assert looked_up == [text for text, _, _ in batch.keys]
+    assert len(looked_up) < int(batch.mask.sum())
+    # "Ulm" opens and closes the last sentence: one key without the cnn
+    # sentence marks, two with them.
+    assert looked_up.count("Ulm") == (2 if variant == "cnn" else 1)
+    monkeypatch.undo()
+    np.testing.assert_array_equal(em, M.forward_emissions(model, batch, store, mode="eval"))
+
+
 def test_char_mode_mismatch_rejected():
     model, store, _, sents = _toy_setup("bilstm")
     wrong = batch_from_sentences(sents, model.char_vocab, "cnn")
@@ -184,7 +206,8 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
     vocab = build_char_vocab(sents)
     model = M.build_model(_toy_config(variant), vocab, seed=8)
     _randomize_biases(model, 8)
-    feat, inverse, _ = M._char_features(model, batch_from_sentences(sents, vocab, "rnn"), "eval")
+    batch = batch_from_sentences(sents, vocab, "rnn")
+    feat, _ = M._char_features(model, batch.key_chars, "eval")
     c = model.config.char_lstm_cells
     for t, tok in enumerate(sents[0].tokens):
         idx = [vocab.lookup(ch) for ch in tok.text]
@@ -192,7 +215,7 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
         for fwd, bwd in model.char_lstms:
             out, _ = layers.bilstm_sequence(fwd, bwd, out, [len(idx)])
         want = np.concatenate([out[0, -1, :c], out[0, 0, c:]])
-        np.testing.assert_allclose(feat[inverse[t]], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(feat[batch.token_keys[0, t]], want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["cnn", "cnn3"])
@@ -382,9 +405,11 @@ def test_only_float64_models_train(tmp_path):
     for name, p in loaded.parameters():
         assert p.dtype == np.float32 and p.tobytes() == before[name].tobytes(), name
     # A model whose parameters mix dtypes runs in neither.
-    loaded.dense_b = loaded.dense_b.astype(np.float64)
+    arrays = dict(loaded.parameters())
+    mixed = M._assemble(loaded.config, loaded.char_vocab,
+                        lambda name, shape: arrays[name].astype(np.float64) if name == "dense.b" else arrays[name])
     with pytest.raises(M.ModelError, match="mix dtypes"):
-        M.forward_emissions(loaded, batch, store)
+        M.forward_emissions(mixed, batch, store)
 
 
 def test_load_rejects_bad_magic(tmp_path):
@@ -410,17 +435,6 @@ def test_load_rejects_version_1_and_asks_for_retraining(tmp_path):
     path.write_bytes(old)
     with pytest.raises(M.ModelFormatError, match="retrained"):
         M.load_model(path)
-
-
-def test_unique_rows_matches_numpy_unique():
-    rng = np.random.default_rng(12)
-    rows = rng.integers(0, 3, (400, 5))
-    rows[:, -2:] = 0  # trailing pad columns, as in post-padded character rows
-    uniq, inverse = M._unique_rows(rows)
-    want_uniq, want_inverse = np.unique(rows, axis=0, return_inverse=True)
-    np.testing.assert_array_equal(uniq, want_uniq)
-    np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
-    np.testing.assert_array_equal(uniq[inverse], rows)
 
 
 def _with_header(raw: bytes, header: bytes, length: bytes | None = None) -> bytes:

@@ -298,8 +298,13 @@ def _run_config(store_path, drop=None, **extra) -> str:
     (lambda store: _run_config(store, model={"token_lstm_cells": "4"}),
      "token_lstm_cells must be an integer >= 1, got '4'"),
     (lambda store: _run_config(store, training={"stage1_epochs": "1"}), "stage1_epochs must be an integer, got '1'"),
+    (lambda store: _run_config(store, schema="foo"), "unknown schema 'foo'"),
+    (lambda store: _run_config(store, embeddings=str(store)), 'embeddings must be an object with a "path" string'),
+    (lambda store: _run_config(store, embeddings={"kind": "plain"}), 'embeddings must be an object with a "path" string'),
+    (lambda store: _run_config(store, embeddings={"path": 5}), 'embeddings must be an object with a "path" string'),
 ], ids=["not-json", "no-train", "no-dev", "no-embeddings", "unknown-model-key", "unknown-training-key",
-        "string-dropout", "string-size", "string-epochs"])
+        "string-dropout", "string-size", "string-epochs", "unknown-schema", "string-embeddings", "embeddings-no-path",
+        "number-embeddings-path"])
 def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, capsys, text, message):
     config_path = tmp_path / "run.json"
     config_path.write_text(text(fixture_world.store_path), encoding="utf-8")
