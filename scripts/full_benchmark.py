@@ -13,7 +13,8 @@ deliberately not part of the test suite.  Expected data layout:
 
   --germeval-dir  NER-de-{train,dev,test}.tsv      (tab-separated, 4 columns)
   --conll-dir     deu.{train,testa,testb}          (IOB tags, token first)
-  --embeddings    converted fastText store (FTXT1) or plain text vectors
+  --embeddings    converted fastText store (FTXT1) or plain text vectors;
+                  the kind is read from the file
 
 With fastText vectors, the out-of-vocabulary split of the GermEval test set
 (reported alongside the scores) separates sentences whose every word is in
@@ -65,7 +66,6 @@ def main() -> int:
     ap.add_argument("--germeval-dir")
     ap.add_argument("--conll-dir")
     ap.add_argument("--embeddings", required=True)
-    ap.add_argument("--embedding-kind", choices=("plain", "fasttext"), default="fasttext")
     ap.add_argument("--variant", default="bilstm")
     ap.add_argument("--runs", type=int, default=1, help="seeds 1..runs, scores averaged")
     ap.add_argument("--out", help="write results as JSON")
@@ -73,7 +73,7 @@ def main() -> int:
     if not args.germeval_dir and not args.conll_dir:
         ap.error("need --germeval-dir and/or --conll-dir")
 
-    store = load_store(args.embeddings, args.embedding_kind)
+    store = load_store(args.embeddings)
     results: dict[str, object] = {}
 
     if args.germeval_dir:

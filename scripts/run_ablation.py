@@ -4,7 +4,7 @@
 Intended run (matches the reduced-scale acceptance protocol):
 
     python scripts/run_ablation.py --germeval-dir /data/germeval \\
-        --embeddings /data/fasttext_de.ftxt --embedding-kind fasttext \\
+        --embeddings /data/fasttext_de.ftxt \\
         --train-size 2000 --seeds 1 2 3
 
 Without the official corpus, ``--synthetic`` uses the bundled generator of
@@ -33,7 +33,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--germeval-dir", help="directory with NER-de-train.tsv and NER-de-dev.tsv")
     ap.add_argument("--embeddings", help="word vector file")
-    ap.add_argument("--embedding-kind", choices=("plain", "fasttext"), default="fasttext")
     ap.add_argument("--synthetic", action="store_true", help="use the bundled synthetic generator")
     ap.add_argument("--reduced", action="store_true", help="reduced dims for quick desk runs")
     ap.add_argument("--train-size", type=int, default=2000)
@@ -49,7 +48,7 @@ def main() -> int:
         schema = germeval_schema()
         if not args.embeddings:
             ap.error("--embeddings is required with --germeval-dir")
-        store = load_store(args.embeddings, args.embedding_kind)
+        store = load_store(args.embeddings)
     elif args.synthetic:
         train = make_ambiguous_corpus(args.train_size, seed=21, split="train")
         dev = make_ambiguous_corpus(args.dev_size, seed=22, split="dev")

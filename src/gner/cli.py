@@ -21,7 +21,7 @@ from .corpus import (
     write_germeval,
     Sentence,
 )
-from .embeddings import EmbeddingError, load_store
+from .embeddings import EmbeddingError, check_kind, load_store
 from .evaluation import evaluate_bio, germeval_combined, split_oov_iv
 from .model import ModelConfig, ModelError, ModelFormatError, build_model, load_model, predict, save_model
 from .service import ModelRegistry, ServiceError, map_sentence_labels_combined, serve
@@ -76,16 +76,23 @@ def _cmd_train(args) -> int:
     if not isinstance(emb_spec, dict) or not isinstance(emb_spec.get("path"), str):
         raise TrainingError(f'{config_path}: embeddings must be an object with a "path" string, got {emb_spec!r}')
 
+    for key in ("model", "training"):
+        if not isinstance(spec.get(key, {}), dict):
+            raise TrainingError(f"{config_path}: {key} must be an object, got {spec[key]!r}")
+
     def load_split(key):
         # Entries are paths (using the global format) or {"path", "format"}
         # objects, so one run can mix both corpus formats.
         entries = spec[key] if isinstance(spec[key], list) else [spec[key]]
         out = []
         for entry in entries:
-            if isinstance(entry, dict):
-                out += _parse_corpus(base / entry["path"], entry.get("format", fmt))
-            else:
-                out += _parse_corpus(base / entry, fmt)
+            if isinstance(entry, str):
+                entry = {"path": entry}
+            if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+                raise TrainingError(
+                    f'{config_path}: {key} entries must be paths or objects with a "path" string, got {entry!r}'
+                )
+            out += _parse_corpus(base / entry["path"], entry.get("format", fmt))
         return out
 
     train_sents = load_split("train_path")
@@ -94,10 +101,11 @@ def _cmd_train(args) -> int:
         train_sents = _map_combined(train_sents)
         dev_sents = _map_combined(dev_sents)
 
-    store = load_store(base / emb_spec["path"], emb_spec.get("kind", "plain"))
+    store = load_store(base / emb_spec["path"], emb_spec.get("kind"))
 
-    model_kwargs = {"embedding_kind": emb_spec.get("kind", "plain"), "word_dim": store.dim}
-    model_kwargs.update(spec.get("model", {}))
+    # The model records the store's kind; a "model" key may only repeat it.
+    model_kwargs = {"embedding_kind": store.kind, "word_dim": store.dim, **spec.get("model", {})}
+    check_kind(base / emb_spec["path"], model_kwargs["embedding_kind"], store.kind)
     try:
         model_cfg = ModelConfig(label_schema=schema, **model_kwargs)
         train_cfg = TrainConfig(**spec.get("training", {}))
@@ -146,7 +154,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_predict(args) -> int:
     model = load_model(args.model)
-    store = load_store(args.embeddings, args.embedding_kind)
+    store = load_store(args.embeddings)
     for line in sys.stdin:
         tokens = line.split()
         if not tokens:
@@ -187,7 +195,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_split_oov(args) -> int:
     sentences = _parse_corpus(args.data, args.format)
-    store = load_store(args.embeddings, args.embedding_kind)
+    store = load_store(args.embeddings)
     iv, oov = split_oov_iv(sentences, store)
     write_germeval(iv, f"{args.out_prefix}.iv.tsv")
     write_germeval(oov, f"{args.out_prefix}.oov.tsv")
@@ -218,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="label space-tokenized sentences from stdin, one per line")
     p.add_argument("--model", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--embedding-kind", choices=("plain", "fasttext"), default="plain")
     p.set_defaults(fn=_cmd_predict)
 
     p = sub.add_parser("serve", help="run the JSON inference service")
@@ -231,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--format", choices=("germeval", "conll"), default="germeval")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--embedding-kind", choices=("plain", "fasttext"), default="plain")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(fn=_cmd_split_oov)
     return parser

@@ -3,7 +3,8 @@
 Two kinds of store exist: ``plain`` text vectors (word2vec / GloVe style,
 one "word v1 .. vd" line each, optional "count dim" header) and ``fasttext``
 stores that additionally carry hashed character-n-gram bucket vectors so
-vectors can be inferred for words never seen by the embedding model.
+vectors can be inferred for words never seen by the embedding model.  A
+store file's first line says which kind it is.
 
 Subword hashing is FNV-1a 32-bit over the n-gram's UTF-8 bytes with each
 byte passed through a signed-char cast before widening, matching the
@@ -13,6 +14,7 @@ buckets.  Stores are immutable after load; lookups are pure.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,22 +24,21 @@ import numpy as np
 __all__ = [
     "EmbeddingError",
     "EmbeddingStore",
-    "load_text_vectors",
-    "load_fasttext_store",
     "write_text_vectors",
     "write_fasttext_store",
     "load_store",
+    "check_kind",
     "extract_char_ngrams",
     "fnv1a_32",
     "ngram_bucket",
     "lookup_word",
-    "vocab_contains",
     "convert_fasttext_bin",
 ]
 
 log = logging.getLogger(__name__)
 
 FASTTEXT_MAGIC = "FTXT1"
+STORE_KINDS = ("plain", "fasttext")
 
 
 class EmbeddingError(Exception):
@@ -56,7 +57,7 @@ class EmbeddingStore:
     duplicates_skipped: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("plain", "fasttext"):
+        if self.kind not in STORE_KINDS:
             raise EmbeddingError(f"unknown store kind {self.kind!r}")
         if self.kind == "fasttext":
             if self.ngram_buckets is None or self.bucket_count <= 0:
@@ -65,150 +66,137 @@ class EmbeddingStore:
                 raise EmbeddingError(f"min_n {self.min_n} > max_n {self.max_n}")
 
 
-def _parse_floats(parts: list[str], line_no: int) -> np.ndarray:
+def _floats(values: list[str], line_no: int) -> np.ndarray:
+    # numpy parses str items with float(): the same accepted forms and values.
     try:
-        return np.array([float(p) for p in parts], dtype=np.float64)
+        return np.array(values, dtype=np.float64)
     except ValueError as exc:
-        raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from exc
+        raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from None
 
 
-def _read_lines(path: Path) -> list[str]:
+def _decoded_lines(fh, path: Path):
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            yield line_no, raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(f"{path}: line {line_no}: not UTF-8 text: {exc}") from None
+
+
+def load_store(path: str | Path, kind: str | None = None) -> EmbeddingStore:
+    """Load a text store; its first line names its kind.
+
+    A first line starting ``FTXT1`` must be the fastText header ``FTXT1 dim
+    min_n max_n bucket_count word_count``, followed by exactly
+    ``word_count`` word lines and ``bucket_count`` bucket rows.  Anything
+    else is plain vectors with an optional ``count dim`` header.  A declared
+    ``kind`` is only checked against the file's.
+
+    Lines are parsed one at a time.  Blank lines are skipped, a duplicate
+    word keeps its first vector (counted and logged), and every format error
+    names its line.
+    """
+    if kind not in (None, *STORE_KINDS):
+        raise EmbeddingError(f"unknown embedding kind {kind!r}")
+    path = Path(path)
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        with path.open("rb") as fh:
+            store = _read_store(_decoded_lines(fh, path), path, kind)
     except OSError as exc:
         raise EmbeddingError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise EmbeddingError(f"{path}: not UTF-8 text: {exc}") from exc
+    if store.duplicates_skipped:
+        log.warning("%s: skipped %d duplicate words (first occurrence kept)", path, store.duplicates_skipped)
+    return store
 
 
-def load_text_vectors(path: str | Path) -> EmbeddingStore:
-    """Load whitespace-separated text vectors into a plain store.
+def check_kind(path: str | Path, declared: str | None, kind: str):
+    """A declared kind must be None or the store file's own ``kind``."""
+    if declared not in (None, kind):
+        raise EmbeddingError(
+            f"{path}: declared kind {declared!r}, but the file is a {kind!r} store "
+            f"(a fasttext store starts with an {FASTTEXT_MAGIC} header)"
+        )
 
-    Duplicate words keep their first occurrence (counted and logged);
-    inconsistent dimensions raise an error naming the offending line.
-    """
-    path = Path(path)
-    lines = _read_lines(path)
+
+def _read_store(lines, path: Path, declared: str | None) -> EmbeddingStore:
+    _, head = next(lines, (1, ""))
+    fields = head.split()
+    kind = "fasttext" if fields[:1] == [FASTTEXT_MAGIC] else "plain"
+    check_kind(path, declared, kind)
+    # A plain store has no word limit, no bucket rows and the default n-gram fields.
+    word_count, bucket_count, ngram_fields = float("inf"), 0, {}
+    if kind == "fasttext":
+        if len(fields) != 6 or not all(v.isascii() and v.isdigit() for v in fields[1:]):
+            raise EmbeddingError(
+                f"{path}: line 1: expected '{FASTTEXT_MAGIC} dim min_n max_n bucket_count word_count' header "
+                f"with non-negative integer fields, got {head[:80]!r}"
+            )
+        dim, min_n, max_n, bucket_count, word_count = (int(v) for v in fields[1:])
+        try:
+            buckets = np.empty((bucket_count, dim))
+        except MemoryError:
+            raise EmbeddingError(f"{path}: header declares {bucket_count} buckets of {dim} values") from None
+        ngram_fields = dict(ngram_buckets=buckets, min_n=min_n, max_n=max_n, bucket_count=bucket_count)
+    elif len(fields) == 2 and all(p.lstrip("+-").isdigit() for p in fields):
+        dim = int(fields[1])
+    else:
+        dim = None  # taken from the first word line
+        lines = itertools.chain([(1, head)], lines)
+
     vectors: dict[str, np.ndarray] = {}
-    duplicates = 0
-    dim = None
-    start = 0
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2 and all(p.lstrip("+-").isdigit() for p in head):
-            dim = int(head[1])
-            start = 1
-
-    for i, line in enumerate(lines[start:], start=start + 1):
+    duplicates = seen = 0
+    line_no = 1
+    for line_no, line in lines:
         if not line.strip():
             continue
-        parts = line.rstrip("\n").split(" ")
-        word, values = parts[0], [p for p in parts[1:] if p]
+        if seen == word_count + bucket_count:
+            raise EmbeddingError(f"line {line_no}: more than the header's {word_count} word + {bucket_count} bucket lines")
+        parts = line.split(" ")
+        word = parts.pop(0) if seen < word_count else None
+        values = [p for p in parts if p]
         if dim is None:
             dim = len(values)
         if len(values) != dim:
-            raise EmbeddingError(f"line {i}: expected {dim} values, got {len(values)}")
-        if word in vectors:
+            raise EmbeddingError(f"line {line_no}: expected {dim} values, got {len(values)}")
+        if word is None:
+            buckets[seen - word_count] = _floats(values, line_no)
+        elif word in vectors:
             duplicates += 1
-            continue
-        vectors[word] = _parse_floats(values, i)
+        else:
+            vectors[word] = _floats(values, line_no)
+        seen += 1
 
+    if kind == "fasttext" and seen != word_count + bucket_count:
+        raise EmbeddingError(
+            f"{path}: line {line_no}: file ends after {seen} of the header's "
+            f"{word_count} word + {bucket_count} bucket lines"
+        )
     if dim is None:
         raise EmbeddingError(f"{path}: no vectors found")
-    if duplicates:
-        log.warning("%s: skipped %d duplicate words (first occurrence kept)", path, duplicates)
-    return EmbeddingStore(kind="plain", dim=dim, word_vectors=vectors, duplicates_skipped=duplicates)
-
-
-def load_fasttext_store(path: str | Path) -> EmbeddingStore:
-    """Load the documented fastText store dump:
-
-    header ``FTXT1 dim min_n max_n bucket_count word_count``, then
-    ``word_count`` word-vector lines, then ``bucket_count`` bucket rows.
-    """
-    path = Path(path)
-    lines = _read_lines(path)
-    if not lines:
-        raise EmbeddingError(f"{path}: empty file")
-    head = lines[0].split()
-    if len(head) != 6 or head[0] != FASTTEXT_MAGIC or not all(v.isascii() and v.isdigit() for v in head[1:]):
-        raise EmbeddingError(
-            f"{path}: expected '{FASTTEXT_MAGIC} dim min_n max_n bucket_count word_count' header "
-            f"with non-negative integer fields, got {lines[0][:80]!r}"
-        )
-    dim, min_n, max_n, bucket_count, word_count = (int(v) for v in head[1:])
-
-    body = [ln for ln in lines[1:] if ln.strip()]
-    if len(body) != word_count + bucket_count:
-        raise EmbeddingError(
-            f"{path}: expected {word_count} word lines + {bucket_count} bucket lines, got {len(body)}"
-        )
-    vectors: dict[str, np.ndarray] = {}
-    duplicates = 0
-    for i, line in enumerate(body[:word_count], start=2):
-        parts = line.split(" ")
-        word, values = parts[0], [p for p in parts[1:] if p]
-        if len(values) != dim:
-            raise EmbeddingError(f"line {i}: expected {dim} values, got {len(values)}")
-        if word in vectors:
-            duplicates += 1
-            continue
-        vectors[word] = _parse_floats(values, i)
-    buckets = np.empty((bucket_count, dim))
-    for j, line in enumerate(body[word_count:]):
-        values = [p for p in line.split(" ") if p]
-        if len(values) != dim:
-            raise EmbeddingError(f"bucket row {j}: expected {dim} values, got {len(values)}")
-        buckets[j] = _parse_floats(values, word_count + 2 + j)
-    if duplicates:
-        log.warning("%s: skipped %d duplicate words", path, duplicates)
-    return EmbeddingStore(
-        kind="fasttext",
-        dim=dim,
-        word_vectors=vectors,
-        ngram_buckets=buckets,
-        min_n=min_n,
-        max_n=max_n,
-        bucket_count=bucket_count,
-        duplicates_skipped=duplicates,
-    )
+    return EmbeddingStore(kind=kind, dim=dim, word_vectors=vectors, duplicates_skipped=duplicates, **ngram_fields)
 
 
 def _format_vector(vec: np.ndarray) -> str:
     return " ".join(repr(float(v)) for v in vec)
 
 
-def write_text_vectors(store: EmbeddingStore, path: str | Path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(store.word_vectors)} {store.dim}\n")
+def _write_store(path: str | Path, header: str, store: EmbeddingStore, rows=()):
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{header}\n")
         for word, vec in store.word_vectors.items():
             fh.write(f"{word} {_format_vector(vec)}\n")
+        for row in rows:
+            fh.write(f"{_format_vector(row)}\n")
+
+
+def write_text_vectors(store: EmbeddingStore, path: str | Path):
+    _write_store(path, f"{len(store.word_vectors)} {store.dim}", store)
 
 
 def write_fasttext_store(store: EmbeddingStore, path: str | Path):
     if store.kind != "fasttext":
         raise EmbeddingError("not a fasttext store")
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(
-            f"{FASTTEXT_MAGIC} {store.dim} {store.min_n} {store.max_n} "
-            f"{store.bucket_count} {len(store.word_vectors)}\n"
-        )
-        for word, vec in store.word_vectors.items():
-            fh.write(f"{word} {_format_vector(vec)}\n")
-        assert store.ngram_buckets is not None
-        for row in store.ngram_buckets:
-            fh.write(f"{_format_vector(row)}\n")
-
-
-def load_store(path: str | Path, kind: str) -> EmbeddingStore:
-    """Load a store by declared kind ("plain" or "fasttext")."""
-    if kind == "plain":
-        return load_text_vectors(path)
-    if kind == "fasttext":
-        return load_fasttext_store(path)
-    raise EmbeddingError(f"unknown embedding kind {kind!r}")
+    header = f"{FASTTEXT_MAGIC} {store.dim} {store.min_n} {store.max_n} {store.bucket_count} {len(store.word_vectors)}"
+    _write_store(path, header, store, store.ngram_buckets)
 
 
 def extract_char_ngrams(word: str, min_n: int = 3, max_n: int = 6) -> list[str]:
@@ -250,11 +238,6 @@ def lookup_word(store: EmbeddingStore, word: str) -> tuple[np.ndarray, bool]:
         if rows:
             return store.ngram_buckets[rows].mean(axis=0), True
     return np.zeros(store.dim), True
-
-
-def vocab_contains(store: EmbeddingStore, word: str) -> bool:
-    """Strict word-list membership; subword inferability does not count."""
-    return word in store.word_vectors
 
 
 # ---------------------------------------------------------------------------

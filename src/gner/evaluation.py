@@ -208,11 +208,9 @@ def split_oov_iv(sentences: Sequence, store) -> tuple[list, list]:
     """Partition sentences into (iv, oov): a sentence is in-vocabulary only
     if every token is in the store's word list (subword inference does not
     count)."""
-    from .embeddings import vocab_contains
-
     iv, oov = [], []
     for s in sentences:
-        if all(vocab_contains(store, t.text) for t in s.tokens):
+        if all(t.text in store.word_vectors for t in s.tokens):
             iv.append(s)
         else:
             oov.append(s)

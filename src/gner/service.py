@@ -17,7 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .corpus import GERMEVAL_CLASSES, Sentence, Token
-from .embeddings import EmbeddingStore, load_store
+from .embeddings import EmbeddingStore, check_kind, load_store
 from .model import NerModel, load_model, predict_batch
 
 __all__ = [
@@ -88,10 +88,12 @@ class ModelRegistry:
     def load(cls, config_path: str | Path) -> "ModelRegistry":
         """Load a registry description:
 
-        ``{"models": {name: {"model": path, "embeddings": path,
-        "embedding_kind": "plain"|"fasttext"}}}``; paths are relative to the
-        config file.  Any unloadable entry, or a store whose dimension is
-        not the model's word dimension, fails startup.
+        ``{"models": {name: {"model": path, "embeddings": path}}}``; paths
+        are relative to the config file, and entries naming the same store
+        file share one loaded store.  An optional ``"embedding_kind"`` is
+        checked against the store file's own kind.  Any unloadable entry, or
+        a store whose dimension is not the model's word dimension, fails
+        startup.
         """
         config_path = Path(config_path)
         try:
@@ -103,16 +105,18 @@ class ModelRegistry:
             raise ServiceError(f"{config_path}: expected a non-empty 'models' map")
         base = config_path.parent
         entries = {}
-        stores: dict[tuple[str, str], EmbeddingStore] = {}
+        stores: dict[Path, EmbeddingStore] = {}
         for name, spec in models.items():
             try:
                 model = load_model(base / spec["model"])
-                key = (spec["embeddings"], spec.get("embedding_kind", "plain"))
+                key = (base / spec["embeddings"]).resolve()
                 if key not in stores:
-                    stores[key] = load_store(base / key[0], key[1])
-                if stores[key].dim != model.config.word_dim:
-                    raise ServiceError(f"embedding dim {stores[key].dim} != model word_dim {model.config.word_dim}")
-                entries[name] = RegisteredModel(model, stores[key])
+                    stores[key] = load_store(key)
+                store = stores[key]
+                check_kind(key, spec.get("embedding_kind"), store.kind)
+                if store.dim != model.config.word_dim:
+                    raise ServiceError(f"embedding dim {store.dim} != model word_dim {model.config.word_dim}")
+                entries[name] = RegisteredModel(model, store)
             except Exception as exc:
                 raise ServiceError(f"registry entry {name!r} failed to load: {exc}") from exc
         return cls(entries)

@@ -40,7 +40,7 @@ from gner.corpus import (
 )
 from gner.crf import crf_negative_log_likelihood
 from gner.datagen import make_ambiguous_corpus, make_corpus, make_embedding_store
-from gner.embeddings import EmbeddingStore, load_fasttext_store, lookup_word
+from gner.embeddings import EmbeddingStore, load_store, lookup_word
 from gner.evaluation import evaluate_bio, extract_chunks, germeval_combined
 from gner.model import CHAR_VARIANTS, ModelConfig, backward, build_model, forward_emissions, predict
 from gner.service import ModelRegistry
@@ -372,7 +372,7 @@ def test_criterion_5_reduced_scale_ablation():
     dev = parse_germeval(os.path.join(src, "NER-de-dev.tsv"))
     store_path = os.environ.get("GNER_FASTTEXT_STORE")
     if store_path:
-        store = load_fasttext_store(store_path)
+        store = load_store(store_path, "fasttext")
     else:
         store = make_embedding_store(train + dev, dim=300, seed=5, coverage="context")
     results = {}
@@ -451,7 +451,7 @@ _SUFFIXES = ("verein", "straße", "häuschen", "übung", "größe", "wörterbuch
 def test_criterion_6_fasttext_oov_inference():
     store_path = os.environ.get("GNER_FASTTEXT_STORE")
     if store_path:
-        store = load_fasttext_store(store_path)
+        store = load_store(store_path, "fasttext")
     else:
         # Stand-in for a converted public model: same format, same addressing.
         rng = np.random.default_rng(66)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,15 +26,15 @@ def _toy_fasttext_store(rng, words=("gehen", "Haus"), dim=4, buckets=64):
 
 
 def test_load_two_word_fixture(tmp_path):
-    store = emb.load_text_vectors(_write(tmp_path, "v.txt", "a 1 0\nb 0 1\n"))
+    store = emb.load_store(_write(tmp_path, "v.txt", "a 1 0\nb 0 1\n"))
     assert store.dim == 2
     assert set(store.word_vectors) == {"a", "b"}
     np.testing.assert_array_equal(store.word_vectors["a"], [1.0, 0.0])
 
 
 def test_header_line_is_tolerated(tmp_path):
-    plain = emb.load_text_vectors(_write(tmp_path, "p.txt", "a 1 0\nb 0 1\n"))
-    headed = emb.load_text_vectors(_write(tmp_path, "h.txt", "2 2\na 1 0\nb 0 1\n"))
+    plain = emb.load_store(_write(tmp_path, "p.txt", "a 1 0\nb 0 1\n"))
+    headed = emb.load_store(_write(tmp_path, "h.txt", "2 2\na 1 0\nb 0 1\n"))
     assert plain.dim == headed.dim
     for w in plain.word_vectors:
         np.testing.assert_array_equal(plain.word_vectors[w], headed.word_vectors[w])
@@ -40,18 +42,30 @@ def test_header_line_is_tolerated(tmp_path):
 
 def test_dimension_inconsistency_names_line(tmp_path):
     with pytest.raises(emb.EmbeddingError, match="line 2"):
-        emb.load_text_vectors(_write(tmp_path, "bad.txt", "a 1 0 3\nb 0 1\n"))
+        emb.load_store(_write(tmp_path, "bad.txt", "a 1 0 3\nb 0 1\n"))
+
+
+def test_only_newline_ends_a_line(tmp_path):
+    # fastText splits words on ASCII whitespace only, so published vocabularies
+    # hold words with other line-breaking characters in them.
+    store = emb.load_store(_write(tmp_path, "v.txt", "a\x85b 1 0\nc\u2028d 0 1\r\ne\x0cf 1 1\n"))
+    assert list(store.word_vectors) == ["a\x85b", "c\u2028d", "e\x0cf"]
 
 
 def test_unreadable_file_errors():
     with pytest.raises(emb.EmbeddingError, match="missing.txt"):
-        emb.load_text_vectors("/nonexistent/missing.txt")
+        emb.load_store("/nonexistent/missing.txt")
 
 
 def test_duplicates_keep_first_and_count(tmp_path):
-    store = emb.load_text_vectors(_write(tmp_path, "d.txt", "a 1 0\na 9 9\nb 0 1\n"))
+    store = emb.load_store(_write(tmp_path, "d.txt", "a 1 0\na 9 9\nb 0 1\n"))
     assert store.duplicates_skipped == 1
     np.testing.assert_array_equal(store.word_vectors["a"], [1.0, 0.0])
+    # In a fastText store a duplicate still counts as one of the header's word lines.
+    store = emb.load_store(_write(tmp_path, "d.ftxt", "FTXT1 2 3 6 1 3\na 1 0\na 9 9\nb 0 1\n5 6\n"))
+    assert store.duplicates_skipped == 1 and list(store.word_vectors) == ["a", "b"]
+    np.testing.assert_array_equal(store.word_vectors["a"], [1.0, 0.0])
+    np.testing.assert_array_equal(store.ngram_buckets, [[5.0, 6.0]])
 
 
 def test_ngrams_auf():
@@ -133,14 +147,6 @@ def test_fasttext_oov_matches_independent_oracle():
         np.testing.assert_allclose(vec, oracle, atol=1e-12)
 
 
-def test_vocab_contains_is_strict_membership():
-    rng = np.random.default_rng(2)
-    store = _toy_fasttext_store(rng)
-    assert emb.vocab_contains(store, "gehen")
-    assert not emb.vocab_contains(store, "ging")  # inferable but not listed
-    assert not emb.vocab_contains(store, "GEHEN")  # no case folding
-
-
 def test_lookup_is_pure():
     rng = np.random.default_rng(3)
     store = _toy_fasttext_store(rng)
@@ -171,7 +177,7 @@ def test_fasttext_store_round_trip(tmp_path):
     store = _toy_fasttext_store(rng)
     path = tmp_path / "store.ftxt"
     emb.write_fasttext_store(store, path)
-    loaded = emb.load_fasttext_store(path)
+    loaded = emb.load_store(path)
     assert loaded.dim == store.dim and loaded.bucket_count == store.bucket_count
     for w in store.word_vectors:
         np.testing.assert_array_equal(loaded.word_vectors[w], store.word_vectors[w])
@@ -184,22 +190,31 @@ def test_fasttext_store_round_trip(tmp_path):
 def test_fasttext_bad_header(tmp_path):
     bad = _write(tmp_path, "bad.ftxt", "NOPE 3 3 6 2 1\nwort 1 2 3\n")
     with pytest.raises(emb.EmbeddingError, match="FTXT1"):
-        emb.load_fasttext_store(bad)
+        emb.load_store(bad, "fasttext")
 
 
 @pytest.mark.parametrize("head", ["FTXT1 3 3 6 x 1", "FTXT1 3 3 6 2.5 1", "FTXT1 -3 3 6 2 1", "FTXT1 3 3 6 2"])
 def test_fasttext_malformed_header_fields_are_format_errors(tmp_path, head):
     bad = _write(tmp_path, "bad.ftxt", head + "\nwort 1 2 3\n1 2 3\n4 5 6\n")
     with pytest.raises(emb.EmbeddingError, match="header"):
-        emb.load_fasttext_store(bad)
+        emb.load_store(bad)
 
 
-@pytest.mark.parametrize("kind", ["plain", "fasttext"])
-def test_non_utf8_store_is_a_format_error(tmp_path, kind):
+@pytest.mark.parametrize("data", [b"a 1 0\n\xff\xfe 0 1\n", b"FTXT1 2 3 6 1 1\n\xff\xfe 0 1\n1 2\n"],
+                         ids=["plain", "fasttext"])
+def test_non_utf8_store_is_a_format_error(tmp_path, data):
+    # The bad byte sits after the header, so streaming must still name its line.
     p = tmp_path / "v.txt"
-    p.write_bytes(b"a 1 0\n\xff\xfe 0 1\n")
-    with pytest.raises(emb.EmbeddingError, match="UTF-8"):
-        emb.load_store(p, kind)
+    p.write_bytes(data)
+    with pytest.raises(emb.EmbeddingError, match="line 2: not UTF-8"):
+        emb.load_store(p)
+
+
+def test_non_utf8_header_is_a_format_error(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_bytes(b"FTXT1 2 3 6 1 1\xff\nwort 0 1\n1 2\n")
+    with pytest.raises(emb.EmbeddingError, match="line 1: not UTF-8"):
+        emb.load_store(p)
 
 
 def test_load_store_dispatch(tmp_path):
@@ -207,6 +222,58 @@ def test_load_store_dispatch(tmp_path):
     assert emb.load_store(p, "plain").kind == "plain"
     with pytest.raises(emb.EmbeddingError, match="kind"):
         emb.load_store(p, "word2vec")
+
+
+def test_both_formats_load_with_no_kind_given(tmp_path):
+    rng = np.random.default_rng(6)
+    store = _toy_fasttext_store(rng)
+    emb.write_fasttext_store(store, tmp_path / "s.ftxt")
+    emb.write_text_vectors(store, tmp_path / "s.txt")
+    fasttext = emb.load_store(tmp_path / "s.ftxt")
+    plain = emb.load_store(tmp_path / "s.txt")
+    assert (fasttext.kind, fasttext.bucket_count, fasttext.min_n, fasttext.max_n) == ("fasttext", 64, 3, 6)
+    assert plain.kind == "plain" and plain.ngram_buckets is None
+    for loaded in (fasttext, plain):
+        assert loaded.dim == 4 and list(loaded.word_vectors) == list(store.word_vectors)
+        for w, vec in store.word_vectors.items():
+            np.testing.assert_array_equal(loaded.word_vectors[w], vec)
+
+
+@pytest.mark.parametrize("kind, other", [("plain", "fasttext"), ("fasttext", "plain")])
+def test_declared_kind_is_checked_against_the_file(tmp_path, kind, other):
+    rng = np.random.default_rng(7)
+    store = _toy_fasttext_store(rng)
+    path = tmp_path / "store"
+    (emb.write_text_vectors if kind == "plain" else emb.write_fasttext_store)(store, path)
+    assert emb.load_store(path, kind).kind == kind
+    with pytest.raises(emb.EmbeddingError, match=f"declared kind '{other}', but the file is a '{kind}' store"):
+        emb.load_store(path, other)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a 1 0\nb 0 x\n", "line 2: bad float value: could not convert string to float: 'x'"),
+    ("2 2\na 1 0\n\nb 0\n", "line 4: expected 2 values, got 1"),
+    ("FTXT1 2 3 6 2 1\nwort 1 0\n1 2\n3 x\n", "line 4: bad float value"),
+    ("FTXT1 2 3 6 2 1\nwort 1 0 5\n1 2\n3 4\n", "line 2: expected 2 values, got 3"),
+    ("FTXT1 2 3 6 2 1\nwort 1 0\n\n1 2\n3\n", "line 5: expected 2 values, got 1"),
+    ("FTXT1 2 3 6 2 1\nwort 1 0\n1 2\n\n", "line 4: file ends after 2 of the header's 1 word + 2 bucket lines"),
+    ("FTXT1 2 3 6 2 1\nwort 1 0\n1 2\n3 4\n\n5 6\n", "line 6: more than the header's 1 word + 2 bucket lines"),
+    ("FTXT1 2 3 6 2 1\n", "line 1: file ends after 0 of the header's 1 word + 2 bucket lines"),
+], ids=["plain-float", "plain-count", "bucket-float", "word-count", "bucket-count", "too-few", "too-many", "no-body"])
+def test_format_errors_name_their_line(tmp_path, text, message):
+    with pytest.raises(emb.EmbeddingError, match=re.escape(message)):
+        emb.load_store(_write(tmp_path, "s.txt", text))
+
+
+def test_values_parse_as_float_does(tmp_path):
+    fields = ["1e-5", "-0.0", "1_0", "nan", "+.5", "-inf", "4.9e-324", "0.1000000000000000055511151231257827"]
+    dim = len(fields)
+    text = f"FTXT1 {dim} 3 6 1 1\nwort {' '.join(fields)}\n{' '.join(reversed(fields))}\n"
+    store = emb.load_store(_write(tmp_path, "s.ftxt", text))
+    expect = np.array([float(f) for f in fields])
+    for got, want in ((store.word_vectors["wort"], expect), (store.ngram_buckets[0], expect[::-1])):
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()  # bit-equal, so -0.0 keeps its sign and nan its payload
 
 
 def _write_bin_fixture(path, words, dim, bucket, min_n=3, max_n=6, seed=0, version=12):
@@ -254,7 +321,7 @@ def test_convert_bin_round_trips_through_ftxt(tmp_path):
     store = emb.convert_fasttext_bin(path)
     out = tmp_path / "model.ftxt"
     emb.write_fasttext_store(store, out)
-    loaded = emb.load_fasttext_store(out)
+    loaded = emb.load_store(out)
     a, _ = emb.lookup_word(store, "unbekanntes")
     b, _ = emb.lookup_word(loaded, "unbekanntes")
     np.testing.assert_array_equal(a, b)

@@ -148,6 +148,16 @@ def test_split_oov_iv():
     assert oov == [s_ac]
 
 
+def test_split_oov_iv_is_strict_membership():
+    rng = np.random.default_rng(2)
+    store = EmbeddingStore(kind="fasttext", dim=4, word_vectors={"gehen": rng.normal(size=4)},
+                           ngram_buckets=rng.normal(size=(64, 4)), bucket_count=64)
+    listed, inferable, folded = (Sentence([Token(w)], ["O"]) for w in ("gehen", "ging", "GEHEN"))
+    iv, oov = ev.split_oov_iv([listed, inferable, folded], store)
+    assert iv == [listed]
+    assert oov == [inferable, folded]  # subword inference and case folding do not count
+
+
 def test_report_table_rendering():
     gold = [["B-PER", "I-PER", "O", "B-LOC"]]
     pred = [["B-PER", "I-PER", "O", "O"]]

@@ -1,6 +1,9 @@
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -59,3 +62,12 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if attr not in gner.__all__ and attr not in used
     ]
     assert not unused, f"public but used only by tests: {unused}"
+
+
+def test_benchmark_tracer_installs_on_the_package():
+    # perfbench/tracing.py wraps package functions by the names their callers
+    # look up, so renaming one in src/gner breaks a traced benchmark run.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
+    proc = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -10,14 +10,15 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gner import cli
 from gner import service as svc
 from gner.corpus import germeval_schema, write_germeval
 from gner.datagen import make_embedding_store
-from gner.embeddings import write_text_vectors
-from gner.model import predict
+from gner.embeddings import EmbeddingStore, load_store, write_fasttext_store, write_text_vectors
+from gner.model import load_model, predict
 from helpers import serve_in_thread
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,6 +71,21 @@ def test_registry_startup_fails_on_store_dim_mismatch(tmp_path, fixture_world):
         "model": str(fixture_world.model_path), "embeddings": "v8.txt", "embedding_kind": "plain"}}}))
     with pytest.raises(svc.ServiceError, match=r"'narrow'.*dim 8 != model word_dim 12"):
         svc.ModelRegistry.load(bad)
+
+
+def test_registry_shares_a_store_by_resolved_path_and_checks_a_declared_kind(tmp_path, fixture_world):
+    write_text_vectors(fixture_world.store, tmp_path / "v.txt")
+    (tmp_path / "sub").mkdir()
+    reg = tmp_path / "registry.json"
+    entries = {"a": {"model": str(fixture_world.model_path), "embeddings": "v.txt"},
+               "b": {"model": str(fixture_world.model_path), "embeddings": "sub/../v.txt", "embedding_kind": "plain"}}
+    reg.write_text(json.dumps({"models": entries}))
+    registry = svc.ModelRegistry.load(reg)
+    assert registry.get("a").store is registry.get("b").store
+    entries["b"]["embedding_kind"] = "fasttext"
+    reg.write_text(json.dumps({"models": entries}))
+    with pytest.raises(svc.ServiceError, match=r"'b'.*declared kind 'fasttext', but the file is a 'plain' store"):
+        svc.ModelRegistry.load(reg)
 
 
 def test_handle_request_round_trips_offline_predict(registry, fixture_world):
@@ -213,13 +229,65 @@ def test_cli_predict_stdin(fixture_world, monkeypatch, capsys):
         "predict",
         "--model", str(fixture_world.model_path),
         "--embeddings", str(fixture_world.store_path),
-        "--embedding-kind", "plain",
     ])
     assert rc == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "B-LOC O O O"
     assert out[1] == ""
     assert out[2].split()[0] == "B-PER"
+
+
+@pytest.fixture
+def ftxt_store_path(fixture_world, tmp_path):
+    """The fixture's word vectors as an FTXT1 store with random buckets."""
+    plain = fixture_world.store
+    buckets = np.random.default_rng(8).normal(size=(32, plain.dim))
+    store = EmbeddingStore(kind="fasttext", dim=plain.dim, word_vectors=plain.word_vectors,
+                           ngram_buckets=buckets, bucket_count=32)
+    path = tmp_path / "store.ftxt"
+    write_fasttext_store(store, path)
+    return path
+
+
+def test_cli_predict_reads_the_store_kind_from_the_file(fixture_world, ftxt_store_path, monkeypatch, capsys):
+    lines = ["Aachen liegt im Westen", "Anna besucht Bücherei ."]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    rc = cli.main(["predict", "--model", str(fixture_world.model_path), "--embeddings", str(ftxt_store_path)])
+    assert rc == 0
+    model, store = load_model(fixture_world.model_path), load_store(ftxt_store_path)
+    assert store.kind == "fasttext"
+    assert capsys.readouterr().out.splitlines() == [" ".join(predict(model, store, ln.split())) for ln in lines]
+
+
+def test_cli_split_oov_reads_the_store_kind_from_the_file(fixture_world, ftxt_store_path, tmp_path, capsys):
+    data = tmp_path / "data.tsv"
+    write_germeval(fixture_world.sentences[:20], data)
+    outputs = []
+    for store_path in (fixture_world.store_path, ftxt_store_path):
+        prefix = tmp_path / store_path.suffix[1:]
+        assert cli.main(["split-oov", "--data", str(data), "--embeddings", str(store_path),
+                         "--out-prefix", str(prefix)]) == 0
+        outputs.append([Path(f"{prefix}.{part}.tsv").read_text(encoding="utf-8") for part in ("iv", "oov")])
+    # Both stores list the same words, so buckets change nothing.
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_train_records_the_store_kind(fixture_world, ftxt_store_path, tmp_path, capsys):
+    write_germeval(fixture_world.sentences[:8], tmp_path / "train.tsv")
+    write_germeval(fixture_world.sentences[8:12], tmp_path / "dev.tsv")
+    config = {"train_path": "train.tsv", "dev_path": "dev.tsv", "embeddings": {"path": str(ftxt_store_path)},
+              "model": {"char_variant": "none", "token_lstm_cells": 4, "dropout": 0.0},
+              "training": {"stage1_epochs": 1, "stage2_epochs": 1, "stage1_batch": 8, "stage2_batch": 8}}
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    out = tmp_path / "m.mner"
+    assert cli.main(["train", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 0
+    assert load_model(out).config.embedding_kind == "fasttext"
+    # A declared kind, in "embeddings" or "model", is only checked.
+    for key in ("embeddings", "model"):
+        declared = {**config, key: {**config[key], "kind" if key == "embeddings" else "embedding_kind": "plain"}}
+        (tmp_path / "run.json").write_text(json.dumps(declared), encoding="utf-8")
+        assert cli.main(["train", "--config", str(tmp_path / "run.json"), "--out", str(out)]) == 1
+        assert "declared kind 'plain', but the file is a 'fasttext' store" in capsys.readouterr().err
 
 
 def test_cli_evaluate_gold_equals_pred(fixture_world, tmp_path, capsys):
@@ -302,9 +370,17 @@ def _run_config(store_path, drop=None, **extra) -> str:
     (lambda store: _run_config(store, embeddings=str(store)), 'embeddings must be an object with a "path" string'),
     (lambda store: _run_config(store, embeddings={"kind": "plain"}), 'embeddings must be an object with a "path" string'),
     (lambda store: _run_config(store, embeddings={"path": 5}), 'embeddings must be an object with a "path" string'),
+    (lambda store: _run_config(store, train_path=5), 'train_path entries must be paths or objects with a "path" string'),
+    (lambda store: _run_config(store, dev_path=["dev.tsv", None]),
+     'dev_path entries must be paths or objects with a "path" string, got None'),
+    (lambda store: _run_config(store, train_path={"format": "conll"}),
+     'train_path entries must be paths or objects with a "path" string'),
+    (lambda store: _run_config(store, model=[]), "model must be an object, got []"),
+    (lambda store: _run_config(store, training="fast"), "training must be an object, got 'fast'"),
 ], ids=["not-json", "no-train", "no-dev", "no-embeddings", "unknown-model-key", "unknown-training-key",
         "string-dropout", "string-size", "string-epochs", "unknown-schema", "string-embeddings", "embeddings-no-path",
-        "number-embeddings-path"])
+        "number-embeddings-path", "number-train", "null-dev-entry", "train-entry-no-path",
+        "list-model", "string-training"])
 def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, capsys, text, message):
     config_path = tmp_path / "run.json"
     config_path.write_text(text(fixture_world.store_path), encoding="utf-8")
