@@ -1,9 +1,10 @@
 """The model's parameterized layers, each a forward and a backward function
 over plain arrays.
 
-The BiLSTM and the char CNN run in their weights' dtype and raise
-:class:`LayerError` on an input of another, so nothing upcasts without
-notice: a built model trains in float64 and a loaded one infers in float32.
+Every layer runs in its weights' dtype, float32 for a built or loaded
+model.  The BiLSTM and the char CNN raise :class:`LayerError` on an input
+of another dtype, and every backward on a gradient of another, so nothing
+upcasts without notice.
 
 A sequence batch is a post-padded ``(rows, steps, dim)`` array plus each
 row's length, and :func:`length_schedule` is the one place that checks the
@@ -135,7 +136,7 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
     n = xw.shape[0]
     cache = None
     if keep:
-        cache = (np.empty((n, 4 * cells)), np.empty((n, cells)), np.empty((n, cells)), np.empty((n, cells)))
+        cache = tuple(np.empty((n, width), dtype=out.dtype) for width in (4 * cells, cells, cells, cells))
     for t in times:
         seg, running, rows = steps[t]
         h_in = h[:running]
@@ -169,8 +170,8 @@ def _bptt(params: LstmParams, cache, steps, times, rec_mask, grad_real: np.ndarr
     cells = params.cells
     u_t = params.w_recurrent.T
     dz_all = np.empty_like(gates)
-    dh = np.zeros((batch, cells))
-    dc = np.zeros((batch, cells))
+    dh = np.zeros((batch, cells), dtype=gates.dtype)
+    dc = np.zeros((batch, cells), dtype=gates.dtype)
     for t in reversed(times):
         seg, running, _ = steps[t]
         act, tc = gates[seg], tcs[seg]
@@ -229,7 +230,7 @@ def bilstm_sequence(
         if rng is None:
             raise LayerError("bilstm_sequence: recurrent dropout in train mode needs an rng")
         # Drawn in batch order, held in the schedule's row order.
-        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng)[order] for p in (fwd, bwd)]
+        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng, x.dtype)[order] for p in (fwd, bwd)]
     bounds = np.cumsum([0, *running])
     steps = [(slice(bounds[t], bounds[t + 1]), n, order[:n]) for t, n in enumerate(running)]
     gather = (np.concatenate([rows for _, _, rows in steps]), np.repeat(np.arange(length), running))
@@ -253,7 +254,9 @@ def bilstm_backward(cache: tuple, grad: np.ndarray, need_input: bool = True):
     direction's ``(w_input, w_recurrent, bias)``.
     """
     shape, gather, steps, directions, x_real, acts = cache
-    dx = np.zeros(shape) if need_input else None
+    if grad.dtype != x_real.dtype:
+        raise LayerError(f"bilstm_backward: {grad.dtype} gradient, {x_real.dtype} weights")
+    dx = np.zeros(shape, dtype=x_real.dtype) if need_input else None
     params = []
     for (p, times, rec, half), act in zip(directions, acts):
         dz = _bptt(p, act, steps, times, rec, grad[..., half][gather], shape[0])
@@ -313,23 +316,26 @@ def conv1d_backward(cache: tuple, grad: np.ndarray):
     params, x, best, live = cache
     rows, steps, width = x.shape
     k, filters = params.kernel_size, params.filters
-    dz = np.zeros((rows, steps, filters))
+    if grad.dtype != params.kernels.dtype:
+        raise LayerError(f"conv1d_backward: {grad.dtype} gradient, {params.kernels.dtype} kernels")
+    dz = np.zeros((rows, steps, filters), dtype=x.dtype)
     np.put_along_axis(dz, best, (grad * live)[:, None, :], axis=1)
     dz = dz.reshape(rows * steps, filters)
     cols = _windows(x, k).reshape(rows * steps, k * width)
     dcols = (dz @ params.kernels.reshape(k * width, filters).T).reshape(rows, steps, k * width)
-    dx = np.zeros(x.shape)
+    dx = np.zeros(x.shape, dtype=x.dtype)
     for j in range(min(k, steps)):
         dx[:, j:] += dcols[:, : steps - j, j * width : (j + 1) * width]
     return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)
 
 
-def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample an inverted-dropout mask: kept entries carry 1/(1-rate)."""
+def dropout_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator, dtype: np.dtype | type) -> np.ndarray:
+    """Sample an inverted-dropout mask in ``dtype``: kept entries carry
+    1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise LayerError(f"dropout: rate must be in [0, 1), got {rate}")
     keep = rng.random(shape) >= rate
-    return keep / (1.0 - rate)
+    return (keep / (1.0 - rate)).astype(dtype, copy=False)
 
 
 def embed_lookup(table: np.ndarray, indices) -> np.ndarray:
@@ -347,6 +353,8 @@ def embed_backward(table: np.ndarray, indices, grad: np.ndarray) -> np.ndarray:
     """Gradient of the table's rows, given ``grad``, the gradient of an
     :func:`embed_lookup` output: a row's gradient sums over its
     occurrences."""
-    d_rows = np.zeros(table.shape)
+    if grad.dtype != table.dtype:
+        raise LayerError(f"embed_backward: {grad.dtype} gradient, {table.dtype} table")
+    d_rows = np.zeros(table.shape, dtype=table.dtype)
     np.add.at(d_rows, np.asarray(indices, dtype=np.int64).reshape(-1), grad.reshape(-1, table.shape[1]))
     return d_rows

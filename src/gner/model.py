@@ -26,17 +26,19 @@ Word vectors come from an external store and are never trained.  A batch's
 input is built once per token key (the text, plus in ``cnn`` char mode
 whether it opens or closes its sentence): one ``(keys, input_width)`` table
 of word vector, casing one-hot and character feature, gathered onto the
-positions.  A key's character gradient sums over the positions that share
-it.
+positions.  The word vector and casing depend on the text alone, so each is
+built once per text.  A key's character gradient sums over the positions
+that share it.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
 ones by name, :func:`load_model` reads a saved file's blocks.
 
-A model runs in the one dtype its parameters share.  :func:`build_model`
-draws float64 parameters, and only those train.  :func:`save_model` stores
-float32 blocks, and :func:`load_model` returns them as they are, so a loaded
-model infers in float32; the CRF still scores in float64.
+A model trains and infers in the one dtype its parameters share.
+:func:`build_model` rounds its draws to float32; :func:`save_model` stores
+float32 blocks, and :func:`load_model` returns them as they are, so a
+float32 model round-trips bit-equal.  The CRF scores in float64, and
+:func:`backward` casts its gradients to the parameters' dtype once.
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class NerModel:
 
     @property
     def dtype(self) -> np.dtype:
-        """The dtype all parameters share: float64 when built, float32 when loaded."""
+        """The dtype all parameters share: float32 when built or loaded."""
         dtypes = {p.dtype for _, p in self.parameters()}
         if len(dtypes) != 1:
             raise ModelError(f"parameters mix dtypes {sorted(map(str, dtypes))}")
@@ -215,11 +217,12 @@ class NerModel:
 
 
 def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: int = 0) -> NerModel:
-    """The configured architecture with new float64 parameters drawn from
-    ``seed`` by :func:`_initial`."""
+    """The configured architecture with new parameters drawn from ``seed``
+    by :func:`_initial` and rounded to float32."""
     if config.char_variant != "none" and char_vocab is None:
         raise ModelError(f"char variant {config.char_variant!r} needs a character vocabulary")
-    return _assemble(config, char_vocab, _initial(np.random.default_rng(seed)))
+    draw = _initial(np.random.default_rng(seed))
+    return _assemble(config, char_vocab, lambda name, shape: draw(name, shape).astype(np.float32))
 
 
 def _initial(rng: np.random.Generator):
@@ -320,12 +323,13 @@ def forward_emissions(
 ):
     """Per-token label scores before the CRF, shaped (batch, max_len, labels).
 
-    The emissions come in the parameters' dtype.  In eval mode returns the
-    emissions alone and keeps nothing else.  In train mode, which needs
-    float64 parameters, returns ``(emissions, cache)``, the cache being what
+    Both modes run in the parameters' dtype, and so do the emissions.  In
+    eval mode returns the emissions alone and keeps nothing else.  In train
+    mode returns ``(emissions, cache)``, the cache being what
     :func:`backward` reads, and applies dropout (input and recurrent,
-    per-sequence-constant masks).  Positions past a sentence's length
-    produce zero BiLSTM output and carry no gradient into the token BiLSTM.
+    per-sequence-constant masks in that dtype).  Positions past a
+    sentence's length produce zero BiLSTM output and carry no gradient into
+    the token BiLSTM.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -340,16 +344,20 @@ def forward_emissions(
         raise ModelError(f"embedding store has dimension {embedding_store.dim}, the model's word_dim is {cfg.word_dim}")
     train = mode == "train"
     dtype = model.dtype
-    if train and dtype != np.float64:
-        raise ModelError(f"train mode needs float64 parameters, this model's are {dtype}")
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
     # One input row per token key: word vector, casing one-hot, char feature.
+    # The first two are built once per text, which in cnn char mode can be
+    # up to three keys.
     words = cfg.word_dim + cfg.casing_dim
     table = np.empty((len(batch.keys), cfg.input_width), dtype=dtype)
+    by_text: dict[str, np.ndarray] = {}
     for u, (text, _, _) in enumerate(batch.keys):
-        table[u, :words] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
+        row = by_text.get(text)
+        if row is None:
+            row = by_text[text] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
+        table[u, :words] = row
     chars = None
     if required is not None:
         table[:, words:], chars = _char_features(model, batch.key_chars, mode)
@@ -360,7 +368,7 @@ def forward_emissions(
     x[real] = table[real_keys]
     in_mask = None
     if train and cfg.dropout > 0.0:
-        in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng)
+        in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng, dtype)
         x *= in_mask
 
     hidden, token = bilstm_sequence(
@@ -383,7 +391,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     """Every parameter's gradient, keyed and ordered as
     :meth:`NerModel.parameters`, from a train-mode :func:`forward_emissions`
     cache and the CRF's gradients w.r.t. (emissions, transitions, start
-    scores, end scores).
+    scores, end scores), which it casts to the parameters' dtype.
 
     The sweep runs back through the layers in the order the forward fixes:
     CRF, dense, token BiLSTM, input dropout, key gather, char submodel,
@@ -391,7 +399,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     """
     cfg = model.config
     flat, token, in_mask, real, real_keys, chars = cache
-    d_em, *d_crf = crf_grads
+    d_em, *d_crf = (g.astype(flat.dtype, copy=False) for g in crf_grads)
     grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
     b, t, labels = d_em.shape
     g = d_em.reshape(b * t, labels)
@@ -405,7 +413,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
         if in_mask is not None:
             d_chars = d_chars * in_mask[..., words:]
         rows, lengths, caches = chars
-        d_feat = np.zeros((len(rows), cfg.char_feature_dim))
+        d_feat = np.zeros((len(rows), cfg.char_feature_dim), dtype=flat.dtype)
         np.add.at(d_feat, real_keys, d_chars[real])
         if cfg.char_variant in ("cnn", "cnn3"):
             f = cfg.char_cnn_filters
@@ -416,7 +424,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
                 d_emb = d_emb + d_in
         else:
             c = cfg.char_lstm_cells
-            d_emb = np.zeros((*rows.shape, 2 * c))
+            d_emb = np.zeros((*rows.shape, 2 * c), dtype=flat.dtype)
             d_emb[np.arange(len(rows)), lengths - 1, :c] = d_feat[:, :c]
             d_emb[:, 0, c:] = d_feat[:, c:]
             for i in range(len(caches) - 1, -1, -1):

@@ -113,8 +113,9 @@ def nadam_step(
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> float:
-    """Scale all gradients so the global L2 norm is at most ``max_norm``."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads.values())))
+    """Scale all gradients so the global L2 norm, summed in float64, is at
+    most ``max_norm``."""
+    total = float(np.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values())))
     if max_norm is not None and total > max_norm and total > 0.0:
         scale = max_norm / total
         for g in grads.values():

@@ -1,5 +1,6 @@
 """Fixture writers, synthetic CoNLL data, layer parameters drawn as a built
-model draws them, and a threaded server, used only by the tests."""
+model draws them, a model's float64 widening, and a threaded server, used
+only by the tests."""
 
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from gner.crf import CrfParams
 from gner.datagen import make_corpus
 from gner.evaluation import Chunk, EvaluationError
 from gner.layers import Conv1dParams, LstmParams
-from gner.model import _initial
+from gner.model import NerModel, _assemble, _initial
 from gner.service import ModelRegistry, serve
 
 
@@ -110,6 +111,13 @@ def crf_params(num_labels: int) -> CrfParams:
     param = _initial(np.random.default_rng(0))
     n = num_labels
     return CrfParams(param("crf.transitions", (n, n)), param("crf.start", (n,)), param("crf.end", (n,)))
+
+
+def widened(model: NerModel) -> NerModel:
+    """A new model holding ``model``'s parameters widened exactly to
+    float64, the dtype the finite-difference and reference oracles run in."""
+    params = dict(model.parameters())
+    return _assemble(model.config, model.char_vocab, lambda name, _: params[name].astype(np.float64))
 
 
 def serve_in_thread(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 0):

@@ -53,6 +53,7 @@ from helpers import (
     lstm_params,
     make_conll_corpus,
     serve_in_thread,
+    widened,
     write_conll03,
 )
 from oracles import brute_force_best_path, brute_force_log_z, check_gradient, path_score
@@ -112,7 +113,7 @@ def _toy_model(variant, seed=7, token_lstm_cells=4):
         token_lstm_cells=token_lstm_cells,
         dropout=0.5,
     )
-    model = build_model(config, vocab if variant != "none" else None, seed=seed)
+    model = widened(build_model(config, vocab if variant != "none" else None, seed=seed))
     return model, vocab, config, sents
 
 

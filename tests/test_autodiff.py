@@ -10,7 +10,7 @@ from gner import layers
 from gner import model as M
 from gner.corpus import Sentence, Token, batch_from_sentences, build_char_vocab, conll_schema
 from gner.datagen import make_embedding_store
-from helpers import conv_params
+from helpers import conv_params, widened
 from oracles import check_gradient
 
 
@@ -36,7 +36,7 @@ def _toy(variant="cnn3"):
     vocab = build_char_vocab(sents)
     config = M.ModelConfig(label_schema=conll_schema(), char_variant=variant, word_dim=6, char_emb_dim=3,
                            char_cnn_filters=2, char_lstm_cells=3, token_lstm_cells=3, dropout=0.5)
-    model = M.build_model(config, vocab, seed=1)
+    model = widened(M.build_model(config, vocab, seed=1))
     store = make_embedding_store(sents, dim=6, seed=1)
     batch = batch_from_sentences(sents, vocab, config.required_char_mode)
     _, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(2))

@@ -61,7 +61,7 @@ def ref_bilstm(fwd, bwd, x, lengths, recurrent_dropout=0.0, mode="eval", rng=Non
     batch, steps, _ = x.shape
     rec = [None, None]
     if mode == "train" and recurrent_dropout > 0.0:
-        rec = [layers.dropout_mask((batch, p.cells), recurrent_dropout, rng) for p in (fwd, bwd)]
+        rec = [layers.dropout_mask((batch, p.cells), recurrent_dropout, rng, np.float64) for p in (fwd, bwd)]
     return np.concatenate([ref_direction(fwd, x, lengths, range(steps), rec[0]),
                            ref_direction(bwd, x, lengths, range(steps - 1, -1, -1), rec[1])], axis=-1)
 
@@ -157,7 +157,8 @@ def _as_dtype(params, dtype):
 @pytest.mark.parametrize("x_dtype, w_dtype", [(np.float64, np.float32), (np.float32, np.float64)])
 def test_fused_ops_reject_an_input_dtype_other_than_their_weights(x_dtype, w_dtype):
     # A float64 input would upcast every float32 matmul (and the other way
-    # round narrow it) without notice; both ops refuse instead.
+    # round narrow it) without notice; both ops refuse instead, and so do
+    # the backward passes given a gradient of the other dtype.
     rng = np.random.default_rng(31)
     x = rng.uniform(-1, 1, (2, 4, 3)).astype(x_dtype)
     p = _as_dtype(_lstm(3, 2), w_dtype)
@@ -166,6 +167,15 @@ def test_fused_ops_reject_an_input_dtype_other_than_their_weights(x_dtype, w_dty
         layers.bilstm_sequence(p, p, x, [4, 2])
     with pytest.raises(layers.LayerError, match="conv1d_globalmaxpool: .* input, .* kernels"):
         layers.conv1d_globalmaxpool(conv, x, [4, 2])
+    _, cache = layers.bilstm_sequence(p, p, x.astype(w_dtype), [4, 2], mode="train")
+    with pytest.raises(layers.LayerError, match="bilstm_backward: .* gradient, .* weights"):
+        layers.bilstm_backward(cache, np.zeros((2, 4, 4), dtype=x_dtype))
+    _, cache = layers.conv1d_globalmaxpool(conv, x.astype(w_dtype), [4, 2], mode="train")
+    with pytest.raises(layers.LayerError, match="conv1d_backward: .* gradient, .* kernels"):
+        layers.conv1d_backward(cache, np.zeros((2, 2), dtype=x_dtype))
+    table = char_table(5, 3, rng).astype(w_dtype)
+    with pytest.raises(layers.LayerError, match="embed_backward: .* gradient, .* table"):
+        layers.embed_backward(table, [[1, 2]], np.zeros((1, 2, 3), dtype=x_dtype))
 
 
 def test_fused_ops_run_in_float32_and_stay_close_to_float64():
@@ -199,17 +209,20 @@ def _assert_uniform_within(p, limit):
 
 
 def test_forget_gate_bias_initialized_to_one():
-    # build_model's initializer, rule by rule, over every variant's arrays.
+    # build_model's initializer, rule by rule, over every variant's float64
+    # draws, which a built model holds rounded to float32.
     sents = make_corpus(3, seed=0)
     for variant in M.CHAR_VARIANTS:
         config = M.ModelConfig(germeval_schema(), char_variant=variant, word_dim=8, char_emb_dim=4,
                                char_cnn_filters=3, char_lstm_cells=5, token_lstm_cells=6)
         vocab = build_char_vocab(sents) if variant != "none" else None
-        model = M.build_model(config, vocab, seed=3)
+        model = M._assemble(config, vocab, M._initial(np.random.default_rng(3)))
+        built = dict(M.build_model(config, vocab, seed=3).parameters())
         drawn = set()
         for name, p in model.parameters():
             kind = name.rsplit(".", 1)[-1]
-            assert p.dtype == np.float64
+            assert p.dtype == np.float64 and built[name].dtype == np.float32
+            assert built[name].tobytes() == p.astype(np.float32).tobytes(), name
             if name == "char_table.rows":
                 np.testing.assert_array_equal(p[PAD_INDEX], 0.0)
                 _assert_uniform_within(np.delete(p, PAD_INDEX, axis=0), math.sqrt(3.0 / p.shape[1]))
@@ -231,7 +244,7 @@ def test_forget_gate_bias_initialized_to_one():
             else:  # conv and dense biases, the CRF
                 np.testing.assert_array_equal(p, 0.0)
         same, other = (M.build_model(config, vocab, seed=s).parameters() for s in (3, 4))
-        for (name, p), (_, q), (_, r) in zip(model.parameters(), same, other):
+        for (name, p), (_, q), (_, r) in zip(built.items(), same, other):
             np.testing.assert_array_equal(p, q)
             assert np.array_equal(p, r) == (name not in drawn), name
 
@@ -607,18 +620,19 @@ def test_conv_all_negative_filter_gets_zero_gradient():
 
 
 def test_dropout_identity_cases():
-    # Rate 0 keeps every entry at scale 1.
-    mask = layers.dropout_mask((2, 3), 0.0, np.random.default_rng(0))
+    # Rate 0 keeps every entry at scale 1, in the dtype asked for.
+    mask = layers.dropout_mask((2, 3), 0.0, np.random.default_rng(0), np.float32)
+    assert mask.dtype == np.float32
     np.testing.assert_array_equal(mask, np.ones((2, 3)))
 
 
 def test_dropout_rate_one_rejected():
     with pytest.raises(layers.LayerError, match="rate"):
-        layers.dropout_mask((3,), 1.0, np.random.default_rng(0))
+        layers.dropout_mask((3,), 1.0, np.random.default_rng(0), np.float64)
 
 
 def test_dropout_preserves_expectation():
-    mask = layers.dropout_mask((100_000,), 0.5, np.random.default_rng(42))
+    mask = layers.dropout_mask((100_000,), 0.5, np.random.default_rng(42), np.float64)
     assert abs((2.0 * mask).mean() - 2.0) / 2.0 < 0.02
 
 
@@ -628,8 +642,8 @@ def test_recurrent_dropout_mask_constant_across_timesteps():
     fwd, bwd = _lstm(4, cells, 1), _lstm(4, cells, 2)
     # Saturate the recurrent path so dropped h entries are visible: compare
     # masks sampled for the same seed directly.
-    m0 = layers.dropout_mask((cells,), 0.5, np.random.default_rng(9))
-    m1 = layers.dropout_mask((cells,), 0.5, np.random.default_rng(9))
+    m0 = layers.dropout_mask((cells,), 0.5, np.random.default_rng(9), np.float64)
+    m1 = layers.dropout_mask((cells,), 0.5, np.random.default_rng(9), np.float64)
     np.testing.assert_array_equal(m0, m1)
     # And within one bilstm call the mask object is sampled once per direction:
     xs = _seq(rng, 5, 4)
