@@ -16,6 +16,7 @@ from .corpus import (
     germeval_schema,
     build_char_vocab,
     iob_to_bio,
+    map_combined,
     parse_conll03,
     parse_germeval,
     write_germeval,
@@ -24,13 +25,14 @@ from .corpus import (
 from .embeddings import EmbeddingError, check_kind, load_store
 from .evaluation import evaluate_bio, germeval_combined, split_oov_iv
 from .model import ModelConfig, ModelError, ModelFormatError, build_model, load_model, predict, save_model
-from .service import ModelRegistry, ServiceError, map_sentence_labels_combined, serve
+from .service import ModelRegistry, ServiceError, serve
 from .training import TrainConfig, TrainingError, train_two_stage
 
 ENV_BIND = "GNER_BIND"
 ENV_PORT = "GNER_PORT"
 
 _SCHEMAS = {"germeval": germeval_schema, "conll": conll_schema, "combined": combined_schema}
+_RUN_KEYS = ("format", "schema", "combined_mapping", "train_path", "dev_path", "embeddings", "model", "training")
 
 
 def _parse_corpus(path: str | Path, fmt: str) -> list[Sentence]:
@@ -45,15 +47,7 @@ def _parse_corpus(path: str | Path, fmt: str) -> list[Sentence]:
 
 
 def _map_combined(sentences: list[Sentence]) -> list[Sentence]:
-    return [
-        Sentence(
-            s.tokens,
-            map_sentence_labels_combined(s.outer_labels),
-            None,
-            s.source_id,
-        )
-        for s in sentences
-    ]
+    return [Sentence(s.tokens, map_combined(s.outer_labels), None, s.source_id) for s in sentences]
 
 
 def _cmd_train(args) -> int:
@@ -62,10 +56,15 @@ def _cmd_train(args) -> int:
         spec = json.loads(config_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise TrainingError(f"{config_path}: not a JSON run configuration: {exc}") from None
+    if not isinstance(spec, dict):
+        raise TrainingError(f"{config_path}: not a JSON run configuration: expected an object")
     base = config_path.parent
     missing = [key for key in ("train_path", "dev_path", "embeddings") if key not in spec]
     if missing:
         raise TrainingError(f"{config_path}: run configuration lacks {', '.join(missing)}")
+    unknown = [key for key in spec if key not in _RUN_KEYS]
+    if unknown:
+        raise TrainingError(f"{config_path}: unknown key(s) {', '.join(unknown)}; choose from {', '.join(_RUN_KEYS)}")
 
     fmt = spec.get("format", "germeval")
     schema_name = spec.get("schema", "combined" if spec.get("combined_mapping") else fmt)
@@ -111,7 +110,7 @@ def _cmd_train(args) -> int:
         train_cfg = TrainConfig(**spec.get("training", {}))
     except (TypeError, ModelError, TrainingError) as exc:  # an unknown or ill-typed "model" or "training" key
         raise TrainingError(f"{config_path}: {exc}") from None
-    vocab = build_char_vocab(train_sents) if model_cfg.char_variant != "none" else None
+    vocab = build_char_vocab(train_sents) if model_cfg.required_char_mode is not None else None
     model = build_model(model_cfg, vocab, seed=train_cfg.seed)
 
     best, report = train_two_stage(

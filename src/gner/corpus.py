@@ -1,5 +1,10 @@
-"""Corpus handling: TSV/column parsers, tagging-scheme conversion, casing
-features, character index sequences and mini-batch assembly.
+"""Corpus handling: the BIO tag grammar, TSV/column parsers, tagging-scheme
+conversion and the combined-corpus label mapping, casing features,
+character index sequences and mini-batch assembly.
+
+:func:`split_tag` is the one reader of a tag's parts: the column parser,
+the IOB repair, the combined mapping and the chunk scorer in
+:mod:`gner.evaluation` all take a label apart through it.
 
 Two file formats are read and written.  The nested-annotation TSV format has
 four tab-separated columns (token number, token, outer label, inner label),
@@ -32,7 +37,9 @@ __all__ = [
     "parse_germeval",
     "parse_conll03",
     "write_germeval",
+    "split_tag",
     "iob_to_bio",
+    "map_combined",
     "extract_casing_feature",
     "CASING_FEATURE_NAMES",
     "build_char_vocab",
@@ -45,9 +52,6 @@ __all__ = [
 
 class CorpusError(Exception):
     pass
-
-
-_LABEL_RE = re.compile(r"^([BI])-(\S+)$")
 
 
 @dataclass(frozen=True)
@@ -192,9 +196,6 @@ def parse_germeval(path: str | Path, schema: LabelSchema | None = None) -> list[
     return sentences
 
 
-_IOB_RE = re.compile(r"^(?:O|[BI]-\S+)$")
-
-
 def parse_conll03(path: str | Path, schema: LabelSchema | None = None) -> list[Sentence]:
     """Parse whitespace-separated columns (token first, NE tag last).
 
@@ -231,12 +232,11 @@ def parse_conll03(path: str | Path, schema: LabelSchema | None = None) -> list[S
         text, tag = cols[0], cols[-1]
         if text == "-DOCSTART-":
             skip_docstart = True
-        if not _IOB_RE.match(tag):
+        parts = split_tag(tag)
+        if parts is None:
             raise CorpusError(f"{path}:{i}: malformed tag {tag!r}")
-        if tag != "O":
-            cls = tag[2:]
-            if cls not in schema.entity_classes:
-                raise CorpusError(f"{path}:{i}: unknown label {tag!r}")
+        if parts[0] != "O" and parts[1] not in schema.entity_classes:
+            raise CorpusError(f"{path}:{i}: unknown label {tag!r}")
         tokens.append(Token(text))
         tags.append(tag)
     flush()
@@ -253,13 +253,17 @@ def write_germeval(sentences: Iterable[Sentence], path: str | Path):
             fh.write("\n")
 
 
-def _split_tag(label: str, pos: int) -> tuple[str, str]:
+_TAG_RE = re.compile(r"([BI])-(\S+)")
+
+
+def split_tag(label: str) -> tuple[str, str] | None:
+    """The BIO tag grammar: ``("O", "")`` for ``O``, ``(marker, class)`` for
+    a ``B-``/``I-`` tag whose class has no whitespace, None for anything
+    else."""
     if label == "O":
         return "O", ""
-    m = _LABEL_RE.match(label)
-    if not m:
-        raise CorpusError(f"malformed tag {label!r} at position {pos}")
-    return m.group(1), m.group(2)
+    m = _TAG_RE.fullmatch(label)
+    return (m.group(1), m.group(2)) if m else None
 
 
 def iob_to_bio(labels: Sequence[str]) -> list[str]:
@@ -268,13 +272,39 @@ def iob_to_bio(labels: Sequence[str]) -> list[str]:
     out: list[str] = []
     prev_marker, prev_cls = "O", ""
     for pos, label in enumerate(labels):
-        marker, cls = _split_tag(label, pos)
+        parts = split_tag(label)
+        if parts is None:
+            raise CorpusError(f"malformed tag {label!r} at position {pos}")
+        marker, cls = parts
         if marker == "I" and not (prev_marker in ("B", "I") and prev_cls == cls):
             out.append(f"B-{cls}")
         else:
             out.append(label)
         prev_marker, prev_cls = marker, cls
     return out
+
+
+# Where each GermEval or combined class goes in the combined label set;
+# None drops the chunk.
+_COMBINED_CLASS = {
+    cls: "MISC" if cls.endswith("deriv") else None if cls.endswith("part") else cls
+    for cls in GERMEVAL_CLASSES + COMBINED_CLASSES
+}
+
+
+def map_combined(labels: Sequence[str]) -> list[str]:
+    """A BIO sequence's labels for the model trained on both corpora:
+    derived sub-classes become MISC, -part sub-classes become O, O and the
+    combined classes pass through; then :func:`iob_to_bio` repairs a chunk
+    whose B- tag was dropped.  Idempotent."""
+    mapped = []
+    for label in labels:
+        marker, cls = split_tag(label) or (None, None)
+        if marker != "O" and cls not in _COMBINED_CLASS:
+            raise CorpusError(f"cannot map unknown label {label!r}")
+        combined = _COMBINED_CLASS.get(cls)
+        mapped.append(f"{marker}-{combined}" if combined else "O")
+    return iob_to_bio(mapped)
 
 
 CASING_FEATURE_NAMES = (

@@ -9,9 +9,10 @@ positives and negatives across the outer and inner annotation levels.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
+
+from .corpus import split_tag
 
 __all__ = [
     "EvaluationError",
@@ -37,9 +38,6 @@ class Chunk(NamedTuple):
     level: str = "outer"
 
 
-_TAG_RE = re.compile(r"^([BI])-(\S+)$")
-
-
 def extract_chunks(labels: Sequence[str], strict: bool = False, level: str = "outer") -> list[Chunk]:
     """Maximal B-X (I-X)* runs as chunks.
 
@@ -58,21 +56,15 @@ def extract_chunks(labels: Sequence[str], strict: bool = False, level: str = "ou
         cur_cls = None
 
     for pos, label in enumerate(labels):
-        if label == "O":
-            close(pos)
-            continue
-        m = _TAG_RE.match(label)
-        if not m:
+        parts = split_tag(label)
+        if parts is None:
             raise EvaluationError(f"malformed label {label!r} at position {pos}")
-        marker, cls = m.group(1), m.group(2)
-        if marker == "B":
+        marker, cls = parts
+        if marker == "O":
             close(pos)
-            cur_cls, cur_start, cur_stray = cls, pos, False
-        else:  # I-
-            if cur_cls == cls:
-                continue
+        elif marker == "B" or cur_cls != cls:  # an I- that continues nothing is stray
             close(pos)
-            cur_cls, cur_start, cur_stray = cls, pos, True
+            cur_cls, cur_start, cur_stray = cls, pos, marker == "I"
     close(len(labels))
     return chunks
 
@@ -197,7 +189,7 @@ def germeval_combined(
         )
 
     def level_chunks(rows, level):
-        return [[c._replace(level=level) for c in extract_chunks(r, strict=strict, level=level)] for r in rows]
+        return [extract_chunks(r, strict=strict, level=level) for r in rows]
 
     gold = [a + b for a, b in zip(level_chunks(gold_outer, "outer"), level_chunks(gold_inner, "inner"))]
     pred = [a + b for a, b in zip(level_chunks(pred_outer, "outer"), level_chunks(pred_inner, "inner"))]

@@ -46,7 +46,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -82,7 +82,14 @@ __all__ = [
     "load_model",
 ]
 
-CHAR_VARIANTS = ("none", "cnn", "cnn3", "bilstm", "bilstm2")
+# Each char variant's (char mode, char conv kernel widths, char BiLSTM layers).
+CHAR_VARIANTS = {
+    "none": (None, (), 0),
+    "cnn": ("cnn", (3,), 0),
+    "cnn3": ("cnn", (3, 4, 5), 0),
+    "bilstm": ("rnn", (), 1),
+    "bilstm2": ("rnn", (), 2),
+}
 
 MODEL_MAGIC = b"MNER1"
 MODEL_VERSION = 2
@@ -110,7 +117,7 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.char_variant not in CHAR_VARIANTS:
-            raise ModelError(f"unknown char variant {self.char_variant!r}; choose from {CHAR_VARIANTS}")
+            raise ModelError(f"unknown char variant {self.char_variant!r}; choose from {tuple(CHAR_VARIANTS)}")
         for name in ("word_dim", "char_emb_dim", "char_cnn_filters", "char_lstm_cells", "token_lstm_cells"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -124,47 +131,34 @@ class ModelConfig:
         return len(CASING_FEATURE_NAMES)
 
     @property
+    def required_char_mode(self) -> str | None:
+        return CHAR_VARIANTS[self.char_variant][0]
+
+    @property
     def char_cnn_kernels(self) -> tuple[int, ...]:
-        return {"cnn": (3,), "cnn3": (3, 4, 5)}.get(self.char_variant, ())
+        return CHAR_VARIANTS[self.char_variant][1]
+
+    @property
+    def char_lstm_layers(self) -> int:
+        return CHAR_VARIANTS[self.char_variant][2]
 
     @property
     def char_feature_dim(self) -> int:
-        if self.char_variant == "none":
-            return 0
-        if self.char_variant in ("cnn", "cnn3"):
+        if self.char_cnn_kernels:
             return self.char_cnn_filters * len(self.char_cnn_kernels)
-        return 2 * self.char_lstm_cells
+        return 2 * self.char_lstm_cells if self.char_lstm_layers else 0
 
     @property
     def input_width(self) -> int:
         return self.word_dim + self.casing_dim + self.char_feature_dim
 
     @property
-    def char_lstm_layers(self) -> int:
-        return {"bilstm": 1, "bilstm2": 2}.get(self.char_variant, 0)
-
-    @property
-    def required_char_mode(self) -> str | None:
-        if self.char_variant == "none":
-            return None
-        return "cnn" if self.char_variant in ("cnn", "cnn3") else "rnn"
-
-    @property
     def num_labels(self) -> int:
         return len(self.label_schema)
 
     def to_dict(self) -> dict:
-        return {
-            "entity_classes": list(self.label_schema.entity_classes),
-            "char_variant": self.char_variant,
-            "word_dim": self.word_dim,
-            "char_emb_dim": self.char_emb_dim,
-            "char_cnn_filters": self.char_cnn_filters,
-            "char_lstm_cells": self.char_lstm_cells,
-            "token_lstm_cells": self.token_lstm_cells,
-            "dropout": self.dropout,
-            "embedding_kind": self.embedding_kind,
-        }
+        return {"entity_classes": list(self.label_schema.entity_classes),
+                **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "label_schema"}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -219,7 +213,7 @@ class NerModel:
 def build_model(config: ModelConfig, char_vocab: CharVocab | None = None, seed: int = 0) -> NerModel:
     """The configured architecture with new parameters drawn from ``seed``
     by :func:`_initial` and rounded to float32."""
-    if config.char_variant != "none" and char_vocab is None:
+    if config.required_char_mode is not None and char_vocab is None:
         raise ModelError(f"char variant {config.char_variant!r} needs a character vocabulary")
     draw = _initial(np.random.default_rng(seed))
     return _assemble(config, char_vocab, lambda name, shape: draw(name, shape).astype(np.float32))
@@ -273,7 +267,7 @@ def _assemble(config: ModelConfig, char_vocab: CharVocab | None, param) -> NerMo
     return NerModel(
         config=config,
         char_vocab=char_vocab,
-        char_table=take("char_table.rows", (len(char_vocab), emb)) if config.char_variant != "none" else None,
+        char_table=take("char_table.rows", (len(char_vocab), emb)) if config.required_char_mode is not None else None,
         char_convs=[Conv1dParams(take(f"char_conv{i}.kernels", (k, emb, filters)),
                                  take(f"char_conv{i}.bias", (filters,))) for i, k in enumerate(config.char_cnn_kernels)],
         char_lstms=[tuple(lstm(f"char_lstm{i}.{tag}", emb if i == 0 else 2 * cells, cells) for tag in ("fwd", "bwd"))
@@ -297,7 +291,7 @@ def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.nda
     lengths = (rows != PAD_INDEX).sum(axis=1)
 
     out = embed_lookup(model.char_table, rows)
-    if cfg.char_variant in ("cnn", "cnn3"):
+    if cfg.char_cnn_kernels:
         # Pool the windows that start inside the decorated token.
         pooled = [conv1d_globalmaxpool(conv, out, lengths, mode) for conv in model.char_convs]
         feat = np.concatenate([f for f, _ in pooled], axis=1)
@@ -415,7 +409,7 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
         rows, lengths, caches = chars
         d_feat = np.zeros((len(rows), cfg.char_feature_dim), dtype=flat.dtype)
         np.add.at(d_feat, real_keys, d_chars[real])
-        if cfg.char_variant in ("cnn", "cnn3"):
+        if cfg.char_cnn_kernels:
             f = cfg.char_cnn_filters
             d_emb = 0.0
             for i, conv in enumerate(caches):
@@ -526,7 +520,7 @@ def load_model(path: str | Path) -> NerModel:
         try:
             config = ModelConfig.from_dict(header["config"])
             symbols = header["char_vocab"]
-            if symbols is None and config.char_variant != "none":
+            if symbols is None and config.required_char_mode is not None:
                 raise ValueError(f"char variant {config.char_variant!r} needs a character vocabulary")
             vocab = None if symbols is None else CharVocab({sym: i for i, sym in enumerate(symbols)})
             declared = iter([(d["name"], tuple(d["shape"])) for d in header["params"]])

@@ -1,4 +1,4 @@
-"""JSON-over-HTTP inference service with a model registry.
+"""The model registry and the JSON-over-HTTP inference service on top of it.
 
 The registry binds model names to a loaded model plus its embedding store;
 everything is loaded at startup (startup fails on any broken entry) and is
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from .corpus import GERMEVAL_CLASSES, Sentence, Token
+from .corpus import Sentence, Token
 from .embeddings import EmbeddingStore, check_kind, load_store
 from .model import NerModel, load_model, predict_batch
 
@@ -24,50 +24,12 @@ __all__ = [
     "ServiceError",
     "RegisteredModel",
     "ModelRegistry",
-    "map_labels_combined",
-    "map_sentence_labels_combined",
     "handle_ner_request",
     "serve",
 ]
 
 class ServiceError(Exception):
     pass
-
-
-_DERIV_CLASSES = {c for c in GERMEVAL_CLASSES if c.endswith("deriv")}
-_PART_CLASSES = {c for c in GERMEVAL_CLASSES if c.endswith("part")}
-_COMBINED_OK = {"PER", "LOC", "ORG", "OTH", "MISC"}
-
-
-def map_labels_combined(label: str) -> str:
-    """Label mapping for the model trained on both corpora: derived
-    sub-classes become MISC, -part sub-classes are dropped, the four main
-    classes and O pass through.  Idempotent."""
-    if label == "O":
-        return "O"
-    if len(label) > 2 and label[1] == "-" and label[0] in "BI":
-        marker, cls = label[0], label[2:]
-        if cls in _DERIV_CLASSES:
-            return f"{marker}-MISC"
-        if cls in _PART_CLASSES:
-            return "O"
-        if cls in _COMBINED_OK:
-            return label
-    raise ServiceError(f"cannot map unknown label {label!r}")
-
-
-def map_sentence_labels_combined(labels: list[str]) -> list[str]:
-    """Apply the combined mapping to a BIO sequence, repairing chunks whose
-    B- tag was dropped (an I- following a dropped B- becomes B-)."""
-    mapped = [map_labels_combined(lab) for lab in labels]
-    out = []
-    prev = "O"
-    for lab in mapped:
-        if lab.startswith("I-") and prev not in (f"B-{lab[2:]}", f"I-{lab[2:]}"):
-            lab = "B-" + lab[2:]
-        out.append(lab)
-        prev = lab
-    return out
 
 
 @dataclass

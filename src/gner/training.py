@@ -14,6 +14,7 @@ live outside the parameter set and are never updated.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -43,6 +44,10 @@ class TrainingError(Exception):
     pass
 
 
+# Nadam's moment decay rates and denominator guard.
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     stage1_epochs: int = 10
@@ -50,9 +55,6 @@ class TrainConfig:
     stage2_epochs: int = 10
     stage2_batch: int = 512
     learning_rate: float = 0.002
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 0
     gradient_clip_norm: float | None = 5.0
     label_level: str = "outer"
@@ -90,26 +92,33 @@ def nadam_step(
         theta <- theta - lr * m_bar / (sqrt(v_hat) + eps)
     """
     state.step += 1
-    t = state.step
-    b1, b2 = config.beta1, config.beta2
-    bc1 = 1.0 - b1**t
-    bc2 = 1.0 - b2**t
+    # The bias corrections fold into two scalars:
+    #   m_bar / (sqrt(v_hat) + eps) = (b1*m + (1-b1)*g) / bc1 / (sqrt(v) / sqrt(bc2) + eps)
+    rate = config.learning_rate / (1.0 - BETA1**state.step)
+    root_bc2 = math.sqrt(1.0 - BETA2**state.step)
     for name, p in params:
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = grads[name]
         if not np.isfinite(g).all():
             raise TrainingError(f"non-finite gradient for {name}")
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
         m, v = state.m[name], state.v[name]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_bar = b1 * (m / bc1) + (1.0 - b1) * g / bc1
-        p -= config.learning_rate * m_bar / (np.sqrt(v / bc2) + config.epsilon)
+        g_part = np.multiply(g, 1.0 - BETA1)
+        m *= BETA1
+        m += g_part
+        update = np.square(g)
+        update *= 1.0 - BETA2
+        v *= BETA2
+        v += update
+        np.multiply(m, BETA1, out=update)
+        update += g_part
+        denom = np.sqrt(v, out=g_part)
+        denom /= root_bc2
+        denom += EPSILON
+        update /= denom
+        update *= rate
+        p -= update
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float | None) -> float:

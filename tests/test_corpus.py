@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gner import corpus
 from gner.datagen import make_corpus
-from gner.evaluation import extract_chunks
+from gner.evaluation import EvaluationError, extract_chunks
 from helpers import write_conll03
 
 GERMEVAL_FIXTURE = """\
@@ -91,6 +91,48 @@ def test_iob_to_bio_rules():
 def test_iob_to_bio_rejects_malformed():
     with pytest.raises(corpus.CorpusError, match="malformed"):
         corpus.iob_to_bio(["X-PER"])
+
+
+@pytest.mark.parametrize("label, parts", [
+    ("O", ("O", "")), ("B-PER", ("B", "PER")), ("I-LOCderiv", ("I", "LOCderiv")),
+    ("B-", None), ("X-PER", None), ("I-PER X", None), ("o", None), ("", None), ("B-PER\n", None),
+])
+def test_split_tag_grammar(label, parts):
+    assert corpus.split_tag(label) == parts
+
+
+@pytest.mark.parametrize("tag", ["B-", "X-PER", "I-PER X", "o", "", "B_PER", "-PER", "B-PER\n"])
+def test_iob_to_bio_and_extract_chunks_reject_the_same_malformed_tags(tag):
+    labels = ["B-PER", tag]
+    with pytest.raises(corpus.CorpusError, match="malformed tag .* at position 1"):
+        corpus.iob_to_bio(labels)
+    for strict in (False, True):
+        with pytest.raises(EvaluationError, match="malformed label .* at position 1"):
+            extract_chunks(labels, strict=strict)
+
+
+def test_map_combined_cases():
+    labels = ["B-LOCderiv", "I-LOCderiv", "I-ORGpart", "B-PERpart", "B-PER", "I-PER", "O", "B-MISC", "B-OTH"]
+    assert corpus.map_combined(labels) == ["B-MISC", "I-MISC", "O", "O", "B-PER", "I-PER", "O", "B-MISC", "B-OTH"]
+
+
+def test_map_combined_idempotent_on_all_labels():
+    labels = corpus.germeval_schema().labels
+    for sequence in [[label] for label in labels] + [list(labels)]:
+        once = corpus.map_combined(sequence)
+        assert corpus.map_combined(once) == once
+        assert set(once) <= set(corpus.combined_schema().labels)
+
+
+def test_map_combined_rejects_unknown():
+    for label in ("B-CITY", "I-PER X"):
+        with pytest.raises(corpus.CorpusError, match="cannot map unknown label"):
+            corpus.map_combined(["O", label])
+
+
+def test_map_combined_repairs_orphaned_continuations():
+    # A dropped -part chunk start must not leave a dangling I- tag behind.
+    assert corpus.map_combined(["B-ORGpart", "I-ORG"]) == ["O", "B-ORG"]
 
 
 _label_seq = st.lists(

@@ -15,38 +15,13 @@ import pytest
 
 from gner import cli
 from gner import service as svc
-from gner.corpus import germeval_schema, write_germeval
+from gner.corpus import write_germeval
 from gner.datagen import make_embedding_store
 from gner.embeddings import EmbeddingStore, load_store, write_fasttext_store, write_text_vectors
 from gner.model import load_model, predict
 from helpers import serve_in_thread
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def test_map_labels_combined_cases():
-    assert svc.map_labels_combined("B-LOCderiv") == "B-MISC"
-    assert svc.map_labels_combined("I-OTHderiv") == "I-MISC"
-    assert svc.map_labels_combined("I-ORGpart") == "O"
-    assert svc.map_labels_combined("B-PERpart") == "O"
-    assert svc.map_labels_combined("B-PER") == "B-PER"
-    assert svc.map_labels_combined("O") == "O"
-
-
-def test_map_labels_combined_idempotent_on_all_labels():
-    for label in germeval_schema().labels:
-        once = svc.map_labels_combined(label)
-        assert svc.map_labels_combined(once) == once
-
-
-def test_map_labels_combined_rejects_unknown():
-    with pytest.raises(svc.ServiceError, match="B-CITY"):
-        svc.map_labels_combined("B-CITY")
-
-
-def test_map_sentence_repairs_orphaned_continuations():
-    # A dropped -part chunk start must not leave a dangling I- tag behind.
-    assert svc.map_sentence_labels_combined(["B-ORGpart", "I-ORG"]) == ["O", "B-ORG"]
 
 
 @pytest.fixture()
@@ -377,10 +352,12 @@ def _run_config(store_path, drop=None, **extra) -> str:
      'train_path entries must be paths or objects with a "path" string'),
     (lambda store: _run_config(store, model=[]), "model must be an object, got []"),
     (lambda store: _run_config(store, training="fast"), "training must be an object, got 'fast'"),
+    (lambda store: "[]", "not a JSON run configuration: expected an object"),
+    (lambda store: _run_config(store, label_level="inner"), "unknown key(s) label_level"),
 ], ids=["not-json", "no-train", "no-dev", "no-embeddings", "unknown-model-key", "unknown-training-key",
         "string-dropout", "string-size", "string-epochs", "unknown-schema", "string-embeddings", "embeddings-no-path",
         "number-embeddings-path", "number-train", "null-dev-entry", "train-entry-no-path",
-        "list-model", "string-training"])
+        "list-model", "string-training", "list-config", "unknown-top-level-key"])
 def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, capsys, text, message):
     config_path = tmp_path / "run.json"
     config_path.write_text(text(fixture_world.store_path), encoding="utf-8")
