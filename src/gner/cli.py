@@ -11,6 +11,7 @@ from pathlib import Path
 
 from .corpus import (
     CorpusError,
+    LabelSchema,
     combined_schema,
     conll_schema,
     germeval_schema,
@@ -50,6 +51,14 @@ def _map_combined(sentences: list[Sentence]) -> list[Sentence]:
     return [Sentence(s.tokens, map_combined(s.outer_labels), None, s.source_id) for s in sentences]
 
 
+def _check_labels(sentences: list[Sentence], path: Path, schema: LabelSchema, level: str):
+    for n, sentence in enumerate(sentences, 1):
+        for label in sentence.labels(level):
+            if label not in schema.index:
+                raise TrainingError(f"{path}: sentence {n} has label {label!r}, which the run's schema "
+                                    f"over {', '.join(schema.entity_classes)} lacks")
+
+
 def _cmd_train(args) -> int:
     config_path = Path(args.config)
     try:
@@ -78,10 +87,16 @@ def _cmd_train(args) -> int:
     for key in ("model", "training"):
         if not isinstance(spec.get(key, {}), dict):
             raise TrainingError(f"{config_path}: {key} must be an object, got {spec[key]!r}")
+    try:
+        train_cfg = TrainConfig(**spec.get("training", {}))
+    except (TypeError, TrainingError) as exc:  # an unknown or ill-typed "training" key
+        raise TrainingError(f"{config_path}: {exc}") from None
 
     def load_split(key):
         # Entries are paths (using the global format) or {"path", "format"}
-        # objects, so one run can mix both corpus formats.
+        # objects, so one run can mix both corpus formats.  Each entry's
+        # labels are checked against the run's schema before anything is
+        # loaded or built.
         entries = spec[key] if isinstance(spec[key], list) else [spec[key]]
         out = []
         for entry in entries:
@@ -91,14 +106,16 @@ def _cmd_train(args) -> int:
                 raise TrainingError(
                     f'{config_path}: {key} entries must be paths or objects with a "path" string, got {entry!r}'
                 )
-            out += _parse_corpus(base / entry["path"], entry.get("format", fmt))
+            path = base / entry["path"]
+            sentences = _parse_corpus(path, entry.get("format", fmt))
+            if spec.get("combined_mapping"):
+                sentences = _map_combined(sentences)
+            _check_labels(sentences, path, schema, train_cfg.label_level)
+            out += sentences
         return out
 
     train_sents = load_split("train_path")
     dev_sents = load_split("dev_path")
-    if spec.get("combined_mapping"):
-        train_sents = _map_combined(train_sents)
-        dev_sents = _map_combined(dev_sents)
 
     store = load_store(base / emb_spec["path"], emb_spec.get("kind"))
 
@@ -107,8 +124,7 @@ def _cmd_train(args) -> int:
     check_kind(base / emb_spec["path"], model_kwargs["embedding_kind"], store.kind)
     try:
         model_cfg = ModelConfig(label_schema=schema, **model_kwargs)
-        train_cfg = TrainConfig(**spec.get("training", {}))
-    except (TypeError, ModelError, TrainingError) as exc:  # an unknown or ill-typed "model" or "training" key
+    except (TypeError, ModelError) as exc:  # an unknown or ill-typed "model" key
         raise TrainingError(f"{config_path}: {exc}") from None
     vocab = build_char_vocab(train_sents) if model_cfg.required_char_mode is not None else None
     model = build_model(model_cfg, vocab, seed=train_cfg.seed)

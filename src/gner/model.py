@@ -7,8 +7,7 @@ a single CNN over the decorated character window, three parallel CNNs, or a
 one/two-layer BiLSTM over the raw character sequence.  A token-level BiLSTM,
 a linearly activated dense layer and a linear-chain CRF sit on top.
 
-A batch flows through as whole arrays: the token input is one
-``(batch, max_len, input_width)`` array, each BiLSTM and each char conv is
+A batch flows through as whole arrays: each BiLSTM and each char conv is
 one call, and the dense layer is a single matmul over all positions.  Every
 sequence is described by its length: the token BiLSTM runs over each
 sentence's tokens, and the char submodel over each real token's characters,
@@ -25,10 +24,13 @@ embedding.
 Word vectors come from an external store and are never trained.  A batch's
 input is built once per token key (the text, plus in ``cnn`` char mode
 whether it opens or closes its sentence): one ``(keys, input_width)`` table
-of word vector, casing one-hot and character feature, gathered onto the
-positions.  The word vector and casing depend on the text alone, so each is
-built once per text.  A key's character gradient sums over the positions
-that share it.
+of word vector, casing one-hot and character feature.  The word vector and
+casing depend on the text alone, so each is built once per text.  No
+padded ``(batch, max_len, input_width)`` input exists: the token BiLSTM
+reads the key table through ``token_keys`` and projects each key once,
+except under input dropout, whose per-sentence masks give each real
+position its own ``(tokens, input_width)`` row.  A key's character
+gradient sums over the positions that share it.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
@@ -358,27 +360,34 @@ def forward_emissions(
     b, t = len(batch.sentences), batch.max_len
     real = batch.mask
     real_keys = batch.token_keys[real]
-    x = np.zeros((b, t, cfg.input_width), dtype=dtype)
-    x[real] = table[real_keys]
     in_mask = None
     if train and cfg.dropout > 0.0:
-        in_mask = dropout_mask((b, 1, cfg.input_width), cfg.dropout, rng, dtype)
-        x *= in_mask
+        # Input dropout masks each sentence's positions alike, so each real
+        # position, in row-major order, gets its own masked row.
+        in_mask = dropout_mask((b, cfg.input_width), cfg.dropout, rng, dtype)[np.nonzero(real)[0]]
+        rows = table[real_keys]
+        rows *= in_mask
+        index = np.zeros((b, t), dtype=np.int64)
+        index[real] = np.arange(len(rows))
+    else:
+        # Positions that share a key share its row.
+        rows, index = table, batch.token_keys
 
     hidden, token = bilstm_sequence(
         model.token_fwd,
         model.token_bwd,
-        x,
+        rows,
         batch.lengths,
         recurrent_dropout=cfg.dropout if train else 0.0,
         mode=mode,
         rng=rng,
+        index=index,
     )
     flat = hidden.reshape(b * t, 2 * cfg.token_lstm_cells)
     emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
     if not train:
         return emissions
-    return emissions, (flat, token, in_mask, real, real_keys, chars)
+    return emissions, (flat, token, table, in_mask, real_keys, chars)
 
 
 def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
@@ -392,23 +401,23 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     char embedding.
     """
     cfg = model.config
-    flat, token, in_mask, real, real_keys, chars = cache
+    flat, token, table, in_mask, real_keys, chars = cache
     d_em, *d_crf = (g.astype(flat.dtype, copy=False) for g in crf_grads)
     grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
     b, t, labels = d_em.shape
     g = d_em.reshape(b * t, labels)
     grads["dense.w"], grads["dense.b"] = flat.T @ g, g.sum(axis=0)
     d_hidden = (g @ model.dense_w.T).reshape(b, t, flat.shape[1])
-    d_x, token_grads = bilstm_backward(token, d_hidden, need_input=chars is not None)
+    d_rows, token_grads = bilstm_backward(token, d_hidden, need_input=chars is not None)
     _put_lstm(grads, "token_lstm", token_grads)
     if chars is not None:
         words = cfg.word_dim + cfg.casing_dim
-        d_chars = d_x[..., words:]
-        if in_mask is not None:
-            d_chars = d_chars * in_mask[..., words:]
         rows, lengths, caches = chars
-        d_feat = np.zeros((len(rows), cfg.char_feature_dim), dtype=flat.dtype)
-        np.add.at(d_feat, real_keys, d_chars[real])
+        if in_mask is None:
+            d_feat = d_rows[:, words:]  # one row per key: the layer summed its positions
+        else:
+            # One row per position, in row-major order: sum them per key.
+            d_feat = embed_backward(table[:, words:], real_keys, d_rows[:, words:] * in_mask[:, words:])
         if cfg.char_cnn_kernels:
             f = cfg.char_cnn_filters
             d_emb = 0.0

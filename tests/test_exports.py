@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -64,10 +65,36 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert not unused, f"public but used only by tests: {unused}"
 
 
+_TRACED_RUN = """
+import json
+import tracing
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from gner.corpus import build_char_vocab, germeval_schema
+from gner.datagen import make_corpus, make_embedding_store
+from gner.model import ModelConfig, build_model, predict_batch
+from gner.training import TrainConfig, train_epoch
+sentences = make_corpus(8, seed=1)
+store = make_embedding_store(sentences, dim=6, seed=1)
+config = ModelConfig(label_schema=germeval_schema(), char_variant="bilstm", word_dim=6, char_emb_dim=4,
+                     char_lstm_cells=3, token_lstm_cells=5)
+model = build_model(config, build_char_vocab(sentences), seed=1)
+predict_batch(model, store, sentences)
+train_epoch(model, sentences, store, TrainConfig(stage1_batch=8), 1)
+print(json.dumps({name: row[2] for name, row in tracer.export()["spans"].items()}))
+"""
+
+
 def test_benchmark_tracer_installs_on_the_package():
     # perfbench/tracing.py wraps package functions by the names their callers
-    # look up, so renaming one in src/gner breaks a traced benchmark run.
+    # look up, and tells the token BiLSTM from the char BiLSTM by the
+    # identity of its first argument, so renaming a function or reordering
+    # its arguments in src/gner silently empties a span of a traced run.
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])}
-    proc = subprocess.run([sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+    proc = subprocess.run([sys.executable, "-c", _TRACED_RUN],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout.splitlines()[-1])
+    # One eval and one train forward, each calling both BiLSTMs once.
+    assert calls["model.forward"] == 2, calls
+    assert calls["layers.token_bilstm"] == 2 and calls["model.char_bilstm"] == 2, calls

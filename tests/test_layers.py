@@ -421,6 +421,59 @@ def test_fused_bilstm_input_gradient_check():
     assert check_gradient(loss, [x], [dx], eps=1e-5, samples=45) <= 1e-4
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("table_rows, lengths", [
+    (1, [4, 1, 3, 1, 4, 2]), (3, [4, 1, 3, 1, 4, 2]), (4, [4, 1, 3, 1, 4, 2]), (9, [4, 1, 3, 1, 4, 2]),
+    (40, [4, 1, 3, 1, 4, 2]), (2, [1, 1]), (5, [3])])
+def test_keyed_input_matches_the_gathered_padded_input(dtype, table_rows, lengths):
+    # A (rows, in) table plus a (batch, steps) index, with rows repeated
+    # across and within sequences, gives what the padded gather of it gives.
+    rng = np.random.default_rng(table_rows)
+    fwd, bwd = (_as_dtype(_lstm(24, 7, seed), dtype) for seed in (1, 2))
+    batch, steps = len(lengths), max(lengths)
+    real = np.arange(steps) < np.asarray(lengths)[:, None]
+    table = rng.uniform(-1, 1, (table_rows, 24)).astype(dtype)
+    index = rng.integers(0, table_rows, (batch, steps))
+    padded = np.where(real[..., None], table[index], 0.0).astype(dtype)
+    index[~real] = table_rows + 5  # read only at real positions
+    weights = rng.uniform(-1, 1, (batch, steps, 14)).astype(dtype)
+    # Under 4 rows OpenBLAS may take another kernel for the table's
+    # projection than for the positions', so those agree only to rounding.
+    exact = min(table_rows, real.sum()) >= 4
+
+    def same(got, want):
+        assert got.dtype == want.dtype == dtype
+        if exact:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+    same(layers.bilstm_sequence(fwd, bwd, table, lengths, index=index)[0],
+         layers.bilstm_sequence(fwd, bwd, padded, lengths)[0])
+    runs = []
+    for x, kwargs in ((table, {"index": index}), (padded, {})):
+        out, cache = layers.bilstm_sequence(fwd, bwd, x, lengths, recurrent_dropout=0.3, mode="train",
+                                            rng=np.random.default_rng(9), **kwargs)
+        runs.append((out, *layers.bilstm_backward(cache, weights)))
+    (out, d_table, keyed), (want_out, d_padded, want) = runs
+    same(out, want_out)
+    for got_grads, want_grads in zip(keyed, want):
+        for got, w in zip(got_grads, want_grads):
+            same(got, w)
+    # A table row's gradient sums its positions' gradients, in row-major order.
+    want_rows = np.zeros_like(table)
+    np.add.at(want_rows, index[real], d_padded[real])
+    same(d_table, want_rows)
+
+
+def test_keyed_input_rejects_an_index_outside_the_table():
+    p = _lstm(3, 2)
+    with pytest.raises(layers.LayerError, match="index outside the table's 2 rows"):
+        layers.bilstm_sequence(p, p, np.zeros((2, 3)), [2, 1], index=[[0, 2], [1, 9]])
+    with pytest.raises(layers.LayerError, match=r"a \(rows, in\) table and a \(batch, steps\) index"):
+        layers.bilstm_sequence(p, p, np.zeros((2, 2, 3)), [2, 1], index=[[0, 1], [1, 0]])
+
+
 def _valid(p, x):
     """Window counts that keep every window inside its row (a valid conv)."""
     rows, steps, _ = x.shape

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -108,6 +109,33 @@ def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkey
     train_em, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
     assert train_em.shape == em.shape and cache is not None
     assert len(caches) >= 2 and all(c is not None for c in caches)
+
+
+@pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
+def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkeypatch):
+    # Where positions that share a key share an input row, the token BiLSTM
+    # reads the key table itself; under input dropout, one masked row per
+    # real position in row-major order.
+    model, store, batch, _ = _toy_setup(variant)
+    seen = []
+
+    def recorded(fwd, bwd, x, lengths, _fn=M.bilstm_sequence, **kwargs):
+        if fwd is model.token_fwd:
+            seen.append((x.shape, kwargs["index"]))
+        return _fn(fwd, bwd, x, lengths, **kwargs)
+
+    monkeypatch.setattr(M, "bilstm_sequence", recorded)
+    width, real = model.config.input_width, batch.mask
+    no_dropout = dataclasses.replace(model, config=dataclasses.replace(model.config, dropout=0.0))
+    M.forward_emissions(model, batch, store, mode="eval")
+    M.forward_emissions(no_dropout, batch, store, mode="train")
+    for shape, index in seen:
+        assert shape == (len(batch.keys), width) and index is batch.token_keys
+    seen.clear()
+    M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
+    ((shape, index),) = seen
+    assert shape == (int(real.sum()), width)
+    np.testing.assert_array_equal(index[real], np.arange(shape[0]))
 
 
 @pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])

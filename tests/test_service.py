@@ -398,6 +398,30 @@ def test_cli_train_combined_model_mixes_corpus_formats(fixture_world, tmp_path):
     assert model.config.label_schema.entity_classes == ("LOC", "MISC", "ORG", "OTH", "PER")
 
 
+def test_cli_train_checks_every_entry_against_the_schema_before_loading_the_store(tmp_path, capsys):
+    from gner.datagen import make_corpus
+    from helpers import make_conll_corpus, write_conll03
+
+    write_germeval(make_corpus(12, seed=5), tmp_path / "ge.tsv")
+    write_conll03(make_conll_corpus(12, seed=6), tmp_path / "co.txt")
+    write_germeval(make_corpus(6, seed=7, split="dev"), tmp_path / "dev.tsv")
+    # The store does not exist, so a run that got as far as loading it
+    # would fail on the missing file instead.
+    config = {"format": "germeval", "train_path": ["ge.tsv", {"path": "co.txt", "format": "conll"}],
+              "dev_path": "dev.tsv", "embeddings": {"path": "no-such-store.txt", "kind": "plain"}}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    argv = ["train", "--config", str(config_path), "--out", str(tmp_path / "m.mner")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'co.txt'}: sentence ") and "-MISC'" in err
+    assert "which the run's schema over LOC, LOCderiv" in err and "no-such-store" not in err
+    # Mapped onto the combined schema, the same entries pass the check.
+    config_path.write_text(json.dumps({**config, "combined_mapping": True}), encoding="utf-8")
+    assert cli.main(argv) == 1
+    assert "no-such-store.txt" in capsys.readouterr().err
+
+
 def test_serve_bind_resolution(monkeypatch):
     monkeypatch.delenv(cli.ENV_BIND, raising=False)
     monkeypatch.delenv(cli.ENV_PORT, raising=False)
