@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +67,10 @@ class EmbeddingStore:
                 raise EmbeddingError(f"min_n {self.min_n} > max_n {self.max_n}")
 
 
+# Non-blank body lines are parsed this many at a time.
+BLOCK_LINES = 64
+
+
 def _floats(values: list[str], line_no: int) -> np.ndarray:
     # numpy parses str items with float(): the same accepted forms and values.
     try:
@@ -74,12 +79,32 @@ def _floats(values: list[str], line_no: int) -> np.ndarray:
         raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from None
 
 
-def _decoded_lines(fh, path: Path):
-    for line_no, raw in enumerate(fh, start=1):
+def _block_values(texts, line_nos: list[int], dim: int, words=None, known=()):
+    """Row ``i`` holds the ``dim`` values of ``texts[i]``, from line ``line_nos[i]``.
+
+    numpy's C reader accepts a strict subset of what the per-line rules
+    accept (no empty fields, ``1_0`` or non-ASCII digits), with bit-equal
+    values.  A block it refuses is read again under the per-line rules:
+    values split on single spaces, empty fields skipped, each parsed as
+    ``float()`` parses it, and the first bad line named.  There a duplicate
+    word's values (one in ``known`` or earlier in ``words``) are counted
+    but not parsed, and its row is None.
+    """
+    if all(texts):  # an empty text would be skipped, and an all-empty block warned about
         try:
-            yield line_no, raw.decode("utf-8").rstrip("\r\n")
-        except UnicodeDecodeError as exc:
-            raise EmbeddingError(f"{path}: line {line_no}: not UTF-8 text: {exc}") from None
+            rows = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape == (len(texts), dim):
+            return rows
+    rows = []
+    for i, (text, line_no) in enumerate(zip(texts, line_nos)):
+        values = [p for p in text.split(" ") if p]
+        if len(values) != dim:
+            raise EmbeddingError(f"line {line_no}: expected {dim} values, got {len(values)}")
+        duplicate = words is not None and (words[i] in known or words[i] in words[:i])
+        rows.append(None if duplicate else _floats(values, line_no))
+    return rows
 
 
 def load_store(path: str | Path, kind: str | None = None) -> EmbeddingStore:
@@ -91,16 +116,19 @@ def load_store(path: str | Path, kind: str | None = None) -> EmbeddingStore:
     else is plain vectors with an optional ``count dim`` header.  A declared
     ``kind`` is only checked against the file's.
 
-    Lines are parsed one at a time.  Blank lines are skipped, a duplicate
-    word keeps its first vector (counted and logged), and every format error
-    names its line.
+    Blank lines are skipped, a duplicate word keeps its first vector
+    (counted and logged), and every format error names its line.  The other
+    lines go to numpy's reader ``BLOCK_LINES`` at a time; a block it refuses
+    is read again under the per-line rules (values split on single spaces,
+    parsed as ``float()`` parses them), so the reader changes speed, never
+    what is accepted.
     """
     if kind not in (None, *STORE_KINDS):
         raise EmbeddingError(f"unknown embedding kind {kind!r}")
     path = Path(path)
     try:
         with path.open("rb") as fh:
-            store = _read_store(_decoded_lines(fh, path), path, kind)
+            store = _read_store(fh, path, kind)
     except OSError as exc:
         raise EmbeddingError(f"cannot read {path}: {exc}") from exc
     if store.duplicates_skipped:
@@ -117,8 +145,17 @@ def check_kind(path: str | Path, declared: str | None, kind: str):
         )
 
 
-def _read_store(lines, path: Path, declared: str | None) -> EmbeddingStore:
-    _, head = next(lines, (1, ""))
+def _decode(raw: bytes, line_no: int, path: Path) -> str:
+    try:
+        return raw.decode("utf-8").rstrip("\r\n")
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path}: line {line_no}: not UTF-8 text: {exc}") from None
+
+
+def _read_store(fh, path: Path, declared: str | None) -> EmbeddingStore:
+    lines = enumerate(fh, start=1)
+    first = next(lines, (1, b""))
+    head = _decode(first[1], 1, path)
     fields = head.split()
     kind = "fasttext" if fields[:1] == [FASTTEXT_MAGIC] else "plain"
     check_kind(path, declared, kind)
@@ -131,6 +168,13 @@ def _read_store(lines, path: Path, declared: str | None) -> EmbeddingStore:
                 f"with non-negative integer fields, got {head[:80]!r}"
             )
         dim, min_n, max_n, bucket_count, word_count = (int(v) for v in fields[1:])
+        # Each value takes at least one character and one separator.
+        size = os.fstat(fh.fileno()).st_size
+        if 2 * bucket_count * dim > size:
+            raise EmbeddingError(
+                f"{path}: line 1: header declares {bucket_count} buckets of {dim} values, "
+                f"more than the file's {size} bytes can hold"
+            )
         try:
             buckets = np.empty((bucket_count, dim))
         except MemoryError:
@@ -140,38 +184,55 @@ def _read_store(lines, path: Path, declared: str | None) -> EmbeddingStore:
         dim = int(fields[1])
     else:
         dim = None  # taken from the first word line
-        lines = itertools.chain([(1, head)], lines)
-
+        lines = itertools.chain([first], lines)
+    total = word_count + bucket_count
     vectors: dict[str, np.ndarray] = {}
-    duplicates = seen = 0
+
+    block: list[tuple[int, str]] = []  # pending non-blank lines: all word lines or all bucket lines
+    seen = 0  # body lines taken, the pending block included
+
+    def parse_block():
+        if not block:
+            return
+        start = seen - len(block)
+        line_nos = [line_no for line_no, _ in block]
+        if start >= word_count:
+            row = start - word_count
+            buckets[row : row + len(block)] = _block_values([line for _, line in block], line_nos, dim)
+        else:
+            words, _, texts = zip(*(line.partition(" ") for _, line in block))
+            for word, vec in zip(words, _block_values(texts, line_nos, dim, words, vectors)):
+                if word not in vectors:  # a duplicate keeps its first vector
+                    vectors[word] = vec
+        block.clear()
+
     line_no = 1
-    for line_no, line in lines:
+    for line_no, raw in lines:
+        try:
+            line = _decode(raw, line_no, path)
+        except EmbeddingError:
+            parse_block()  # an earlier line's error comes first
+            raise
         if not line.strip():
             continue
-        if seen == word_count + bucket_count:
+        if seen == total:
             raise EmbeddingError(f"line {line_no}: more than the header's {word_count} word + {bucket_count} bucket lines")
-        parts = line.split(" ")
-        word = parts.pop(0) if seen < word_count else None
-        values = [p for p in parts if p]
         if dim is None:
-            dim = len(values)
-        if len(values) != dim:
-            raise EmbeddingError(f"line {line_no}: expected {dim} values, got {len(values)}")
-        if word is None:
-            buckets[seen - word_count] = _floats(values, line_no)
-        elif word in vectors:
-            duplicates += 1
-        else:
-            vectors[word] = _floats(values, line_no)
+            dim = len([p for p in line.split(" ")[1:] if p])
+        block.append((line_no, line))
         seen += 1
+        if len(block) == BLOCK_LINES or seen == word_count or seen == total:
+            parse_block()
+    parse_block()
 
-    if kind == "fasttext" and seen != word_count + bucket_count:
+    if kind == "fasttext" and seen != total:
         raise EmbeddingError(
             f"{path}: line {line_no}: file ends after {seen} of the header's "
             f"{word_count} word + {bucket_count} bucket lines"
         )
     if dim is None:
         raise EmbeddingError(f"{path}: no vectors found")
+    duplicates = min(seen, word_count) - len(vectors)
     return EmbeddingStore(kind=kind, dim=dim, word_vectors=vectors, duplicates_skipped=duplicates, **ngram_fields)
 
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -493,10 +494,11 @@ def save_model(model: NerModel, path: str | Path):
 
 
 def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise ModelFormatError(f"truncated model file: expected {n} bytes for {what}, got {len(buf)}")
-    return buf
+    # A declared size is checked against the bytes left before anything is allocated for it.
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ModelFormatError(f"truncated model file: expected {n} bytes for {what}, got {left}")
+    return fh.read(n)
 
 
 def load_model(path: str | Path) -> NerModel:

@@ -1,14 +1,17 @@
-"""Test oracles: central finite differences for hand-written gradients, and
-brute-force path enumeration for the CRF."""
+"""Test oracles: central finite differences for hand-written gradients,
+brute-force path enumeration for the CRF, and a line-at-a-time reference
+parser for embedding stores."""
 
 from __future__ import annotations
 
 import itertools
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from gner.crf import CrfParams
+from gner.embeddings import FASTTEXT_MAGIC, EmbeddingError, EmbeddingStore, check_kind
 
 # A sample counts as taken at a kink when its one-sided slopes differ by more
 # than this share of the larger one.
@@ -135,3 +138,82 @@ def brute_force_best_path(params: CrfParams, emissions) -> tuple[list[int], floa
             best_path = p
     assert best_path is not None
     return list(best_path), best_score
+
+
+def reference_load_store(path: str | Path) -> EmbeddingStore:
+    """The store format parsed one line at a time: each value as ``float()``
+    parses it, the first vector of a duplicate word kept, and every error
+    naming its line.  ``load_store`` must accept the same files, with
+    bit-equal arrays, and fail with the same messages."""
+    path = Path(path)
+    with path.open("rb") as fh:
+        return _reference_read(_reference_lines(fh, path), path)
+
+
+def _reference_floats(values: list[str], line_no: int) -> np.ndarray:
+    try:
+        return np.array(values, dtype=np.float64)
+    except ValueError as exc:
+        raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from None
+
+
+def _reference_lines(fh, path: Path):
+    for line_no, raw in enumerate(fh, start=1):
+        try:
+            yield line_no, raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError as exc:
+            raise EmbeddingError(f"{path}: line {line_no}: not UTF-8 text: {exc}") from None
+
+
+def _reference_read(lines, path: Path) -> EmbeddingStore:
+    _, head = next(lines, (1, ""))
+    fields = head.split()
+    kind = "fasttext" if fields[:1] == [FASTTEXT_MAGIC] else "plain"
+    check_kind(path, None, kind)
+    word_count, bucket_count, ngram_fields = float("inf"), 0, {}
+    if kind == "fasttext":
+        if len(fields) != 6 or not all(v.isascii() and v.isdigit() for v in fields[1:]):
+            raise EmbeddingError(
+                f"{path}: line 1: expected '{FASTTEXT_MAGIC} dim min_n max_n bucket_count word_count' header "
+                f"with non-negative integer fields, got {head[:80]!r}"
+            )
+        dim, min_n, max_n, bucket_count, word_count = (int(v) for v in fields[1:])
+        buckets = np.empty((bucket_count, dim))
+        ngram_fields = dict(ngram_buckets=buckets, min_n=min_n, max_n=max_n, bucket_count=bucket_count)
+    elif len(fields) == 2 and all(p.lstrip("+-").isdigit() for p in fields):
+        dim = int(fields[1])
+    else:
+        dim = None
+        lines = itertools.chain([(1, head)], lines)
+
+    vectors: dict[str, np.ndarray] = {}
+    duplicates = seen = 0
+    line_no = 1
+    for line_no, line in lines:
+        if not line.strip():
+            continue
+        if seen == word_count + bucket_count:
+            raise EmbeddingError(f"line {line_no}: more than the header's {word_count} word + {bucket_count} bucket lines")
+        parts = line.split(" ")
+        word = parts.pop(0) if seen < word_count else None
+        values = [p for p in parts if p]
+        if dim is None:
+            dim = len(values)
+        if len(values) != dim:
+            raise EmbeddingError(f"line {line_no}: expected {dim} values, got {len(values)}")
+        if word is None:
+            buckets[seen - word_count] = _reference_floats(values, line_no)
+        elif word in vectors:
+            duplicates += 1
+        else:
+            vectors[word] = _reference_floats(values, line_no)
+        seen += 1
+
+    if kind == "fasttext" and seen != word_count + bucket_count:
+        raise EmbeddingError(
+            f"{path}: line {line_no}: file ends after {seen} of the header's "
+            f"{word_count} word + {bucket_count} bucket lines"
+        )
+    if dim is None:
+        raise EmbeddingError(f"{path}: no vectors found")
+    return EmbeddingStore(kind=kind, dim=dim, word_vectors=vectors, duplicates_skipped=duplicates, **ngram_fields)

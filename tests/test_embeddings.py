@@ -1,4 +1,7 @@
 import re
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gner import embeddings as emb
+from oracles import reference_load_store
 
 
 def _write(tmp_path, name, text):
@@ -274,6 +278,101 @@ def test_values_parse_as_float_does(tmp_path):
     for got, want in ((store.word_vectors["wort"], expect), (store.ngram_buckets[0], expect[::-1])):
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()  # bit-equal, so -0.0 keeps its sign and nan its payload
+
+
+def _outcome(load, path):
+    """Everything a load yields, arrays as bytes, or its error message."""
+    try:
+        store = load(path)
+    except emb.EmbeddingError as exc:
+        return str(exc)
+    buckets = store.ngram_buckets
+    return (store.kind, store.dim, store.min_n, store.max_n, store.bucket_count, store.duplicates_skipped,
+            [(word, vec.dtype, vec.shape, vec.tobytes()) for word, vec in store.word_vectors.items()],
+            None if buckets is None else (buckets.dtype, buckets.shape, buckets.tobytes()))
+
+
+# Mostly values the C reader takes; then forms only float() takes (digit
+# separators, non-ASCII digits, whitespace around a value; an empty field
+# is a double or trailing space) and values nothing takes.
+_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.floats(-10, 10).map(repr),
+    st.floats(width=32).map(repr),
+    st.sampled_from(["-0.0", "nan", "-nan", "-inf", "1e-5", "+.5", "4.9e-324", "1_0", "\uff11", "\u0663",
+                     "\t1", "1\t", "\x0b2\x85", "", "1\t2", "x", "#1", "1#", "0x1", "1\x002"]),
+)
+_WORDS = st.text(st.sampled_from("aäß€\t\x0c\x85\u2028#1"), max_size=3)
+_BLANKS = st.sampled_from(["", " ", "\t", "\x0c \u2028"])
+
+
+@st.composite
+def _store_files(draw):
+    """A plain (headerless or ``count dim``) or FTXT1 store, as bytes, whose
+    lines are mostly well-formed; the header's counts may be off by one."""
+    kind = draw(st.sampled_from(["plain", "counted", "fasttext"]))
+    dim = draw(st.integers(1, 3))
+
+    def values():
+        count = draw(st.sampled_from([dim] * 30 + [dim - 1, dim + 1]))
+        sep = draw(st.sampled_from([" "] * 7 + ["  "]))
+        return sep.join(draw(st.lists(_FIELDS, min_size=count, max_size=count))) + draw(st.sampled_from([""] * 7 + [" "]))
+
+    words = [f"{draw(_WORDS)} {values()}" for _ in range(draw(st.integers(0, 12)))]
+    rows = [values() for _ in range(draw(st.integers(0, 12)))] if kind == "fasttext" else []
+    off = draw(st.sampled_from([0] * 6 + [-1, 1]))
+    head = {
+        "plain": [],
+        "counted": [f"{len(words)} {dim + off}"],
+        "fasttext": [f"FTXT1 {dim} 3 6 {len(rows) + off * draw(st.booleans())} {max(len(words) - off, 0)}"],
+    }[kind]
+    lines = [line.encode("utf-8") for line in head + words + rows]
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(_BLANKS).encode("utf-8") if draw(st.integers(0, 9)) else b"\xff 1"
+        lines.insert(draw(st.integers(len(head), len(lines))), extra)
+    return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
+
+
+@given(data=_store_files(), block_lines=st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_block_reader_matches_the_line_at_a_time_reference(data, block_lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "store"
+        path.write_bytes(data)
+        with mock.patch.object(emb, "BLOCK_LINES", block_lines):
+            got = _outcome(emb.load_store, path)
+        head = data.split(b"\n", 1)[0].split()
+        if head[:1] == [b"FTXT1"] and 2 * int(head[4]) * int(head[1]) > len(data):
+            assert got.endswith("more than the file's %d bytes can hold" % len(data))
+        else:
+            assert got == _outcome(reference_load_store, path)
+
+
+@pytest.mark.parametrize("bad", [0, emb.BLOCK_LINES - 1, emb.BLOCK_LINES, 2 * emb.BLOCK_LINES - 1])
+@pytest.mark.parametrize("value", ["x", "1_0"])
+def test_a_value_only_float_takes_or_none_takes_on_a_block_edge(tmp_path, bad, value):
+    lines = [f"w{i} {i} {-i}.5" for i in range(2 * emb.BLOCK_LINES + 3)]
+    lines[bad] = f"w{bad} {value} 1"
+    path = _write(tmp_path, "s.txt", "\n".join(lines) + "\n")
+    got = _outcome(emb.load_store, path)
+    assert got == _outcome(reference_load_store, path)
+    if value == "x":
+        assert got == f"line {bad + 1}: bad float value: could not convert string to float: 'x'"
+    else:
+        assert got[6][bad][3] == np.array([10.0, 1.0]).tobytes()
+
+
+def test_a_bad_line_comes_before_a_later_non_utf8_line_of_its_block(tmp_path):
+    p = tmp_path / "s.txt"
+    p.write_bytes(b"a 1 0\nb 0 x\n\xff 1 1\n")
+    with pytest.raises(emb.EmbeddingError, match="line 2: bad float value"):
+        emb.load_store(p)
+
+
+def test_fasttext_header_is_bounded_by_the_file_size(tmp_path):
+    path = _write(tmp_path, "s.ftxt", "FTXT1 300 3 6 100000000 0\n1 2\n")
+    with pytest.raises(emb.EmbeddingError, match=r"line 1: header declares 100000000 buckets of 300 values"):
+        emb.load_store(path)
 
 
 def _write_bin_fixture(path, words, dim, bucket, min_n=3, max_n=6, seed=0, version=12):

@@ -621,6 +621,28 @@ def test_load_rejects_truncated_file(tmp_path):
         M.load_model(path)
 
 
+def test_load_checks_declared_sizes_against_the_file(tmp_path):
+    # A header length or parameter block larger than the rest of the file is
+    # a truncated file, found before anything is allocated for it.
+    model, _, _, _ = _toy_setup("none")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    raw = path.read_bytes()
+    _, length, rest = raw.split(b"\n", 2)
+    path.write_bytes(_with_header(raw, rest[: int(length)], b"99999999999"))
+    with pytest.raises(M.ModelFormatError, match="truncated model file: expected 99999999999 bytes for header"):
+        M.load_model(path)
+
+    config = dataclasses.replace(model.config, token_lstm_cells=10**8)
+    shapes = []
+    M._assemble(config, None, lambda name, shape: shapes.append((name, shape)) or np.broadcast_to(np.float32(0), shape))
+    header = json.loads(rest[: int(length)])
+    header.update(config=config.to_dict(), params=[{"name": n, "shape": list(s)} for n, s in shapes])
+    path.write_bytes(_with_header(raw, json.dumps(header).encode()))
+    with pytest.raises(M.ModelFormatError, match=r"expected \d{11,} bytes for token_lstm.fwd.w_input"):
+        M.load_model(path)
+
+
 def test_schema_guard_on_foreign_labels(tmp_path):
     model, _, _, _ = _toy_setup("bilstm")  # conll schema
     path = tmp_path / "model.mner"
