@@ -180,7 +180,7 @@ def _read_store(fh, path: Path, declared: str | None) -> EmbeddingStore:
         except MemoryError:
             raise EmbeddingError(f"{path}: header declares {bucket_count} buckets of {dim} values") from None
         ngram_fields = dict(ngram_buckets=buckets, min_n=min_n, max_n=max_n, bucket_count=bucket_count)
-    elif len(fields) == 2 and all(p.lstrip("+-").isdigit() for p in fields):
+    elif len(fields) == 2 and all(p.isascii() and p.lstrip("+-").isdigit() for p in fields):
         dim = int(fields[1])
     else:
         dim = None  # taken from the first word line

@@ -25,7 +25,9 @@ Word vectors come from an external store and are never trained.  A batch's
 input is built once per token key (the text, plus in ``cnn`` char mode
 whether it opens or closes its sentence): one ``(keys, input_width)`` table
 of word vector, casing one-hot and character feature.  The word vector and
-casing depend on the text alone, so each is built once per text.  No
+casing depend on the text alone, so each is built once per text.  In eval
+mode a :class:`RowCache` can carry finished rows across batches: the keys it
+holds are copied from it, and only the others are built.  No
 padded ``(batch, max_len, input_width)`` input exists: the token BiLSTM
 reads the key table through ``token_keys`` and projects each key once,
 except under input dropout, whose per-sentence masks give each real
@@ -45,10 +47,13 @@ float32 model round-trips bit-equal.  The CRF scores in float64, and
 
 from __future__ import annotations
 
+import copy
 import io
 import json
 import math
 import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -76,6 +81,7 @@ __all__ = [
     "CHAR_VARIANTS",
     "ModelConfig",
     "NerModel",
+    "RowCache",
     "build_model",
     "forward_emissions",
     "backward",
@@ -284,6 +290,67 @@ def _assemble(config: ModelConfig, char_vocab: CharVocab | None, param) -> NerMo
     )
 
 
+class RowCache:
+    """A bounded LRU of finished eval-mode input rows for one ``(model,
+    store)`` pair: each token key ``(text, first, last)`` maps to its word
+    vector, casing one-hot and char feature, in the model's dtype.
+
+    The rows sit in one ``(max_rows, input_width)`` array, whose pages take
+    memory only once written, so a batch's hits are one gather.  When the
+    cache is full, a new key takes the slot of the least recently used one.
+    One lock guards the slots, so threads can share a cache.  The rows stay
+    valid while the model's parameters and the store stay as they are:
+    training never passes a cache.
+    """
+
+    def __init__(self, model: NerModel, store: EmbeddingStore, max_rows: int):
+        if not isinstance(max_rows, int) or isinstance(max_rows, bool) or max_rows < 1:
+            raise ModelError(f"max_rows must be an integer >= 1, got {max_rows!r}")
+        self.model, self.store, self.max_rows = model, store, max_rows
+        self._rows = np.empty((max_rows, model.config.input_width), dtype=model.dtype)
+        self._slots: OrderedDict[tuple[str, bool, bool], int] = OrderedDict()  # least recently used first
+        self._lock = threading.Lock()
+        self.hits = self.lookups = 0
+
+    def counted(self) -> "RowCache":
+        """A view that shares this cache's rows and lock but counts its own
+        :attr:`hits` and :attr:`lookups`, for one caller's batches."""
+        view = copy.copy(self)
+        view.hits = view.lookups = 0
+        return view
+
+    def take(self, keys: list, table: np.ndarray) -> list[int]:
+        """Copy each held key's row into the row of ``table`` with the key's
+        index, and return the indices of the keys it does not hold."""
+        found, slots, miss = [], [], []
+        with self._lock:
+            for u, key in enumerate(keys):
+                slot = self._slots.get(key)
+                if slot is None:
+                    miss.append(u)
+                else:
+                    self._slots.move_to_end(key)
+                    found.append(u)
+                    slots.append(slot)
+            table[found] = self._rows[slots]
+            self.hits += len(found)
+            self.lookups += len(keys)
+        return miss
+
+    def put(self, keys: list, rows: np.ndarray):
+        """Hold ``rows[i]`` for ``keys[i]``, evicting the least recently used
+        keys beyond ``max_rows``."""
+        with self._lock:
+            for key, row in zip(keys, rows):
+                slot = self._slots.pop(key, None)
+                if slot is None:
+                    # Slots 0 .. len - 1 are taken; a full cache reuses the oldest key's.
+                    full = len(self._slots) == self.max_rows
+                    slot = self._slots.popitem(last=False)[1] if full else len(self._slots)
+                self._slots[key] = slot
+                self._rows[slot] = row
+
+
 def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.ndarray, tuple | None]:
     """The character feature (U, char_dim) of each of the U post-padded
     character rows ``rows`` (one per token key) and, in train mode, the
@@ -317,6 +384,7 @@ def forward_emissions(
     embedding_store: EmbeddingStore,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    cache: RowCache | None = None,
 ):
     """Per-token label scores before the CRF, shaped (batch, max_len, labels).
 
@@ -327,6 +395,11 @@ def forward_emissions(
     per-sequence-constant masks in that dtype).  Positions past a
     sentence's length produce zero BiLSTM output and carry no gradient into
     the token BiLSTM.
+
+    An eval-mode row ``cache`` made for this model and store supplies the
+    input rows of the keys it holds and keeps those built here.  A cached
+    char feature was computed in a batch of other rows, so the emissions
+    can differ from the uncached ones in the last float32 bits.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -340,24 +413,30 @@ def forward_emissions(
     if embedding_store.dim != cfg.word_dim:
         raise ModelError(f"embedding store has dimension {embedding_store.dim}, the model's word_dim is {cfg.word_dim}")
     train = mode == "train"
+    if cache is not None and (train or cache.model is not model or cache.store is not embedding_store):
+        raise ModelError("a row cache serves eval mode of the model and store it was made for")
     dtype = model.dtype
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
     # One input row per token key: word vector, casing one-hot, char feature.
-    # The first two are built once per text, which in cnn char mode can be
-    # up to three keys.
+    # A cache fills the keys it holds.  For the others, the first two are
+    # built once per text, which in cnn char mode can be up to three keys.
     words = cfg.word_dim + cfg.casing_dim
     table = np.empty((len(batch.keys), cfg.input_width), dtype=dtype)
+    miss = list(range(len(batch.keys))) if cache is None else cache.take(batch.keys, table)
     by_text: dict[str, np.ndarray] = {}
-    for u, (text, _, _) in enumerate(batch.keys):
+    for u in miss:
+        text = batch.keys[u][0]
         row = by_text.get(text)
         if row is None:
             row = by_text[text] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
         table[u, :words] = row
     chars = None
-    if required is not None:
-        table[:, words:], chars = _char_features(model, batch.key_chars, mode)
+    if required is not None and miss:
+        table[miss, words:], chars = _char_features(model, batch.key_chars[miss], mode)
+    if cache is not None and miss:
+        cache.put([batch.keys[u] for u in miss], table[miss])
     b, t = len(batch.sentences), batch.max_len
     real = batch.mask
     real_keys = batch.token_keys[real]
@@ -446,14 +525,15 @@ def _put_lstm(grads: dict[str, np.ndarray], prefix: str, lstm_grads):
 
 
 def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: list[Sentence],
-                  batch_size: int = 64) -> list[list[str]]:
-    """Viterbi-decoded BIO labels for each sentence, eval mode, one batched pass per group."""
+                  batch_size: int = 64, cache: RowCache | None = None) -> list[list[str]]:
+    """Viterbi-decoded BIO labels for each sentence, eval mode, one batched
+    pass per group, reading and filling ``cache`` if one is given."""
     schema = model.config.label_schema
     out: list[list[str]] = []
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
         batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
-        em = forward_emissions(model, batch, embedding_store, mode="eval")
+        em = forward_emissions(model, batch, embedding_store, mode="eval", cache=cache)
         paths, _ = viterbi_decode(model.crf, em, batch.lengths)
         out.extend([schema.label_of(y) for y in path] for path in paths)
     return out

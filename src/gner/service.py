@@ -1,24 +1,38 @@
 """The model registry and the JSON-over-HTTP inference service on top of it.
 
-The registry binds model names to a loaded model plus its embedding store;
-everything is loaded at startup (startup fails on any broken entry) and is
-immutable afterwards, so request handling is reentrant and safe under the
-threading server.  Request validation and prediction live in
-:func:`handle_ner_request`, a pure function over parsed JSON, so the HTTP
-layer stays a thin shell.
+The registry binds model names to a loaded model, its embedding store and a
+row cache; everything is loaded at startup (startup fails on any broken
+entry), and the bindings, models and stores do not change afterwards.
+
+Each entry's :class:`~gner.model.RowCache` is the one state that requests
+share.  It holds the finished input rows (word vector, casing, char
+feature) of up to ``row_cache_rows`` token keys, 16 384 by default (about
+26 MB at paper size), and evicts the least recently used key beyond that;
+0 turns it off.  It serves that entry's requests only, and one lock guards
+it, so the threading server's handler threads can share it.  A cached char
+feature was computed in a batch of other keys, so emissions can differ from
+an uncached run in the last float32 bits (below 1e-4 at paper size); the
+labels are the same.
+
+Request validation and prediction live in :func:`handle_ner_request`, a
+function over parsed JSON, so the HTTP layer stays a thin shell.  A
+response carries the labels, the handling time, ``oov_rate`` (the share of
+the request's tokens that are not in the store's vocabulary) and
+``cached_share`` (the share of its batches' distinct token keys whose rows
+came from the cache).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from .corpus import Sentence, Token
 from .embeddings import EmbeddingStore, check_kind, load_store
-from .model import NerModel, load_model, predict_batch
+from .model import NerModel, RowCache, load_model, predict_batch
 
 __all__ = [
     "ServiceError",
@@ -32,14 +46,29 @@ class ServiceError(Exception):
     pass
 
 
+# Rows an entry's cache holds unless its registry entry says otherwise.
+DEFAULT_ROW_CACHE_ROWS = 16_384
+
+
 @dataclass
 class RegisteredModel:
+    """A served model, its store and, unless ``row_cache_rows`` is 0, the
+    row cache its requests share."""
+
     model: NerModel
     store: EmbeddingStore
+    row_cache_rows: int = DEFAULT_ROW_CACHE_ROWS
+    cache: RowCache | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        rows = self.row_cache_rows
+        if not isinstance(rows, int) or isinstance(rows, bool) or rows < 0:
+            raise ServiceError(f"row_cache_rows must be an integer >= 0, got {rows!r}")
+        self.cache = RowCache(self.model, self.store, rows) if rows else None
 
 
 class ModelRegistry:
-    """Immutable name -> (model, embedding store) binding."""
+    """Name -> :class:`RegisteredModel` binding, fixed at startup."""
 
     def __init__(self, entries: dict[str, RegisteredModel]):
         if not entries:
@@ -53,9 +82,10 @@ class ModelRegistry:
         ``{"models": {name: {"model": path, "embeddings": path}}}``; paths
         are relative to the config file, and entries naming the same store
         file share one loaded store.  An optional ``"embedding_kind"`` is
-        checked against the store file's own kind.  Any unloadable entry, or
-        a store whose dimension is not the model's word dimension, fails
-        startup.
+        checked against the store file's own kind, and an optional
+        ``"row_cache_rows"`` sizes the entry's row cache (0: none).  Any
+        unloadable entry, a store whose dimension is not the model's word
+        dimension, or a row count that is not an integer >= 0 fails startup.
         """
         config_path = Path(config_path)
         try:
@@ -78,7 +108,7 @@ class ModelRegistry:
                 check_kind(key, spec.get("embedding_kind"), store.kind)
                 if store.dim != model.config.word_dim:
                     raise ServiceError(f"embedding dim {store.dim} != model word_dim {model.config.word_dim}")
-                entries[name] = RegisteredModel(model, store)
+                entries[name] = RegisteredModel(model, store, spec.get("row_cache_rows", DEFAULT_ROW_CACHE_ROWS))
             except Exception as exc:
                 raise ServiceError(f"registry entry {name!r} failed to load: {exc}") from exc
         return cls(entries)
@@ -101,7 +131,8 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
     """Validate a request body and tag all its sentences in one batched call.
 
     Returns (http_status, response_body).  The response's label lists align
-    one-to-one with the request's token lists.
+    one-to-one with the request's token lists; ``oov_rate`` and
+    ``cached_share`` are 0 for a request without tokens.
     """
     if not isinstance(payload, dict):
         return _bad_request("request body must be a JSON object")
@@ -125,9 +156,14 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
 
     started = time.perf_counter()
     batch = [Sentence([Token(tok) for tok in sent], ["O"] * len(sent)) for sent in sentences]
-    labels = predict_batch(entry.model, entry.store, batch)
+    cache = entry.cache.counted() if entry.cache is not None else None
+    labels = predict_batch(entry.model, entry.store, batch, cache=cache)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return 200, {"model": name, "labels": labels, "timing_ms": elapsed_ms}
+    tokens = [tok for sent in sentences for tok in sent]
+    oov = sum(tok not in entry.store.word_vectors for tok in tokens)
+    return 200, {"model": name, "labels": labels, "timing_ms": elapsed_ms,
+                 "oov_rate": oov / len(tokens) if tokens else 0.0,
+                 "cached_share": cache.hits / cache.lookups if cache is not None and cache.lookups else 0.0}
 
 
 def _make_handler(registry: ModelRegistry):

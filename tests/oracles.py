@@ -180,7 +180,7 @@ def _reference_read(lines, path: Path) -> EmbeddingStore:
         dim, min_n, max_n, bucket_count, word_count = (int(v) for v in fields[1:])
         buckets = np.empty((bucket_count, dim))
         ngram_fields = dict(ngram_buckets=buckets, min_n=min_n, max_n=max_n, bucket_count=bucket_count)
-    elif len(fields) == 2 and all(p.lstrip("+-").isdigit() for p in fields):
+    elif len(fields) == 2 and all(p.isascii() and p.lstrip("+-").isdigit() for p in fields):
         dim = int(fields[1])
     else:
         dim = None

@@ -44,6 +44,13 @@ def test_header_line_is_tolerated(tmp_path):
         np.testing.assert_array_equal(plain.word_vectors[w], headed.word_vectors[w])
 
 
+def test_a_header_with_a_non_ascii_digit_is_a_word_line(tmp_path):
+    # "²" passes str.isdigit() but not int(): the line is read as the word
+    # "2" with one value, which float() refuses.
+    with pytest.raises(emb.EmbeddingError, match="line 1: bad float value"):
+        emb.load_store(_write(tmp_path, "v.txt", "2 \u00b2\na 1 0\n"))
+
+
 def test_dimension_inconsistency_names_line(tmp_path):
     with pytest.raises(emb.EmbeddingError, match="line 2"):
         emb.load_store(_write(tmp_path, "bad.txt", "a 1 0 3\nb 0 1\n"))

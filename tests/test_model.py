@@ -161,6 +161,79 @@ def test_word_vectors_looked_up_once_per_text(variant, monkeypatch):
     np.testing.assert_array_equal(em, M.forward_emissions(model, batch, store, mode="eval"))
 
 
+@pytest.mark.parametrize("variant", M.CHAR_VARIANTS)
+def test_row_cache_gives_the_uncached_labels_cold_warm_and_evicting(variant):
+    sents = make_corpus(48, seed=15, with_subclasses=False)
+    sents = [Sentence(s.tokens, [l.replace("OTH", "MISC") for l in s.outer_labels], None, s.source_id)
+             for s in sents]
+    vocab = build_char_vocab(sents[:20])
+    model = M.build_model(_toy_config(variant), vocab if variant != "none" else None, seed=15)
+    _randomize_biases(model, 15)
+    store = make_embedding_store(sents[:30], dim=8, seed=15)
+    want = M.predict_batch(model, store, sents, batch_size=4)
+    for cap in (10_000, 7):  # 7 rows evict within a batch of four sentences
+        cache = M.RowCache(model, store, cap)
+        cold = M.predict_batch(model, store, sents, batch_size=4, cache=cache)
+        assert len(cache._slots) == min(cap, len({key for s in sents for key in _keys(model, [s])}))
+        warm = M.predict_batch(model, store, sents, batch_size=4, cache=cache)
+        assert cold == warm == want
+    assert cache.hits and cache.lookups > cache.hits
+
+
+def _keys(model, sents):
+    return batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode).keys
+
+
+def test_row_cache_never_holds_more_than_its_cap():
+    model, store, _, sents = _toy_setup("cnn", n_sentences=12)
+    cache = M.RowCache(model, store, 5)
+    for lo in range(0, len(sents), 3):
+        M.predict_batch(model, store, sents[lo : lo + 3], cache=cache)
+        assert len(cache._slots) == 5
+    # The last batch's keys were used most recently, and they are the ones kept.
+    last = _keys(model, sents[-3:])
+    assert len(last) > 5 and set(cache._slots) <= set(last)
+
+
+def test_row_cache_keeps_float32_emissions_within_the_bound_at_paper_size():
+    # A cached char feature was computed in a batch of other rows; at paper
+    # size the emissions then differ from the uncached ones in the last
+    # float32 bits (measured 1.5e-7 here, at most 5.7e-6 on the benchmark's
+    # serve-oov dev pools), and the labels do not.
+    sents = fixture_training_sentences() + make_corpus(60, seed=16)
+    vocab = build_char_vocab(sents[:40])
+    config = M.ModelConfig(label_schema=germeval_schema(), char_variant="bilstm")
+    model = M.build_model(config, vocab, seed=16)
+    _randomize_biases(model, 16)
+    store = make_embedding_store(sents[:40], dim=config.word_dim, seed=16)
+    batches = [batch_from_sentences(sents[lo : lo + 4], vocab, "rnn") for lo in range(0, len(sents), 4)]
+    want = [M.forward_emissions(model, b, store) for b in batches]
+    for cap in (100_000, 40):
+        cache = M.RowCache(model, store, cap)
+        for _ in ("cold", "warm"):
+            for batch, em in zip(batches, want):
+                np.testing.assert_allclose(M.forward_emissions(model, batch, store, cache=cache), em,
+                                           rtol=0, atol=PARITY_ATOL)
+        assert cache.hits
+    labels = M.predict_batch(model, store, sents, batch_size=4)
+    assert M.predict_batch(model, store, sents, batch_size=4, cache=cache) == labels
+
+
+def test_row_cache_serves_only_the_eval_mode_of_its_own_model_and_store():
+    model, store, batch, sents = _toy_setup("bilstm")
+    other_model = M.build_model(model.config, model.char_vocab, seed=1)
+    other_store = make_embedding_store(sents, dim=8, seed=1)
+    for cache in (M.RowCache(other_model, store, 8), M.RowCache(model, other_store, 8)):
+        with pytest.raises(M.ModelError, match="row cache"):
+            M.predict_batch(model, store, sents, cache=cache)
+    with pytest.raises(M.ModelError, match="row cache"):
+        M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0),
+                            cache=M.RowCache(model, store, 8))
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(M.ModelError, match="max_rows"):
+            M.RowCache(model, store, bad)
+
+
 def test_char_mode_mismatch_rejected():
     model, store, _, sents = _toy_setup("bilstm")
     wrong = batch_from_sentences(sents, model.char_vocab, "cnn")

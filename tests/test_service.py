@@ -5,6 +5,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -111,6 +112,92 @@ def test_handle_request_unknown_model_lists_available(registry):
     status, body = svc.handle_ner_request(registry, {"model": "nope", "sentences": [["a"]]})
     assert status == 404
     assert body["models"] == ["germeval-outer"]
+
+
+def _registry_with_cache(tmp_path, fixture_world, rows) -> svc.ModelRegistry:
+    reg = tmp_path / "registry.json"
+    reg.write_text(json.dumps({"models": {"germeval-outer": {
+        "model": str(fixture_world.model_path), "embeddings": str(fixture_world.store_path), "row_cache_rows": rows}}}))
+    return svc.ModelRegistry.load(reg)
+
+
+def test_handle_request_reports_the_oov_rate(registry, fixture_world):
+    known = [w for w in fixture_world.store.word_vectors][:3]
+    unknown = ["Qxzvolk", "Zzyrrh"]
+    assert not set(unknown) & set(fixture_world.store.word_vectors)
+    status, body = svc.handle_ner_request(registry, {"model": "germeval-outer",
+                                                     "sentences": [known + unknown[:1], unknown[1:]]})
+    assert status == 200 and body["oov_rate"] == 2 / 5
+    assert svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": []})[1]["oov_rate"] == 0.0
+
+
+def test_handle_request_reports_the_share_of_keys_served_from_the_cache(registry):
+    def cached_share(sentences):
+        status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": sentences})
+        assert status == 200
+        return body["cached_share"]
+
+    assert registry.get("germeval-outer").cache is not None
+    assert cached_share([["Anna", "besucht", "Aachen", "."]]) == 0.0
+    assert cached_share([["Anna", "besucht", "Aachen", "."]]) == 1.0
+    # Three of the four distinct keys were served before.
+    assert cached_share([["Aachen", "besucht", "Qxzvolk", "Aachen", "."]]) == 3 / 4
+
+
+def test_registry_row_cache_rows_sizes_the_cache_and_zero_turns_it_off(tmp_path, fixture_world):
+    entry = _registry_with_cache(tmp_path, fixture_world, 3).get("germeval-outer")
+    assert entry.cache.max_rows == 3
+    assert svc.ModelRegistry.load(fixture_world.registry_path).get("germeval-outer").cache.max_rows == 16_384
+    registry = _registry_with_cache(tmp_path, fixture_world, 0)
+    assert registry.get("germeval-outer").cache is None
+    sentences = [s.texts() for s in fixture_world.sentences[:5]]
+    for _ in range(2):
+        status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": sentences})
+        assert status == 200 and body["cached_share"] == 0.0
+    assert body["labels"] == [predict(fixture_world.model, fixture_world.store, s) for s in sentences]
+
+
+@pytest.mark.parametrize("rows", [-1, 2.5, "64", True, None])
+def test_registry_rejects_a_row_cache_size_that_is_not_an_integer_from_zero(tmp_path, fixture_world, rows):
+    with pytest.raises(svc.ServiceError, match=r"'germeval-outer'.*row_cache_rows must be an integer >= 0"):
+        _registry_with_cache(tmp_path, fixture_world, rows)
+
+
+def test_threads_sharing_an_evicting_cache_get_the_cold_cache_labels(tmp_path, fixture_world):
+    # 4 threads share an 8-row cache that evicts on nearly every request;
+    # each request's labels must be those of a cold cache.
+    requests = [[s.texts() for s in fixture_world.sentences[i : i + 1 + i % 3]]
+                for i in range(0, len(fixture_world.sentences), 2)]
+    want = []
+    for sentences in requests:
+        cold = _registry_with_cache(tmp_path, fixture_world, 8)
+        want.append(svc.handle_ner_request(cold, {"model": "germeval-outer", "sentences": sentences})[1]["labels"])
+    registry = _registry_with_cache(tmp_path, fixture_world, 8)
+    got = [None] * len(requests)
+    errors = []
+    start = threading.Barrier(4)
+
+    def worker(k):
+        try:
+            start.wait()
+            for _ in range(3):
+                for i in range(k, len(requests), 4):
+                    status, body = svc.handle_ner_request(registry,
+                                                          {"model": "germeval-outer", "sentences": requests[i]})
+                    assert status == 200
+                    assert got[i] is None or got[i] == body["labels"]
+                    got[i] = body["labels"]
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join()
+    assert not errors, errors
+    assert got == want
+    assert len(registry.get("germeval-outer").cache._slots) == 8
 
 
 def _get(url):
