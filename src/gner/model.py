@@ -424,7 +424,7 @@ def forward_emissions(
     # built once per text, which in cnn char mode can be up to three keys.
     words = cfg.word_dim + cfg.casing_dim
     table = np.empty((len(batch.keys), cfg.input_width), dtype=dtype)
-    miss = list(range(len(batch.keys))) if cache is None else cache.take(batch.keys, table)
+    miss = range(len(batch.keys)) if cache is None else cache.take(batch.keys, table)
     by_text: dict[str, np.ndarray] = {}
     for u in miss:
         text = batch.keys[u][0]
@@ -433,8 +433,11 @@ def forward_emissions(
             row = by_text[text] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
         table[u, :words] = row
     chars = None
-    if required is not None and miss:
-        table[miss, words:], chars = _char_features(model, batch.key_chars[miss], mode)
+    if required is not None:
+        if len(miss) == len(batch.keys):  # every key, as always without a cache: plain slices
+            table[:, words:], chars = _char_features(model, batch.key_chars, mode)
+        elif miss:
+            table[miss, words:], chars = _char_features(model, batch.key_chars[miss], mode)
     if cache is not None and miss:
         cache.put([batch.keys[u] for u in miss], table[miss])
     b, t = len(batch.sentences), batch.max_len

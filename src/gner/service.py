@@ -6,13 +6,15 @@ entry), and the bindings, models and stores do not change afterwards.
 
 Each entry's :class:`~gner.model.RowCache` is the one state that requests
 share.  It holds the finished input rows (word vector, casing, char
-feature) of up to ``row_cache_rows`` token keys, 16 384 by default (about
-26 MB at paper size), and evicts the least recently used key beyond that;
-0 turns it off.  It serves that entry's requests only, and one lock guards
-it, so the threading server's handler threads can share it.  A cached char
-feature was computed in a batch of other keys, so emissions can differ from
-an uncached run in the last float32 bits (below 1e-4 at paper size); the
-labels are the same.
+feature) of up to :data:`ROW_CACHE_ROWS` token keys and evicts the least
+recently used key beyond that.  It serves that entry's requests only, and
+one lock guards it, so the threading server's handler threads can share it.
+A cached char feature was computed in a batch of other keys, so emissions
+can differ from an uncached run in the last float32 bits, and a response
+can depend on which requests the entry served before it.  The labels were
+measured equal to the uncached ones on two seeds' ``serve-oov`` pools, with
+emissions within 5.7e-6 (stated bound 1e-4 at paper size); a near-tie
+Viterbi path could still flip.
 
 Request validation and prediction live in :func:`handle_ner_request`, a
 function over parsed JSON, so the HTTP layer stays a thin shell.  A
@@ -46,25 +48,23 @@ class ServiceError(Exception):
     pass
 
 
-# Rows an entry's cache holds unless its registry entry says otherwise.
-DEFAULT_ROW_CACHE_ROWS = 16_384
+# Rows each entry's cache holds.  At paper size a row is 1 628 bytes, so a
+# full cache takes about 29 MB of RSS (26.7 MB of rows and the key map);
+# pages are taken only as rows are written, and `serve-oov` fills about
+# 1 350 rows.  A memory bound, not a hit-rate optimum for real traffic.
+ROW_CACHE_ROWS = 16_384
 
 
 @dataclass
 class RegisteredModel:
-    """A served model, its store and, unless ``row_cache_rows`` is 0, the
-    row cache its requests share."""
+    """A served model, its store and the row cache its requests share."""
 
     model: NerModel
     store: EmbeddingStore
-    row_cache_rows: int = DEFAULT_ROW_CACHE_ROWS
-    cache: RowCache | None = field(init=False, repr=False)
+    cache: RowCache = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = self.row_cache_rows
-        if not isinstance(rows, int) or isinstance(rows, bool) or rows < 0:
-            raise ServiceError(f"row_cache_rows must be an integer >= 0, got {rows!r}")
-        self.cache = RowCache(self.model, self.store, rows) if rows else None
+        self.cache = RowCache(self.model, self.store, ROW_CACHE_ROWS)
 
 
 class ModelRegistry:
@@ -82,10 +82,9 @@ class ModelRegistry:
         ``{"models": {name: {"model": path, "embeddings": path}}}``; paths
         are relative to the config file, and entries naming the same store
         file share one loaded store.  An optional ``"embedding_kind"`` is
-        checked against the store file's own kind, and an optional
-        ``"row_cache_rows"`` sizes the entry's row cache (0: none).  Any
-        unloadable entry, a store whose dimension is not the model's word
-        dimension, or a row count that is not an integer >= 0 fails startup.
+        checked against the store file's own kind.  Any unloadable entry, or
+        a store whose dimension is not the model's word dimension, fails
+        startup.
         """
         config_path = Path(config_path)
         try:
@@ -108,7 +107,7 @@ class ModelRegistry:
                 check_kind(key, spec.get("embedding_kind"), store.kind)
                 if store.dim != model.config.word_dim:
                     raise ServiceError(f"embedding dim {store.dim} != model word_dim {model.config.word_dim}")
-                entries[name] = RegisteredModel(model, store, spec.get("row_cache_rows", DEFAULT_ROW_CACHE_ROWS))
+                entries[name] = RegisteredModel(model, store)
             except Exception as exc:
                 raise ServiceError(f"registry entry {name!r} failed to load: {exc}") from exc
         return cls(entries)
@@ -156,14 +155,14 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
 
     started = time.perf_counter()
     batch = [Sentence([Token(tok) for tok in sent], ["O"] * len(sent)) for sent in sentences]
-    cache = entry.cache.counted() if entry.cache is not None else None
+    cache = entry.cache.counted()
     labels = predict_batch(entry.model, entry.store, batch, cache=cache)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     tokens = [tok for sent in sentences for tok in sent]
     oov = sum(tok not in entry.store.word_vectors for tok in tokens)
     return 200, {"model": name, "labels": labels, "timing_ms": elapsed_ms,
                  "oov_rate": oov / len(tokens) if tokens else 0.0,
-                 "cached_share": cache.hits / cache.lookups if cache is not None and cache.lookups else 0.0}
+                 "cached_share": cache.hits / cache.lookups if cache.lookups else 0.0}
 
 
 def _make_handler(registry: ModelRegistry):

@@ -1,6 +1,8 @@
 import dataclasses
 import io
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -193,6 +195,46 @@ def test_row_cache_never_holds_more_than_its_cap():
     # The last batch's keys were used most recently, and they are the ones kept.
     last = _keys(model, sents[-3:])
     assert len(last) > 5 and set(cache._slots) <= set(last)
+
+
+def test_row_cache_shared_by_threads_gives_each_key_its_own_row():
+    # 4 threads take and put random keys through a 16-row cache; row i is
+    # filled with i, so a race between a lookup and an eviction would copy
+    # another key's row.
+    model, store, _, _ = _toy_setup("none")
+    cache = M.RowCache(model, store, 16)
+    width = model.config.input_width
+    errors = []
+    start = threading.Barrier(4)
+
+    def worker(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            start.wait()
+            for _ in range(400):
+                ids = rng.choice(48, 6, replace=False)
+                keys = [(f"w{i}", False, False) for i in ids]
+                table = np.full((6, width), -1, dtype=model.dtype)
+                miss = cache.take(keys, table)
+                held = [u for u in range(6) if u not in miss]
+                assert (table[held] == ids[held, None]).all()
+                cache.put([keys[u] for u in miss], np.repeat(ids[miss, None], width, axis=1).astype(model.dtype))
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+    assert sorted(cache._slots.values()) == list(range(16))
 
 
 def test_row_cache_keeps_float32_emissions_within_the_bound_at_paper_size():

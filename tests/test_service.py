@@ -114,11 +114,9 @@ def test_handle_request_unknown_model_lists_available(registry):
     assert body["models"] == ["germeval-outer"]
 
 
-def _registry_with_cache(tmp_path, fixture_world, rows) -> svc.ModelRegistry:
-    reg = tmp_path / "registry.json"
-    reg.write_text(json.dumps({"models": {"germeval-outer": {
-        "model": str(fixture_world.model_path), "embeddings": str(fixture_world.store_path), "row_cache_rows": rows}}}))
-    return svc.ModelRegistry.load(reg)
+def _registry_with_cache(fixture_world, monkeypatch, rows) -> svc.ModelRegistry:
+    monkeypatch.setattr(svc, "ROW_CACHE_ROWS", rows)
+    return svc.ModelRegistry.load(fixture_world.registry_path)
 
 
 def test_handle_request_reports_the_oov_rate(registry, fixture_world):
@@ -137,42 +135,25 @@ def test_handle_request_reports_the_share_of_keys_served_from_the_cache(registry
         assert status == 200
         return body["cached_share"]
 
-    assert registry.get("germeval-outer").cache is not None
+    entry = registry.get("germeval-outer")
+    assert entry.cache.max_rows == svc.ROW_CACHE_ROWS
+    assert entry.cache.model is entry.model and entry.cache.store is entry.store
     assert cached_share([["Anna", "besucht", "Aachen", "."]]) == 0.0
     assert cached_share([["Anna", "besucht", "Aachen", "."]]) == 1.0
     # Three of the four distinct keys were served before.
     assert cached_share([["Aachen", "besucht", "Qxzvolk", "Aachen", "."]]) == 3 / 4
 
 
-def test_registry_row_cache_rows_sizes_the_cache_and_zero_turns_it_off(tmp_path, fixture_world):
-    entry = _registry_with_cache(tmp_path, fixture_world, 3).get("germeval-outer")
-    assert entry.cache.max_rows == 3
-    assert svc.ModelRegistry.load(fixture_world.registry_path).get("germeval-outer").cache.max_rows == 16_384
-    registry = _registry_with_cache(tmp_path, fixture_world, 0)
-    assert registry.get("germeval-outer").cache is None
-    sentences = [s.texts() for s in fixture_world.sentences[:5]]
-    for _ in range(2):
-        status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": sentences})
-        assert status == 200 and body["cached_share"] == 0.0
-    assert body["labels"] == [predict(fixture_world.model, fixture_world.store, s) for s in sentences]
-
-
-@pytest.mark.parametrize("rows", [-1, 2.5, "64", True, None])
-def test_registry_rejects_a_row_cache_size_that_is_not_an_integer_from_zero(tmp_path, fixture_world, rows):
-    with pytest.raises(svc.ServiceError, match=r"'germeval-outer'.*row_cache_rows must be an integer >= 0"):
-        _registry_with_cache(tmp_path, fixture_world, rows)
-
-
-def test_threads_sharing_an_evicting_cache_get_the_cold_cache_labels(tmp_path, fixture_world):
+def test_threads_sharing_an_evicting_cache_get_the_cold_cache_labels(fixture_world, monkeypatch):
     # 4 threads share an 8-row cache that evicts on nearly every request;
     # each request's labels must be those of a cold cache.
     requests = [[s.texts() for s in fixture_world.sentences[i : i + 1 + i % 3]]
                 for i in range(0, len(fixture_world.sentences), 2)]
     want = []
     for sentences in requests:
-        cold = _registry_with_cache(tmp_path, fixture_world, 8)
+        cold = _registry_with_cache(fixture_world, monkeypatch, 8)
         want.append(svc.handle_ner_request(cold, {"model": "germeval-outer", "sentences": sentences})[1]["labels"])
-    registry = _registry_with_cache(tmp_path, fixture_world, 8)
+    registry = _registry_with_cache(fixture_world, monkeypatch, 8)
     got = [None] * len(requests)
     errors = []
     start = threading.Barrier(4)
@@ -191,13 +172,20 @@ def test_threads_sharing_an_evicting_cache_get_the_cold_cache_labels(tmp_path, f
             errors.append(exc)
 
     threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the cache's steps too
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
     assert not errors, errors
     assert got == want
-    assert len(registry.get("germeval-outer").cache._slots) == 8
+    # A lost update would leave a slot held by two keys, or by none.
+    assert sorted(registry.get("germeval-outer").cache._slots.values()) == list(range(8))
 
 
 def _get(url):
