@@ -413,7 +413,9 @@ class Batch:
     is ``(text, first, last)``, the two flags set only in ``cnn`` char mode,
     where a sentence's first and last token carry boundary symbols.  With a
     char mode, ``key_chars`` is each key's character row, post-padded to the
-    longest: ``(len(keys), chars)``."""
+    longest: ``(len(keys), chars)``, or None if the batch was made without
+    them; :meth:`chars_of` builds the rows a caller needs from
+    ``char_vocab``."""
 
     sentences: list[Sentence]
     max_len: int
@@ -422,6 +424,7 @@ class Batch:
     token_keys: np.ndarray
     char_mode: str | None = None
     key_chars: np.ndarray | None = None
+    char_vocab: CharVocab | None = None
 
     def __len__(self) -> int:
         return len(self.sentences)
@@ -431,25 +434,43 @@ class Batch:
         """(batch, max_len) booleans marking the real token positions."""
         return np.arange(self.max_len) < self.lengths[:, None]
 
+    def chars_of(self, keys: Sequence[int]) -> np.ndarray:
+        """The character rows ``(len(keys), chars)`` of the keys at the
+        indices ``keys``, post-padded: ``key_chars`` itself for every key
+        in order, else its rows, else rows built for those keys alone."""
+        if self.key_chars is not None:
+            return self.key_chars if len(keys) == len(self.keys) else self.key_chars[keys]
+        return _post_padded(build_char_sequences([self.keys[u] for u in keys], self.char_vocab, self.char_mode))
+
     @property
     def char_indices(self) -> np.ndarray | None:
         """(batch, max_len, chars): each real position's character row, and
         all-pad rows at padding positions; None without a char mode."""
-        if self.key_chars is None:
+        if self.char_mode is None:
             return None
-        out = self.key_chars[self.token_keys]
+        out = self.chars_of(range(len(self.keys)))[self.token_keys]
         out[~self.mask] = PAD_INDEX
         return out
+
+
+def _post_padded(rows: list[list[int]]) -> np.ndarray:
+    widths = np.array([len(row) for row in rows])
+    out = np.full((len(rows), widths.max()), PAD_INDEX, dtype=np.int64)
+    out[np.arange(widths.max()) < widths[:, None]] = np.concatenate(rows)
+    return out
 
 
 def batch_from_sentences(
     sentences: Sequence[Sentence],
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
+    char_rows: bool = True,
 ) -> Batch:
     """Assemble one padded batch and its token-key table, keys in order of
     first occurrence.  With a char mode each key's character row is built
-    once, and the keys are ordered by those rows, lexicographically."""
+    once, and the keys are ordered by those rows, lexicographically; with
+    ``char_rows`` False no row is built and the keys keep their order, for
+    a caller that needs the rows of a few keys only (:meth:`Batch.chars_of`)."""
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
     if char_mode is not None and char_vocab is None:
@@ -461,7 +482,7 @@ def batch_from_sentences(
                           for s in sentences for t, tok in enumerate(s.tokens)], dtype=np.int64)
     keys = list(index)
     key_chars = None
-    if char_mode is not None:
+    if char_mode is not None and char_rows:
         chars = build_char_sequences(keys, char_vocab, char_mode)
         # Keys in character-row order: the char submodel's weight gradients
         # sum over the rows in this order, which then depends on the batch's
@@ -470,10 +491,8 @@ def batch_from_sentences(
         rank = np.empty(len(keys), dtype=np.int64)
         rank[order] = np.arange(len(keys))
         real_keys = rank[real_keys]
-        keys, chars = [keys[u] for u in order], [chars[u] for u in order]
-        widths = np.array([len(row) for row in chars])
-        key_chars = np.full((len(keys), widths.max()), PAD_INDEX, dtype=np.int64)
-        key_chars[np.arange(widths.max()) < widths[:, None]] = np.concatenate(chars)
+        keys = [keys[u] for u in order]
+        key_chars = _post_padded([chars[u] for u in order])
     max_len = int(lengths.max())
     token_keys = np.zeros((len(sentences), max_len), dtype=np.int64)
     token_keys[np.arange(max_len) < lengths[:, None]] = real_keys
@@ -485,6 +504,7 @@ def batch_from_sentences(
         token_keys=token_keys,
         char_mode=char_mode,
         key_chars=key_chars,
+        char_vocab=char_vocab if char_mode is not None else None,
     )
 
 

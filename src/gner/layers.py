@@ -96,11 +96,13 @@ class Conv1dParams:
         return self.kernels.shape[-1]
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Overflow-free sigmoid in ``x``'s dtype, as ``0.5*tanh(0.5*x) + 0.5``:
     one transcendental ufunc, within 4.5e-16 absolute of ``1/(1+e^-x)`` in
-    float64, and exactly 0 or 1 far out in the tails."""
-    y = np.tanh(0.5 * x)
+    float64, and exactly 0 or 1 far out in the tails.  Written into ``out``
+    when given."""
+    y = np.multiply(x, 0.5, out=out)
+    np.tanh(y, out=y)
     y *= 0.5
     y += 0.5
     return y
@@ -120,46 +122,52 @@ def length_schedule(lengths, batch: int, steps: int) -> tuple[np.ndarray, np.nda
     return lengths, order, (lengths[order] > np.arange(steps)[:, None]).sum(axis=1).tolist()
 
 
-def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.ndarray, keep: bool):
+def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.ndarray, gather, keep: bool):
     """Run the recurrence over ``times``; ``xw`` holds the input projection
-    of every real position in the schedule's packed order.  The state is
-    held in the schedule's row order (``rec_mask`` too) and each step
-    updates the rows still running, a leading slice of it; the step's
-    output is written straight to their batch rows of ``out`` (B, T, cells),
-    which stays zero past each row's length.  With ``keep``, returns the
-    per-position activations BPTT needs: gates (i, f, g, o), recurrent
-    input, previous cell, tanh(cell).
+    of every real position in the schedule's packed order, and ``gather``
+    each one's (row, step).  The state is held in the schedule's row order
+    (``rec_mask`` too) and each step updates the rows still running, a
+    leading slice of it, in place: the gate arithmetic writes into buffers
+    made once per call.  The outputs, packed in that order, are scattered
+    into ``out`` (B, T, cells) once at the end, which stays zero past each
+    row's length.  With ``keep``, returns the per-position activations BPTT
+    needs: gates (i, f, g, o), recurrent input, previous cell, tanh(cell).
     """
     cells = params.cells
     u, bias = params.w_recurrent, params.bias
-    h = np.zeros((out.shape[0], cells), dtype=out.dtype)
-    c = np.zeros((out.shape[0], cells), dtype=out.dtype)
-    n = xw.shape[0]
+    n, batch, dtype = xw.shape[0], out.shape[0], out.dtype
+    h, c, h_masked, i_g, tanh_c = (np.zeros((batch, cells), dtype=dtype) for _ in range(5))
+    z, act = np.empty((batch, 4 * cells), dtype=dtype), np.empty((batch, 4 * cells), dtype=dtype)
+    packed = np.empty((n, cells), dtype=dtype)
     cache = None
     if keep:
-        cache = tuple(np.empty((n, width), dtype=out.dtype) for width in (4 * cells, cells, cells, cells))
+        cache = tuple(np.empty((n, width), dtype=dtype) for width in (4 * cells, cells, cells, cells))
     for t in times:
-        seg, running, rows = steps[t]
+        seg, running = steps[t]
         h_in = h[:running]
         if rec_mask is not None:
-            h_in = h_in * rec_mask[:running]
-        z = xw[seg] + h_in @ u
-        z += bias
+            h_in = np.multiply(h_in, rec_mask[:running], out=h_masked[:running])
+        z_t, a = z[:running], act[:running]
+        np.matmul(h_in, u, out=z_t)
+        z_t += xw[seg]
+        z_t += bias
         # One logistic over all four gate blocks: splitting the candidate
         # block out (two logistic calls on slices) measured -10.8% tokens/s on
         # serve-oov (2 vCPUs), where ufunc calls dominate small batches.
-        act = logistic(z)
-        act[:, 2 * cells : 3 * cells] = np.tanh(z[:, 2 * cells : 3 * cells])
-        c_prev = c[:running]
-        c_new = act[:, cells : 2 * cells] * c_prev + act[:, :cells] * act[:, 2 * cells : 3 * cells]
-        tc = np.tanh(c_new)
-        h_new = act[:, 3 * cells :] * tc
+        logistic(z_t, out=a)
+        np.tanh(z_t[:, 2 * cells : 3 * cells], out=a[:, 2 * cells : 3 * cells])
+        c_t = c[:running]
         if keep:
-            for buf, val in zip(cache, (act, h_in, c_prev, tc)):
+            for buf, val in zip(cache, (a, h_in, c_t)):
                 buf[seg] = val
-        h[:running] = h_new
-        c[:running] = c_new
-        out[rows, t] = h_new
+        # c = f * c + i * g, then h = o * tanh(c).
+        np.multiply(a[:, :cells], a[:, 2 * cells : 3 * cells], out=i_g[:running])
+        c_t *= a[:, cells : 2 * cells]
+        c_t += i_g[:running]
+        tc = np.tanh(c_t, out=cache[3][seg] if keep else tanh_c[:running])
+        np.multiply(a[:, 3 * cells :], tc, out=packed[seg])
+        h[:running] = packed[seg]
+    out[gather] = packed
     return cache
 
 
@@ -174,7 +182,7 @@ def _bptt(params: LstmParams, cache, steps, times, rec_mask, grad_real: np.ndarr
     dh = np.zeros((batch, cells), dtype=gates.dtype)
     dc = np.zeros((batch, cells), dtype=gates.dtype)
     for t in reversed(times):
-        seg, running, _ = steps[t]
+        seg, running = steps[t]
         act, tc = gates[seg], tcs[seg]
         i, f = act[:, :cells], act[:, cells : 2 * cells]
         g, o = act[:, 2 * cells : 3 * cells], act[:, 3 * cells :]
@@ -202,24 +210,28 @@ def bilstm_sequence(
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     index=None,
+    projected: bool = False,
 ) -> tuple[np.ndarray, tuple | None]:
     """Bidirectional LSTM over a batch whose row ``b`` holds its sequence at
     steps ``0 .. lengths[b] - 1``.  The input is either post-padded, ``x``
     of shape (batch, steps, in), or a (rows, in) table ``x`` plus a
     (batch, steps) ``index`` into it, so that positions sharing an input
     row share a table row; ``index`` is read only at real positions.
+    A ``projected`` table, eval mode only, holds each row's gate inputs
+    instead: ``row @ fwd.w_input`` beside ``row @ bwd.w_input``, so
+    ``4 * (fwd.cells + bwd.cells)`` wide.
     Returns the (batch, steps, 2*cells) output, holding
     concat(h_fwd_t, h_bwd_t) and zero past each row's length, and the cache
     :func:`bilstm_backward` reads, which only train mode keeps (None in
     eval mode).
 
-    Both directions write straight into their half of the output.  Each
-    direction's input projection is one matmul, over the table's rows or
-    the real positions' rows, whichever are fewer, gathered into the
+    Each direction's input projection is one matmul, over the table's rows
+    or the real positions' rows, whichever are fewer, gathered into the
     :func:`length_schedule` order, on which the recurrence runs in numpy;
-    the backward direction starts each row at its last real step.  When
-    training with ``recurrent_dropout``, one mask per direction (forward
-    first) is sampled and reused at every timestep.
+    the backward direction starts each row at its last real step, and each
+    direction's outputs are scattered into its half of the output once.
+    When training with ``recurrent_dropout``, one mask per direction
+    (forward first) is sampled and reused at every timestep.
     """
     if index is None:
         if x.ndim != 3:
@@ -233,13 +245,17 @@ def bilstm_sequence(
                 f"bilstm_sequence: expected a (rows, in) table and a (batch, steps) index, got shapes "
                 f"{x.shape} and {index.shape}")
         (batch, length), width, table = index.shape, x.shape[1], x
+    train = mode == "train"
+    gates = 4 * fwd.cells
+    if projected and (train or index is None or width != gates + 4 * bwd.cells):
+        raise LayerError(f"bilstm_sequence: a projected input is an eval-mode ({gates + 4 * bwd.cells})-wide "
+                         f"table with an index, got shape {x.shape}, mode {mode!r}")
     for p in (fwd, bwd):
-        if width != p.input_dim:
+        if not projected and width != p.input_dim:
             raise LayerError(f"bilstm_sequence: input dim {width} != {p.input_dim}")
         if x.dtype != p.w_input.dtype:
             raise LayerError(f"bilstm_sequence: {x.dtype} input, {p.w_input.dtype} weights")
     _, order, running = length_schedule(lengths, batch, length)
-    train = mode == "train"
     rec_masks = [None, None]
     if train and recurrent_dropout > 0.0:
         if rng is None:
@@ -247,8 +263,8 @@ def bilstm_sequence(
         # Drawn in batch order, held in the schedule's row order.
         rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng, x.dtype)[order] for p in (fwd, bwd)]
     bounds = np.cumsum([0, *running])
-    steps = [(slice(bounds[t], bounds[t + 1]), n, order[:n]) for t, n in enumerate(running)]
-    gather = (np.concatenate([rows for _, _, rows in steps]), np.repeat(np.arange(length), running))
+    steps = [(slice(bounds[t], bounds[t + 1]), n) for t, n in enumerate(running)]
+    gather = (np.concatenate([order[:n] for n in running]), np.repeat(np.arange(length), running))
     # Each real position's table row, in the schedule's packed order.
     pos = gather[0] * length + gather[1] if index is None else index[gather].astype(np.int64, copy=False)
     if pos.size and (pos.min() < 0 or pos.max() >= len(table)):
@@ -258,11 +274,16 @@ def bilstm_sequence(
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
     project_table = len(table) < len(pos)
-    x_real = table[pos] if train or not project_table else None
+    x_real = table[pos] if train or not (projected or project_table) else None
     out = np.zeros((batch, length, fwd.cells + bwd.cells), dtype=x.dtype)
-    acts = [_recur(p, (table @ p.w_input)[pos] if project_table else x_real @ p.w_input, steps, times, rec,
-                   out[..., half], train)
-            for p, times, rec, half in directions]
+
+    def gate_inputs(p: LstmParams, cols: slice) -> np.ndarray:
+        if projected:
+            return table[pos, cols]
+        return (table @ p.w_input)[pos] if project_table else x_real @ p.w_input
+
+    acts = [_recur(p, gate_inputs(p, cols), steps, times, rec, out[..., half], gather, train)
+            for (p, times, rec, half), cols in zip(directions, (slice(0, gates), slice(gates, None)))]
     return out, (x.shape, gather, pos, steps, directions, x_real, acts) if train else None
 
 

@@ -25,14 +25,15 @@ Word vectors come from an external store and are never trained.  A batch's
 input is built once per token key (the text, plus in ``cnn`` char mode
 whether it opens or closes its sentence): one ``(keys, input_width)`` table
 of word vector, casing one-hot and character feature.  The word vector and
-casing depend on the text alone, so each is built once per text.  In eval
-mode a :class:`RowCache` can carry finished rows across batches: the keys it
-holds are copied from it, and only the others are built.  No
+casing depend on the text alone, so each is built once per text.  No
 padded ``(batch, max_len, input_width)`` input exists: the token BiLSTM
 reads the key table through ``token_keys`` and projects each key once,
 except under input dropout, whose per-sentence masks give each real
 position its own ``(tokens, input_width)`` row.  A key's character
-gradient sums over the positions that share it.
+gradient sums over the positions that share it.  In eval mode a
+:class:`RowCache` carries each key's projection, the token BiLSTM's gate
+inputs, across batches: the keys it holds are copied from it, and only the
+others are built and projected.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
@@ -56,6 +57,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -291,11 +293,13 @@ def _assemble(config: ModelConfig, char_vocab: CharVocab | None, param) -> NerMo
 
 
 class RowCache:
-    """A bounded LRU of finished eval-mode input rows for one ``(model,
-    store)`` pair: each token key ``(text, first, last)`` maps to its word
-    vector, casing one-hot and char feature, in the model's dtype.
+    """A bounded LRU of eval-mode token-BiLSTM gate inputs for one ``(model,
+    store)`` pair: each token key ``(text, first, last)`` maps to its input
+    row (word vector, casing one-hot, char feature) times the token
+    BiLSTM's ``w_input``, forward direction first, so ``8 * cells`` values
+    in the model's dtype.
 
-    The rows sit in one ``(max_rows, input_width)`` array, whose pages take
+    The rows sit in one ``(max_rows, 8 * cells)`` array, whose pages take
     memory only once written, so a batch's hits are one gather.  When the
     cache is full, a new key takes the slot of the least recently used one.
     One lock guards the slots, so threads can share a cache.  The rows stay
@@ -307,7 +311,7 @@ class RowCache:
         if not isinstance(max_rows, int) or isinstance(max_rows, bool) or max_rows < 1:
             raise ModelError(f"max_rows must be an integer >= 1, got {max_rows!r}")
         self.model, self.store, self.max_rows = model, store, max_rows
-        self._rows = np.empty((max_rows, model.config.input_width), dtype=model.dtype)
+        self._rows = np.empty((max_rows, _gate_width(model)), dtype=model.dtype)
         self._slots: OrderedDict[tuple[str, bool, bool], int] = OrderedDict()  # least recently used first
         self._lock = threading.Lock()
         self.hits = self.lookups = 0
@@ -378,6 +382,31 @@ def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.nda
     return feat, (rows, lengths, caches) if mode == "train" else None
 
 
+def _gate_width(model: NerModel) -> int:
+    return 4 * (model.token_fwd.cells + model.token_bwd.cells)
+
+
+def _input_rows(model: NerModel, batch: Batch, embedding_store: EmbeddingStore, keys: Sequence[int], mode: str):
+    """The input rows ``(len(keys), input_width)`` of the batch's keys at
+    the indices ``keys`` (word vector, casing one-hot, char feature) and,
+    in train mode, the char submodel's cache.  The first two are built once
+    per text, which in cnn char mode can be up to three keys."""
+    cfg = model.config
+    words = cfg.word_dim + cfg.casing_dim
+    table = np.empty((len(keys), cfg.input_width), dtype=model.dtype)
+    by_text: dict[str, np.ndarray] = {}
+    for j, u in enumerate(keys):
+        text = batch.keys[u][0]
+        row = by_text.get(text)
+        if row is None:
+            row = by_text[text] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
+        table[j, :words] = row
+    chars = None
+    if cfg.required_char_mode is not None:
+        table[:, words:], chars = _char_features(model, batch.chars_of(keys), mode)
+    return table, chars
+
+
 def forward_emissions(
     model: NerModel,
     batch: Batch,
@@ -397,9 +426,10 @@ def forward_emissions(
     the token BiLSTM.
 
     An eval-mode row ``cache`` made for this model and store supplies the
-    input rows of the keys it holds and keeps those built here.  A cached
-    char feature was computed in a batch of other rows, so the emissions
-    can differ from the uncached ones in the last float32 bits.
+    token BiLSTM's gate inputs for the keys it holds; only the other keys'
+    input rows are built and projected, and the cache keeps them.  A cached
+    row was computed in a batch of other rows, so the emissions can differ
+    from the uncached ones in the last float32 bits.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -419,27 +449,17 @@ def forward_emissions(
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
-    # One input row per token key: word vector, casing one-hot, char feature.
-    # A cache fills the keys it holds.  For the others, the first two are
-    # built once per text, which in cnn char mode can be up to three keys.
-    words = cfg.word_dim + cfg.casing_dim
-    table = np.empty((len(batch.keys), cfg.input_width), dtype=dtype)
-    miss = range(len(batch.keys)) if cache is None else cache.take(batch.keys, table)
-    by_text: dict[str, np.ndarray] = {}
-    for u in miss:
-        text = batch.keys[u][0]
-        row = by_text.get(text)
-        if row is None:
-            row = by_text[text] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
-        table[u, :words] = row
-    chars = None
-    if required is not None:
-        if len(miss) == len(batch.keys):  # every key, as always without a cache: plain slices
-            table[:, words:], chars = _char_features(model, batch.key_chars, mode)
-        elif miss:
-            table[miss, words:], chars = _char_features(model, batch.key_chars[miss], mode)
-    if cache is not None and miss:
-        cache.put([batch.keys[u] for u in miss], table[miss])
+    # One row per token key: its input row, or with a cache its gate inputs.
+    if cache is None:
+        table, chars = _input_rows(model, batch, embedding_store, range(len(batch.keys)), mode)
+    else:
+        table, chars = np.empty((len(batch.keys), _gate_width(model)), dtype=dtype), None
+        miss = cache.take(batch.keys, table)
+        if miss:
+            rows, _ = _input_rows(model, batch, embedding_store, miss, mode)
+            gates = np.concatenate([rows @ model.token_fwd.w_input, rows @ model.token_bwd.w_input], axis=1)
+            table[miss] = gates
+            cache.put([batch.keys[u] for u in miss], gates)
     b, t = len(batch.sentences), batch.max_len
     real = batch.mask
     real_keys = batch.token_keys[real]
@@ -465,6 +485,7 @@ def forward_emissions(
         mode=mode,
         rng=rng,
         index=index,
+        projected=cache is not None,
     )
     flat = hidden.reshape(b * t, 2 * cfg.token_lstm_cells)
     emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
@@ -535,7 +556,8 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
     out: list[list[str]] = []
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
-        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
+        # A cache needs the char rows of its missed keys only.
+        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode, char_rows=cache is None)
         em = forward_emissions(model, batch, embedding_store, mode="eval", cache=cache)
         paths, _ = viterbi_decode(model.crf, em, batch.lengths)
         out.extend([schema.label_of(y) for y in path] for path in paths)

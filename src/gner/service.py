@@ -5,16 +5,22 @@ row cache; everything is loaded at startup (startup fails on any broken
 entry), and the bindings, models and stores do not change afterwards.
 
 Each entry's :class:`~gner.model.RowCache` is the one state that requests
-share.  It holds the finished input rows (word vector, casing, char
-feature) of up to :data:`ROW_CACHE_ROWS` token keys and evicts the least
-recently used key beyond that.  It serves that entry's requests only, and
-one lock guards it, so the threading server's handler threads can share it.
-A cached char feature was computed in a batch of other keys, so emissions
-can differ from an uncached run in the last float32 bits, and a response
-can depend on which requests the entry served before it.  The labels were
-measured equal to the uncached ones on two seeds' ``serve-oov`` pools, with
-emissions within 5.7e-6 (stated bound 1e-4 at paper size); a near-tie
-Viterbi path could still flip.
+share.  It holds the token BiLSTM's gate inputs (each token key's input row
+times both directions' input weights, 6 400 bytes at paper size) of up to
+:data:`ROW_CACHE_ROWS` keys and evicts the least recently used key beyond
+that.  It serves that entry's requests only.  A cached row was computed in
+a batch of other keys, so emissions can differ from an uncached run in the
+last float32 bits, and a response can depend on which requests the entry
+served before it.  The labels were measured equal to the uncached ones on
+two seeds' ``serve-oov`` pools, with emissions within the stated parity
+bound (1e-4 at paper size); a near-tie Viterbi path could still flip.
+
+The registry holds one lock, and a request holds it while the model runs,
+so one forward runs at a time.  Without it, the handler threads of
+concurrent requests interleave their forwards and contend for the
+interpreter lock at every numpy call: on ``serve-oov``'s two closed-loop
+clients, the same code without the lock served 5 905 tokens/s against
+7 227 with it (medians of 6 pairs on 2 vCPUs).
 
 Request validation and prediction live in :func:`handle_ner_request`, a
 function over parsed JSON, so the HTTP layer stays a thin shell.  A
@@ -27,6 +33,7 @@ came from the cache).
 from __future__ import annotations
 
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -48,11 +55,11 @@ class ServiceError(Exception):
     pass
 
 
-# Rows each entry's cache holds.  At paper size a row is 1 628 bytes, so a
-# full cache takes about 29 MB of RSS (26.7 MB of rows and the key map);
+# Rows each entry's cache holds.  At paper size a row is 6 400 bytes, so a
+# full cache takes about 27 MB of RSS (26.2 MB of rows and the key map);
 # pages are taken only as rows are written, and `serve-oov` fills about
 # 1 350 rows.  A memory bound, not a hit-rate optimum for real traffic.
-ROW_CACHE_ROWS = 16_384
+ROW_CACHE_ROWS = 4_096
 
 
 @dataclass
@@ -68,12 +75,14 @@ class RegisteredModel:
 
 
 class ModelRegistry:
-    """Name -> :class:`RegisteredModel` binding, fixed at startup."""
+    """Name -> :class:`RegisteredModel` binding, fixed at startup, and the
+    lock that lets one request at a time run a model."""
 
     def __init__(self, entries: dict[str, RegisteredModel]):
         if not entries:
             raise ServiceError("registry has no models")
         self._entries = dict(entries)
+        self.lock = threading.Lock()
 
     @classmethod
     def load(cls, config_path: str | Path) -> "ModelRegistry":
@@ -127,7 +136,8 @@ def _bad_request(message: str) -> tuple[int, dict]:
 
 
 def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
-    """Validate a request body and tag all its sentences in one batched call.
+    """Validate a request body and tag all its sentences in one batched call,
+    holding the registry's lock while the model runs.
 
     Returns (http_status, response_body).  The response's label lists align
     one-to-one with the request's token lists; ``oov_rate`` and
@@ -156,7 +166,8 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
     started = time.perf_counter()
     batch = [Sentence([Token(tok) for tok in sent], ["O"] * len(sent)) for sent in sentences]
     cache = entry.cache.counted()
-    labels = predict_batch(entry.model, entry.store, batch, cache=cache)
+    with registry.lock:
+        labels = predict_batch(entry.model, entry.store, batch, cache=cache)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     tokens = [tok for sent in sentences for tok in sent]
     oov = sum(tok not in entry.store.word_vectors for tok in tokens)

@@ -310,6 +310,13 @@ def test_batch_char_indices_shape_and_mask_rows():
             view = corpus.batch_from_sentences(group, vocab, mode).char_indices
             assert view.dtype == np.int64
             np.testing.assert_array_equal(view, _occurrence_layout(group, vocab, mode))
+            # A batch made without char rows builds them when asked, for any keys.
+            lazy = corpus.batch_from_sentences(group, vocab, mode, char_rows=False)
+            assert lazy.key_chars is None
+            np.testing.assert_array_equal(lazy.char_indices, view)
+            some = list(range(0, len(lazy.keys), 3))
+            rows = corpus.build_char_sequences([lazy.keys[u] for u in some], vocab, mode)
+            assert [[ch for ch in row if ch != corpus.PAD_INDEX] for row in lazy.chars_of(some).tolist()] == rows
     assert corpus.batch_from_sentences(sents, None, None).char_indices is None
 
 

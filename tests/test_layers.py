@@ -450,6 +450,12 @@ def test_keyed_input_matches_the_gathered_padded_input(dtype, table_rows, length
 
     same(layers.bilstm_sequence(fwd, bwd, table, lengths, index=index)[0],
          layers.bilstm_sequence(fwd, bwd, padded, lengths)[0])
+    # A table of gate inputs, each row projected by both directions, gives
+    # the same output up to the projection's rounding.
+    gates = np.concatenate([table @ fwd.w_input, table @ bwd.w_input], axis=1)
+    got = layers.bilstm_sequence(fwd, bwd, gates, lengths, index=index, projected=True)[0]
+    want = layers.bilstm_sequence(fwd, bwd, padded, lengths)[0]
+    assert got.dtype == dtype and np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
     runs = []
     for x, kwargs in ((table, {"index": index}), (padded, {})):
         out, cache = layers.bilstm_sequence(fwd, bwd, x, lengths, recurrent_dropout=0.3, mode="train",
@@ -472,6 +478,10 @@ def test_keyed_input_rejects_an_index_outside_the_table():
         layers.bilstm_sequence(p, p, np.zeros((2, 3)), [2, 1], index=[[0, 2], [1, 9]])
     with pytest.raises(layers.LayerError, match=r"a \(rows, in\) table and a \(batch, steps\) index"):
         layers.bilstm_sequence(p, p, np.zeros((2, 2, 3)), [2, 1], index=[[0, 1], [1, 0]])
+    for width, mode in ((16, "train"), (3, "eval")):
+        with pytest.raises(layers.LayerError, match="a projected input is an eval-mode"):
+            layers.bilstm_sequence(p, p, np.zeros((2, width)), [2, 1], index=[[0, 1], [1, 0]], mode=mode,
+                                   projected=True)
 
 
 def _valid(p, x):

@@ -203,7 +203,7 @@ def test_row_cache_shared_by_threads_gives_each_key_its_own_row():
     # another key's row.
     model, store, _, _ = _toy_setup("none")
     cache = M.RowCache(model, store, 16)
-    width = model.config.input_width
+    width = 8 * model.config.token_lstm_cells  # both directions' gate inputs
     errors = []
     start = threading.Barrier(4)
 
@@ -235,6 +235,23 @@ def test_row_cache_shared_by_threads_gives_each_key_its_own_row():
     assert not any(th.is_alive() for th in threads)
     assert not errors, errors
     assert sorted(cache._slots.values()) == list(range(16))
+
+
+@pytest.mark.parametrize("variant", M.CHAR_VARIANTS)
+def test_row_cache_holds_each_keys_input_row_times_both_input_weights(variant):
+    model, store, _, sents = _toy_setup(variant, n_sentences=6)
+    _randomize_biases(model, 3)
+    cache = M.RowCache(model, store, 1000)
+    M.predict_batch(model, store, sents, batch_size=4, cache=cache)
+    batch = batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode)
+    assert set(cache._slots) == set(batch.keys)
+    for u, (text, first, last) in enumerate(batch.keys):
+        parts = [M.lookup_word(store, text)[0], M.extract_casing_feature(text)]
+        if batch.char_mode is not None:
+            parts.append(M._char_features(model, batch.key_chars[[u]], "eval")[0][0])
+        row = np.concatenate(parts).astype(model.dtype)
+        want = np.concatenate([row @ model.token_fwd.w_input, row @ model.token_bwd.w_input])
+        np.testing.assert_allclose(cache._rows[cache._slots[text, first, last]], want, rtol=0, atol=PARITY_ATOL)
 
 
 def test_row_cache_keeps_float32_emissions_within_the_bound_at_paper_size():

@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -186,6 +187,48 @@ def test_threads_sharing_an_evicting_cache_get_the_cold_cache_labels(fixture_wor
     assert got == want
     # A lost update would leave a slot held by two keys, or by none.
     assert sorted(registry.get("germeval-outer").cache._slots.values()) == list(range(8))
+
+
+def test_requests_run_the_model_one_at_a_time(registry, monkeypatch):
+    # 4 threads send requests; a wrapped predict_batch records how many
+    # calls run at once, and yields while it runs so that others could.
+    running, most, calls = [0], [0], []
+    guard = threading.Lock()
+
+    def predict_batch(*args, _fn=svc.predict_batch, **kwargs):
+        with guard:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+        try:
+            time.sleep(0.002)
+            return _fn(*args, **kwargs)
+        finally:
+            with guard:
+                running[0] -= 1
+                calls.append(1)
+
+    monkeypatch.setattr(svc, "predict_batch", predict_batch)
+    errors = []
+    start = threading.Barrier(4)
+
+    def worker(k):
+        try:
+            start.wait()
+            for i in range(5):
+                sentences = [["Anna", "besucht", "Aachen", "."], ["Aachen", "liegt", "im", "Westen"][: 1 + (i + k) % 4]]
+                status, _ = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": sentences})
+                assert status == 200
+        except Exception as exc:  # noqa: BLE001 - reported below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert not errors, errors
+    assert len(calls) == 20 and most[0] == 1
 
 
 def _get(url):
