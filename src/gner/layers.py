@@ -287,12 +287,13 @@ def bilstm_sequence(
     return out, (x.shape, gather, pos, steps, directions, x_real, acts) if train else None
 
 
-def bilstm_backward(cache: tuple, grad: np.ndarray, need_input: bool = True):
+def bilstm_backward(cache: tuple, grad: np.ndarray, input_from: int | None = 0):
     """Gradients of a train-mode :func:`bilstm_sequence` call, given
     ``grad``, the gradient of its output.
 
-    Returns the input's gradient (None unless ``need_input``) in the
-    input's shape and, forward direction first, the gradients of each
+    Returns the gradient of the input's columns from ``input_from`` on
+    (None if ``input_from`` is None), in the input's shape but for that
+    narrower last axis, and, forward direction first, the gradients of each
     direction's ``(w_input, w_recurrent, bias)``.  A padded input's
     gradient is zero past each row's length; a table row's gradient sums
     over the positions that read it, in row-major (batch, step) order.
@@ -300,16 +301,16 @@ def bilstm_backward(cache: tuple, grad: np.ndarray, need_input: bool = True):
     shape, gather, pos, steps, directions, x_real, acts = cache
     if grad.dtype != x_real.dtype:
         raise LayerError(f"bilstm_backward: {grad.dtype} gradient, {x_real.dtype} weights")
-    d_real = np.zeros_like(x_real) if need_input else None
+    d_real = None if input_from is None else np.zeros_like(x_real[:, input_from:])
     params = []
     for (p, times, rec, half), act in zip(directions, acts):
         dz = _bptt(p, act, steps, times, rec, grad[..., half][gather], grad.shape[0])
         if d_real is not None:
-            d_real += dz @ p.w_input.T
+            d_real += dz @ p.w_input[input_from:].T
         params.append((x_real.T @ dz, act[1].T @ dz, dz.sum(axis=0)))
     if d_real is None:
         return None, params
-    dx = np.zeros(shape, dtype=x_real.dtype)
+    dx = np.zeros((*shape[:-1], d_real.shape[1]), dtype=x_real.dtype)
     if len(shape) == 3:
         dx[gather] = d_real
     else:

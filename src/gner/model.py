@@ -512,16 +512,18 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     g = d_em.reshape(b * t, labels)
     grads["dense.w"], grads["dense.b"] = flat.T @ g, g.sum(axis=0)
     d_hidden = (g @ model.dense_w.T).reshape(b, t, flat.shape[1])
-    d_rows, token_grads = bilstm_backward(token, d_hidden, need_input=chars is not None)
+    # Only the char-feature columns, which follow the word and casing ones,
+    # feed a trained parameter.
+    words = cfg.word_dim + cfg.casing_dim
+    d_chars, token_grads = bilstm_backward(token, d_hidden, input_from=words if chars is not None else None)
     _put_lstm(grads, "token_lstm", token_grads)
     if chars is not None:
-        words = cfg.word_dim + cfg.casing_dim
         rows, lengths, caches = chars
         if in_mask is None:
-            d_feat = d_rows[:, words:]  # one row per key: the layer summed its positions
+            d_feat = d_chars  # one row per key: the layer summed its positions
         else:
             # One row per position, in row-major order: sum them per key.
-            d_feat = embed_backward(table[:, words:], real_keys, d_rows[:, words:] * in_mask[:, words:])
+            d_feat = embed_backward(table[:, words:], real_keys, d_chars * in_mask[:, words:])
         if cfg.char_cnn_kernels:
             f = cfg.char_cnn_filters
             d_emb = 0.0

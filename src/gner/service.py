@@ -15,12 +15,24 @@ served before it.  The labels were measured equal to the uncached ones on
 two seeds' ``serve-oov`` pools, with emissions within the stated parity
 bound (1e-4 at paper size); a near-tie Viterbi path could still flip.
 
-The registry holds one lock, and a request holds it while the model runs,
-so one forward runs at a time.  Without it, the handler threads of
-concurrent requests interleave their forwards and contend for the
-interpreter lock at every numpy call: on ``serve-oov``'s two closed-loop
-clients, the same code without the lock served 5 905 tokens/s against
-7 227 with it (medians of 6 pairs on 2 vCPUs).
+The server handles one connection at a time, on the thread that runs
+``serve_forever``, in the order the connections arrive, one request per
+connection (HTTP/1.0).  The others wait in the kernel's accept queue, up to
+:data:`LISTEN_BACKLOG` of them; the kernel refuses connections beyond it.
+With no second Python thread to compete with a forward for the interpreter
+lock, the server spends less CPU per request than with a thread per
+connection (figures in the README).  The price is that a slow client holds
+up every other one: each read of a request waits at most
+:data:`HANDLER_TIMEOUT_S`, so an idle connection delays the requests queued
+behind it by that long, but a client that sends a byte just under each
+timeout holds the server for longer.  For untrusted clients, put a
+buffering reverse proxy in front of the service.
+
+The registry also holds one lock, and a request holds it while the model
+runs, so that library callers sharing a registry across threads run one
+forward at a time.  The server's one thread takes it uncontended, so
+``timing_ms`` includes no wait for it; a request waits in the accept queue,
+before ``timing_ms`` starts.
 
 Request validation and prediction live in :func:`handle_ner_request`, a
 function over parsed JSON, so the HTTP layer stays a thin shell.  A
@@ -36,7 +48,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 from .corpus import Sentence, Token
@@ -60,6 +72,16 @@ class ServiceError(Exception):
 # pages are taken only as rows are written, and `serve-oov` fills about
 # 1 350 rows.  A memory bound, not a hit-rate optimum for real traffic.
 ROW_CACHE_ROWS = 4_096
+
+# Connections that wait in the kernel's accept queue while the server
+# handles one; the kernel may cap it (``net.core.somaxconn``).
+LISTEN_BACKLOG = 128
+
+# Seconds each read of a request may wait for the client.
+HANDLER_TIMEOUT_S = 5.0
+
+# Largest request body read; `serve-oov`'s largest is 1 761 bytes.
+MAX_BODY_BYTES = 1 << 20
 
 
 @dataclass
@@ -179,6 +201,7 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
 def _make_handler(registry: ModelRegistry):
     class Handler(BaseHTTPRequestHandler):
         server_version = "gner"
+        timeout = HANDLER_TIMEOUT_S
 
         def _send(self, status: int, body: dict):
             blob = json.dumps(body, ensure_ascii=False).encode("utf-8")
@@ -206,10 +229,17 @@ def _make_handler(registry: ModelRegistry):
             if not (raw_length.isascii() and raw_length.isdigit()):
                 self._send(400, {"error": f"invalid Content-Length {raw_length!r}"})
                 return
+            length = int(raw_length)
+            if length > MAX_BODY_BYTES:
+                self._send(413, {"error": f"body of {length} bytes exceeds the limit of {MAX_BODY_BYTES}"})
+                return
             try:
-                payload = json.loads(self.rfile.read(int(raw_length)).decode("utf-8"))
+                payload = json.loads(self.rfile.read(length).decode("utf-8"))
             except (ValueError, UnicodeDecodeError) as exc:
                 self._send(400, {"error": f"malformed JSON body: {exc}"})
+                return
+            except TimeoutError:
+                self._send(408, {"error": f"body not received within {self.timeout} s"})
                 return
             status, body = handle_ner_request(registry, payload)
             self._send(status, body)
@@ -220,10 +250,15 @@ def _make_handler(registry: ModelRegistry):
     return Handler
 
 
-def serve(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 8080) -> ThreadingHTTPServer:
-    """Bind the HTTP service; the caller drives ``serve_forever``."""
+class _Server(HTTPServer):
+    request_queue_size = LISTEN_BACKLOG
+
+
+def serve(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 8080) -> HTTPServer:
+    """Bind the HTTP service; the caller drives ``serve_forever``, which
+    handles one connection at a time."""
     try:
-        server = ThreadingHTTPServer((bind, port), _make_handler(registry))
+        server = _Server((bind, port), _make_handler(registry))
     except OSError as exc:
         raise ServiceError(f"cannot bind {bind}:{port}: {exc}") from exc
     return server

@@ -168,7 +168,7 @@ def test_criterion_2_gradient_suite():
     x = rng.uniform(-1, 1, (1, 2, 8))
     wv = rng.uniform(-1, 1, (1, 2, 8))
     _, cache = layers.bilstm_sequence(p, p, x, [2], mode="train")
-    _, (gf, gb) = layers.bilstm_backward(cache, wv, need_input=False)
+    _, (gf, gb) = layers.bilstm_backward(cache, wv, input_from=None)
     err = _grad_check(
         lambda: float((layers.bilstm_sequence(p, p, x, [2])[0] * wv).sum()),
         [p.w_input, p.w_recurrent, p.bias],
@@ -181,7 +181,7 @@ def test_criterion_2_gradient_suite():
     xs = rng.uniform(-1, 1, (1, 6, 4))
     wm = rng.uniform(-1, 1, (1, 6, 8))
     _, cache = layers.bilstm_sequence(fwd, bwd, xs, [4], mode="train")
-    _, (gf, gb) = layers.bilstm_backward(cache, wm, need_input=False)
+    _, (gf, gb) = layers.bilstm_backward(cache, wm, input_from=None)
     err = _grad_check(
         lambda: float((layers.bilstm_sequence(fwd, bwd, xs, [4])[0] * wm).sum()),
         [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias],

@@ -472,6 +472,35 @@ def test_keyed_input_matches_the_gathered_padded_input(dtype, table_rows, length
     same(d_table, want_rows)
 
 
+@pytest.mark.parametrize("keyed", [False, True])
+def test_bilstm_backward_returns_the_input_columns_from_input_from_on(keyed):
+    # The narrower product may sum in another order than the full one (a
+    # small product takes another BLAS kernel), so the columns agree to
+    # rounding; the parameter gradients do not depend on input_from.
+    rng = np.random.default_rng(17)
+    fwd, bwd = _lstm(6, 3, seed=1), _lstm(6, 3, seed=2)
+    lengths = [4, 2, 3]
+    if keyed:
+        x, kwargs = rng.uniform(-1, 1, (5, 6)), {"index": rng.integers(0, 5, (3, 4))}
+    else:
+        x, kwargs = rng.uniform(-1, 1, (3, 4, 6)), {}
+    out, cache = layers.bilstm_sequence(fwd, bwd, x, lengths, mode="train", **kwargs)
+    weights = rng.uniform(-1, 1, out.shape)
+    full, want = layers.bilstm_backward(cache, weights)
+    assert full.shape == x.shape
+
+    def same_params(got):
+        return all(np.array_equal(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
+
+    for start in (0, 2, 5):
+        dx, got = layers.bilstm_backward(cache, weights, input_from=start)
+        assert dx.shape == x.shape[:-1] + (6 - start,)
+        np.testing.assert_allclose(dx, full[..., start:], rtol=1e-12, atol=1e-15)
+        assert same_params(got)
+    dx, got = layers.bilstm_backward(cache, weights, input_from=None)
+    assert dx is None and same_params(got)
+
+
 def test_keyed_input_rejects_an_index_outside_the_table():
     p = _lstm(3, 2)
     with pytest.raises(layers.LayerError, match="index outside the table's 2 rows"):

@@ -285,6 +285,91 @@ def test_post_rejects_invalid_content_length_without_reading(live_server, length
     assert reply.split()[1] == b"400"
 
 
+def test_post_rejects_an_oversized_body_without_reading(live_server):
+    # As above, the body is never sent, so only a 413 sent before reading
+    # it can come back.
+    port = int(live_server.rsplit(":", 1)[1])
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(f"POST /ner HTTP/1.1\r\nHost: x\r\nContent-Length: {svc.MAX_BODY_BYTES + 1}\r\n\r\n"
+                     .encode("ascii"))
+        reply = sock.makefile("rb")
+        status = reply.readline()
+        while reply.readline() not in (b"\r\n", b""):
+            pass
+        body = json.loads(reply.read().decode("utf-8"))
+    assert status.split()[1] == b"413"
+    assert str(svc.MAX_BODY_BYTES) in body["error"]
+
+
+def test_http_requests_run_on_the_server_thread_alone(registry, monkeypatch):
+    # 4 clients send 5 requests each; every forward must run on one thread,
+    # and the server must start no thread per connection.
+    idents, counts = [], []
+
+    def predict_batch(*args, _fn=svc.predict_batch, **kwargs):
+        idents.append(threading.get_ident())
+        counts.append(threading.active_count())
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(svc, "predict_batch", predict_batch)
+    server, _ = serve_in_thread(registry, "127.0.0.1", 0)
+    url = f"http://127.0.0.1:{server.server_address[1]}/ner"
+    start = threading.Barrier(5)
+    results = []
+
+    def client(k):
+        start.wait()
+        for i in range(5):
+            sentences = [["Anna", "besucht", "Aachen", "."][: 1 + (i + k) % 4]]
+            results.append(_post(url, {"model": "germeval-outer", "sentences": sentences})[0])
+
+    try:
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for th in threads:
+            th.start()
+        baseline = threading.active_count()  # the clients, the server and this thread
+        start.wait()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert results == [200] * 20
+    assert len(idents) == 20 and len(set(idents)) == 1
+    assert max(counts) <= baseline
+
+
+@pytest.fixture()
+def short_timeout_server(registry, monkeypatch):
+    monkeypatch.setattr(svc, "HANDLER_TIMEOUT_S", 0.5)
+    server, _ = serve_in_thread(registry, "127.0.0.1", 0)
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_an_idle_connection_holds_the_server_for_one_timeout_at_most(short_timeout_server):
+    # The idle connection is accepted first; the server gives up on it after
+    # HANDLER_TIMEOUT_S and then answers the POST queued behind it.
+    port = short_timeout_server
+    with socket.create_connection(("127.0.0.1", port), timeout=10):
+        started = time.perf_counter()
+        status, body = _post(f"http://127.0.0.1:{port}/ner",
+                             {"model": "germeval-outer", "sentences": [["Aachen"]]})
+        waited = time.perf_counter() - started
+    assert status == 200 and body["labels"] == [["B-LOC"]]
+    assert 0.4 <= waited < 3.0
+
+
+def test_a_stalled_body_gets_a_408(short_timeout_server):
+    with socket.create_connection(("127.0.0.1", short_timeout_server), timeout=10) as sock:
+        sock.sendall(b"POST /ner HTTP/1.1\r\nHost: x\r\nContent-Length: 10\r\n\r\n{}")
+        reply = sock.makefile("rb").readline()
+    assert reply.split()[1] == b"408"
+
+
 def test_no_per_request_model_loads(registry, monkeypatch):
     # The registry is loaded once at startup; request handling must never
     # touch the loaders again.
