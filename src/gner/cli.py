@@ -24,7 +24,7 @@ from .corpus import (
     Sentence,
 )
 from .embeddings import EmbeddingError, check_kind, load_store
-from .evaluation import evaluate_bio, germeval_combined, split_oov_iv
+from .evaluation import EvaluationError, evaluate_bio, germeval_combined, split_oov_iv
 from .model import ModelConfig, ModelError, ModelFormatError, build_model, load_model, predict, save_model
 from .service import ModelRegistry, ServiceError, serve
 from .training import TrainConfig, TrainingError, train_two_stage
@@ -263,7 +263,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CorpusError, EmbeddingError, ModelError, ModelFormatError, TrainingError, ServiceError) as exc:
+    except (CorpusError, EmbeddingError, EvaluationError, ModelError, ModelFormatError, TrainingError,
+            ServiceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

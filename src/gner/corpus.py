@@ -436,10 +436,10 @@ class Batch:
 
     def chars_of(self, keys: Sequence[int]) -> np.ndarray:
         """The character rows ``(len(keys), chars)`` of the keys at the
-        indices ``keys``, post-padded: ``key_chars`` itself for every key
-        in order, else its rows, else rows built for those keys alone."""
+        indices ``keys``, post-padded: rows of ``key_chars``, or rows built
+        for those keys alone."""
         if self.key_chars is not None:
-            return self.key_chars if len(keys) == len(self.keys) else self.key_chars[keys]
+            return self.key_chars[keys]
         return _post_padded(build_char_sequences([self.keys[u] for u in keys], self.char_vocab, self.char_mode))
 
     @property
@@ -470,7 +470,7 @@ def batch_from_sentences(
     first occurrence.  With a char mode each key's character row is built
     once, and the keys are ordered by those rows, lexicographically; with
     ``char_rows`` False no row is built and the keys keep their order, for
-    a caller that needs the rows of a few keys only (:meth:`Batch.chars_of`)."""
+    a caller that builds the rows of the keys it needs (:meth:`Batch.chars_of`)."""
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
     if char_mode is not None and char_vocab is None:

@@ -162,12 +162,20 @@ def prf1(gold: Sequence[Iterable[Chunk]], pred: Sequence[Iterable[Chunk]]) -> Ev
     return EvalReport(overall=overall, per_class=per_class, n_sentences=len(gold))
 
 
+def _check_aligned(gold: Sequence[Sequence[str]], pred: Sequence[Sequence[str]], level: str = ""):
+    for n, (g, p) in enumerate(zip(gold, pred), 1):
+        if len(g) != len(p):
+            raise EvaluationError(f"sentence {n} has {len(g)} gold {level}labels but {len(p)} predicted")
+
+
 def evaluate_bio(
     gold_labels: Sequence[Sequence[str]],
     pred_labels: Sequence[Sequence[str]],
     strict: bool = False,
 ) -> EvalReport:
-    """Convenience wrapper: extract chunks from BIO sequences, then score."""
+    """Convenience wrapper: extract chunks from BIO sequences, then score.
+    Each predicted sequence must be as long as its gold one."""
+    _check_aligned(gold_labels, pred_labels)
     gold = [extract_chunks(g, strict=strict) for g in gold_labels]
     pred = [extract_chunks(p, strict=strict) for p in pred_labels]
     return prf1(gold, pred)
@@ -181,12 +189,15 @@ def germeval_combined(
     strict: bool = False,
 ) -> EvalReport:
     """Two-level metric: chunk counts pooled across the outer and inner
-    annotation levels (micro), then P/R/F1."""
+    annotation levels (micro), then P/R/F1.  Each predicted sequence must
+    be as long as its gold one."""
     if not (len(gold_outer) == len(gold_inner) == len(pred_outer) == len(pred_inner)):
         raise EvaluationError(
             "level misalignment: "
             f"{len(gold_outer)}/{len(gold_inner)} gold vs {len(pred_outer)}/{len(pred_inner)} predicted"
         )
+    _check_aligned(gold_outer, pred_outer, "outer ")
+    _check_aligned(gold_inner, pred_inner, "inner ")
 
     def level_chunks(rows, level):
         return [extract_chunks(r, strict=strict, level=level) for r in rows]

@@ -225,9 +225,9 @@ def bilstm_sequence(
     :func:`bilstm_backward` reads, which only train mode keeps (None in
     eval mode).
 
-    Each direction's input projection is one matmul, over the table's rows
-    or the real positions' rows, whichever are fewer, gathered into the
-    :func:`length_schedule` order, on which the recurrence runs in numpy;
+    Each direction's input projection is one matmul over the real
+    positions' rows, gathered into the :func:`length_schedule` order, on
+    which the recurrence runs in numpy;
     the backward direction starts each row at its last real step, and each
     direction's outputs are scattered into its half of the output once.
     When training with ``recurrent_dropout``, one mask per direction
@@ -273,14 +273,11 @@ def bilstm_sequence(
         (fwd, range(length), rec_masks[0], slice(0, fwd.cells)),
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
-    project_table = len(table) < len(pos)
-    x_real = table[pos] if train or not (projected or project_table) else None
+    x_real = None if projected else table[pos]
     out = np.zeros((batch, length, fwd.cells + bwd.cells), dtype=x.dtype)
 
     def gate_inputs(p: LstmParams, cols: slice) -> np.ndarray:
-        if projected:
-            return table[pos, cols]
-        return (table @ p.w_input)[pos] if project_table else x_real @ p.w_input
+        return table[pos, cols] if projected else x_real @ p.w_input
 
     acts = [_recur(p, gate_inputs(p, cols), steps, times, rec, out[..., half], gather, train)
             for (p, times, rec, half), cols in zip(directions, (slice(0, gates), slice(gates, None)))]

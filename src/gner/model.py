@@ -27,13 +27,12 @@ whether it opens or closes its sentence): one ``(keys, input_width)`` table
 of word vector, casing one-hot and character feature.  The word vector and
 casing depend on the text alone, so each is built once per text.  No
 padded ``(batch, max_len, input_width)`` input exists: the token BiLSTM
-reads the key table through ``token_keys`` and projects each key once,
-except under input dropout, whose per-sentence masks give each real
-position its own ``(tokens, input_width)`` row.  A key's character
-gradient sums over the positions that share it.  In eval mode a
-:class:`RowCache` carries each key's projection, the token BiLSTM's gate
-inputs, across batches: the keys it holds are copied from it, and only the
-others are built and projected.
+reads the key table through ``token_keys``.  In eval mode the table holds
+each key's gate inputs, its row projected by both directions; a
+:class:`RowCache` carries them across batches, and only the keys it does
+not hold (every key, without one) are built and projected.  Training
+projects each real position, under input dropout from a row of its own.
+A key's character gradient sums over the positions that share it.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
@@ -425,11 +424,11 @@ def forward_emissions(
     sentence's length produce zero BiLSTM output and carry no gradient into
     the token BiLSTM.
 
-    An eval-mode row ``cache`` made for this model and store supplies the
-    token BiLSTM's gate inputs for the keys it holds; only the other keys'
-    input rows are built and projected, and the cache keeps them.  A cached
-    row was computed in a batch of other rows, so the emissions can differ
-    from the uncached ones in the last float32 bits.
+    In eval mode a row ``cache`` made for this model and store supplies
+    the token BiLSTM's gate inputs of the keys it holds; only the other
+    keys (every key, without a cache) are built and projected, and the
+    cache keeps them.  A cached row was computed in a batch of other rows,
+    so the emissions can differ from a cold cache's in the last bits.
     """
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -449,17 +448,21 @@ def forward_emissions(
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
-    # One row per token key: its input row, or with a cache its gate inputs.
-    if cache is None:
+    # One row per token key: its input row to train, its gate inputs in eval.
+    if train:
         table, chars = _input_rows(model, batch, embedding_store, range(len(batch.keys)), mode)
     else:
         table, chars = np.empty((len(batch.keys), _gate_width(model)), dtype=dtype), None
-        miss = cache.take(batch.keys, table)
+        miss = range(len(table)) if cache is None else cache.take(batch.keys, table)
         if miss:
             rows, _ = _input_rows(model, batch, embedding_store, miss, mode)
-            gates = np.concatenate([rows @ model.token_fwd.w_input, rows @ model.token_bwd.w_input], axis=1)
-            table[miss] = gates
-            cache.put([batch.keys[u] for u in miss], gates)
+            # Without a cache every key misses, and each direction projects into its half of the table.
+            gates = table if cache is None else np.empty((len(miss), table.shape[1]), dtype=dtype)
+            np.matmul(rows, model.token_fwd.w_input, out=gates[:, : 4 * model.token_fwd.cells])
+            np.matmul(rows, model.token_bwd.w_input, out=gates[:, 4 * model.token_fwd.cells :])
+            if cache is not None:
+                table[miss] = gates
+                cache.put([batch.keys[u] for u in miss], gates)
     b, t = len(batch.sentences), batch.max_len
     real = batch.mask
     real_keys = batch.token_keys[real]
@@ -485,7 +488,7 @@ def forward_emissions(
         mode=mode,
         rng=rng,
         index=index,
-        projected=cache is not None,
+        projected=not train,
     )
     flat = hidden.reshape(b * t, 2 * cfg.token_lstm_cells)
     emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
@@ -554,12 +557,13 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
                   batch_size: int = 64, cache: RowCache | None = None) -> list[list[str]]:
     """Viterbi-decoded BIO labels for each sentence, eval mode, one batched
     pass per group, reading and filling ``cache`` if one is given."""
+    if not isinstance(batch_size, int) or isinstance(batch_size, bool) or batch_size < 1:
+        raise ModelError(f"batch_size must be an integer >= 1, got {batch_size!r}")
     schema = model.config.label_schema
     out: list[list[str]] = []
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
-        # A cache needs the char rows of its missed keys only.
-        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode, char_rows=cache is None)
+        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode, char_rows=False)
         em = forward_emissions(model, batch, embedding_store, mode="eval", cache=cache)
         paths, _ = viterbi_decode(model.crf, em, batch.lengths)
         out.extend([schema.label_of(y) for y in path] for path in paths)

@@ -9,9 +9,9 @@ share.  It holds the token BiLSTM's gate inputs (each token key's input row
 times both directions' input weights, 6 400 bytes at paper size) of up to
 :data:`ROW_CACHE_ROWS` keys and evicts the least recently used key beyond
 that.  It serves that entry's requests only.  A cached row was computed in
-a batch of other keys, so emissions can differ from an uncached run in the
+a batch of other keys, so emissions can differ from a cold cache's in the
 last float32 bits, and a response can depend on which requests the entry
-served before it.  The labels were measured equal to the uncached ones on
+served before it.  The labels were measured equal to a cold cache's on
 two seeds' ``serve-oov`` pools, with emissions within the stated parity
 bound (1e-4 at paper size); a near-tie Viterbi path could still flip.
 
@@ -35,7 +35,10 @@ forward at a time.  The server's one thread takes it uncontended, so
 before ``timing_ms`` starts.
 
 Request validation and prediction live in :func:`handle_ner_request`, a
-function over parsed JSON, so the HTTP layer stays a thin shell.  A
+function over parsed JSON, so the HTTP layer stays a thin shell.  It bounds
+each request's work before the model runs: at most
+:data:`MAX_REQUEST_TOKENS` tokens over all sentences and
+:data:`MAX_TOKEN_CHARS` characters a token, else a 413.  A
 response carries the labels, the handling time, ``oov_rate`` (the share of
 the request's tokens that are not in the store's vocabulary) and
 ``cached_share`` (the share of its batches' distinct token keys whose rows
@@ -83,6 +86,16 @@ HANDLER_TIMEOUT_S = 5.0
 # Largest request body read; `serve-oov`'s largest is 1 761 bytes.
 MAX_BODY_BYTES = 1 << 20
 
+# Most tokens one request may hold, over all its sentences, and most
+# characters one token may hold.  Each char row is padded to the request's
+# longest token, so both bound a forward's memory: a request at both limits
+# (1 024 distinct 100-character tokens) took 0.93 s on a paper-size `bilstm`
+# and raised the process's peak RSS from 70 to 244 MB (2 vCPUs, one BLAS
+# thread).  `serve-oov` requests hold at most 166 tokens of at most 20
+# characters.
+MAX_REQUEST_TOKENS = 1_024
+MAX_TOKEN_CHARS = 100
+
 
 @dataclass
 class RegisteredModel:
@@ -122,7 +135,7 @@ class ModelRegistry:
             config = json.loads(config_path.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ServiceError(f"cannot read registry {config_path}: {exc}") from exc
-        models = config.get("models")
+        models = config.get("models") if isinstance(config, dict) else None
         if not isinstance(models, dict) or not models:
             raise ServiceError(f"{config_path}: expected a non-empty 'models' map")
         base = config_path.parent
@@ -163,7 +176,10 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
 
     Returns (http_status, response_body).  The response's label lists align
     one-to-one with the request's token lists; ``oov_rate`` and
-    ``cached_share`` are 0 for a request without tokens.
+    ``cached_share`` are 0 for a request without tokens.  A request with
+    more than :data:`MAX_REQUEST_TOKENS` tokens, or a token longer than
+    :data:`MAX_TOKEN_CHARS` characters, gets a 413 naming the first
+    sentence and token past the limit.
     """
     if not isinstance(payload, dict):
         return _bad_request("request body must be a JSON object")
@@ -173,6 +189,7 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
     sentences = payload.get("sentences")
     if not isinstance(sentences, list):
         return _bad_request("'sentences' must be a list of token lists")
+    tokens_before = 0
     for i, sent in enumerate(sentences):
         if not isinstance(sent, list):
             return _bad_request(f"sentence {i} must be a list of tokens, not {type(sent).__name__}")
@@ -180,6 +197,14 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
             return _bad_request(f"sentence {i} is empty")
         if any(not isinstance(tok, str) or not tok for tok in sent):
             return _bad_request(f"sentence {i} contains a non-string or empty token")
+        if tokens_before + len(sent) > MAX_REQUEST_TOKENS:
+            return 413, {"error": f"sentence {i} token {MAX_REQUEST_TOKENS - tokens_before} is past the limit of "
+                                  f"{MAX_REQUEST_TOKENS} tokens per request"}
+        tokens_before += len(sent)
+        for j, tok in enumerate(sent):
+            if len(tok) > MAX_TOKEN_CHARS:
+                return 413, {"error": f"sentence {i} token {j} has {len(tok)} characters, over the limit of "
+                                      f"{MAX_TOKEN_CHARS}"}
     try:
         entry = registry.get(name)
     except ServiceError:

@@ -79,6 +79,19 @@ def test_combined_misalignment():
         ev.germeval_combined([["O"]], [["O"], ["O"]], [["O"]], [["O"]])
 
 
+def test_a_prediction_shorter_or_longer_than_its_gold_sentence_is_an_error():
+    # A 3-token gold sentence against a 1-token prediction once scored FB1 66.67.
+    gold = [["O", "O"], ["B-PER", "O", "B-LOC"]]
+    for pred in ([["O", "O"], ["B-PER"]], [["O", "O"], ["B-PER", "O", "B-LOC", "O"]]):
+        with pytest.raises(ev.EvaluationError, match=f"sentence 2 has 3 gold labels but {len(pred[1])} predicted"):
+            ev.evaluate_bio(gold, pred)
+    empty = [["O"] * len(row) for row in gold]
+    with pytest.raises(ev.EvaluationError, match="sentence 2 has 3 gold outer labels but 1 predicted"):
+        ev.germeval_combined(gold, empty, [["O", "O"], ["B-PER"]], empty)
+    with pytest.raises(ev.EvaluationError, match="sentence 1 has 2 gold inner labels but 3 predicted"):
+        ev.germeval_combined(gold, empty, gold, [["O"] * 3, ["O"] * 3])
+
+
 @given(
     st.lists(
         st.lists(st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC"]), min_size=1, max_size=8),

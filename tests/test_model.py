@@ -116,7 +116,8 @@ def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkey
 @pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
 def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkeypatch):
     # Where positions that share a key share an input row, the token BiLSTM
-    # reads the key table itself; under input dropout, one masked row per
+    # reads the key table itself: in eval mode each key's gate inputs, in
+    # train mode its input row; under input dropout, one masked row per
     # real position in row-major order.
     model, store, batch, _ = _toy_setup(variant)
     seen = []
@@ -131,8 +132,8 @@ def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkey
     no_dropout = dataclasses.replace(model, config=dataclasses.replace(model.config, dropout=0.0))
     M.forward_emissions(model, batch, store, mode="eval")
     M.forward_emissions(no_dropout, batch, store, mode="train")
-    for shape, index in seen:
-        assert shape == (len(batch.keys), width) and index is batch.token_keys
+    for (shape, index), want in zip(seen, (8 * model.config.token_lstm_cells, width), strict=True):
+        assert shape == (len(batch.keys), want) and index is batch.token_keys
     seen.clear()
     M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
     ((shape, index),) = seen
@@ -180,6 +181,27 @@ def test_row_cache_gives_the_uncached_labels_cold_warm_and_evicting(variant):
         warm = M.predict_batch(model, store, sents, batch_size=4, cache=cache)
         assert cold == warm == want
     assert cache.hits and cache.lookups > cache.hits
+
+
+@pytest.mark.parametrize("variant", M.CHAR_VARIANTS)
+def test_eval_forward_without_a_cache_is_a_new_caches_bit_for_bit(variant):
+    # Without a cache every key misses, as in a new cache, and both run the
+    # one eval path: the same projection of the same rows.
+    model, store, _, sents = _toy_setup(variant, n_sentences=8)
+    _randomize_biases(model, 8)
+    for char_rows in (True, False):
+        batch = batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode, char_rows=char_rows)
+        cache = M.RowCache(model, store, len(batch.keys))
+        np.testing.assert_array_equal(M.forward_emissions(model, batch, store, cache=cache),
+                                      M.forward_emissions(model, batch, store))
+        assert cache.hits == 0 and len(cache._slots) == len(batch.keys)
+
+
+def test_predict_batch_rejects_a_batch_size_below_one():
+    model, store, _, sents = _toy_setup("cnn")
+    for bad in (0, -1, 2.5, True):
+        with pytest.raises(M.ModelError, match="batch_size"):
+            M.predict_batch(model, store, sents, batch_size=bad)
 
 
 def _keys(model, sents):

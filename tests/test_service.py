@@ -17,7 +17,7 @@ import pytest
 
 from gner import cli
 from gner import service as svc
-from gner.corpus import write_germeval
+from gner.corpus import Sentence, Token, write_germeval
 from gner.datagen import make_embedding_store
 from gner.embeddings import EmbeddingStore, load_store, write_fasttext_store, write_text_vectors
 from gner.model import load_model, predict
@@ -35,6 +35,14 @@ def test_registry_startup_fails_on_missing_model(tmp_path):
     bad = tmp_path / "registry.json"
     bad.write_text('{"models": {"x": {"model": "missing.mner", "embeddings": "v.txt"}}}')
     with pytest.raises(svc.ServiceError, match="x"):
+        svc.ModelRegistry.load(bad)
+
+
+@pytest.mark.parametrize("text", ["[]", "null", '"models"', "3"])
+def test_registry_startup_fails_on_a_config_that_is_not_an_object(tmp_path, text):
+    bad = tmp_path / "registry.json"
+    bad.write_text(text)
+    with pytest.raises(svc.ServiceError, match="'models' map"):
         svc.ModelRegistry.load(bad)
 
 
@@ -107,6 +115,31 @@ def test_handle_request_schema_violations(registry):
     assert status == 400
     status, body = svc.handle_ner_request(registry, [1, 2])
     assert status == 400
+
+
+def _predict_batch_never_called(monkeypatch):
+    calls = []
+    monkeypatch.setattr(svc, "predict_batch", lambda *a, **k: calls.append(a))
+    return calls
+
+
+def test_requests_past_the_token_or_character_limit_get_a_413_before_the_model_runs(registry, monkeypatch):
+    calls = _predict_batch_never_called(monkeypatch)
+    over_tokens = [["Anna"] * 1000, ["x"] * 20, ["y"] * (svc.MAX_REQUEST_TOKENS - 1019)]
+    status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": over_tokens})
+    assert status == 413 and body["error"].startswith(f"sentence 2 token {svc.MAX_REQUEST_TOKENS - 1020} is past")
+    long = "a" * (svc.MAX_TOKEN_CHARS + 1)
+    status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": [["Anna"], ["b", long]]})
+    assert status == 413 and body["error"].startswith(f"sentence 1 token 1 has {svc.MAX_TOKEN_CHARS + 1} characters")
+    assert calls == []
+
+
+def test_a_request_at_both_limits_is_served(registry):
+    # Distinct tokens, so that every one is its own key and char row.
+    tokens = [f"{n:0{svc.MAX_TOKEN_CHARS}d}" for n in range(svc.MAX_REQUEST_TOKENS)]
+    sentences = [tokens[lo : lo + 64] for lo in range(0, len(tokens), 64)]
+    status, body = svc.handle_ner_request(registry, {"model": "germeval-outer", "sentences": sentences})
+    assert status == 200 and [len(labels) for labels in body["labels"]] == [64] * (svc.MAX_REQUEST_TOKENS // 64)
 
 
 def test_handle_request_unknown_model_lists_available(registry):
@@ -477,6 +510,14 @@ def test_cli_evaluate_gold_equals_pred(fixture_world, tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "FB1: 100.00" in out
+
+
+def test_cli_evaluate_rejects_a_prediction_shorter_than_its_gold_sentence(tmp_path, capsys):
+    gold = Sentence([Token(t) for t in ("Anna", "liebt", "Aachen")], ["B-PER", "O", "B-LOC"])
+    write_germeval([gold], tmp_path / "gold.tsv")
+    write_germeval([Sentence(gold.tokens[:1], ["B-PER"])], tmp_path / "pred.tsv")
+    assert cli.main(["evaluate", "--gold", str(tmp_path / "gold.tsv"), "--pred", str(tmp_path / "pred.tsv")]) == 1
+    assert "sentence 1 has 3 gold labels but 1 predicted" in capsys.readouterr().err
 
 
 def test_cli_unknown_subcommand_exits_with_usage(capsys):
