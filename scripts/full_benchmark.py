@@ -13,8 +13,8 @@ deliberately not part of the test suite.  Expected data layout:
 
   --germeval-dir  NER-de-{train,dev,test}.tsv      (tab-separated, 4 columns)
   --conll-dir     deu.{train,testa,testb}          (IOB tags, token first)
-  --embeddings    converted fastText store (FTXT1) or plain text vectors;
-                  the kind is read from the file
+  --embeddings    binary store from scripts/convert_fasttext.py, or an FTXT1
+                  or plain text store; format and kind are read from the file
 
 With fastText vectors, the out-of-vocabulary split of the GermEval test set
 (reported alongside the scores) separates sentences whose every word is in

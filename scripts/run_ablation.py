@@ -4,7 +4,7 @@
 Intended run (matches the reduced-scale acceptance protocol):
 
     python scripts/run_ablation.py --germeval-dir /data/germeval \\
-        --embeddings /data/fasttext_de.ftxt \\
+        --embeddings /data/fasttext_de.store \\
         --train-size 2000 --seeds 1 2 3
 
 Without the official corpus, ``--synthetic`` uses the bundled generator of

@@ -1,10 +1,15 @@
 """Pre-trained word vector stores with backend-specific OOV behavior.
 
-Two kinds of store exist: ``plain`` text vectors (word2vec / GloVe style,
-one "word v1 .. vd" line each, optional "count dim" header) and ``fasttext``
-stores that additionally carry hashed character-n-gram bucket vectors so
-vectors can be inferred for words never seen by the embedding model.  A
-store file's first line says which kind it is.
+Two kinds of store exist: ``plain`` word vectors and ``fasttext`` stores
+that additionally carry hashed character-n-gram bucket vectors so vectors
+can be inferred for words never seen by the embedding model.  The package
+writes every store in one binary float32 format, which ``load_store`` maps
+with ``np.memmap``: start-up parses no floats and reads no vector, and a
+lookup faults in only the file pages around the rows it reads.  Two text
+formats are read as import formats: plain vectors (word2vec / GloVe style,
+one "word v1 .. vd" line each, optional "count dim" header) and ``FTXT1``
+fastText stores.  A store file's first line says which format and kind it
+is.
 
 Subword hashing is FNV-1a 32-bit over the n-gram's UTF-8 bytes with each
 byte passed through a signed-char cast before widening, matching the
@@ -17,6 +22,7 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,6 +46,19 @@ log = logging.getLogger(__name__)
 
 FASTTEXT_MAGIC = "FTXT1"
 STORE_KINDS = ("plain", "fasttext")
+
+# The binary store: this first line (0x93 is not UTF-8, so no text store
+# starts with it), the header, the word list (each word UTF-8 and ended by a
+# newline), zero padding to a multiple of BINARY_ALIGN bytes, then one
+# little-endian float32 matrix: the word rows, then the bucket rows.  The
+# header is kind (NUL-padded ASCII), dim, min_n, max_n, bucket_count,
+# word_count and the word list's byte length, as little-endian uint64s.
+BINARY_MAGIC = b"\x93GNERVEC1\n"
+_BINARY_HEADER = struct.Struct("<8s6Q")
+_BINARY_KINDS = {kind.encode("ascii").ljust(8, b"\0"): kind for kind in STORE_KINDS}
+BINARY_ALIGN = 64
+# Rows converted to float32 and written at a time.
+WRITE_ROWS = 4096
 
 
 class EmbeddingError(Exception):
@@ -71,16 +90,27 @@ class EmbeddingStore:
 BLOCK_LINES = 64
 
 
+def _float32(values) -> np.ndarray:
+    """``values`` rounded to little-endian float32; a value past float32's
+    range becomes an infinity, in a text store and its binary copy alike."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype="<f4")
+
+
 def _floats(values: list[str], line_no: int) -> np.ndarray:
     # numpy parses str items with float(): the same accepted forms and values.
+    # Each is parsed to float64 and then rounded to float32, as a binary copy
+    # of the same float64 vectors holds it; decimal text parsed straight to
+    # float32 can round differently.
     try:
-        return np.array(values, dtype=np.float64)
+        return _float32(np.array(values, dtype=np.float64))
     except ValueError as exc:
         raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from None
 
 
 def _block_values(texts, line_nos: list[int], dim: int, words=None, known=()):
-    """Row ``i`` holds the ``dim`` values of ``texts[i]``, from line ``line_nos[i]``.
+    """Row ``i`` holds the ``dim`` values of ``texts[i]``, from line
+    ``line_nos[i]``, rounded once from float64 to float32.
 
     numpy's C reader accepts a strict subset of what the per-line rules
     accept (no empty fields, ``1_0`` or non-ASCII digits), with bit-equal
@@ -96,7 +126,7 @@ def _block_values(texts, line_nos: list[int], dim: int, words=None, known=()):
         except ValueError:
             rows = None
         if rows is not None and rows.shape == (len(texts), dim):
-            return rows
+            return _float32(rows)
     rows = []
     for i, (text, line_no) in enumerate(zip(texts, line_nos)):
         values = [p for p in text.split(" ") if p]
@@ -108,13 +138,21 @@ def _block_values(texts, line_nos: list[int], dim: int, words=None, known=()):
 
 
 def load_store(path: str | Path, kind: str | None = None) -> EmbeddingStore:
-    """Load a text store; its first line names its kind.
+    """Load a store; its first line names its format and kind.
 
-    A first line starting ``FTXT1`` must be the fastText header ``FTXT1 dim
-    min_n max_n bucket_count word_count``, followed by exactly
-    ``word_count`` word lines and ``bucket_count`` bucket rows.  Anything
-    else is plain vectors with an optional ``count dim`` header.  A declared
-    ``kind`` is only checked against the file's.
+    A first line equal to ``BINARY_MAGIC`` starts a binary store, whose
+    header names its kind.  Every header field and the file's exact size
+    are checked before the float32 matrix is mapped read-only; the word
+    vectors and bucket rows are views of that mapping.  A file that is
+    mapped must be replaced, never rewritten in place: truncating it under
+    a reader kills the reader with SIGBUS.
+
+    Text stores are read in full, each value parsed as float64 and rounded
+    once to float32.  A first line starting ``FTXT1`` must be the fastText
+    header ``FTXT1 dim min_n max_n bucket_count word_count``, followed by
+    exactly ``word_count`` word lines and ``bucket_count`` bucket rows.
+    Anything else is plain vectors with an optional ``count dim`` header.
+    A declared ``kind`` is only checked against the file's.
 
     Blank lines are skipped, a duplicate word keeps its first vector
     (counted and logged), and every format error names its line.  The other
@@ -141,7 +179,7 @@ def check_kind(path: str | Path, declared: str | None, kind: str):
     if declared not in (None, kind):
         raise EmbeddingError(
             f"{path}: declared kind {declared!r}, but the file is a {kind!r} store "
-            f"(a fasttext store starts with an {FASTTEXT_MAGIC} header)"
+            f"(a fasttext text store starts with an {FASTTEXT_MAGIC} header; a binary store's header names its kind)"
         )
 
 
@@ -155,6 +193,8 @@ def _decode(raw: bytes, line_no: int, path: Path) -> str:
 def _read_store(fh, path: Path, declared: str | None) -> EmbeddingStore:
     lines = enumerate(fh, start=1)
     first = next(lines, (1, b""))
+    if first[1] == BINARY_MAGIC:
+        return _read_binary(fh, path, declared)
     head = _decode(first[1], 1, path)
     fields = head.split()
     kind = "fasttext" if fields[:1] == [FASTTEXT_MAGIC] else "plain"
@@ -176,7 +216,7 @@ def _read_store(fh, path: Path, declared: str | None) -> EmbeddingStore:
                 f"more than the file's {size} bytes can hold"
             )
         try:
-            buckets = np.empty((bucket_count, dim))
+            buckets = np.empty((bucket_count, dim), dtype=np.float32)
         except MemoryError:
             raise EmbeddingError(f"{path}: header declares {bucket_count} buckets of {dim} values") from None
         ngram_fields = dict(ngram_buckets=buckets, min_n=min_n, max_n=max_n, bucket_count=bucket_count)
@@ -236,28 +276,124 @@ def _read_store(fh, path: Path, declared: str | None) -> EmbeddingStore:
     return EmbeddingStore(kind=kind, dim=dim, word_vectors=vectors, duplicates_skipped=duplicates, **ngram_fields)
 
 
-def _format_vector(vec: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in vec)
+def _matrix_offset(words_bytes: int) -> int:
+    end = len(BINARY_MAGIC) + _BINARY_HEADER.size + words_bytes
+    return -(-end // BINARY_ALIGN) * BINARY_ALIGN
 
 
-def _write_store(path: str | Path, header: str, store: EmbeddingStore, rows=()):
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{header}\n")
-        for word, vec in store.word_vectors.items():
-            fh.write(f"{word} {_format_vector(vec)}\n")
-        for row in rows:
-            fh.write(f"{_format_vector(row)}\n")
+def _read_binary(fh, path: Path, declared: str | None) -> EmbeddingStore:
+    """The binary store after its magic line; nothing is allocated past
+    the header or mapped until the header matches the file's size."""
+    size = os.fstat(fh.fileno()).st_size
+    raw = fh.read(_BINARY_HEADER.size)
+    if len(raw) != _BINARY_HEADER.size:
+        raise EmbeddingError(f"{path}: binary store ends inside its {_BINARY_HEADER.size}-byte header")
+    kind_field, dim, min_n, max_n, bucket_count, word_count, words_bytes = _BINARY_HEADER.unpack(raw)
+    kind = _BINARY_KINDS.get(kind_field)
+    if kind is None:
+        raise EmbeddingError(f"{path}: binary store header names an unknown kind {kind_field!r}")
+    check_kind(path, declared, kind)
+    if (kind == "fasttext") != (bucket_count > 0):
+        raise EmbeddingError(f"{path}: binary store header declares a {kind} store with {bucket_count} buckets")
+    if min_n > max_n:
+        raise EmbeddingError(f"{path}: binary store header declares min_n {min_n} > max_n {max_n}")
+    if word_count > words_bytes:
+        raise EmbeddingError(f"{path}: binary store header declares {word_count} words in {words_bytes} bytes")
+    offset = _matrix_offset(words_bytes)
+    rows = word_count + bucket_count
+    expected = offset + 4 * rows * dim
+    if size != expected:
+        raise EmbeddingError(
+            f"{path}: binary store header declares {rows} rows of {dim} float32 values after byte {offset}, "
+            f"{expected} bytes in all, but the file has {size}"
+        )
+    block = fh.read(offset - len(BINARY_MAGIC) - _BINARY_HEADER.size)
+    listed, padding = block[:words_bytes], block[words_bytes:]
+    if padding.count(0) != len(padding):
+        raise EmbeddingError(f"{path}: binary store has non-zero padding before byte {offset}")
+    if listed and not listed.endswith(b"\n"):
+        raise EmbeddingError(f"{path}: binary store word list does not end with a newline")
+    try:
+        words = listed[:-1].decode("utf-8").split("\n") if listed else []
+    except UnicodeDecodeError as exc:
+        raise EmbeddingError(f"{path}: binary store word list is not UTF-8: {exc}") from None
+    if len(words) != word_count:
+        raise EmbeddingError(f"{path}: binary store word list holds {len(words)} words, header declares {word_count}")
+    if rows * dim:
+        matrix = np.memmap(fh, dtype="<f4", mode="r", offset=offset, shape=(rows, dim)).view(np.ndarray)
+    else:
+        matrix = np.zeros((rows, dim), dtype=np.float32)
+    vectors = dict(zip(words, matrix))
+    if len(vectors) != word_count:
+        seen = set()
+        for word in words:
+            if word in seen:
+                raise EmbeddingError(f"{path}: binary store lists the word {word!r} twice")
+            seen.add(word)
+    ngram_fields = {}
+    if kind == "fasttext":
+        ngram_fields = dict(ngram_buckets=matrix[word_count:], min_n=min_n, max_n=max_n, bucket_count=bucket_count)
+    return EmbeddingStore(kind=kind, dim=dim, word_vectors=vectors, **ngram_fields)
+
+
+def _float32_rows(rows, dim: int) -> bytes:
+    try:
+        block = _float32(rows)
+    except ValueError:  # rows of different lengths
+        block = None
+    if block is None or block.shape != (len(rows), dim):
+        raise EmbeddingError(f"store rows do not all hold the store's {dim} values")
+    return block.tobytes()
+
+
+def _write_binary(store: EmbeddingStore, path: str | Path):
+    """Write ``store`` as a binary store: to a temporary file beside
+    ``path``, then moved over it, so a reader that has the old file mapped
+    keeps reading the old file."""
+    words = list(store.word_vectors)
+    for word in words:
+        if "\n" in word:
+            raise EmbeddingError(f"the word {word!r} holds a newline, which a store cannot hold")
+    try:
+        listed = "".join(f"{word}\n" for word in words).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise EmbeddingError(f"a word cannot be written as UTF-8: {exc}") from None
+    buckets = store.ngram_buckets if store.kind == "fasttext" else ()
+    if len(buckets) != store.bucket_count:
+        raise EmbeddingError(f"store has {len(buckets)} bucket rows, but bucket_count {store.bucket_count}")
+    try:
+        header = _BINARY_HEADER.pack(store.kind.encode("ascii"), store.dim, store.min_n, store.max_n,
+                                     len(buckets), len(words), len(listed))
+    except struct.error as exc:
+        raise EmbeddingError(f"store fields cannot be written: {exc}") from None
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(BINARY_MAGIC + header + listed)
+            fh.write(bytes(_matrix_offset(len(listed)) - fh.tell()))
+            for start in range(0, len(words), WRITE_ROWS):
+                fh.write(_float32_rows([store.word_vectors[w] for w in words[start : start + WRITE_ROWS]], store.dim))
+            for start in range(0, len(buckets), WRITE_ROWS):
+                fh.write(_float32_rows(buckets[start : start + WRITE_ROWS], store.dim))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_text_vectors(store: EmbeddingStore, path: str | Path):
-    _write_store(path, f"{len(store.word_vectors)} {store.dim}", store)
+    """Write ``store``'s word vectors as a plain binary store (no buckets)."""
+    _write_binary(EmbeddingStore(kind="plain", dim=store.dim, word_vectors=store.word_vectors), path)
 
 
 def write_fasttext_store(store: EmbeddingStore, path: str | Path):
+    """Write a fasttext ``store``, word vectors and bucket rows, as a binary store."""
     if store.kind != "fasttext":
         raise EmbeddingError("not a fasttext store")
-    header = f"{FASTTEXT_MAGIC} {store.dim} {store.min_n} {store.max_n} {store.bucket_count} {len(store.word_vectors)}"
-    _write_store(path, header, store, store.ngram_buckets)
+    _write_binary(store, path)
 
 
 def extract_char_ngrams(word: str, min_n: int = 3, max_n: int = 6) -> list[str]:
@@ -288,8 +424,9 @@ def ngram_bucket(ngram: str, bucket_count: int) -> int:
 
 def lookup_word(store: EmbeddingStore, word: str) -> tuple[np.ndarray, bool]:
     """Return (vector, was_oov).  In-vocabulary words return their stored
-    vector; OOV words get the mean of their n-gram bucket rows on fasttext
-    stores and the zero vector on plain stores."""
+    vector; OOV words get the mean of their n-gram bucket rows, summed in
+    float64 (bit-equal to ``mean(axis=0, dtype=np.float64)``, without its
+    buffered cast), on fasttext stores and the zero vector on plain stores."""
     vec = store.word_vectors.get(word)
     if vec is not None:
         return vec, False
@@ -297,7 +434,7 @@ def lookup_word(store: EmbeddingStore, word: str) -> tuple[np.ndarray, bool]:
         assert store.ngram_buckets is not None
         rows = [ngram_bucket(g, store.bucket_count) for g in extract_char_ngrams(word, store.min_n, store.max_n)]
         if rows:
-            return store.ngram_buckets[rows].mean(axis=0), True
+            return store.ngram_buckets[rows].sum(axis=0, dtype=np.float64) / len(rows), True
     return np.zeros(store.dim), True
 
 
@@ -305,7 +442,7 @@ def lookup_word(store: EmbeddingStore, word: str) -> tuple[np.ndarray, bool]:
 # converter for the published binary model format
 
 
-_BIN_MAGIC = 793712314
+BIN_MAGIC = 793712314
 _SUPPORTED_BIN_VERSIONS = (11, 12)
 
 
@@ -334,14 +471,15 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
     """Convert a published (non-quantized) binary subword model to a store.
 
     Word vectors are composed the same way the model's text export composes
-    them: the word's own input row averaged with its n-gram bucket rows.
-    The raw bucket rows are kept so OOV inference addresses exactly the same
+    them: the word's own input row averaged (in float64) with its n-gram
+    bucket rows, then rounded to float32.  The model's float32 bucket rows
+    are kept as they are, so OOV inference addresses exactly the same
     vectors.  Dictionary labels and pruned models are not supported.
     """
     path = Path(path)
     with path.open("rb") as fh:
         magic, version = _read_struct(fh, "<ii")
-        if magic != _BIN_MAGIC:
+        if magic != BIN_MAGIC:
             raise EmbeddingError(f"{path}: not a binary subword model (magic {magic})")
         if version not in _SUPPORTED_BIN_VERSIONS:
             raise EmbeddingError(f"{path}: unsupported model version {version}")
@@ -371,7 +509,7 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
         matrix = np.frombuffer(fh.read(rows * cols * 4), dtype="<f4")
         if matrix.size != rows * cols:
             raise EmbeddingError(f"{path}: truncated input matrix")
-        matrix = matrix.astype(np.float64).reshape(rows, cols)
+        matrix = matrix.reshape(rows, cols)
 
     buckets = matrix[nwords:]
     vectors: dict[str, np.ndarray] = {}
@@ -380,12 +518,12 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
         pieces = [matrix[wid]]
         if word != "</s>":
             pieces += [buckets[ngram_bucket(g, bucket)] for g in extract_char_ngrams(word, min_n, max_n)]
-        vectors[word] = np.mean(pieces, axis=0)
+        vectors[word] = np.mean(np.array(pieces, dtype=np.float64), axis=0).astype(np.float32)
     return EmbeddingStore(
         kind="fasttext",
         dim=dim,
         word_vectors=vectors,
-        ngram_buckets=np.array(buckets),
+        ngram_buckets=buckets,
         min_n=min_n,
         max_n=max_n,
         bucket_count=bucket,

@@ -1,6 +1,6 @@
-"""Fixture writers, synthetic CoNLL data, layer parameters drawn as a built
-model draws them, a model's float64 widening, and a threaded server, used
-only by the tests."""
+"""Fixture writers (text embedding stores among them), synthetic CoNLL
+data, layer parameters drawn as a built model draws them, a model's
+float64 widening, and a threaded server, used only by the tests."""
 
 from __future__ import annotations
 
@@ -13,6 +13,7 @@ import numpy as np
 from gner.corpus import Sentence, Token
 from gner.crf import CrfParams
 from gner.datagen import make_corpus
+from gner.embeddings import FASTTEXT_MAGIC, EmbeddingStore
 from gner.evaluation import Chunk, EvaluationError
 from gner.layers import Conv1dParams, LstmParams
 from gner.model import NerModel, _assemble, _initial
@@ -26,6 +27,27 @@ def write_conll03(sentences: Iterable[Sentence], path: str | Path):
             for tok, tag in zip(s.tokens, s.outer_labels):
                 fh.write(f"{tok.text} {tag}\n")
             fh.write("\n")
+
+
+def write_text_store(store: EmbeddingStore, path: str | Path):
+    """Write ``store`` in its text import format: ``FTXT1`` for a fasttext
+    store, else plain vectors under a ``count dim`` header.  Each value is
+    written as ``repr(float)``, which parses back to the same float64."""
+    fasttext = store.kind == "fasttext"
+
+    def values(vec) -> str:
+        return " ".join(repr(float(v)) for v in vec)
+
+    with Path(path).open("w", encoding="utf-8") as fh:
+        if fasttext:
+            fh.write(f"{FASTTEXT_MAGIC} {store.dim} {store.min_n} {store.max_n} {store.bucket_count} "
+                     f"{len(store.word_vectors)}\n")
+        else:
+            fh.write(f"{len(store.word_vectors)} {store.dim}\n")
+        for word, vec in store.word_vectors.items():
+            fh.write(f"{word} {values(vec)}\n")
+        for row in store.ngram_buckets if fasttext else ():
+            fh.write(f"{values(row)}\n")
 
 
 def chunks_to_bio(chunks: Iterable[Chunk], length: int) -> list[str]:

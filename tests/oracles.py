@@ -141,10 +141,11 @@ def brute_force_best_path(params: CrfParams, emissions) -> tuple[list[int], floa
 
 
 def reference_load_store(path: str | Path) -> EmbeddingStore:
-    """The store format parsed one line at a time: each value as ``float()``
-    parses it, the first vector of a duplicate word kept, and every error
-    naming its line.  ``load_store`` must accept the same files, with
-    bit-equal arrays, and fail with the same messages."""
+    """The text store formats parsed one line at a time: each value as
+    ``float()`` parses it, then rounded once to float32, the first vector
+    of a duplicate word kept, and every error naming its line.
+    ``load_store`` must accept the same files, with bit-equal arrays, and
+    fail with the same messages."""
     path = Path(path)
     with path.open("rb") as fh:
         return _reference_read(_reference_lines(fh, path), path)
@@ -152,9 +153,11 @@ def reference_load_store(path: str | Path) -> EmbeddingStore:
 
 def _reference_floats(values: list[str], line_no: int) -> np.ndarray:
     try:
-        return np.array(values, dtype=np.float64)
+        parsed = np.array(values, dtype=np.float64)
     except ValueError as exc:
         raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from None
+    with np.errstate(over="ignore"):  # past float32's range is an infinity
+        return parsed.astype(np.float32)
 
 
 def _reference_lines(fh, path: Path):
@@ -178,7 +181,7 @@ def _reference_read(lines, path: Path) -> EmbeddingStore:
                 f"with non-negative integer fields, got {head[:80]!r}"
             )
         dim, min_n, max_n, bucket_count, word_count = (int(v) for v in fields[1:])
-        buckets = np.empty((bucket_count, dim))
+        buckets = np.empty((bucket_count, dim), dtype=np.float32)
         ngram_fields = dict(ngram_buckets=buckets, min_n=min_n, max_n=max_n, bucket_count=bucket_count)
     elif len(fields) == 2 and all(p.isascii() and p.lstrip("+-").isdigit() for p in fields):
         dim = int(fields[1])

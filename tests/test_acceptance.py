@@ -5,7 +5,7 @@ embedding model accept environment overrides:
 
   GNER_GERMEVAL_DIR   directory with NER-de-train.tsv / NER-de-dev.tsv
   GNER_CONLL_DE       path to the German CoNLL'03 training file (IOB)
-  GNER_FASTTEXT_STORE path to a converted fastText store (FTXT1 format)
+  GNER_FASTTEXT_STORE path to a fasttext store (binary, or FTXT1 text)
 
 Without them, data-independent criteria run on synthetic fixtures in the
 same file formats; the reduced-scale ablation (criterion 5), whose meaning

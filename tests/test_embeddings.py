@@ -1,5 +1,10 @@
+import os
 import re
+import struct
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -9,6 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gner import embeddings as emb
+from gner.corpus import batch_from_sentences, build_char_vocab, germeval_schema
+from gner.datagen import make_corpus
+from gner.model import ModelConfig, build_model, forward_emissions, predict_batch
+from helpers import write_text_store
 from oracles import reference_load_store
 
 
@@ -27,6 +36,14 @@ def _toy_fasttext_store(rng, words=("gehen", "Haus"), dim=4, buckets=64):
         ngram_buckets=rng.normal(size=(buckets, dim)),
         bucket_count=buckets,
     )
+
+
+def _rounded(store):
+    """``store`` with every vector rounded to float32, as a store file holds it."""
+    buckets = None if store.ngram_buckets is None else store.ngram_buckets.astype(np.float32)
+    return emb.EmbeddingStore(kind=store.kind, dim=store.dim, ngram_buckets=buckets, min_n=store.min_n,
+                              max_n=store.max_n, bucket_count=store.bucket_count,
+                              word_vectors={w: v.astype(np.float32) for w, v in store.word_vectors.items()})
 
 
 def test_load_two_word_fixture(tmp_path):
@@ -190,12 +207,13 @@ def test_fasttext_store_round_trip(tmp_path):
     emb.write_fasttext_store(store, path)
     loaded = emb.load_store(path)
     assert loaded.dim == store.dim and loaded.bucket_count == store.bucket_count
+    rounded = _rounded(store)
     for w in store.word_vectors:
-        np.testing.assert_array_equal(loaded.word_vectors[w], store.word_vectors[w])
-    np.testing.assert_array_equal(loaded.ngram_buckets, store.ngram_buckets)
-    vec_a, _ = emb.lookup_word(store, "Zugspitze")
+        assert loaded.word_vectors[w].tobytes() == rounded.word_vectors[w].tobytes()
+    assert loaded.ngram_buckets.tobytes() == rounded.ngram_buckets.tobytes()
+    vec_a, _ = emb.lookup_word(rounded, "Zugspitze")
     vec_b, _ = emb.lookup_word(loaded, "Zugspitze")
-    np.testing.assert_array_equal(vec_a, vec_b)
+    assert vec_a.tobytes() == vec_b.tobytes()
 
 
 def test_fasttext_bad_header(tmp_path):
@@ -235,30 +253,41 @@ def test_load_store_dispatch(tmp_path):
         emb.load_store(p, "word2vec")
 
 
+def _plain(store):
+    return emb.EmbeddingStore(kind="plain", dim=store.dim, word_vectors=store.word_vectors)
+
+
 def test_both_formats_load_with_no_kind_given(tmp_path):
     rng = np.random.default_rng(6)
     store = _toy_fasttext_store(rng)
     emb.write_fasttext_store(store, tmp_path / "s.ftxt")
     emb.write_text_vectors(store, tmp_path / "s.txt")
-    fasttext = emb.load_store(tmp_path / "s.ftxt")
-    plain = emb.load_store(tmp_path / "s.txt")
-    assert (fasttext.kind, fasttext.bucket_count, fasttext.min_n, fasttext.max_n) == ("fasttext", 64, 3, 6)
-    assert plain.kind == "plain" and plain.ngram_buckets is None
-    for loaded in (fasttext, plain):
-        assert loaded.dim == 4 and list(loaded.word_vectors) == list(store.word_vectors)
-        for w, vec in store.word_vectors.items():
-            np.testing.assert_array_equal(loaded.word_vectors[w], vec)
+    write_text_store(store, tmp_path / "text.ftxt")
+    write_text_store(_plain(store), tmp_path / "text.txt")
+    for fasttext_name, plain_name in (("s.ftxt", "s.txt"), ("text.ftxt", "text.txt")):
+        fasttext = emb.load_store(tmp_path / fasttext_name)
+        plain = emb.load_store(tmp_path / plain_name)
+        assert (fasttext.kind, fasttext.bucket_count, fasttext.min_n, fasttext.max_n) == ("fasttext", 64, 3, 6)
+        # A plain store is a store with zero buckets and the default n-gram fields.
+        assert (plain.kind, plain.bucket_count, plain.ngram_buckets, plain.min_n, plain.max_n) == ("plain", 0, None, 3, 6)
+        for loaded in (fasttext, plain):
+            assert loaded.dim == 4 and list(loaded.word_vectors) == list(store.word_vectors)
+            for w, vec in store.word_vectors.items():
+                assert loaded.word_vectors[w].tobytes() == vec.astype(np.float32).tobytes()
 
 
 @pytest.mark.parametrize("kind, other", [("plain", "fasttext"), ("fasttext", "plain")])
 def test_declared_kind_is_checked_against_the_file(tmp_path, kind, other):
     rng = np.random.default_rng(7)
     store = _toy_fasttext_store(rng)
+    if kind == "plain":
+        store = _plain(store)
     path = tmp_path / "store"
-    (emb.write_text_vectors if kind == "plain" else emb.write_fasttext_store)(store, path)
-    assert emb.load_store(path, kind).kind == kind
-    with pytest.raises(emb.EmbeddingError, match=f"declared kind '{other}', but the file is a '{kind}' store"):
-        emb.load_store(path, other)
+    for write in (emb.write_text_vectors if kind == "plain" else emb.write_fasttext_store, write_text_store):
+        write(store, path)
+        assert emb.load_store(path, kind).kind == kind
+        with pytest.raises(emb.EmbeddingError, match=f"declared kind '{other}', but the file is a '{kind}' store"):
+            emb.load_store(path, other)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -277,14 +306,19 @@ def test_format_errors_name_their_line(tmp_path, text, message):
 
 
 def test_values_parse_as_float_does(tmp_path):
-    fields = ["1e-5", "-0.0", "1_0", "nan", "+.5", "-inf", "4.9e-324", "0.1000000000000000055511151231257827"]
+    fields = ["1e-5", "-0.0", "1_0", "nan", "+.5", "-inf", "4.9e-324", "0.1000000000000000055511151231257827",
+              "1.000000059604644775390625000001"]
     dim = len(fields)
     text = f"FTXT1 {dim} 3 6 1 1\nwort {' '.join(fields)}\n{' '.join(reversed(fields))}\n"
     store = emb.load_store(_write(tmp_path, "s.ftxt", text))
-    expect = np.array([float(f) for f in fields])
+    # Each value is its float64 value rounded to float32, as a binary copy of
+    # the same float64 vectors holds it.  The last field lies just above a
+    # float32 halfway point, which its float64 value sits on: rounded once
+    # from the decimal it would go up, from the float64 value it goes down.
+    expect = np.array([float(f) for f in fields]).astype(np.float32)
     for got, want in ((store.word_vectors["wort"], expect), (store.ngram_buckets[0], expect[::-1])):
-        assert got.dtype == np.float64
-        assert got.tobytes() == want.tobytes()  # bit-equal, so -0.0 keeps its sign and nan its payload
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()  # bit-equal, so -0.0 keeps its sign
 
 
 def _outcome(load, path):
@@ -366,7 +400,7 @@ def test_a_value_only_float_takes_or_none_takes_on_a_block_edge(tmp_path, bad, v
     if value == "x":
         assert got == f"line {bad + 1}: bad float value: could not convert string to float: 'x'"
     else:
-        assert got[6][bad][3] == np.array([10.0, 1.0]).tobytes()
+        assert got[6][bad][3] == np.array([10.0, 1.0], dtype=np.float32).tobytes()
 
 
 def test_a_bad_line_comes_before_a_later_non_utf8_line_of_its_block(tmp_path):
@@ -380,6 +414,168 @@ def test_fasttext_header_is_bounded_by_the_file_size(tmp_path):
     path = _write(tmp_path, "s.ftxt", "FTXT1 300 3 6 100000000 0\n1 2\n")
     with pytest.raises(emb.EmbeddingError, match=r"line 1: header declares 100000000 buckets of 300 values"):
         emb.load_store(path)
+
+
+def test_text_and_binary_stores_give_bit_equal_lookups_and_predictions(tmp_path):
+    sentences = make_corpus(24, seed=11)
+    texts = sorted({t.text for s in sentences for t in s.tokens})
+    rng = np.random.default_rng(12)
+    # Every other token text is in the vocabulary; the rest are OOV.
+    store = emb.EmbeddingStore(kind="fasttext", dim=300, word_vectors={w: rng.normal(size=300) for w in texts[::2]},
+                               ngram_buckets=rng.normal(size=(500, 300)), bucket_count=500)
+    write_text_store(store, tmp_path / "s.ftxt")
+    emb.write_fasttext_store(store, tmp_path / "s.bin")
+    text, binary = emb.load_store(tmp_path / "s.ftxt"), emb.load_store(tmp_path / "s.bin")
+    for word in texts + ["Zugspitze", "Straßenbahnhaltestelle"]:
+        (a, a_oov), (b, b_oov) = emb.lookup_word(text, word), emb.lookup_word(binary, word)
+        assert a_oov == b_oov == (word not in store.word_vectors)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    model = build_model(ModelConfig(germeval_schema(), char_variant="bilstm"), build_char_vocab(sentences), seed=3)
+    assert model.dtype == np.float32
+    batch = batch_from_sentences(sentences, model.char_vocab, model.config.required_char_mode, char_rows=False)
+    assert forward_emissions(model, batch, text).tobytes() == forward_emissions(model, batch, binary).tobytes()
+    assert predict_batch(model, text, sentences) == predict_batch(model, binary, sentences)
+
+
+def test_binary_store_maps_plain_read_only_rows(tmp_path):
+    rng = np.random.default_rng(13)
+    emb.write_fasttext_store(_toy_fasttext_store(rng), tmp_path / "s.bin")
+    store = emb.load_store(tmp_path / "s.bin")
+    arrays = [*store.word_vectors.values(), store.ngram_buckets]
+    assert all(type(a) is np.ndarray and a.dtype == np.float32 and not a.flags.writeable for a in arrays)
+
+
+def test_rewriting_a_mapped_store_replaces_the_file(tmp_path):
+    # Rewriting the file in place would change (or, shortened, fault) the
+    # pages a loaded store still reads.
+    path = tmp_path / "s.bin"
+    first, second = (_toy_fasttext_store(np.random.default_rng(seed)) for seed in (14, 15))
+    emb.write_fasttext_store(first, path)
+    loaded, inode = emb.load_store(path), os.stat(path).st_ino
+    emb.write_fasttext_store(second, path)
+    assert os.stat(path).st_ino != inode and os.listdir(tmp_path) == ["s.bin"]
+    assert loaded.ngram_buckets.tobytes() == first.ngram_buckets.astype(np.float32).tobytes()
+    assert emb.load_store(path).ngram_buckets.tobytes() == second.ngram_buckets.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("vectors, message", [
+    ({"a\nb": np.zeros(2)}, "holds a newline"),
+    ({"\ud800": np.zeros(2)}, "UTF-8"),
+    ({"a": np.zeros(2), "b": np.zeros(3)}, "store's 2 values"),
+], ids=["newline", "surrogate", "dim"])
+def test_a_store_the_format_cannot_hold_is_refused(tmp_path, vectors, message):
+    path = tmp_path / "s.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(emb.EmbeddingError, match=message):
+        emb.write_text_vectors(emb.EmbeddingStore(kind="plain", dim=2, word_vectors=vectors), path)
+    assert os.listdir(tmp_path) == ["s.bin"] and path.read_bytes() == b"old"
+
+
+_HEADER_AT = len(emb.BINARY_MAGIC)
+_FIELDS_AT = {name: _HEADER_AT + 8 + 8 * i
+              for i, name in enumerate(["dim", "min_n", "max_n", "bucket_count", "word_count", "words_bytes"])}
+
+
+def _binary_fixture(kind: str) -> bytes:
+    rng = np.random.default_rng(16)
+    store = _toy_fasttext_store(rng, words=("ab", "ac", "für", "Straße"), dim=3, buckets=5)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.bin"
+        (emb.write_fasttext_store if kind == "fasttext" else emb.write_text_vectors)(store, path)
+        return path.read_bytes()
+
+
+_BINARY_FIXTURES = {kind: _binary_fixture(kind) for kind in emb.STORE_KINDS}
+
+
+def _with_field(data: bytes, name: str, value: int) -> bytes:
+    at = _FIELDS_AT[name]
+    return data[:at] + struct.pack("<Q", value) + data[at + 8 :]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.replace(b"ac\n", b"ab\n"), "lists the word 'ab' twice"),
+    (lambda d: d.replace(b"ac\n", b"\xff\xfe\n"), "word list is not UTF-8"),
+    (lambda d: d.replace("Straße\n".encode(), "Straßex".encode()), "word list does not end with a newline"),
+    (lambda d: d.replace(b"ac\n", b"a\n\n"), "word list holds 5 words, header declares 4"),
+    (lambda d: d.replace(b"fasttext", b"plain\0\0\0"), "plain store with 5 buckets"),
+    (lambda d: d.replace(b"fasttext", b"fastText"), "unknown kind"),
+    (lambda d: _with_field(d, "min_n", 7), "min_n 7 > max_n 6"),
+    (lambda d: _with_field(d, "word_count", 2**40), "declares 1099511627776 words in"),
+    (lambda d: _with_field(d, "bucket_count", 6), "but the file has"),
+    (lambda d: d[:-1], "but the file has"),
+    (lambda d: d + b"\0", "but the file has"),
+    (lambda d: d[:_HEADER_AT + 20], "ends inside its 56-byte header"),
+], ids=["duplicate", "utf8", "unterminated", "count", "kind-buckets", "kind", "ngram-range", "words-bytes",
+        "buckets", "truncated", "trailing", "header"])
+def test_binary_store_corruptions_are_format_errors(tmp_path, mutate, message):
+    data = mutate(_BINARY_FIXTURES["fasttext"])
+    assert data != _BINARY_FIXTURES["fasttext"]
+    path = tmp_path / "s.bin"
+    path.write_bytes(data)
+    with pytest.raises(emb.EmbeddingError, match=re.escape(message)):
+        emb.load_store(path)
+
+
+@st.composite
+def _mutated_binary_stores(draw):
+    """(kind, mutation, bytes): a valid binary store truncated at any byte,
+    with one byte flipped, one header count inflated, or bytes appended."""
+    kind = draw(st.sampled_from(emb.STORE_KINDS))
+    data = _BINARY_FIXTURES[kind]
+    mutation = draw(st.sampled_from(["truncate", "flip", "inflate", "append"]))
+    if mutation == "truncate":
+        return kind, mutation, data[: draw(st.integers(0, len(data) - 1))]
+    if mutation == "flip":
+        at = draw(st.integers(0, len(data) - 1))
+        return kind, (mutation, at), data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+    if mutation == "inflate":
+        name = draw(st.sampled_from(["dim", "bucket_count", "word_count", "words_bytes"]))
+        value = struct.unpack_from("<Q", data, _FIELDS_AT[name])[0]
+        by = draw(st.one_of(st.integers(1, 4096), st.sampled_from([2**31, 2**40, 2**63, 2**64 - 1 - value])))
+        return kind, (mutation, name), _with_field(data, name, value + by)
+    return kind, mutation, data + draw(st.binary(min_size=1, max_size=80))
+
+
+@given(case=_mutated_binary_stores())
+@settings(max_examples=400, deadline=None)
+def test_a_mutated_binary_store_loads_or_is_a_format_error(case):
+    kind, mutation, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.bin"
+        path.write_bytes(data)
+        mapped = []
+        real_memmap = np.memmap
+
+        def recording_memmap(*args, **kwargs):
+            mapped.append(kwargs.get("shape"))
+            return real_memmap(*args, **kwargs)
+
+        tracemalloc.start()
+        try:
+            with mock.patch.object(emb.np, "memmap", recording_memmap):
+                store = emb.load_store(path)
+        except emb.EmbeddingError:
+            store = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    # Nothing the header declares is allocated unchecked: the reader's peak
+    # stays within a small multiple of the file.
+    assert peak < 4 * len(data) + 64 * 1024
+    if mutation[0] == "inflate" or mutation in ("truncate", "append"):
+        assert store is None
+    if mutation[0] == "inflate":
+        assert not mapped
+    offset = len(_BINARY_FIXTURES[kind]) - 4 * (4 + 5 * (kind == "fasttext")) * 3
+    if mutation[0] == "flip" and mutation[1] >= offset:
+        # A flipped matrix byte is a different value, read as it stands.
+        assert store is not None
+        matrix = np.frombuffer(data[offset:], dtype="<f4").reshape(-1, 3)
+        got = np.concatenate([np.array(list(store.word_vectors.values())).reshape(-1, 3),
+                              store.ngram_buckets if kind == "fasttext" else np.empty((0, 3), np.float32)])
+        assert got.tobytes() == matrix.tobytes()
 
 
 def _write_bin_fixture(path, words, dim, bucket, min_n=3, max_n=6, seed=0, version=12):
@@ -431,6 +627,21 @@ def test_convert_bin_round_trips_through_ftxt(tmp_path):
     a, _ = emb.lookup_word(store, "unbekanntes")
     b, _ = emb.lookup_word(loaded, "unbekanntes")
     np.testing.assert_array_equal(a, b)
+
+
+def test_convert_script_writes_binary_stores_from_published_models_and_text_stores(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "convert_fasttext.py"
+    _write_bin_fixture(tmp_path / "model.bin", ["wort", "haus"], dim=3, bucket=8, seed=5)
+    text = _toy_fasttext_store(np.random.default_rng(17))
+    write_text_store(text, tmp_path / "old.ftxt")
+    for source, out, args in (("model.bin", "a.store", []), ("old.ftxt", "b.store", ["--max-words", "1"])):
+        subprocess.run([sys.executable, str(script), str(tmp_path / source), str(tmp_path / out), *args],
+                       check=True, capture_output=True, timeout=60)
+        assert (tmp_path / out).read_bytes().startswith(emb.BINARY_MAGIC)
+    converted, migrated = emb.load_store(tmp_path / "a.store"), emb.load_store(tmp_path / "b.store")
+    assert _outcome(lambda p: converted, None) == _outcome(lambda p: emb.convert_fasttext_bin(p), tmp_path / "model.bin")
+    assert list(migrated.word_vectors) == ["gehen"] and migrated.bucket_count == 64
+    assert migrated.ngram_buckets.tobytes() == text.ngram_buckets.astype(np.float32).tobytes()
 
 
 def test_convert_bin_rejects_quantized_and_bad_magic(tmp_path):

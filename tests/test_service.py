@@ -450,7 +450,7 @@ def test_cli_predict_stdin(fixture_world, monkeypatch, capsys):
 
 @pytest.fixture
 def ftxt_store_path(fixture_world, tmp_path):
-    """The fixture's word vectors as an FTXT1 store with random buckets."""
+    """The fixture's word vectors as a fasttext store with random buckets."""
     plain = fixture_world.store
     buckets = np.random.default_rng(8).normal(size=(32, plain.dim))
     store = EmbeddingStore(kind="fasttext", dim=plain.dim, word_vectors=plain.word_vectors,
