@@ -1,6 +1,6 @@
 """Corpus handling: the BIO tag grammar, TSV/column parsers, tagging-scheme
 conversion and the combined-corpus label mapping, casing features,
-character index sequences and mini-batch assembly.
+character index rows and mini-batch assembly.
 
 :func:`split_tag` is the one reader of a tag's parts: the column parser,
 the IOB repair, the combined mapping and the chunk scorer in
@@ -11,6 +11,11 @@ four tab-separated columns (token number, token, outer label, inner label),
 ``#`` comment lines and blank-line sentence breaks.  The column format is
 whitespace-separated with the token first and the NE tag last; ``-DOCSTART-``
 sentences are dropped.  Parsing and batching are pure functions.
+
+Character rows are built for many token keys at once: the keys' texts
+become one array of code points, which one ``searchsorted`` maps through
+the vocabulary, and the boundary symbols and the padding are written by
+index arithmetic, so no Python loop runs per character.
 """
 
 from __future__ import annotations
@@ -40,10 +45,10 @@ __all__ = [
     "split_tag",
     "iob_to_bio",
     "map_combined",
-    "extract_casing_feature",
+    "casing_features",
     "CASING_FEATURE_NAMES",
     "build_char_vocab",
-    "build_char_sequences",
+    "build_char_rows",
     "Batch",
     "batch_from_sentences",
     "make_batches",
@@ -318,7 +323,7 @@ def casing_feature_name(token_text: str) -> str:
     all upper, initial upper, contains digit, other."""
     if not token_text:
         raise CorpusError("empty token has no casing feature")
-    n_digits = sum(ch.isdecimal() for ch in token_text)
+    n_digits = sum(map(str.isdecimal, token_text))
     n = len(token_text)
     if n_digits == n:
         return "numeric"
@@ -335,11 +340,13 @@ def casing_feature_name(token_text: str) -> str:
     return "other"
 
 
-def extract_casing_feature(token_text: str) -> np.ndarray:
-    """One-hot surface-shape descriptor of length 7."""
-    vec = np.zeros(len(CASING_FEATURE_NAMES))
-    vec[_CASE_INDEX[casing_feature_name(token_text)]] = 1.0
-    return vec
+def casing_features(texts: Sequence[str]) -> np.ndarray:
+    """The one-hot surface-shape descriptor of each text, ``(len(texts), 7)``:
+    one casing index per text, written with one scatter."""
+    index = np.fromiter((_CASE_INDEX[casing_feature_name(t)] for t in texts), dtype=np.int64, count=len(texts))
+    out = np.zeros((len(texts), len(CASING_FEATURE_NAMES)))
+    out[np.arange(len(texts)), index] = 1.0
+    return out
 
 
 PAD_INDEX = 0
@@ -355,9 +362,21 @@ VIRTUAL_CHARS = (SENT_START, SENT_END, WORD_START, WORD_END)
 class CharVocab:
     """Character-to-index map with reserved slots: 0 pad, 1 unknown, then the
     four virtual boundary symbols, then real characters.  Built from the
-    training split only so dev/test unknowns exercise the unknown slot."""
+    training split only so dev/test unknowns exercise the unknown slot.
+
+    The single-character entries are also held as code points in ascending
+    order, with their indices, for :meth:`code_indices`."""
 
     index: dict[str, int]
+    _codes: np.ndarray = field(init=False, repr=False, compare=False)
+    _ids: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # A sentinel above every code point ends the table, so a search
+        # never runs past it and an empty vocabulary needs no special case.
+        singles = sorted((ord(s), i) for s, i in self.index.items() if len(s) == 1) + [(0xFFFFFFFF, UNK_INDEX)]
+        object.__setattr__(self, "_codes", np.array([c for c, _ in singles], dtype=np.uint32))
+        object.__setattr__(self, "_ids", np.array([i for _, i in singles], dtype=np.int64))
 
     @classmethod
     def from_chars(cls, chars: Iterable[str]) -> "CharVocab":
@@ -371,6 +390,12 @@ class CharVocab:
 
     def lookup(self, symbol: str) -> int:
         return self.index.get(symbol, UNK_INDEX)
+
+    def code_indices(self, codes: np.ndarray) -> np.ndarray:
+        """The index of each code point in ``codes``, as :meth:`lookup`
+        gives it for that one character."""
+        at = np.searchsorted(self._codes, codes)
+        return np.where(self._codes[at] == codes, self._ids[at], UNK_INDEX)
 
     def __len__(self) -> int:
         return len(self.index)
@@ -387,21 +412,37 @@ def build_char_vocab(sentences: Iterable[Sentence]) -> CharVocab:
     return CharVocab.from_chars(chars)
 
 
-def build_char_sequences(keys: Sequence[tuple[str, bool, bool]], vocab: CharVocab, mode: str) -> list[list[int]]:
-    """Each ``(text, first, last)`` token key's character index row, unpadded.
+def build_char_rows(keys: Sequence[tuple[str, bool, bool]], vocab: CharVocab, mode: str) -> np.ndarray:
+    """Each ``(text, first, last)`` token key's character index row,
+    post-padded with ``PAD_INDEX`` to the longest: ``(len(keys), width)``.
 
     ``cnn`` mode wraps the text in word-boundary symbols, additionally
     marking the sentence start/end on a first/last token; ``rnn`` mode uses
-    the raw characters.
+    the raw characters.  All keys' characters are mapped at once, from one
+    array of the texts' code points.
     """
     if mode not in ("cnn", "rnn"):
         raise CorpusError(f"unknown char mode {mode!r}")
-    out = []
-    for text, first, last in keys:
-        symbols = list(text)
-        if mode == "cnn":
-            symbols = [SENT_START] * first + [WORD_START, *symbols, WORD_END] + [SENT_END] * last
-        out.append([vocab.lookup(s) for s in symbols])
+    texts, first, last = zip(*keys)
+    first, last = np.array(first, dtype=bool), np.array(last, dtype=bool)
+    sizes = np.fromiter(map(len, texts), dtype=np.int64, count=len(keys))
+    # surrogatepass: a lone surrogate is one code point, as it is to str.
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    # Each text's first column: after <S> and <W> in cnn mode.
+    lead = first + 1 if mode == "cnn" else np.zeros(len(keys), dtype=np.int64)
+    widths = lead + sizes + 1 + last if mode == "cnn" else sizes
+    out = np.full((len(keys), int(widths.max())), PAD_INDEX, dtype=np.int64)
+    # The flat position of each character: its row's first text column plus
+    # its offset in the text.
+    row_lead = np.arange(len(keys)) * out.shape[1] + lead
+    out.reshape(-1)[np.arange(len(codes)) + np.repeat(row_lead - (np.cumsum(sizes) - sizes), sizes)] = (
+        vocab.code_indices(codes))
+    if mode == "cnn":
+        rows, end = np.arange(len(keys)), lead + sizes
+        out[first, 0] = vocab.lookup(SENT_START)
+        out[rows, lead - 1] = vocab.lookup(WORD_START)
+        out[rows, end] = vocab.lookup(WORD_END)
+        out[last, end[last] + 1] = vocab.lookup(SENT_END)
     return out
 
 
@@ -440,7 +481,7 @@ class Batch:
         for those keys alone."""
         if self.key_chars is not None:
             return self.key_chars[keys]
-        return _post_padded(build_char_sequences([self.keys[u] for u in keys], self.char_vocab, self.char_mode))
+        return build_char_rows([self.keys[u] for u in keys], self.char_vocab, self.char_mode)
 
     @property
     def char_indices(self) -> np.ndarray | None:
@@ -451,13 +492,6 @@ class Batch:
         out = self.chars_of(range(len(self.keys)))[self.token_keys]
         out[~self.mask] = PAD_INDEX
         return out
-
-
-def _post_padded(rows: list[list[int]]) -> np.ndarray:
-    widths = np.array([len(row) for row in rows])
-    out = np.full((len(rows), widths.max()), PAD_INDEX, dtype=np.int64)
-    out[np.arange(widths.max()) < widths[:, None]] = np.concatenate(rows)
-    return out
 
 
 def batch_from_sentences(
@@ -478,21 +512,24 @@ def batch_from_sentences(
     lengths = np.array([len(s) for s in sentences])
     cnn = char_mode == "cnn"
     index: dict[tuple[str, bool, bool], int] = {}
-    real_keys = np.array([index.setdefault((tok.text, cnn and t == 0, cnn and t == len(s) - 1), len(index))
-                          for s in sentences for t, tok in enumerate(s.tokens)], dtype=np.int64)
+    real_keys = np.array([index.setdefault((tok.text, cnn and t == 0, cnn and t == last), len(index))
+                          for s, last in zip(sentences, (lengths - 1).tolist()) for t, tok in enumerate(s.tokens)],
+                         dtype=np.int64)
     keys = list(index)
     key_chars = None
     if char_mode is not None and char_rows:
-        chars = build_char_sequences(keys, char_vocab, char_mode)
+        chars = build_char_rows(keys, char_vocab, char_mode)
         # Keys in character-row order: the char submodel's weight gradients
         # sum over the rows in this order, which then depends on the batch's
-        # set of keys alone.
-        order = sorted(range(len(keys)), key=chars.__getitem__)
+        # set of keys alone.  PAD_INDEX is 0, below every symbol, so the
+        # padded rows sort as the unpadded ones would (a prefix first), and
+        # lexsort, which sorts by its last key first, is stable as sorted is.
+        order = np.lexsort(chars.T[::-1])
         rank = np.empty(len(keys), dtype=np.int64)
         rank[order] = np.arange(len(keys))
         real_keys = rank[real_keys]
         keys = [keys[u] for u in order]
-        key_chars = _post_padded([chars[u] for u in order])
+        key_chars = chars[order]
     max_len = int(lengths.max())
     token_keys = np.zeros((len(sentences), max_len), dtype=np.int64)
     token_keys[np.arange(max_len) < lengths[:, None]] = real_keys

@@ -5,7 +5,8 @@ length is ignored.  :func:`crf_negative_log_likelihood` returns a batch's
 negative log-likelihood, the mean over its sentences, together with its
 gradients: the value comes from the logsumexp-stabilized forward recursion,
 the gradients from one backward recursion.  Viterbi decoding is one
-max-plus pass with a vectorised backtrack.  All of them run on the
+max-plus pass that keeps only each step's best scores, and a vectorised
+backtrack that recovers each chosen label from them.  All of them run on the
 :func:`~gner.layers.length_schedule` order, so the rows still running at a
 step form a leading slice and ended rows keep their state.  Decoding is
 reentrant: parameters are read-only during inference.
@@ -133,28 +134,32 @@ def viterbi_decode(params: CrfParams, emissions, lengths) -> tuple[list[list[int
     """Best-scoring label path of every row, and the (B,) path scores.
 
     One max-plus pass over the (B, T, L) ``emissions``; row ``b`` spans its
-    first ``lengths[b]`` steps.  The backtrack starts each row from its best
-    last label and is vectorised over the rows still running.  Ties break
-    toward the lowest label index at every backtrack step.
+    first ``lengths[b]`` steps.  The pass keeps each step's best scores
+    only, one max per step.  The backtrack starts each row from its best
+    last label and, vectorised over the rows still running, takes the
+    argmax of the previous step's scores plus the transitions into the
+    label already chosen, which are the same sums the pass maximised.  Ties
+    break toward the lowest label index at every backtrack step.
     """
     e, lengths, order, running = _batch(emissions, lengths)
     B, T, L = e.shape
     e = e[order]
-    trans_t = params.transitions.T
-    score = params.start_scores + e[:, 0]
-    backptr = np.empty((T, B, L), dtype=np.int64)
+    trans, rows = params.transitions, np.arange(B)
+    # scores[t, b]: the best score of a path ending at step t in each label,
+    # written for the rows still running at t.
+    scores = np.empty((T, B, L))
+    scores[0] = params.start_scores + e[:, 0]
     for t in range(1, T):
         n = running[t]
-        cand = score[:n, None, :] + trans_t  # (row, to, from)
-        backptr[t, :n] = cand.argmax(axis=-1)  # argmax takes the lowest index on ties
-        score[:n] = e[:n, t] + cand.max(axis=-1)
-    score += params.end_scores
+        # (row, from, to): reducing the middle axis takes an elementwise max
+        # over whole (row, to) slices, faster than many short last-axis runs.
+        scores[t, :n] = e[:n, t] + np.maximum.reduce(scores[t - 1, :n, :, None] + trans, axis=1)
+    final = scores[lengths[order] - 1, rows] + params.end_scores
     labels = np.empty((T, B), dtype=np.int64)
-    labels[:] = score.argmax(axis=-1)  # a row's labels from its last step on
-    rows = np.arange(B)
+    labels[:] = final.argmax(axis=-1)  # a row's labels from its last step on
     for t in range(T - 1, 0, -1):
         n = running[t]
-        labels[t - 1, :n] = backptr[t, rows[:n], labels[t, :n]]
+        labels[t - 1, :n] = (scores[t - 1, :n] + trans[:, labels[t, :n]].T).argmax(axis=-1)
     unsort = np.argsort(order)
     paths = labels[:, unsort]
-    return [paths[:n, b].tolist() for b, n in enumerate(lengths)], score[rows, labels[-1]][unsort]
+    return [paths[:n, b].tolist() for b, n in enumerate(lengths)], final[rows, labels[-1]][unsort]

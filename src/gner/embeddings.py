@@ -474,7 +474,9 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
     them: the word's own input row averaged (in float64) with its n-gram
     bucket rows, then rounded to float32.  The model's float32 bucket rows
     are kept as they are, so OOV inference addresses exactly the same
-    vectors.  Dictionary labels and pruned models are not supported.
+    vectors.  Dictionary labels and pruned models are not supported.  The
+    input matrix is mapped with ``np.memmap`` once the file is known to
+    hold it, so only the rows the conversion reads take memory.
     """
     path = Path(path)
     with path.open("rb") as fh:
@@ -504,12 +506,15 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
         if quant:
             raise EmbeddingError(f"{path}: quantized models are not supported")
         rows, cols = _read_struct(fh, "<qq")
-        if cols != dim or rows != nwords + bucket:
+        if cols != dim or rows != nwords + bucket or min(rows, cols) < 0:
             raise EmbeddingError(f"{path}: unexpected input matrix shape {rows}x{cols}")
-        matrix = np.frombuffer(fh.read(rows * cols * 4), dtype="<f4")
-        if matrix.size != rows * cols:
+        offset = fh.tell()
+        if os.fstat(fh.fileno()).st_size - offset < rows * cols * 4:
             raise EmbeddingError(f"{path}: truncated input matrix")
-        matrix = matrix.reshape(rows, cols)
+        if rows * cols:
+            matrix = np.memmap(fh, dtype="<f4", mode="r", offset=offset, shape=(rows, cols)).view(np.ndarray)
+        else:
+            matrix = np.zeros((rows, cols), dtype=np.float32)
 
     buckets = matrix[nwords:]
     vectors: dict[str, np.ndarray] = {}

@@ -11,9 +11,10 @@ row's length (the BiLSTM also takes a table of input rows plus an index
 into it), and :func:`length_schedule` is the one place that checks the
 lengths and orders the rows by them.  The BiLSTM runs both directions in
 one call on that order; its backward is a hand-written BPTT over the
-activations the train-mode forward keeps.  The char CNN max-pools each
-row's windows; its backward routes the gradient to each filter's winning
-window.  An eval-mode forward keeps nothing for a backward pass.
+activations the train-mode forward keeps.  The char CNN forms only the
+windows that start inside each row, packed row after row, and max-pools
+each row's segment; its backward routes the gradient to each filter's
+winning window.  An eval-mode forward keeps nothing for a backward pass.
 A layer's parameter record holds only its arrays, and its sizes are read
 from their shapes; the character table is a bare ``(vocab, dim)`` array.
 Nothing here draws initial values: :func:`gner.model.build_model` does, by
@@ -325,17 +326,6 @@ def _add_rows(out: np.ndarray, index: np.ndarray, values: np.ndarray):
     np.add.at(out.reshape(-1), flat, values.reshape(-1))
 
 
-def _windows(x: np.ndarray, k: int) -> np.ndarray:
-    """(rows, steps, in) -> (rows, steps, k*in): window ``w`` holds
-    positions w..w+k-1 side by side, matching the kernels' (k, in) layout;
-    positions past the last step are zeros."""
-    rows, steps, width = x.shape
-    cols = np.zeros((rows, steps, k * width), dtype=x.dtype)
-    for j in range(min(k, steps)):
-        cols[:, : steps - j, j * width : (j + 1) * width] = x[:, j:]
-    return cols
-
-
 def conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths, mode: str = "eval"):
     """Convolution with ReLU, then per-filter max over windows.
 
@@ -344,9 +334,13 @@ def conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths, mode: str
     in eval mode).  Row ``r`` pools only the windows that start before
     position ``lengths[r]`` (1 <= lengths[r] <= steps), so whatever follows
     a row's content beyond its last window cannot win the max.  A window
-    that runs past the last step reads zeros there.  Since
-    ``relu(max z) == max(relu z)``, the forward takes the first argmax of
-    the pre-activations and rectifies after.
+    that runs past the last step reads zeros there.
+
+    Only those live windows are formed, packed row after row into one
+    ``(windows, k*in)`` matrix that goes through one matmul, and each row's
+    segment is max-pooled.  Since ``relu(max z) == max(relu z)``, the
+    forward rectifies after the max.  Train mode also keeps each filter's
+    first winning window.
     """
     if x.ndim != 3:
         raise LayerError(f"conv1d_globalmaxpool: expected (rows, steps, in) input, got shape {x.shape}")
@@ -357,13 +351,25 @@ def conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths, mode: str
     if x.dtype != params.kernels.dtype:
         raise LayerError(f"conv1d_globalmaxpool: {x.dtype} input, {params.kernels.dtype} kernels")
     lengths, _, _ = length_schedule(lengths, rows, steps)
-    w_flat = params.kernels.reshape(k * width, filters)
-    z = (_windows(x, k).reshape(rows * steps, k * width) @ w_flat + params.bias).reshape(rows, steps, filters)
-    z[np.arange(steps)[None, :] >= lengths[:, None]] = -np.inf
-    best = z.argmax(axis=1)[:, None, :]
-    top = np.take_along_axis(z, best, axis=1)[:, 0]
+    # Each row followed by k - 1 zero steps, flattened: window (r, w) is the
+    # k consecutive positions from r * wide + w.
+    wide = steps + k - 1
+    padded = np.zeros((rows, wide, width), dtype=x.dtype)
+    padded[:, :steps] = x
+    starts = np.cumsum(lengths) - lengths  # each row's first packed window
+    n = int(lengths.sum())
+    base = np.arange(n) + np.repeat(np.arange(rows) * wide - starts, lengths)
+    cols = np.take(padded.reshape(rows * wide, width), base[:, None] + np.arange(k), axis=0).reshape(n, k * width)
+    z = cols @ params.kernels.reshape(k * width, filters) + params.bias
+    top = np.maximum.reduceat(z, starts, axis=0)
     live = top > 0
-    return np.where(live, top, 0.0), (params, x, best, live) if mode == "train" else None
+    out = np.where(live, top, 0.0)
+    if mode != "train":
+        return out, None
+    # The first window in each row's segment that reaches its maximum.
+    best = np.minimum.reduceat(np.where(z == np.repeat(top, lengths, axis=0), np.arange(n)[:, None], n),
+                               starts, axis=0)
+    return out, (params, x.shape, base, cols, best, live)
 
 
 def conv1d_backward(cache: tuple, grad: np.ndarray):
@@ -371,20 +377,20 @@ def conv1d_backward(cache: tuple, grad: np.ndarray):
     ``grad``, the gradient of its (rows, filters) output: those of the
     input, the kernels and the bias.  Each filter's gradient reaches only
     its winning window, and only where that window's pre-activation is
-    positive."""
-    params, x, best, live = cache
-    rows, steps, width = x.shape
+    positive; the input's gradient then folds back onto each of the
+    window's k positions in turn."""
+    params, shape, base, cols, best, live = cache
+    rows, steps, width = shape
     k, filters = params.kernel_size, params.filters
     if grad.dtype != params.kernels.dtype:
         raise LayerError(f"conv1d_backward: {grad.dtype} gradient, {params.kernels.dtype} kernels")
-    dz = np.zeros((rows, steps, filters), dtype=x.dtype)
-    np.put_along_axis(dz, best, (grad * live)[:, None, :], axis=1)
-    dz = dz.reshape(rows * steps, filters)
-    cols = _windows(x, k).reshape(rows * steps, k * width)
-    dcols = (dz @ params.kernels.reshape(k * width, filters).T).reshape(rows, steps, k * width)
-    dx = np.zeros(x.shape, dtype=x.dtype)
-    for j in range(min(k, steps)):
-        dx[:, j:] += dcols[:, : steps - j, j * width : (j + 1) * width]
+    dz = np.zeros((len(cols), filters), dtype=cols.dtype)
+    dz[best, np.arange(filters)] = grad * live
+    dcols = (dz @ params.kernels.reshape(k * width, filters).T).reshape(len(cols), k, width)
+    dx = np.zeros((rows * (steps + k - 1), width), dtype=cols.dtype)
+    for j in range(k):
+        dx[base + j] += dcols[:, j]  # a row's windows start at distinct positions
+    dx = dx.reshape(rows, steps + k - 1, width)[:, :steps]
     return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)
 
 

@@ -25,7 +25,10 @@ Word vectors come from an external store and are never trained.  A batch's
 input is built once per token key (the text, plus in ``cnn`` char mode
 whether it opens or closes its sentence): one ``(keys, input_width)`` table
 of word vector, casing one-hot and character feature.  The word vector and
-casing depend on the text alone, so each is built once per text.  No
+casing depend on the text alone, so each is built once per distinct text
+and copied to its keys; the keys' character rows are built together
+(:func:`~gner.corpus.build_char_rows`), and the char CNN computes only the
+windows that start inside each row.  No
 padded ``(batch, max_len, input_width)`` input exists: the token BiLSTM
 reads the key table through ``token_keys``.  In eval mode the table holds
 each key's gate inputs, its row projected by both directions; a
@@ -47,7 +50,6 @@ float32 model round-trips bit-equal.  The CRF scores in float64, and
 
 from __future__ import annotations
 
-import copy
 import io
 import json
 import math
@@ -61,7 +63,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import (CASING_FEATURE_NAMES, PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token,
-                     batch_from_sentences, extract_casing_feature)
+                     batch_from_sentences, casing_features)
 from .crf import CrfParams, viterbi_decode
 from .embeddings import EmbeddingStore, lookup_word
 from .layers import (
@@ -315,13 +317,6 @@ class RowCache:
         self._lock = threading.Lock()
         self.hits = self.lookups = 0
 
-    def counted(self) -> "RowCache":
-        """A view that shares this cache's rows and lock but counts its own
-        :attr:`hits` and :attr:`lookups`, for one caller's batches."""
-        view = copy.copy(self)
-        view.hits = view.lookups = 0
-        return view
-
     def take(self, keys: list, table: np.ndarray) -> list[int]:
         """Copy each held key's row into the row of ``table`` with the key's
         index, and return the indices of the keys it does not hold."""
@@ -389,17 +384,17 @@ def _input_rows(model: NerModel, batch: Batch, embedding_store: EmbeddingStore, 
     """The input rows ``(len(keys), input_width)`` of the batch's keys at
     the indices ``keys`` (word vector, casing one-hot, char feature) and,
     in train mode, the char submodel's cache.  The first two are built once
-    per text, which in cnn char mode can be up to three keys."""
+    per distinct text, which in cnn char mode can be up to three keys, and
+    copied to each of its keys."""
     cfg = model.config
     words = cfg.word_dim + cfg.casing_dim
     table = np.empty((len(keys), cfg.input_width), dtype=model.dtype)
-    by_text: dict[str, np.ndarray] = {}
-    for j, u in enumerate(keys):
-        text = batch.keys[u][0]
-        row = by_text.get(text)
-        if row is None:
-            row = by_text[text] = np.concatenate([lookup_word(embedding_store, text)[0], extract_casing_feature(text)])
-        table[j, :words] = row
+    distinct: dict[str, int] = {}
+    of_text = [distinct.setdefault(batch.keys[u][0], len(distinct)) for u in keys]
+    per_text = np.empty((len(distinct), words), dtype=model.dtype)
+    per_text[:, : cfg.word_dim] = [lookup_word(embedding_store, text)[0] for text in distinct]
+    per_text[:, cfg.word_dim :] = casing_features(list(distinct))
+    table[:, :words] = per_text[of_text]
     chars = None
     if cfg.required_char_mode is not None:
         table[:, words:], chars = _char_features(model, batch.chars_of(keys), mode)

@@ -212,15 +212,18 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
 
     started = time.perf_counter()
     batch = [Sentence([Token(tok) for tok in sent], ["O"] * len(sent)) for sent in sentences]
-    cache = entry.cache.counted()
+    cache = entry.cache
     with registry.lock:
+        # One forward runs at a time, so the counts' growth is this request's.
+        hits, lookups = cache.hits, cache.lookups
         labels = predict_batch(entry.model, entry.store, batch, cache=cache)
+        hits, lookups = cache.hits - hits, cache.lookups - lookups
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     tokens = [tok for sent in sentences for tok in sent]
     oov = sum(tok not in entry.store.word_vectors for tok in tokens)
     return 200, {"model": name, "labels": labels, "timing_ms": elapsed_ms,
                  "oov_rate": oov / len(tokens) if tokens else 0.0,
-                 "cached_share": cache.hits / cache.lookups if cache.lookups else 0.0}
+                 "cached_share": hits / lookups if lookups else 0.0}
 
 
 def _make_handler(registry: ModelRegistry):

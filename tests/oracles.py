@@ -1,6 +1,7 @@
 """Test oracles: central finite differences for hand-written gradients,
-brute-force path enumeration for the CRF, and a line-at-a-time reference
-parser for embedding stores."""
+brute-force path enumeration for the CRF, a line-at-a-time reference
+parser for embedding stores, character rows made one symbol at a time and
+a char CNN that convolves every window and masks the dead ones."""
 
 from __future__ import annotations
 
@@ -10,8 +11,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from gner.corpus import PAD_INDEX, SENT_END, SENT_START, WORD_END, WORD_START, CharVocab
 from gner.crf import CrfParams
 from gner.embeddings import FASTTEXT_MAGIC, EmbeddingError, EmbeddingStore, check_kind
+from gner.layers import Conv1dParams
 
 # A sample counts as taken at a kink when its one-sided slopes differ by more
 # than this share of the larger one.
@@ -220,3 +223,66 @@ def _reference_read(lines, path: Path) -> EmbeddingStore:
     if dim is None:
         raise EmbeddingError(f"{path}: no vectors found")
     return EmbeddingStore(kind=kind, dim=dim, word_vectors=vectors, duplicates_skipped=duplicates, **ngram_fields)
+
+
+def reference_char_rows(keys: Sequence[tuple[str, bool, bool]], vocab: CharVocab, mode: str) -> np.ndarray:
+    """Each ``(text, first, last)`` key's character row built one symbol at
+    a time, then post-padded with ``PAD_INDEX`` to the longest: ``cnn`` mode
+    wraps the text in ``<W>``..``</W>``, with ``<S>`` before a first and
+    ``</S>`` after a last token; ``rnn`` mode takes the raw characters.
+    ``corpus.build_char_rows`` must give the same array."""
+    rows = []
+    for text, first, last in keys:
+        symbols = list(text)
+        if mode == "cnn":
+            symbols = [SENT_START] * first + [WORD_START, *symbols, WORD_END] + [SENT_END] * last
+        rows.append([vocab.lookup(s) for s in symbols])
+    out = np.full((len(rows), max(map(len, rows))), PAD_INDEX, dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r, : len(row)] = row
+    return out
+
+
+def _all_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """(rows, steps, in) -> (rows, steps, k*in): window ``w`` holds
+    positions w..w+k-1 side by side, zeros past the last step."""
+    rows, steps, width = x.shape
+    cols = np.zeros((rows, steps, k * width), dtype=x.dtype)
+    for j in range(min(k, steps)):
+        cols[:, : steps - j, j * width : (j + 1) * width] = x[:, j:]
+    return cols
+
+
+def reference_conv1d_globalmaxpool(params: Conv1dParams, x: np.ndarray, lengths):
+    """The char CNN over every window of every row: the windows starting at
+    or past a row's length are masked to -inf, then each filter takes its
+    first argmax and is rectified.  Returns the (rows, filters) features
+    and the winning windows ``(rows, filters)`` as step indices."""
+    rows, steps, width = x.shape
+    k, filters = params.kernel_size, params.filters
+    z = _all_windows(x, k).reshape(rows * steps, k * width) @ params.kernels.reshape(k * width, filters)
+    z = (z + params.bias).reshape(rows, steps, filters)
+    z[np.arange(steps)[None, :] >= np.asarray(lengths)[:, None]] = -np.inf
+    best = z.argmax(axis=1)
+    top = np.take_along_axis(z, best[:, None, :], axis=1)[:, 0]
+    return np.where(top > 0, top, 0.0), best
+
+
+def reference_conv1d_backward(params: Conv1dParams, x: np.ndarray, lengths, grad: np.ndarray):
+    """Gradients of ``sum(reference_conv1d_globalmaxpool(...) * grad)``
+    w.r.t. the input, the kernels and the bias, over every window: each
+    filter's gradient reaches its winning window where that window's
+    pre-activation is positive, and each window's input gradient is added
+    back position by position."""
+    rows, steps, width = x.shape
+    k, filters = params.kernel_size, params.filters
+    out, best = reference_conv1d_globalmaxpool(params, x, lengths)
+    dz = np.zeros((rows, steps, filters), dtype=x.dtype)
+    np.put_along_axis(dz, best[:, None, :], (grad * (out > 0))[:, None, :], axis=1)
+    dz = dz.reshape(rows * steps, filters)
+    cols = _all_windows(x, k).reshape(rows * steps, k * width)
+    dcols = (dz @ params.kernels.reshape(k * width, filters).T).reshape(rows, steps, k * width)
+    dx = np.zeros(x.shape, dtype=x.dtype)
+    for j in range(min(k, steps)):
+        dx[:, j:] += dcols[:, : steps - j, j * width : (j + 1) * width]
+    return dx, (cols.T @ dz).reshape(k, width, filters), dz.sum(axis=0)

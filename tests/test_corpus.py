@@ -7,6 +7,7 @@ from gner import corpus
 from gner.datagen import make_corpus
 from gner.evaluation import EvaluationError, extract_chunks
 from helpers import write_conll03
+from oracles import reference_char_rows
 
 GERMEVAL_FIXTURE = """\
 # http://example.org [2009-10-17]
@@ -176,14 +177,14 @@ def test_chunks_invariant_under_iob_reading(labels):
 )
 def test_casing_feature_rules(token, expected):
     assert corpus.casing_feature_name(token) == expected
-    vec = corpus.extract_casing_feature(token)
+    (vec,) = corpus.casing_features([token])
     assert vec[corpus.CASING_FEATURE_NAMES.index(expected)] == 1.0
 
 
 @given(st.text(min_size=1, max_size=10))
 @settings(max_examples=150, deadline=None)
 def test_casing_one_hot_sums_to_one(token):
-    assert corpus.extract_casing_feature(token).sum() == 1.0
+    assert corpus.casing_features([token]).sum() == 1.0
 
 
 def _sent(*texts, outer=None, inner=None):
@@ -201,18 +202,46 @@ def test_char_vocab_reserved_slots():
 
 def test_char_sequences_rnn_raw_unpadded():
     vocab = corpus.build_char_vocab([_sent("ab", "b")])
-    rows = corpus.build_char_sequences([("ab", False, False), ("b", False, False)], vocab, "rnn")
+    rows = corpus.build_char_rows([("ab", False, False), ("b", False, False)], vocab, "rnn")
     a, b = vocab.lookup("a"), vocab.lookup("b")
-    assert rows == [[a, b], [b]]
+    assert rows.tolist() == [[a, b], [b, corpus.PAD_INDEX]]
 
 
 def test_char_sequences_cnn_decoration_order():
     vocab = corpus.build_char_vocab([_sent("ab")])
     keys = [("ab", True, True), ("ab", True, False), ("ab", False, True), ("ab", False, False)]
-    rows = corpus.build_char_sequences(keys, vocab, "cnn")
+    rows = corpus.build_char_rows(keys, vocab, "cnn")
     a, b = vocab.lookup("a"), vocab.lookup("b")
     s0, w0, w1, s1 = (vocab.lookup(v) for v in ("<S>", "<W>", "</W>", "</S>"))
-    assert rows == [[s0, w0, a, b, w1, s1], [s0, w0, a, b, w1], [w0, a, b, w1, s1], [w0, a, b, w1]]
+    pad = corpus.PAD_INDEX
+    assert rows.tolist() == [[s0, w0, a, b, w1, s1], [s0, w0, a, b, w1, pad], [w0, a, b, w1, s1, pad],
+                             [w0, a, b, w1, pad, pad]]
+
+
+# Characters in and out of the vocabulary: non-BMP ones, a lone surrogate
+# (one code point to str, as after json.loads of "\ud83d") and any other.
+_ROW_VOCAB = corpus.CharVocab.from_chars("abcÄß<\U0001F600\ud83d")
+_ROW_SYMBOLS = st.sampled_from(list("abcÄß<xÐ") + ["\U0001F600", "\U00010348", "\ud83d", "\ude00"]) | st.characters()
+_ROW_KEYS = st.lists(st.tuples(st.text(_ROW_SYMBOLS, min_size=1, max_size=6), st.booleans(), st.booleans()),
+                     min_size=1, max_size=12)
+
+
+@given(_ROW_KEYS, st.sampled_from(["cnn", "rnn"]))
+@settings(max_examples=300, deadline=None)
+def test_char_rows_equal_the_symbol_at_a_time_reference(keys, mode):
+    rows = corpus.build_char_rows(keys, _ROW_VOCAB, mode)
+    assert rows.dtype == np.int64
+    np.testing.assert_array_equal(rows, reference_char_rows(keys, _ROW_VOCAB, mode))
+    # Training's key order is the keys' first-occurrence order sorted by
+    # their unpadded character rows, the sort stable among equal rows.
+    texts = [text for text, _, _ in keys]
+    sentences = [_sent(*texts), _sent(texts[-1]), _sent(*texts[::2])]
+    ordered = corpus.batch_from_sentences(sentences, _ROW_VOCAB, mode)
+    lazy = corpus.batch_from_sentences(sentences, _ROW_VOCAB, mode, char_rows=False)
+    assert ordered.keys == sorted(lazy.keys, key=lambda key: reference_char_rows([key], _ROW_VOCAB, mode)[0].tolist())
+    np.testing.assert_array_equal(ordered.key_chars, reference_char_rows(ordered.keys, _ROW_VOCAB, mode))
+    real = ordered.mask
+    assert ([ordered.keys[u] for u in ordered.token_keys[real]] == [lazy.keys[u] for u in lazy.token_keys[real]])
 
 
 def test_token_keys_mark_first_and_last_only_in_cnn_mode():
@@ -224,9 +253,7 @@ def test_token_keys_mark_first_and_last_only_in_cnn_mode():
     assert (first, middle, last) == (("Ulm", True, False), ("mag", False, False), ("Ulm", False, True))
     assert corpus.batch_from_sentences([_sent("Ulm")], vocab, "cnn").keys == [("Ulm", True, True)]
     # Each key's character row is its decorated text.
-    np.testing.assert_array_equal(
-        cnn.key_chars, [row + [corpus.PAD_INDEX] * (cnn.key_chars.shape[1] - len(row))
-                        for row in corpus.build_char_sequences(cnn.keys, vocab, "cnn")])
+    np.testing.assert_array_equal(cnn.key_chars, reference_char_rows(cnn.keys, vocab, "cnn"))
     for mode in ("rnn", None):
         plain = corpus.batch_from_sentences([sentence], vocab if mode else None, mode)
         assert sorted(plain.keys) == [("Ulm", False, False), ("mag", False, False)]
@@ -297,9 +324,9 @@ def test_batch_char_indices_shape_and_mask_rows():
     assert (batch.char_indices[1, 1] == corpus.PAD_INDEX).all()
     # cnn rows are decorated and post-padded the same way, with nothing more.
     cnn = corpus.batch_from_sentences([_sent("ab", "c"), _sent("a")], vocab, "cnn")
-    rows = corpus.build_char_sequences([("ab", True, False), ("c", False, True)], vocab, "cnn")
+    rows = corpus.build_char_rows([("ab", True, False), ("c", False, True)], vocab, "cnn")
     assert cnn.char_indices.shape == (2, 2, 5)
-    assert cnn.char_indices[0].tolist() == [rows[0], rows[1] + [0]]
+    assert cnn.char_indices[0].tolist() == rows.tolist()
     # The view from the key table is the per-occurrence layout: repeated
     # tokens, one-token sentences, unknown characters and padding included.
     sents = make_corpus(40, seed=3)
@@ -315,8 +342,8 @@ def test_batch_char_indices_shape_and_mask_rows():
             assert lazy.key_chars is None
             np.testing.assert_array_equal(lazy.char_indices, view)
             some = list(range(0, len(lazy.keys), 3))
-            rows = corpus.build_char_sequences([lazy.keys[u] for u in some], vocab, mode)
-            assert [[ch for ch in row if ch != corpus.PAD_INDEX] for row in lazy.chars_of(some).tolist()] == rows
+            np.testing.assert_array_equal(lazy.chars_of(some),
+                                          reference_char_rows([lazy.keys[u] for u in some], vocab, mode))
     assert corpus.batch_from_sentences(sents, None, None).char_indices is None
 
 

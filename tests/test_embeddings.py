@@ -617,6 +617,24 @@ def test_convert_bin_composes_word_vectors(tmp_path):
     assert oov and np.isfinite(vec).all()
 
 
+def test_convert_bin_reads_the_mapped_matrix_bit_exactly_and_refuses_a_truncated_one(tmp_path):
+    words = ["gehen", "Haus"]
+    path = tmp_path / "model.bin"
+    matrix = _write_bin_fixture(path, words, dim=3, bucket=8, seed=6)
+    with open(path, "ab") as fh:
+        fh.write(b"\x00" * 40)  # the published layout's output matrix follows the input one
+    store = emb.convert_fasttext_bin(path)
+    assert store.ngram_buckets.tobytes() == matrix[len(words):].tobytes()
+    for wid, word in enumerate(words):
+        rows = [matrix[wid]] + [matrix[len(words) + emb.ngram_bucket(g, 8)] for g in emb.extract_char_ngrams(word)]
+        assert store.word_vectors[word].tobytes() == np.mean(np.array(rows, np.float64), axis=0).astype("<f4").tobytes()
+    data = path.read_bytes()[:-40]
+    for cut in (1, 4, matrix.nbytes):
+        path.write_bytes(data[:-cut])
+        with pytest.raises(emb.EmbeddingError, match="truncated input matrix"):
+            emb.convert_fasttext_bin(path)
+
+
 def test_convert_bin_round_trips_through_ftxt(tmp_path):
     path = tmp_path / "model.bin"
     _write_bin_fixture(path, ["wort"], dim=3, bucket=8, seed=4)

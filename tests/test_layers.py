@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gner import crf, layers
 from gner import model as M
 from gner.corpus import PAD_INDEX, build_char_vocab, germeval_schema
 from gner.datagen import make_corpus
 from helpers import char_table, conv_params, crf_params, lstm_params
-from oracles import check_gradient
+from oracles import check_gradient, reference_conv1d_backward, reference_conv1d_globalmaxpool
 
 
 def _lstm(input_dim, cells, seed=0):
@@ -659,6 +661,30 @@ def test_conv_overhang_matches_zero_padded_row(k):
     for r, n in enumerate(lengths):
         ref = _conv_reference(p.kernels, p.bias, padded[r : r + 1, : n + k - 1])
         np.testing.assert_allclose(got[0][r : r + 1], ref, rtol=1e-12, atol=1e-14)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5]), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_live_window_conv_equals_the_full_window_reference(seed, k, integral):
+    # Random lengths, the first row of length 1, and rows and batches
+    # shorter than the kernel.  Integer values make the sums exact and the
+    # winning windows tie often, so the first-argmax rule is compared too.
+    rng = np.random.default_rng(seed)
+    rows, steps, width, filters = (int(rng.integers(1, n)) for n in (7, 9, 4, 6))
+    lengths = rng.integers(1, steps + 1, rows)
+    lengths[0] = 1
+
+    def draw(*shape):
+        return rng.integers(-2, 3, shape).astype(float) if integral else rng.uniform(-1, 1, shape)
+
+    p = layers.Conv1dParams(draw(k, width, filters), draw(filters))
+    x, grad = draw(rows, steps, width), draw(rows, filters)
+    out, cache = layers.conv1d_globalmaxpool(p, x, lengths, mode="train")
+    np.testing.assert_array_equal(layers.conv1d_globalmaxpool(p, x, lengths)[0], out)
+    np.testing.assert_allclose(out, reference_conv1d_globalmaxpool(p, x, lengths)[0], rtol=1e-12, atol=1e-12)
+    for got, want in zip(layers.conv1d_backward(cache, grad), reference_conv1d_backward(p, x, lengths, grad)):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def test_conv_gradient_check_input_kernels_and_bias():

@@ -268,7 +268,7 @@ def test_row_cache_holds_each_keys_input_row_times_both_input_weights(variant):
     batch = batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode)
     assert set(cache._slots) == set(batch.keys)
     for u, (text, first, last) in enumerate(batch.keys):
-        parts = [M.lookup_word(store, text)[0], M.extract_casing_feature(text)]
+        parts = [M.lookup_word(store, text)[0], M.casing_features([text])[0]]
         if batch.char_mode is not None:
             parts.append(M._char_features(model, batch.key_chars[[u]], "eval")[0][0])
         row = np.concatenate(parts).astype(model.dtype)
