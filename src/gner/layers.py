@@ -6,17 +6,21 @@ model.  The BiLSTM and the char CNN raise :class:`LayerError` on an input
 of another dtype, and every backward on a gradient of another, so nothing
 upcasts without notice.
 
-A sequence batch is a post-padded ``(rows, steps, dim)`` array plus each
-row's length (the BiLSTM also takes a table of input rows plus an index
-into it), and :func:`length_schedule` is the one place that checks the
-lengths and orders the rows by them.  The BiLSTM runs both directions in
-one call on that order; its backward is a hand-written BPTT over the
-activations the train-mode forward keeps.  The char CNN forms only the
-windows that start inside each row, packed row after row, and max-pools
-each row's segment; its backward routes the gradient to each filter's
-winning window.  An eval-mode forward keeps nothing for a backward pass.
-A layer's parameter record holds only its arrays, and its sizes are read
-from their shapes; the character table is a bare ``(vocab, dim)`` array.
+A sequence batch is described by each row's length, and
+:func:`length_schedule` is the one place that checks the lengths and
+orders the rows by them.  The BiLSTM has one input layout, a ``(rows,
+dim)`` table plus a ``(batch, steps)`` index into it, and one output
+layout, packed rows: one per real position, in the schedule's order, with
+each one's (row, step) to place it, so it holds no padded activation.  It
+runs both directions in one call on that order; its backward takes its
+gradient in the same packed rows and is a hand-written BPTT over the
+activations the train-mode forward keeps.  The char CNN reads a
+post-padded ``(rows, steps, dim)`` array, forms only the windows that
+start inside each row, packed row after row, and max-pools each row's
+segment; its backward routes the gradient to each filter's winning window.
+An eval-mode forward keeps nothing for a backward pass.  A layer's
+parameter record holds only its arrays, and its sizes are read from their
+shapes; the character table is a bare ``(vocab, dim)`` array.
 Nothing here draws initial values: :func:`gner.model.build_model` does, by
 parameter name.  Parameters are immutable during inference and mutated in
 place only by the training loop.
@@ -123,23 +127,22 @@ def length_schedule(lengths, batch: int, steps: int) -> tuple[np.ndarray, np.nda
     return lengths, order, (lengths[order] > np.arange(steps)[:, None]).sum(axis=1).tolist()
 
 
-def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.ndarray, gather, keep: bool):
+def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.ndarray, batch: int, keep: bool):
     """Run the recurrence over ``times``; ``xw`` holds the input projection
-    of every real position in the schedule's packed order, and ``gather``
-    each one's (row, step).  The state is held in the schedule's row order
-    (``rec_mask`` too) and each step updates the rows still running, a
-    leading slice of it, in place: the gate arithmetic writes into buffers
-    made once per call.  The outputs, packed in that order, are scattered
-    into ``out`` (B, T, cells) once at the end, which stays zero past each
-    row's length.  With ``keep``, returns the per-position activations BPTT
-    needs: gates (i, f, g, o), recurrent input, previous cell, tanh(cell).
+    of every real position in the schedule's packed order, and ``out``
+    (N, cells), this direction's half of the packed output, takes each
+    position's output in that order.  The state is held in the schedule's
+    row order (``rec_mask`` too) and each step updates the rows still
+    running, a leading slice of it, in place: the gate arithmetic writes
+    into buffers made once per call.  With ``keep``, returns the
+    per-position activations BPTT needs: gates (i, f, g, o), recurrent
+    input, previous cell, tanh(cell).
     """
     cells = params.cells
     u, bias = params.w_recurrent, params.bias
-    n, batch, dtype = xw.shape[0], out.shape[0], out.dtype
+    n, dtype = xw.shape[0], out.dtype
     h, c, h_masked, i_g, tanh_c = (np.zeros((batch, cells), dtype=dtype) for _ in range(5))
     z, act = np.empty((batch, 4 * cells), dtype=dtype), np.empty((batch, 4 * cells), dtype=dtype)
-    packed = np.empty((n, cells), dtype=dtype)
     cache = None
     if keep:
         cache = tuple(np.empty((n, width), dtype=dtype) for width in (4 * cells, cells, cells, cells))
@@ -166,9 +169,8 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
         c_t *= a[:, cells : 2 * cells]
         c_t += i_g[:running]
         tc = np.tanh(c_t, out=cache[3][seg] if keep else tanh_c[:running])
-        np.multiply(a[:, 3 * cells :], tc, out=packed[seg])
-        h[:running] = packed[seg]
-    out[gather] = packed
+        np.multiply(a[:, 3 * cells :], tc, out=out[seg])
+        h[:running] = out[seg]
     return cache
 
 
@@ -206,51 +208,47 @@ def bilstm_sequence(
     fwd: LstmParams,
     bwd: LstmParams,
     x: np.ndarray,
+    index,
     lengths,
     recurrent_dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    index=None,
     projected: bool = False,
-) -> tuple[np.ndarray, tuple | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple | None]:
     """Bidirectional LSTM over a batch whose row ``b`` holds its sequence at
-    steps ``0 .. lengths[b] - 1``.  The input is either post-padded, ``x``
-    of shape (batch, steps, in), or a (rows, in) table ``x`` plus a
-    (batch, steps) ``index`` into it, so that positions sharing an input
-    row share a table row; ``index`` is read only at real positions.
-    A ``projected`` table, eval mode only, holds each row's gate inputs
-    instead: ``row @ fwd.w_input`` beside ``row @ bwd.w_input``, so
-    ``4 * (fwd.cells + bwd.cells)`` wide.
-    Returns the (batch, steps, 2*cells) output, holding
-    concat(h_fwd_t, h_bwd_t) and zero past each row's length, and the cache
-    :func:`bilstm_backward` reads, which only train mode keeps (None in
-    eval mode).
+    steps ``0 .. lengths[b] - 1``: step ``t`` of row ``b`` reads row
+    ``index[b, t]`` of the (rows, in) table ``x``, so that positions sharing
+    an input row share a table row.  ``index`` is (batch, steps) and read
+    only at real positions.  A ``projected`` table, eval mode only, holds
+    each row's gate inputs instead: ``row @ fwd.w_input`` beside
+    ``row @ bwd.w_input``, so ``4 * (fwd.cells + bwd.cells)`` wide.
+
+    Returns three things.  The packed output ``(positions, 2*cells)`` holds
+    concat(h_fwd_t, h_bwd_t) for each real position and nothing else, in
+    the :func:`length_schedule` order: step after step, and within a step
+    the running rows by descending length.  ``place`` is each packed row's
+    (row, step), two int arrays, so ``padded[place] = out`` places them.
+    The cache :func:`bilstm_backward` reads is kept in train mode only
+    (None in eval mode).
 
     Each direction's input projection is one matmul over the real
-    positions' rows, gathered into the :func:`length_schedule` order, on
-    which the recurrence runs in numpy;
-    the backward direction starts each row at its last real step, and each
-    direction's outputs are scattered into its half of the output once.
-    When training with ``recurrent_dropout``, one mask per direction
-    (forward first) is sampled and reused at every timestep.
+    positions' rows, gathered into that order, on which the recurrence runs
+    in numpy; the backward direction starts each row at its last real step,
+    and each direction writes its half of the packed output in place.  When
+    training with ``recurrent_dropout``, one mask per direction (forward
+    first) is sampled and reused at every timestep.
     """
-    if index is None:
-        if x.ndim != 3:
-            raise LayerError(f"bilstm_sequence: expected (batch, steps, in) input, got shape {x.shape}")
-        batch, length, width = x.shape
-        table = x.reshape(batch * length, width)
-    else:
-        index = np.asarray(index)
-        if x.ndim != 2 or index.ndim != 2:
-            raise LayerError(
-                f"bilstm_sequence: expected a (rows, in) table and a (batch, steps) index, got shapes "
-                f"{x.shape} and {index.shape}")
-        (batch, length), width, table = index.shape, x.shape[1], x
+    index = np.asarray(index)
+    if x.ndim != 2 or index.ndim != 2:
+        raise LayerError(
+            f"bilstm_sequence: expected a (rows, in) table and a (batch, steps) index, got shapes "
+            f"{x.shape} and {index.shape}")
+    (batch, length), width = index.shape, x.shape[1]
     train = mode == "train"
     gates = 4 * fwd.cells
-    if projected and (train or index is None or width != gates + 4 * bwd.cells):
+    if projected and (train or width != gates + 4 * bwd.cells):
         raise LayerError(f"bilstm_sequence: a projected input is an eval-mode ({gates + 4 * bwd.cells})-wide "
-                         f"table with an index, got shape {x.shape}, mode {mode!r}")
+                         f"table, got shape {x.shape}, mode {mode!r}")
     for p in (fwd, bwd):
         if not projected and width != p.input_dim:
             raise LayerError(f"bilstm_sequence: input dim {width} != {p.input_dim}")
@@ -265,55 +263,52 @@ def bilstm_sequence(
         rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng, x.dtype)[order] for p in (fwd, bwd)]
     bounds = np.cumsum([0, *running])
     steps = [(slice(bounds[t], bounds[t + 1]), n) for t, n in enumerate(running)]
-    gather = (np.concatenate([order[:n] for n in running]), np.repeat(np.arange(length), running))
+    place = (np.concatenate([order[:n] for n in running]), np.repeat(np.arange(length), running))
     # Each real position's table row, in the schedule's packed order.
-    pos = gather[0] * length + gather[1] if index is None else index[gather].astype(np.int64, copy=False)
-    if pos.size and (pos.min() < 0 or pos.max() >= len(table)):
-        raise LayerError(f"bilstm_sequence: index outside the table's {len(table)} rows")
+    pos = index[place].astype(np.int64, copy=False)
+    if pos.size and (pos.min() < 0 or pos.max() >= len(x)):
+        raise LayerError(f"bilstm_sequence: index outside the table's {len(x)} rows")
     directions = (
         (fwd, range(length), rec_masks[0], slice(0, fwd.cells)),
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
-    x_real = None if projected else table[pos]
-    out = np.zeros((batch, length, fwd.cells + bwd.cells), dtype=x.dtype)
+    x_real = None if projected else x[pos]
+    out = np.empty((len(pos), fwd.cells + bwd.cells), dtype=x.dtype)
 
     def gate_inputs(p: LstmParams, cols: slice) -> np.ndarray:
-        return table[pos, cols] if projected else x_real @ p.w_input
+        return x[pos, cols] if projected else x_real @ p.w_input
 
-    acts = [_recur(p, gate_inputs(p, cols), steps, times, rec, out[..., half], gather, train)
+    acts = [_recur(p, gate_inputs(p, cols), steps, times, rec, out[:, half], batch, train)
             for (p, times, rec, half), cols in zip(directions, (slice(0, gates), slice(gates, None)))]
-    return out, (x.shape, gather, pos, steps, directions, x_real, acts) if train else None
+    return out, place, (len(x), batch, place, pos, steps, directions, x_real, acts) if train else None
 
 
 def bilstm_backward(cache: tuple, grad: np.ndarray, input_from: int | None = 0):
     """Gradients of a train-mode :func:`bilstm_sequence` call, given
-    ``grad``, the gradient of its output.
+    ``grad``, the gradient of its packed output, in the same packed rows.
 
-    Returns the gradient of the input's columns from ``input_from`` on
-    (None if ``input_from`` is None), in the input's shape but for that
-    narrower last axis, and, forward direction first, the gradients of each
-    direction's ``(w_input, w_recurrent, bias)``.  A padded input's
-    gradient is zero past each row's length; a table row's gradient sums
-    over the positions that read it, in row-major (batch, step) order.
+    Returns the gradient of the input table's columns from ``input_from``
+    on (None if ``input_from`` is None), one row per table row, and,
+    forward direction first, the gradients of each direction's
+    ``(w_input, w_recurrent, bias)``.  A table row's gradient sums over the
+    positions that read it, in row-major (batch, step) order, and is zero
+    for a row no position reads.
     """
-    shape, gather, pos, steps, directions, x_real, acts = cache
+    rows, batch, place, pos, steps, directions, x_real, acts = cache
     if grad.dtype != x_real.dtype:
         raise LayerError(f"bilstm_backward: {grad.dtype} gradient, {x_real.dtype} weights")
     d_real = None if input_from is None else np.zeros_like(x_real[:, input_from:])
     params = []
     for (p, times, rec, half), act in zip(directions, acts):
-        dz = _bptt(p, act, steps, times, rec, grad[..., half][gather], grad.shape[0])
+        dz = _bptt(p, act, steps, times, rec, grad[:, half], batch)
         if d_real is not None:
             d_real += dz @ p.w_input[input_from:].T
         params.append((x_real.T @ dz, act[1].T @ dz, dz.sum(axis=0)))
     if d_real is None:
         return None, params
-    dx = np.zeros((*shape[:-1], d_real.shape[1]), dtype=x_real.dtype)
-    if len(shape) == 3:
-        dx[gather] = d_real
-    else:
-        first = np.argsort(gather[0] * grad.shape[1] + gather[1])
-        _add_rows(dx, pos[first], d_real[first])
+    dx = np.zeros((rows, d_real.shape[1]), dtype=x_real.dtype)
+    first = np.lexsort(place[::-1])  # row-major order
+    _add_rows(dx, pos[first], d_real[first])
     return dx, params
 
 

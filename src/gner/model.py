@@ -8,12 +8,16 @@ one/two-layer BiLSTM over the raw character sequence.  A token-level BiLSTM,
 a linearly activated dense layer and a linear-chain CRF sit on top.
 
 A batch flows through as whole arrays: each BiLSTM and each char conv is
-one call, and the dense layer is a single matmul over all positions.  Every
-sequence is described by its length: the token BiLSTM runs over each
-sentence's tokens, and the char submodel over each real token's characters,
-so a sentence's emissions do not depend on the other sentences in its
-batch.  The CRF decodes each group of sentences in one batched Viterbi
-pass, so one path serves a single sentence and a batch.
+one call.  Every sequence is described by its length: the token BiLSTM runs
+over each sentence's tokens, and the char submodel over each real token's
+characters, so a sentence's emissions do not depend on the other sentences
+in its batch.  Every BiLSTM reads a table of input rows through an index
+and writes packed rows, one per real position, so no BiLSTM output or
+gradient is padded: the dense layer is a single matmul over the token
+BiLSTM's packed rows, placed into the ``(batch, max_len, labels)``
+emissions, and a char BiLSTM's feature reads two packed rows per key.  The
+CRF decodes each group of sentences in one batched Viterbi pass, so one
+path serves a single sentence and a batch.
 
 Training runs :func:`forward_emissions` in train mode, which also returns
 the cache that :func:`backward` reads.  That reverse sweep takes the CRF's
@@ -354,26 +358,33 @@ def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.nda
     character rows ``rows`` (one per token key) and, in train mode, the
     cache :func:`backward` reads.  A row's feature reads only its real
     characters, never the padding, so it does not depend on how wide the
-    batch pads its longest token."""
+    batch pads its longest token.
+
+    The char CNN reads the rows' padded ``(U, chars, emb)`` embedding.  The
+    first char BiLSTM reads ``char_table`` through ``rows``, a second one
+    the first one's packed rows through ``at``, each real character's
+    packed row, which the train-mode cache keeps."""
     cfg = model.config
     lengths = (rows != PAD_INDEX).sum(axis=1)
-
-    out = embed_lookup(model.char_table, rows)
+    at = None
     if cfg.char_cnn_kernels:
         # Pool the windows that start inside the decorated token.
+        out = embed_lookup(model.char_table, rows)
         pooled = [conv1d_globalmaxpool(conv, out, lengths, mode) for conv in model.char_convs]
         feat = np.concatenate([f for f, _ in pooled], axis=1)
         caches = [c for _, c in pooled]
     else:
-        caches = []
+        out, index, caches = model.char_table, rows, []
         for fwd, bwd in model.char_lstms:
-            out, cache = bilstm_sequence(fwd, bwd, out, lengths, mode=mode)
+            out, place, cache = bilstm_sequence(fwd, bwd, out, index, lengths, mode=mode)
             caches.append(cache)
+            at = index = np.zeros(rows.shape, dtype=np.int64)
+            at[place] = np.arange(len(out))
         # The forward half is read after the last character, the backward
         # half after the first.
         c = cfg.char_lstm_cells
-        feat = np.concatenate([out[np.arange(len(rows)), lengths - 1, :c], out[:, 0, c:]], axis=1)
-    return feat, (rows, lengths, caches) if mode == "train" else None
+        feat = np.concatenate([out[at[np.arange(len(rows)), lengths - 1], :c], out[at[:, 0], c:]], axis=1)
+    return feat, (rows, lengths, at, caches) if mode == "train" else None
 
 
 def _gate_width(model: NerModel) -> int:
@@ -415,9 +426,10 @@ def forward_emissions(
     eval mode returns the emissions alone and keeps nothing else.  In train
     mode returns ``(emissions, cache)``, the cache being what
     :func:`backward` reads, and applies dropout (input and recurrent,
-    per-sequence-constant masks in that dtype).  Positions past a
-    sentence's length produce zero BiLSTM output and carry no gradient into
-    the token BiLSTM.
+    per-sequence-constant masks in that dtype).  The dense layer runs on
+    the token BiLSTM's packed rows, one per real position, and its scores
+    are placed into the emissions; the entries past a sentence's length
+    are zero, and neither the CRF nor Viterbi reads them.
 
     In eval mode a row ``cache`` made for this model and store supplies
     the token BiLSTM's gate inputs of the keys it holds; only the other
@@ -474,22 +486,22 @@ def forward_emissions(
         # Positions that share a key share its row.
         rows, index = table, batch.token_keys
 
-    hidden, token = bilstm_sequence(
+    hidden, place, token = bilstm_sequence(
         model.token_fwd,
         model.token_bwd,
         rows,
+        index,
         batch.lengths,
         recurrent_dropout=cfg.dropout if train else 0.0,
         mode=mode,
         rng=rng,
-        index=index,
         projected=not train,
     )
-    flat = hidden.reshape(b * t, 2 * cfg.token_lstm_cells)
-    emissions = (flat @ model.dense_w + model.dense_b).reshape(b, t, cfg.num_labels)
+    emissions = np.zeros((b, t, cfg.num_labels), dtype=dtype)
+    emissions[place] = hidden @ model.dense_w + model.dense_b
     if not train:
         return emissions
-    return emissions, (flat, token, table, in_mask, real_keys, chars)
+    return emissions, (hidden, place, token, table, in_mask, real_keys, chars)
 
 
 def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
@@ -503,20 +515,21 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     char embedding.
     """
     cfg = model.config
-    flat, token, table, in_mask, real_keys, chars = cache
-    d_em, *d_crf = (g.astype(flat.dtype, copy=False) for g in crf_grads)
+    hidden, place, token, table, in_mask, real_keys, chars = cache
+    d_em, *d_crf = (g.astype(hidden.dtype, copy=False) for g in crf_grads)
     grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
-    b, t, labels = d_em.shape
-    g = d_em.reshape(b * t, labels)
-    grads["dense.w"], grads["dense.b"] = flat.T @ g, g.sum(axis=0)
-    d_hidden = (g @ model.dense_w.T).reshape(b, t, flat.shape[1])
+    # The emissions' gradient at each of the BiLSTM's packed rows; the bias
+    # sums them in row-major order, the order of the positions.
+    g = d_em[place]
+    grads["dense.w"], grads["dense.b"] = hidden.T @ g, g[np.lexsort(place[::-1])].sum(axis=0)
+    d_hidden = g @ model.dense_w.T
     # Only the char-feature columns, which follow the word and casing ones,
     # feed a trained parameter.
     words = cfg.word_dim + cfg.casing_dim
     d_chars, token_grads = bilstm_backward(token, d_hidden, input_from=words if chars is not None else None)
     _put_lstm(grads, "token_lstm", token_grads)
     if chars is not None:
-        rows, lengths, caches = chars
+        rows, lengths, at, caches = chars
         if in_mask is None:
             d_feat = d_chars  # one row per key: the layer summed its positions
         else:
@@ -529,16 +542,21 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
                 d_in, grads[f"char_conv{i}.kernels"], grads[f"char_conv{i}.bias"] = conv1d_backward(
                     conv, d_feat[:, i * f : (i + 1) * f])
                 d_emb = d_emb + d_in
+            d_table = embed_backward(model.char_table, rows, d_emb)
         else:
+            # The packed rows' gradient: each key's forward half at its last
+            # character, its backward half at its first.
             c = cfg.char_lstm_cells
-            d_emb = np.zeros((*rows.shape, 2 * c), dtype=flat.dtype)
-            d_emb[np.arange(len(rows)), lengths - 1, :c] = d_feat[:, :c]
-            d_emb[:, 0, c:] = d_feat[:, c:]
+            d_table = np.zeros((int(lengths.sum()), 2 * c), dtype=hidden.dtype)
+            d_table[at[np.arange(len(rows)), lengths - 1], :c] = d_feat[:, :c]
+            d_table[at[:, 0], c:] = d_feat[:, c:]
+            # Each layer's table gradient is the packed gradient of the layer
+            # below; the first layer's table is char_table.
             for i in range(len(caches) - 1, -1, -1):
-                d_emb, lstm_grads = bilstm_backward(caches[i], d_emb)
+                d_table, lstm_grads = bilstm_backward(caches[i], d_table)
                 _put_lstm(grads, f"char_lstm{i}", lstm_grads)
-        grads["char_table.rows"] = embed_backward(model.char_table, rows, d_emb)
-        grads["char_table.rows"][PAD_INDEX] = 0.0  # the padding row stays zero
+        grads["char_table.rows"] = d_table
+        d_table[PAD_INDEX] = 0.0  # the padding row stays zero
     return {name: grads[name] for name, _ in model.parameters()}
 
 

@@ -263,7 +263,7 @@ def _make_handler(registry: ModelRegistry):
                 return
             try:
                 payload = json.loads(self.rfile.read(length).decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
+            except (ValueError, UnicodeDecodeError, RecursionError) as exc:  # nested past the decoder's depth
                 self._send(400, {"error": f"malformed JSON body: {exc}"})
                 return
             except TimeoutError:

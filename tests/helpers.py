@@ -1,6 +1,7 @@
 """Fixture writers (text embedding stores among them), synthetic CoNLL
-data, layer parameters drawn as a built model draws them, a model's
-float64 widening, and a threaded server, used only by the tests."""
+data, layer parameters drawn as a built model draws them, a padded view of
+the BiLSTM, a model's float64 widening, and a threaded server, used only
+by the tests."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from gner.crf import CrfParams
 from gner.datagen import make_corpus
 from gner.embeddings import FASTTEXT_MAGIC, EmbeddingStore
 from gner.evaluation import Chunk, EvaluationError
-from gner.layers import Conv1dParams, LstmParams
+from gner.layers import Conv1dParams, LstmParams, bilstm_backward, bilstm_sequence
 from gner.model import NerModel, _assemble, _initial
 from gner.service import ModelRegistry, serve
 
@@ -133,6 +134,35 @@ def crf_params(num_labels: int) -> CrfParams:
     param = _initial(np.random.default_rng(0))
     n = num_labels
     return CrfParams(param("crf.transitions", (n, n)), param("crf.start", (n,)), param("crf.end", (n,)))
+
+
+def placed(out: np.ndarray, place, batch: int, steps: int) -> np.ndarray:
+    """Packed BiLSTM rows ``out`` placed at their (row, step) ``place`` in a
+    zero ``(batch, steps, width)`` array."""
+    padded = np.zeros((batch, steps, out.shape[1]), dtype=out.dtype)
+    padded[place] = out
+    return padded
+
+
+def bilstm_padded(fwd: LstmParams, bwd: LstmParams, x: np.ndarray, lengths, **kwargs):
+    """:func:`~gner.layers.bilstm_sequence` over a post-padded ``(batch,
+    steps, in)`` input: the positions' rows are the table, each position
+    reading its own.  Returns the packed output placed, through the
+    placement the call returns, into a zero ``(batch, steps, 2*cells)``
+    array, and ``(cache, place)`` for :func:`bilstm_backward_padded`."""
+    batch, steps, width = x.shape
+    out, place, cache = bilstm_sequence(fwd, bwd, x.reshape(batch * steps, width),
+                                        np.arange(batch * steps).reshape(batch, steps), lengths, **kwargs)
+    return placed(out, place, batch, steps), (cache, place)
+
+
+def bilstm_backward_padded(cache, grad: np.ndarray, input_from: int | None = 0):
+    """:func:`~gner.layers.bilstm_backward` of a :func:`bilstm_padded` call
+    given a ``(batch, steps, 2*cells)`` gradient, read at the real positions;
+    the input's gradient comes back in the padded input's shape."""
+    cache, place = cache
+    dx, params = bilstm_backward(cache, grad[place], input_from)
+    return (None if dx is None else dx.reshape(*grad.shape[:2], dx.shape[1])), params
 
 
 def widened(model: NerModel) -> NerModel:

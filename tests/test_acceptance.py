@@ -46,6 +46,8 @@ from gner.model import CHAR_VARIANTS, ModelConfig, backward, build_model, forwar
 from gner.service import ModelRegistry
 from gner.training import NadamState, TrainConfig, batch_loss, evaluate_chunk_f1, train_epoch
 from helpers import (
+    bilstm_backward_padded,
+    bilstm_padded,
     bio_to_iob1,
     char_table,
     conv_params,
@@ -167,10 +169,10 @@ def test_criterion_2_gradient_suite():
     p = lstm_params(8, 4, rng)
     x = rng.uniform(-1, 1, (1, 2, 8))
     wv = rng.uniform(-1, 1, (1, 2, 8))
-    _, cache = layers.bilstm_sequence(p, p, x, [2], mode="train")
-    _, (gf, gb) = layers.bilstm_backward(cache, wv, input_from=None)
+    _, cache = bilstm_padded(p, p, x, [2], mode="train")
+    _, (gf, gb) = bilstm_backward_padded(cache, wv, input_from=None)
     err = _grad_check(
-        lambda: float((layers.bilstm_sequence(p, p, x, [2])[0] * wv).sum()),
+        lambda: float((bilstm_padded(p, p, x, [2])[0] * wv).sum()),
         [p.w_input, p.w_recurrent, p.bias],
         [a + b for a, b in zip(gf, gb)],
     )
@@ -180,10 +182,10 @@ def test_criterion_2_gradient_suite():
     fwd, bwd = lstm_params(4, 4, rng), lstm_params(4, 4, rng)
     xs = rng.uniform(-1, 1, (1, 6, 4))
     wm = rng.uniform(-1, 1, (1, 6, 8))
-    _, cache = layers.bilstm_sequence(fwd, bwd, xs, [4], mode="train")
-    _, (gf, gb) = layers.bilstm_backward(cache, wm, input_from=None)
+    _, cache = bilstm_padded(fwd, bwd, xs, [4], mode="train")
+    _, (gf, gb) = bilstm_backward_padded(cache, wm, input_from=None)
     err = _grad_check(
-        lambda: float((layers.bilstm_sequence(fwd, bwd, xs, [4])[0] * wm).sum()),
+        lambda: float((bilstm_padded(fwd, bwd, xs, [4])[0] * wm).sum()),
         [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias],
         [*gf, *gb],
     )

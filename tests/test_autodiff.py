@@ -73,11 +73,12 @@ def test_gradient_accumulates_on_reuse():
 
 
 def test_bias_broadcast_add():
-    # The dense bias is added at every position, so its gradient sums the
-    # emission gradient over all of them, padding included.
-    _, _, _, sweep = _toy()
+    # The dense bias is added at every real position, so its gradient sums
+    # the emission gradient over them, in row-major order; the entries past
+    # a length are zeros that no parameter feeds.
+    _, _, batch, sweep = _toy()
     d_em = np.random.default_rng(3).uniform(-1, 1, (2, 4, 9))
-    np.testing.assert_array_equal(sweep(d_em)["dense.b"], d_em.reshape(-1, 9).sum(axis=0))
+    np.testing.assert_array_equal(sweep(d_em)["dense.b"], d_em[batch.mask].sum(axis=0))
 
 
 @given(

@@ -9,7 +9,7 @@ from gner import crf, layers
 from gner import model as M
 from gner.corpus import PAD_INDEX, build_char_vocab, germeval_schema
 from gner.datagen import make_corpus
-from helpers import char_table, conv_params, crf_params, lstm_params
+from helpers import bilstm_backward_padded, bilstm_padded, char_table, conv_params, crf_params, lstm_params, placed
 from oracles import check_gradient, reference_conv1d_backward, reference_conv1d_globalmaxpool
 
 
@@ -86,20 +86,20 @@ def complex_step_grads(loss, arrays, h=1e-30):
 def bilstm_loss_and_grads(fwd, bwd, x, lengths, weights, **kwargs):
     """``sum(bilstm_sequence(...) * weights)`` under a train-mode forward,
     with the input's gradient and each direction's parameter gradients."""
-    out, cache = layers.bilstm_sequence(fwd, bwd, x, lengths, mode="train", **kwargs)
-    dx, (gf, gb) = layers.bilstm_backward(cache, weights)
+    out, cache = bilstm_padded(fwd, bwd, x, lengths, mode="train", **kwargs)
+    dx, (gf, gb) = bilstm_backward_padded(cache, weights)
     return float((out * weights).sum()), dx, gf, gb
 
 
 def test_lstm_step_all_zero_gives_zero_state():
     p = _zero_lstm(3, 2)
-    out, _ = layers.bilstm_sequence(p, p, np.zeros((1, 1, 3)), [1])
+    out, _ = bilstm_padded(p, p, np.zeros((1, 1, 3)), [1])
     np.testing.assert_array_equal(out, np.zeros((1, 1, 4)))
 
 
 def test_lstm_step_output_shape():
     p = _lstm(32, 50)
-    out, _ = layers.bilstm_sequence(p, p, np.ones((1, 1, 32)), [1])
+    out, _ = bilstm_padded(p, p, np.ones((1, 1, 32)), [1])
     assert out.shape == (1, 1, 100)
 
 
@@ -140,14 +140,14 @@ def test_lstm_step_matches_scalar_oracle():
             h, c = scalar_step(p, x[t], h, c)
             expect[t, half] = h
 
-    out, _ = layers.bilstm_sequence(fwd, bwd, x[None], [2])
+    out, _ = bilstm_padded(fwd, bwd, x[None], [2])
     np.testing.assert_allclose(out[0], expect, atol=1e-12)
 
 
 def test_lstm_step_dimension_mismatch():
     p = _lstm(3, 2)
     with pytest.raises(layers.LayerError, match="input dim"):
-        layers.bilstm_sequence(p, p, np.zeros((1, 1, 4)), [1])
+        bilstm_padded(p, p, np.zeros((1, 1, 4)), [1])
 
 
 def _as_dtype(params, dtype):
@@ -166,12 +166,12 @@ def test_fused_ops_reject_an_input_dtype_other_than_their_weights(x_dtype, w_dty
     p = _as_dtype(_lstm(3, 2), w_dtype)
     conv = _as_dtype(conv_params(3, 3, 2, rng), w_dtype)
     with pytest.raises(layers.LayerError, match="bilstm_sequence: .* input, .* weights"):
-        layers.bilstm_sequence(p, p, x, [4, 2])
+        bilstm_padded(p, p, x, [4, 2])
     with pytest.raises(layers.LayerError, match="conv1d_globalmaxpool: .* input, .* kernels"):
         layers.conv1d_globalmaxpool(conv, x, [4, 2])
-    _, cache = layers.bilstm_sequence(p, p, x.astype(w_dtype), [4, 2], mode="train")
+    _, cache = bilstm_padded(p, p, x.astype(w_dtype), [4, 2], mode="train")
     with pytest.raises(layers.LayerError, match="bilstm_backward: .* gradient, .* weights"):
-        layers.bilstm_backward(cache, np.zeros((2, 4, 4), dtype=x_dtype))
+        bilstm_backward_padded(cache, np.zeros((2, 4, 4), dtype=x_dtype))
     _, cache = layers.conv1d_globalmaxpool(conv, x.astype(w_dtype), [4, 2], mode="train")
     with pytest.raises(layers.LayerError, match="conv1d_backward: .* gradient, .* kernels"):
         layers.conv1d_backward(cache, np.zeros((2, 2), dtype=x_dtype))
@@ -187,7 +187,7 @@ def test_fused_ops_run_in_float32_and_stay_close_to_float64():
     p.bias[:] = rng.uniform(-0.5, 0.5, p.bias.shape)
     conv.bias[:] = rng.uniform(-0.5, 0.5, conv.bias.shape)
     lengths = [5, 2, 4]
-    for run in (lambda q, c, v: layers.bilstm_sequence(q, q, v, lengths)[0],
+    for run in (lambda q, c, v: bilstm_padded(q, q, v, lengths)[0],
                 lambda q, c, v: layers.conv1d_globalmaxpool(c, v, lengths)[0]):
         want = run(p, conv, x)
         got = run(_as_dtype(p, np.float32), _as_dtype(conv, np.float32), x.astype(np.float32))
@@ -257,7 +257,7 @@ def _seq(rng, n, dim):
 
 def test_bilstm_output_width_is_twice_cells():
     rng = np.random.default_rng(0)
-    out, _ = layers.bilstm_sequence(_lstm(8, 50, 1), _lstm(8, 50, 2), _seq(rng, 4, 8), [4])
+    out, _ = bilstm_padded(_lstm(8, 50, 1), _lstm(8, 50, 2), _seq(rng, 4, 8), [4])
     assert out.shape == (1, 4, 100)
 
 
@@ -265,7 +265,7 @@ def test_bilstm_length_one_concatenates_both_directions_on_same_element():
     rng = np.random.default_rng(1)
     fwd, bwd = _lstm(4, 3, 1), _lstm(4, 3, 2)
     x = _seq(rng, 1, 4)
-    out, _ = layers.bilstm_sequence(fwd, bwd, x, [1])
+    out, _ = bilstm_padded(fwd, bwd, x, [1])
     x0, zero = x[:, 0], np.zeros((1, 3))
     hf, _ = ref_cell_step(fwd, x0, zero, zero)
     hb, _ = ref_cell_step(bwd, x0, zero, zero)
@@ -274,15 +274,15 @@ def test_bilstm_length_one_concatenates_both_directions_on_same_element():
 
 def test_bilstm_empty_sequence_rejected():
     with pytest.raises(layers.LayerError, match="lengths"):
-        layers.bilstm_sequence(_lstm(4, 3), _lstm(4, 3), np.zeros((1, 0, 4)), [1])
+        bilstm_padded(_lstm(4, 3), _lstm(4, 3), np.zeros((1, 0, 4)), [1])
 
 
 def test_bilstm_reversal_symmetry():
     rng = np.random.default_rng(3)
     fwd, bwd = _lstm(5, 4, 1), _lstm(5, 4, 2)
     xs = _seq(rng, 6, 5)
-    out = layers.bilstm_sequence(fwd, bwd, xs, [6])[0][0]
-    swapped = layers.bilstm_sequence(bwd, fwd, xs[:, ::-1], [6])[0][0]
+    out = bilstm_padded(fwd, bwd, xs, [6])[0][0]
+    swapped = bilstm_padded(bwd, fwd, xs[:, ::-1], [6])[0][0]
     for t in range(6):
         fwd_half, bwd_half = out[t, :4], out[t, 4:]
         np.testing.assert_allclose(swapped[5 - t], np.concatenate([bwd_half, fwd_half]), atol=1e-12)
@@ -294,10 +294,10 @@ def test_bilstm_masked_positions_are_zero_and_skip_state():
     rng = np.random.default_rng(4)
     fwd, bwd = _lstm(3, 2, 1), _lstm(3, 2, 2)
     xs = _seq(rng, 4, 3)
-    out = layers.bilstm_sequence(fwd, bwd, xs, [2])[0][0]
+    out = bilstm_padded(fwd, bwd, xs, [2])[0][0]
     np.testing.assert_array_equal(out[2], np.zeros(4))
     np.testing.assert_array_equal(out[3], np.zeros(4))
-    ref = layers.bilstm_sequence(fwd, bwd, xs[:, :2], [2])[0][0]
+    ref = bilstm_padded(fwd, bwd, xs[:, :2], [2])[0][0]
     for t in range(2):
         np.testing.assert_allclose(out[t], ref[t], atol=1e-12)
 
@@ -331,7 +331,7 @@ def test_bilstm_gradient_check_with_mask():
     _, _, gf, gb = bilstm_loss_and_grads(fwd, bwd, xs, [3], weights)
 
     def loss():
-        return float((layers.bilstm_sequence(fwd, bwd, xs, [3])[0] * weights).sum())
+        return float((bilstm_padded(fwd, bwd, xs, [3])[0] * weights).sum())
 
     params = [fwd.w_input, fwd.w_recurrent, fwd.bias, bwd.w_input, bwd.w_recurrent, bwd.bias]
     assert check_gradient(loss, params, [*gf, *gb], eps=1e-5, samples=60) <= 1e-4
@@ -349,8 +349,7 @@ def _check_against_step_reference(lengths, mode, rate, seed):
         f, b = (layers.LstmParams(*weights_and_biases[k : k + 3]) for k in (0, 3))
         return ref_bilstm(f, b, x, lengths, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
 
-    fused, _ = layers.bilstm_sequence(fwd, bwd, x, lengths, recurrent_dropout=rate, mode=mode,
-                                      rng=np.random.default_rng(8))
+    fused, _ = bilstm_padded(fwd, bwd, x, lengths, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
     np.testing.assert_allclose(fused, ref(*arrays), rtol=1e-12, atol=1e-12)
     # Gradients come from the train path; with rate 0 it computes what eval does.
     _, dx, gf, gb = bilstm_loss_and_grads(fwd, bwd, x, lengths, weights, recurrent_dropout=rate,
@@ -400,7 +399,7 @@ def test_every_sequence_op_rejects_lengths_outside_one_to_steps():
     cp = crf_params(3)
     for bad in ([0, 4], [4, 5], [4], [4, 4, 4]):
         with pytest.raises(layers.LayerError, match="lengths"):
-            layers.bilstm_sequence(p, p, x, bad)
+            bilstm_padded(p, p, x, bad)
         with pytest.raises(layers.LayerError, match="lengths"):
             layers.conv1d_globalmaxpool(conv, x, bad)
         with pytest.raises(crf.CrfError, match="lengths"):
@@ -418,7 +417,7 @@ def test_fused_bilstm_input_gradient_check():
     _, dx, _, _ = bilstm_loss_and_grads(fwd, bwd, x, lengths, weights)
 
     def loss():
-        return float((layers.bilstm_sequence(fwd, bwd, x, lengths)[0] * weights).sum())
+        return float((bilstm_padded(fwd, bwd, x, lengths)[0] * weights).sum())
 
     assert check_gradient(loss, [x], [dx], eps=1e-5, samples=45) <= 1e-4
 
@@ -445,22 +444,25 @@ def test_keyed_input_matches_the_gathered_padded_input(dtype, table_rows, length
         assert got.dtype == want.dtype == dtype
         np.testing.assert_array_equal(got, want)
 
-    same(layers.bilstm_sequence(fwd, bwd, table, lengths, index=index)[0],
-         layers.bilstm_sequence(fwd, bwd, padded, lengths)[0])
+    def keyed(x, **kwargs):
+        out, place, _ = layers.bilstm_sequence(fwd, bwd, x, index, lengths, **kwargs)
+        return placed(out, place, batch, steps)
+
+    same(keyed(table), bilstm_padded(fwd, bwd, padded, lengths)[0])
     # A table of gate inputs, each row projected by both directions, gives
     # the same output up to the projection's rounding.
     gates = np.concatenate([table @ fwd.w_input, table @ bwd.w_input], axis=1)
-    got = layers.bilstm_sequence(fwd, bwd, gates, lengths, index=index, projected=True)[0]
-    want = layers.bilstm_sequence(fwd, bwd, padded, lengths)[0]
+    got = keyed(gates, projected=True)
+    want = bilstm_padded(fwd, bwd, padded, lengths)[0]
     assert got.dtype == dtype and np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
-    runs = []
-    for x, kwargs in ((table, {"index": index}), (padded, {})):
-        out, cache = layers.bilstm_sequence(fwd, bwd, x, lengths, recurrent_dropout=0.3, mode="train",
-                                            rng=np.random.default_rng(9), **kwargs)
-        runs.append((out, *layers.bilstm_backward(cache, weights)))
-    (out, d_table, keyed), (want_out, d_padded, want) = runs
-    same(out, want_out)
-    for got_grads, want_grads in zip(keyed, want):
+    out, place, cache = layers.bilstm_sequence(fwd, bwd, table, index, lengths, recurrent_dropout=0.3,
+                                               mode="train", rng=np.random.default_rng(9))
+    d_table, keyed_grads = layers.bilstm_backward(cache, weights[place])
+    want_out, cache = bilstm_padded(fwd, bwd, padded, lengths, recurrent_dropout=0.3, mode="train",
+                                    rng=np.random.default_rng(9))
+    d_padded, want = bilstm_backward_padded(cache, weights)
+    same(placed(out, place, batch, steps), want_out)
+    for got_grads, want_grads in zip(keyed_grads, want):
         for got, w in zip(got_grads, want_grads):
             same(got, w)
     # A table row's gradient sums its positions' gradients, in row-major order.
@@ -478,35 +480,43 @@ def test_bilstm_backward_returns_the_input_columns_from_input_from_on(keyed):
     fwd, bwd = _lstm(6, 3, seed=1), _lstm(6, 3, seed=2)
     lengths = [4, 2, 3]
     if keyed:
-        x, kwargs = rng.uniform(-1, 1, (5, 6)), {"index": rng.integers(0, 5, (3, 4))}
+        x, index = rng.uniform(-1, 1, (5, 6)), rng.integers(0, 5, (3, 4))
+        out, place, cache = layers.bilstm_sequence(fwd, bwd, x, index, lengths, mode="train")
+        out = placed(out, place, 3, 4)
+
+        def backward(grad, input_from=0):
+            return layers.bilstm_backward(cache, grad[place], input_from)
     else:
-        x, kwargs = rng.uniform(-1, 1, (3, 4, 6)), {}
-    out, cache = layers.bilstm_sequence(fwd, bwd, x, lengths, mode="train", **kwargs)
+        x = rng.uniform(-1, 1, (3, 4, 6))
+        out, cache = bilstm_padded(fwd, bwd, x, lengths, mode="train")
+
+        def backward(grad, input_from=0):
+            return bilstm_backward_padded(cache, grad, input_from)
     weights = rng.uniform(-1, 1, out.shape)
-    full, want = layers.bilstm_backward(cache, weights)
+    full, want = backward(weights)
     assert full.shape == x.shape
 
     def same_params(got):
         return all(np.array_equal(g, w) for gs, ws in zip(got, want) for g, w in zip(gs, ws))
 
     for start in (0, 2, 5):
-        dx, got = layers.bilstm_backward(cache, weights, input_from=start)
+        dx, got = backward(weights, input_from=start)
         assert dx.shape == x.shape[:-1] + (6 - start,)
         np.testing.assert_allclose(dx, full[..., start:], rtol=1e-12, atol=1e-15)
         assert same_params(got)
-    dx, got = layers.bilstm_backward(cache, weights, input_from=None)
+    dx, got = backward(weights, input_from=None)
     assert dx is None and same_params(got)
 
 
 def test_keyed_input_rejects_an_index_outside_the_table():
     p = _lstm(3, 2)
     with pytest.raises(layers.LayerError, match="index outside the table's 2 rows"):
-        layers.bilstm_sequence(p, p, np.zeros((2, 3)), [2, 1], index=[[0, 2], [1, 9]])
+        layers.bilstm_sequence(p, p, np.zeros((2, 3)), [[0, 2], [1, 9]], [2, 1])
     with pytest.raises(layers.LayerError, match=r"a \(rows, in\) table and a \(batch, steps\) index"):
-        layers.bilstm_sequence(p, p, np.zeros((2, 2, 3)), [2, 1], index=[[0, 1], [1, 0]])
+        layers.bilstm_sequence(p, p, np.zeros((2, 2, 3)), [[0, 1], [1, 0]], [2, 1])
     for width, mode in ((16, "train"), (3, "eval")):
         with pytest.raises(layers.LayerError, match="a projected input is an eval-mode"):
-            layers.bilstm_sequence(p, p, np.zeros((2, width)), [2, 1], index=[[0, 1], [1, 0]], mode=mode,
+            layers.bilstm_sequence(p, p, np.zeros((2, width)), [[0, 1], [1, 0]], [2, 1], mode=mode,
                                    projected=True)
 
 
@@ -760,10 +770,8 @@ def test_recurrent_dropout_mask_constant_across_timesteps():
     np.testing.assert_array_equal(m0, m1)
     # And within one bilstm call the mask object is sampled once per direction:
     xs = _seq(rng, 5, 4)
-    out_a, _ = layers.bilstm_sequence(fwd, bwd, xs, [5], recurrent_dropout=0.5, mode="train",
-                                      rng=np.random.default_rng(7))
-    out_b, _ = layers.bilstm_sequence(fwd, bwd, xs, [5], recurrent_dropout=0.5, mode="train",
-                                      rng=np.random.default_rng(7))
+    out_a, _ = bilstm_padded(fwd, bwd, xs, [5], recurrent_dropout=0.5, mode="train", rng=np.random.default_rng(7))
+    out_b, _ = bilstm_padded(fwd, bwd, xs, [5], recurrent_dropout=0.5, mode="train", rng=np.random.default_rng(7))
     np.testing.assert_array_equal(out_a, out_b)
 
 
@@ -792,7 +800,7 @@ def test_lstm_full_step_gradient_check():
     _, _, gf, gb = bilstm_loss_and_grads(p, p, x, [2], w)
 
     def loss():
-        return float((layers.bilstm_sequence(p, p, x, [2])[0] * w).sum())
+        return float((bilstm_padded(p, p, x, [2])[0] * w).sum())
 
     grads = [a + b for a, b in zip(gf, gb)]
     assert check_gradient(loss, [p.w_input, p.w_recurrent, p.bias], grads, eps=1e-5, samples=60) <= 1e-4

@@ -3,12 +3,12 @@ import io
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gner import cli
-from gner import layers
 from gner import model as M
 from gner.corpus import (
     PAD_INDEX,
@@ -23,7 +23,7 @@ from gner.corpus import (
 from gner.datagen import make_corpus, make_embedding_store
 from gner.embeddings import write_text_vectors
 from gner.training import NadamState, TrainConfig, batch_loss, train_epoch
-from helpers import fixture_training_sentences, widened
+from helpers import bilstm_padded, fixture_training_sentences, widened
 from oracles import check_gradient
 
 # Largest |float32 - float64| emission difference allowed for one model run
@@ -99,9 +99,9 @@ def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkey
     caches = []
     for name in ("bilstm_sequence", "conv1d_globalmaxpool"):
         def recorded(*args, _fn=getattr(M, name), **kwargs):
-            out, cache = _fn(*args, **kwargs)
+            *out, cache = _fn(*args, **kwargs)
             caches.append(cache)
-            return out, cache
+            return *out, cache
 
         monkeypatch.setattr(M, name, recorded)
     em = M.forward_emissions(model, batch, store, mode="eval")
@@ -122,10 +122,10 @@ def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkey
     model, store, batch, _ = _toy_setup(variant)
     seen = []
 
-    def recorded(fwd, bwd, x, lengths, _fn=M.bilstm_sequence, **kwargs):
+    def recorded(fwd, bwd, x, index, lengths, _fn=M.bilstm_sequence, **kwargs):
         if fwd is model.token_fwd:
-            seen.append((x.shape, kwargs["index"]))
-        return _fn(fwd, bwd, x, lengths, **kwargs)
+            seen.append((x.shape, index))
+        return _fn(fwd, bwd, x, index, lengths, **kwargs)
 
     monkeypatch.setattr(M, "bilstm_sequence", recorded)
     width, real = model.config.input_width, batch.mask
@@ -333,11 +333,64 @@ def test_masked_positions_carry_zero_gradient_into_token_lstm():
     d_em = np.where(batch.mask[..., None], 0.0, 1.0) * np.ones(em.shape)
     L = model.config.num_labels
     grads = M.backward(model, cache, (d_em, np.zeros((L, L)), np.zeros(L), np.zeros(L)))
-    # Masked outputs are exact zeros with no dependence on LSTM weights; only
-    # the dense bias feeds them.
+    # Emissions past a length are exact zeros that no parameter feeds, the
+    # dense bias included.
     for name, g in grads.items():
-        assert np.any(g) == (name == "dense.b"), name
-    np.testing.assert_array_equal(grads["dense.b"], (~batch.mask).sum())
+        assert not np.any(g), name
+
+
+@pytest.mark.parametrize("variant", ["bilstm", "cnn"])
+def test_an_eval_forward_holds_no_padded_activation(variant):
+    # One 200-token sentence beside 63 one-token ones pads 12 600 token
+    # positions to 263 real ones: a padded (64, 200, 400) float32 BiLSTM
+    # output alone would take 20.5 MB.
+    words = [t.text for s in make_corpus(200, seed=3) for t in s.tokens]
+    sents = [Sentence([Token(w) for w in (words * 2)[:200]], ["O"] * 200)]
+    sents += [Sentence([Token(w)], ["O"]) for w in words[200:263]]
+    vocab = build_char_vocab(sents)
+    config = M.ModelConfig(label_schema=germeval_schema(), char_variant=variant)
+    model = M.build_model(config, vocab, seed=3)
+    store = make_embedding_store(sents, dim=config.word_dim, seed=3)
+    batch = batch_from_sentences(sents, vocab, config.required_char_mode, char_rows=False)
+    assert batch.mask.shape == (64, 200) and batch.mask.sum() == 263
+    want = M.forward_emissions(model, batch, store)
+    tracemalloc.start()
+    try:
+        em = M.forward_emissions(model, batch, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert em.tobytes() == want.tobytes()
+    assert peak < 8e6, peak  # measured 2.6-2.8 MB
+
+
+def test_a_char_bilstm_step_holds_no_padded_char_activation():
+    # 600 two-letter keys and one key of 20 letters: at char_lstm_cells 50 a
+    # (keys, 20, 100) float32 activation or gradient takes 4.8 MB.  The
+    # training step's peak grows with the long key's real characters only,
+    # not with the padding it forces on every other key.
+    config = _toy_config("bilstm", germeval_schema(), word_dim=8, char_emb_dim=32, char_lstm_cells=50,
+                         token_lstm_cells=8)
+    texts = [a + b for a in "abcdefghijklmnopqrstuvwxyz" for b in "abcdefghijklmnopqrstuvwxyz"][:600]
+
+    def peak(first: str):
+        sents = [Sentence([Token(t) for t in texts[i : i + 20]], ["O"] * 20) for i in range(0, 600, 20)]
+        sents[0].tokens[0] = Token(first)
+        vocab = build_char_vocab(sents)
+        model = M.build_model(config, vocab, seed=1)
+        store = make_embedding_store(sents, dim=8, seed=1)
+        batch = batch_from_sentences(sents, vocab, "rnn")
+        tracemalloc.start()
+        try:
+            batch_loss(model, batch, store, "outer", np.random.default_rng(0))
+            return tracemalloc.get_traced_memory()[1], batch.key_chars.shape
+        finally:
+            tracemalloc.stop()
+
+    (wide, (keys, chars)), (narrow, shape) = peak("z" * 20), peak("zz")
+    assert (keys, chars) == (600, 20) and shape == (600, 2)
+    padded = keys * chars * 2 * config.char_lstm_cells * 4
+    assert wide - narrow < padded / 4, (wide - narrow, padded)  # measured 0.28 of 4.8 MB
 
 
 def test_emissions_invariant_to_padding_length():
@@ -396,7 +449,7 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
         idx = [vocab.lookup(ch) for ch in tok.text]
         out = model.char_table[idx][None]
         for fwd, bwd in model.char_lstms:
-            out, _ = layers.bilstm_sequence(fwd, bwd, out, [len(idx)])
+            out, _ = bilstm_padded(fwd, bwd, out, [len(idx)])
         want = np.concatenate([out[0, -1, :c], out[0, 0, c:]])
         np.testing.assert_allclose(feat[batch.token_keys[0, t]], want, rtol=0, atol=1e-12)
 
@@ -452,6 +505,55 @@ def test_predict_batch_independent_of_batch_size(variant):
     for size in (7, 64):
         for got, want in zip(emissions(size), alone):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+def _germeval_shaped(n, seed):
+    """``n`` sentences joined from generated ones up to log-normal target
+    lengths (median 13.5, a tail past 40), as GermEval's are distributed."""
+    rng = np.random.default_rng(seed)
+    targets = np.clip(np.rint(13.5 * np.exp(0.55 * rng.standard_normal(n))), 1, 80).astype(int)
+    base = iter(make_corpus(int(targets.sum()) // 3 + 16, seed=seed))
+    out = []
+    for target in targets:
+        tokens, labels = [], []
+        while len(tokens) < target:
+            part = next(base)
+            tokens += part.tokens
+            labels += [lab.replace("OTH", "MISC") for lab in part.outer_labels]
+        out.append(Sentence(tokens, labels))
+    return out
+
+
+@pytest.mark.parametrize("variant", ["bilstm", "cnn"])
+def test_paper_size_float32_labels_do_not_depend_on_the_batch(variant):
+    # Alone and in batches of 2, 4 and 64: the same labels, and emissions at
+    # real positions within the float32 parity bound (a sentence's rows run
+    # in matmuls of other sizes, so the last bits may differ; measured at
+    # most 4.5e-7 here).
+    sents = _germeval_shaped(64, seed=25)
+    vocab = build_char_vocab(sents[:40])  # later sentences bring unknown characters
+    config = M.ModelConfig(label_schema=germeval_schema(), char_variant=variant)
+    model = M.build_model(config, vocab, seed=25)
+    _randomize_biases(model, 25)
+    store = make_embedding_store(sents[:40], dim=config.word_dim, seed=25)
+    assert max(len(s) for s in sents) > 40 > 2 * np.median([len(s) for s in sents])
+
+    def emissions(size):
+        out = []
+        for lo in range(0, len(sents), size):
+            group = sents[lo : lo + size]
+            batch = batch_from_sentences(group, vocab, config.required_char_mode, char_rows=False)
+            em = M.forward_emissions(model, batch, store)
+            out += [em[i, : len(s)] for i, s in enumerate(group)]
+        return out
+
+    labels = {size: M.predict_batch(model, store, sents, batch_size=size) for size in (1, 2, 4, 64)}
+    assert labels[1] == labels[2] == labels[4] == labels[64]
+    assert len({lab for row in labels[1] for lab in row}) > 3
+    alone = emissions(1)
+    for size in (2, 4, 64):
+        for got, want in zip(emissions(size), alone, strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=PARITY_ATOL)
 
 
 def test_none_variant_emissions_and_labels_independent_of_batch_partners():

@@ -334,6 +334,20 @@ def test_post_rejects_an_oversized_body_without_reading(live_server):
     assert str(svc.MAX_BODY_BYTES) in body["error"]
 
 
+def test_a_body_nested_past_the_json_decoders_depth_gets_a_400(live_server):
+    # Brackets nested past the decoder's recursion limit, far under the
+    # body limit: the request gets the malformed-body 400, not a dropped
+    # connection, and the next request is served.
+    nested = b"[" * 100_000 + b"]" * 100_000
+    req = urllib.request.Request(live_server + "/ner", data=nested, headers={"Content-Type": "application/json"})
+    with pytest.raises(urllib.error.HTTPError) as err:
+        urllib.request.urlopen(req, timeout=30)
+    assert err.value.code == 400
+    assert json.loads(err.value.read().decode("utf-8"))["error"].startswith("malformed JSON body")
+    status, body = _post(live_server + "/ner", {"model": "germeval-outer", "sentences": [["Aachen"]]})
+    assert status == 200 and body["labels"] == [["B-LOC"]]
+
+
 def test_http_requests_run_on_the_server_thread_alone(registry, monkeypatch):
     # 4 clients send 5 requests each; every forward must run on one thread,
     # and the server must start no thread per connection.
