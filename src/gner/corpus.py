@@ -152,16 +152,21 @@ def combined_schema() -> LabelSchema:
     return LabelSchema(COMBINED_CLASSES)
 
 
-def _validate_label(label: str, schema: LabelSchema, path, line_no: int):
-    if label not in schema.index:
-        raise CorpusError(f"{path}:{line_no}: unknown label {label!r}")
+_GERMEVAL_LABELS = frozenset(germeval_schema().labels)
 
 
-def parse_germeval(path: str | Path, schema: LabelSchema | None = None) -> list[Sentence]:
-    """Parse the four-column nested-annotation TSV into sentences carrying
-    both label levels."""
+def _read_lines(path: str | Path) -> tuple[Path, list[str]]:
     path = Path(path)
-    schema = schema or germeval_schema()
+    try:
+        return path, path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"cannot read {path}: {exc}") from exc
+
+
+def parse_germeval(path: str | Path) -> list[Sentence]:
+    """Parse the four-column nested-annotation TSV into sentences carrying
+    both label levels, each label one of the GermEval schema's."""
+    path, lines = _read_lines(path)
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     outer: list[str] = []
@@ -176,10 +181,6 @@ def parse_germeval(path: str | Path, schema: LabelSchema | None = None) -> list[
             outer.clear()
             inner.clear()
 
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     for i, line in enumerate(lines, start=1):
         if line.startswith("#"):
             continue
@@ -192,8 +193,9 @@ def parse_germeval(path: str | Path, schema: LabelSchema | None = None) -> list[
         _, text, out_lab, in_lab = cols
         if not text:
             raise CorpusError(f"{path}:{i}: empty token")
-        _validate_label(out_lab, schema, path, i)
-        _validate_label(in_lab, schema, path, i)
+        for label in (out_lab, in_lab):
+            if label not in _GERMEVAL_LABELS:
+                raise CorpusError(f"{path}:{i}: unknown label {label!r}")
         tokens.append(Token(text))
         outer.append(out_lab)
         inner.append(in_lab)
@@ -201,15 +203,14 @@ def parse_germeval(path: str | Path, schema: LabelSchema | None = None) -> list[
     return sentences
 
 
-def parse_conll03(path: str | Path, schema: LabelSchema | None = None) -> list[Sentence]:
+def parse_conll03(path: str | Path) -> list[Sentence]:
     """Parse whitespace-separated columns (token first, NE tag last).
 
     Tags are kept exactly as found in the file; the original distribution
     uses the IOB scheme, so run :func:`iob_to_bio` on the labels before
     training.  ``-DOCSTART-`` sentences are dropped.
     """
-    path = Path(path)
-    schema = schema or conll_schema()
+    path, lines = _read_lines(path)
     sentences: list[Sentence] = []
     tokens: list[Token] = []
     tags: list[str] = []
@@ -223,10 +224,6 @@ def parse_conll03(path: str | Path, schema: LabelSchema | None = None) -> list[S
         tags.clear()
         skip_docstart = False
 
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CorpusError(f"cannot read {path}: {exc}") from exc
     for i, line in enumerate(lines, start=1):
         if not line.strip():
             flush()
@@ -240,7 +237,7 @@ def parse_conll03(path: str | Path, schema: LabelSchema | None = None) -> list[S
         parts = split_tag(tag)
         if parts is None:
             raise CorpusError(f"{path}:{i}: malformed tag {tag!r}")
-        if parts[0] != "O" and parts[1] not in schema.entity_classes:
+        if parts[0] != "O" and parts[1] not in CONLL_CLASSES:
             raise CorpusError(f"{path}:{i}: unknown label {tag!r}")
         tokens.append(Token(text))
         tags.append(tag)
@@ -452,10 +449,9 @@ class Batch:
     ``b`` holds its tokens at positions ``0 .. lengths[b] - 1``, and
     ``token_keys[b, t]`` indexes ``keys`` (0 at padding positions).  A key
     is ``(text, first, last)``, the two flags set only in ``cnn`` char mode,
-    where a sentence's first and last token carry boundary symbols.  With a
-    char mode, ``key_chars`` is each key's character row, post-padded to the
-    longest: ``(len(keys), chars)``, or None if the batch was made without
-    them; :meth:`chars_of` builds the rows a caller needs from
+    where a sentence's first and last token carry boundary symbols.  The
+    keys are in order of first occurrence.  No character row is built with
+    the batch: :meth:`chars_of` builds the rows a caller needs from
     ``char_vocab``."""
 
     sentences: list[Sentence]
@@ -464,7 +460,6 @@ class Batch:
     keys: list[tuple[str, bool, bool]]
     token_keys: np.ndarray
     char_mode: str | None = None
-    key_chars: np.ndarray | None = None
     char_vocab: CharVocab | None = None
 
     def __len__(self) -> int:
@@ -476,11 +471,7 @@ class Batch:
         return np.arange(self.max_len) < self.lengths[:, None]
 
     def chars_of(self, keys: Sequence[int]) -> np.ndarray:
-        """The character rows ``(len(keys), chars)`` of the keys at the
-        indices ``keys``, post-padded: rows of ``key_chars``, or rows built
-        for those keys alone."""
-        if self.key_chars is not None:
-            return self.key_chars[keys]
+        """The post-padded character rows ``(len(keys), chars)`` of the keys at the indices ``keys``."""
         return build_char_rows([self.keys[u] for u in keys], self.char_vocab, self.char_mode)
 
     @property
@@ -498,13 +489,10 @@ def batch_from_sentences(
     sentences: Sequence[Sentence],
     char_vocab: CharVocab | None = None,
     char_mode: str | None = None,
-    char_rows: bool = True,
 ) -> Batch:
     """Assemble one padded batch and its token-key table, keys in order of
-    first occurrence.  With a char mode each key's character row is built
-    once, and the keys are ordered by those rows, lexicographically; with
-    ``char_rows`` False no row is built and the keys keep their order, for
-    a caller that builds the rows of the keys it needs (:meth:`Batch.chars_of`)."""
+    first occurrence.  A char mode needs ``char_vocab``, from which
+    :meth:`Batch.chars_of` builds the rows of the keys a caller needs."""
     if not sentences:
         raise CorpusError("cannot batch zero sentences")
     if char_mode is not None and char_vocab is None:
@@ -515,21 +503,6 @@ def batch_from_sentences(
     real_keys = np.array([index.setdefault((tok.text, cnn and t == 0, cnn and t == last), len(index))
                           for s, last in zip(sentences, (lengths - 1).tolist()) for t, tok in enumerate(s.tokens)],
                          dtype=np.int64)
-    keys = list(index)
-    key_chars = None
-    if char_mode is not None and char_rows:
-        chars = build_char_rows(keys, char_vocab, char_mode)
-        # Keys in character-row order: the char submodel's weight gradients
-        # sum over the rows in this order, which then depends on the batch's
-        # set of keys alone.  PAD_INDEX is 0, below every symbol, so the
-        # padded rows sort as the unpadded ones would (a prefix first), and
-        # lexsort, which sorts by its last key first, is stable as sorted is.
-        order = np.lexsort(chars.T[::-1])
-        rank = np.empty(len(keys), dtype=np.int64)
-        rank[order] = np.arange(len(keys))
-        real_keys = rank[real_keys]
-        keys = [keys[u] for u in order]
-        key_chars = chars[order]
     max_len = int(lengths.max())
     token_keys = np.zeros((len(sentences), max_len), dtype=np.int64)
     token_keys[np.arange(max_len) < lengths[:, None]] = real_keys
@@ -537,10 +510,9 @@ def batch_from_sentences(
         sentences=list(sentences),
         max_len=max_len,
         lengths=lengths,
-        keys=keys,
+        keys=list(index),
         token_keys=token_keys,
         char_mode=char_mode,
-        key_chars=key_chars,
         char_vocab=char_vocab if char_mode is not None else None,
     )
 

@@ -23,6 +23,7 @@ import itertools
 import logging
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -347,9 +348,9 @@ def _float32_rows(rows, dim: int) -> bytes:
 
 
 def _write_binary(store: EmbeddingStore, path: str | Path):
-    """Write ``store`` as a binary store: to a temporary file beside
-    ``path``, then moved over it, so a reader that has the old file mapped
-    keeps reading the old file."""
+    """Write ``store`` as a binary store through :func:`atomic_write`: a
+    new file is moved over ``path``, so a reader that has the old file
+    mapped keeps reading the old file."""
     words = list(store.word_vectors)
     for word in words:
         if "\n" in word:
@@ -366,16 +367,25 @@ def _write_binary(store: EmbeddingStore, path: str | Path):
                                      len(buckets), len(words), len(listed))
     except struct.error as exc:
         raise EmbeddingError(f"store fields cannot be written: {exc}") from None
+    with atomic_write(path) as fh:
+        fh.write(BINARY_MAGIC + header + listed)
+        fh.write(bytes(_matrix_offset(len(listed)) - fh.tell()))
+        for start in range(0, len(words), WRITE_ROWS):
+            fh.write(_float32_rows([store.word_vectors[w] for w in words[start : start + WRITE_ROWS]], store.dim))
+        for start in range(0, len(buckets), WRITE_ROWS):
+            fh.write(_float32_rows(buckets[start : start + WRITE_ROWS], store.dim))
+
+
+@contextmanager
+def atomic_write(path: str | Path):
+    """A temporary binary file beside ``path``, fsynced and moved over it
+    when the block ends, removed if it raises: a write that fails midway
+    leaves the old file whole."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
-            fh.write(BINARY_MAGIC + header + listed)
-            fh.write(bytes(_matrix_offset(len(listed)) - fh.tell()))
-            for start in range(0, len(words), WRITE_ROWS):
-                fh.write(_float32_rows([store.word_vectors[w] for w in words[start : start + WRITE_ROWS]], store.dim))
-            for start in range(0, len(buckets), WRITE_ROWS):
-                fh.write(_float32_rows(buckets[start : start + WRITE_ROWS], store.dim))
+            yield fh
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -32,14 +32,15 @@ of word vector, casing one-hot and character feature.  The word vector and
 casing depend on the text alone, so each is built once per distinct text
 and copied to its keys; the keys' character rows are built together
 (:func:`~gner.corpus.build_char_rows`), and the char CNN computes only the
-windows that start inside each row.  No
-padded ``(batch, max_len, input_width)`` input exists: the token BiLSTM
-reads the key table through ``token_keys``.  In eval mode the table holds
-each key's gate inputs, its row projected by both directions; a
-:class:`RowCache` carries them across batches, and only the keys it does
-not hold (every key, without one) are built and projected.  Training
-projects each real position, under input dropout from a row of its own.
-A key's character gradient sums over the positions that share it.
+windows that start inside each row.  No padded ``(batch, max_len,
+input_width)`` input exists.  In eval mode the table holds each key's gate
+inputs, its row projected by both directions, and the token BiLSTM reads
+it through ``token_keys``; a :class:`RowCache` carries the rows across
+batches, and only the keys it does not hold (every key, without one) are
+built and projected.  Training projects each real position from a row of
+its own under input dropout (a mask of ones at dropout 0), and a key's
+character gradient sums over the positions that share it; its char
+submodel runs the keys' rows sorted.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
@@ -69,7 +70,7 @@ import numpy as np
 from .corpus import (CASING_FEATURE_NAMES, PAD_INDEX, Batch, CharVocab, LabelSchema, Sentence, Token,
                      batch_from_sentences, casing_features)
 from .crf import CrfParams, viterbi_decode
-from .embeddings import EmbeddingStore, lookup_word
+from .embeddings import EmbeddingStore, atomic_write, lookup_word
 from .layers import (
     Conv1dParams,
     LstmParams,
@@ -358,13 +359,20 @@ def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.nda
     character rows ``rows`` (one per token key) and, in train mode, the
     cache :func:`backward` reads.  A row's feature reads only its real
     characters, never the padding, so it does not depend on how wide the
-    batch pads its longest token.
+    batch pads its longest token.  Train mode runs the rows sorted (the
+    cache's ``order``), so the weight gradients sum in an order set by the
+    set of rows alone, and returns the features in the order of ``rows``.
 
     The char CNN reads the rows' padded ``(U, chars, emb)`` embedding.  The
     first char BiLSTM reads ``char_table`` through ``rows``, a second one
     the first one's packed rows through ``at``, each real character's
     packed row, which the train-mode cache keeps."""
     cfg = model.config
+    order = None
+    if mode == "train":
+        # lexsort is stable and reads its last key first; PAD_INDEX (0) sorts a prefix first.
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
     lengths = (rows != PAD_INDEX).sum(axis=1)
     at = None
     if cfg.char_cnn_kernels:
@@ -384,7 +392,9 @@ def _char_features(model: NerModel, rows: np.ndarray, mode: str) -> tuple[np.nda
         # half after the first.
         c = cfg.char_lstm_cells
         feat = np.concatenate([out[at[np.arange(len(rows)), lengths - 1], :c], out[at[:, 0], c:]], axis=1)
-    return feat, (rows, lengths, at, caches) if mode == "train" else None
+    if order is None:
+        return feat, None
+    return feat[np.argsort(order)], (rows, lengths, at, caches, order)
 
 
 def _gate_width(model: NerModel) -> int:
@@ -426,10 +436,11 @@ def forward_emissions(
     eval mode returns the emissions alone and keeps nothing else.  In train
     mode returns ``(emissions, cache)``, the cache being what
     :func:`backward` reads, and applies dropout (input and recurrent,
-    per-sequence-constant masks in that dtype).  The dense layer runs on
-    the token BiLSTM's packed rows, one per real position, and its scores
-    are placed into the emissions; the entries past a sentence's length
-    are zero, and neither the CRF nor Viterbi reads them.
+    per-sequence-constant masks in that dtype, all ones at dropout 0): the
+    token BiLSTM reads one masked row per real position.  The dense layer
+    runs on the token BiLSTM's packed rows, one per real position, and its
+    scores are placed into the emissions; the entries past a sentence's
+    length are zero, and neither the CRF nor Viterbi reads them.
 
     In eval mode a row ``cache`` made for this model and store supplies
     the token BiLSTM's gate inputs of the keys it holds; only the other
@@ -455,11 +466,22 @@ def forward_emissions(
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
-    # One row per token key: its input row to train, its gate inputs in eval.
+    b, t = len(batch.sentences), batch.max_len
     if train:
+        # Each real position, in row-major order, reads its key's input row
+        # under its sentence's input-dropout mask.
         table, chars = _input_rows(model, batch, embedding_store, range(len(batch.keys)), mode)
+        real = batch.mask
+        real_keys = batch.token_keys[real]
+        in_mask = (dropout_mask((b, cfg.input_width), cfg.dropout, rng, dtype)[np.nonzero(real)[0]]
+                   if cfg.dropout > 0.0 else np.ones((len(real_keys), cfg.input_width), dtype=dtype))
+        rows = table[real_keys]
+        rows *= in_mask
+        index = np.zeros((b, t), dtype=np.int64)
+        index[real] = np.arange(len(rows))
     else:
-        table, chars = np.empty((len(batch.keys), _gate_width(model)), dtype=dtype), None
+        # One row of gate inputs per token key, read by the positions that share it.
+        table = np.empty((len(batch.keys), _gate_width(model)), dtype=dtype)
         miss = range(len(table)) if cache is None else cache.take(batch.keys, table)
         if miss:
             rows, _ = _input_rows(model, batch, embedding_store, miss, mode)
@@ -470,20 +492,6 @@ def forward_emissions(
             if cache is not None:
                 table[miss] = gates
                 cache.put([batch.keys[u] for u in miss], gates)
-    b, t = len(batch.sentences), batch.max_len
-    real = batch.mask
-    real_keys = batch.token_keys[real]
-    in_mask = None
-    if train and cfg.dropout > 0.0:
-        # Input dropout masks each sentence's positions alike, so each real
-        # position, in row-major order, gets its own masked row.
-        in_mask = dropout_mask((b, cfg.input_width), cfg.dropout, rng, dtype)[np.nonzero(real)[0]]
-        rows = table[real_keys]
-        rows *= in_mask
-        index = np.zeros((b, t), dtype=np.int64)
-        index[real] = np.arange(len(rows))
-    else:
-        # Positions that share a key share its row.
         rows, index = table, batch.token_keys
 
     hidden, place, token = bilstm_sequence(
@@ -529,12 +537,10 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     d_chars, token_grads = bilstm_backward(token, d_hidden, input_from=words if chars is not None else None)
     _put_lstm(grads, "token_lstm", token_grads)
     if chars is not None:
-        rows, lengths, at, caches = chars
-        if in_mask is None:
-            d_feat = d_chars  # one row per key: the layer summed its positions
-        else:
-            # One row per position, in row-major order: sum them per key.
-            d_feat = embed_backward(table[:, words:], real_keys, d_chars * in_mask[:, words:])
+        rows, lengths, at, caches, order = chars
+        # One row per position, in row-major order: sum them per key, and
+        # take the keys in the char submodel's row order.
+        d_feat = embed_backward(table[:, words:], real_keys, d_chars * in_mask[:, words:])[order]
         if cfg.char_cnn_kernels:
             f = cfg.char_cnn_filters
             d_emb = 0.0
@@ -576,7 +582,7 @@ def predict_batch(model: NerModel, embedding_store: EmbeddingStore, sentences: l
     out: list[list[str]] = []
     for lo in range(0, len(sentences), batch_size):
         group = sentences[lo : lo + batch_size]
-        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode, char_rows=False)
+        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
         em = forward_emissions(model, batch, embedding_store, mode="eval", cache=cache)
         paths, _ = viterbi_decode(model.crf, em, batch.lengths)
         out.extend([schema.label_of(y) for y in path] for path in paths)
@@ -600,7 +606,6 @@ def predict(model: NerModel, embedding_store: EmbeddingStore, tokens: list[str])
 
 
 def save_model(model: NerModel, path: str | Path):
-    path = Path(path)
     params = model.parameters()
     header = {
         "version": MODEL_VERSION,
@@ -609,7 +614,7 @@ def save_model(model: NerModel, path: str | Path):
         "params": [{"name": name, "shape": list(p.shape)} for name, p in params],
     }
     blob = json.dumps(header, ensure_ascii=False).encode("utf-8")
-    with path.open("wb") as fh:
+    with atomic_write(path) as fh:
         fh.write(MODEL_MAGIC + b"\n")
         fh.write(str(len(blob)).encode("ascii") + b"\n")
         fh.write(blob)

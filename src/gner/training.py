@@ -48,6 +48,10 @@ class TrainingError(Exception):
 BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
 
 
+def _finite_positive(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0.0 < value < math.inf
+
+
 @dataclass
 class TrainConfig:
     stage1_epochs: int = 10
@@ -64,6 +68,19 @@ class TrainConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TrainingError(f"{name} must be an integer, got {value!r}")
+        if min(self.stage1_epochs, self.stage2_epochs) < 1:
+            raise TrainingError(
+                f"each stage needs at least one epoch, got {self.stage1_epochs} and {self.stage2_epochs}")
+        if min(self.stage1_batch, self.stage2_batch) < 1:
+            raise TrainingError(f"batch sizes must be >= 1, got {self.stage1_batch} and {self.stage2_batch}")
+        if not _finite_positive(self.learning_rate):
+            raise TrainingError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
+        # A negative clip norm flips the gradient and a zero one erases it.
+        if self.gradient_clip_norm is not None and not _finite_positive(self.gradient_clip_norm):
+            raise TrainingError(f"gradient_clip_norm must be None or a finite number > 0, "
+                                f"got {self.gradient_clip_norm!r}")
+        if self.label_level not in ("outer", "inner"):
+            raise TrainingError(f"label_level must be 'outer' or 'inner', got {self.label_level!r}")
 
 
 @dataclass
@@ -289,10 +306,6 @@ def train_two_stage(
         raise TrainingError("training on an empty dataset")
     if not dev:
         raise TrainingError("two-stage training needs a validation set")
-    if min(config.stage1_epochs, config.stage2_epochs) < 1:
-        raise TrainingError(
-            f"each stage needs at least one epoch, got {config.stage1_epochs} and {config.stage2_epochs}"
-        )
     checkpoint_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if checkpoint_dir is not None:
         checkpoint_dir.mkdir(parents=True, exist_ok=True)

@@ -62,6 +62,14 @@ def test_parse_germeval_unknown_label(tmp_path):
         corpus.parse_germeval(p)
 
 
+@pytest.mark.parametrize("parse", [corpus.parse_germeval, corpus.parse_conll03])
+def test_parsers_report_a_file_that_is_not_utf8(tmp_path, parse):
+    p = tmp_path / "latin1.tsv"
+    p.write_bytes("1\tKöln\tB-LOC\tO\n".encode("latin-1"))
+    with pytest.raises(corpus.CorpusError, match="cannot read .*latin1.tsv"):
+        parse(p)
+
+
 def test_parse_germeval_empty_token(tmp_path):
     p = tmp_path / "bad.tsv"
     p.write_text("1\t\tB-LOC\tO\n", encoding="utf-8")
@@ -232,16 +240,17 @@ def test_char_rows_equal_the_symbol_at_a_time_reference(keys, mode):
     rows = corpus.build_char_rows(keys, _ROW_VOCAB, mode)
     assert rows.dtype == np.int64
     np.testing.assert_array_equal(rows, reference_char_rows(keys, _ROW_VOCAB, mode))
-    # Training's key order is the keys' first-occurrence order sorted by
-    # their unpadded character rows, the sort stable among equal rows.
+    # A batch's keys are in first-occurrence order, and it builds their
+    # rows when asked.
     texts = [text for text, _, _ in keys]
     sentences = [_sent(*texts), _sent(texts[-1]), _sent(*texts[::2])]
-    ordered = corpus.batch_from_sentences(sentences, _ROW_VOCAB, mode)
-    lazy = corpus.batch_from_sentences(sentences, _ROW_VOCAB, mode, char_rows=False)
-    assert ordered.keys == sorted(lazy.keys, key=lambda key: reference_char_rows([key], _ROW_VOCAB, mode)[0].tolist())
-    np.testing.assert_array_equal(ordered.key_chars, reference_char_rows(ordered.keys, _ROW_VOCAB, mode))
-    real = ordered.mask
-    assert ([ordered.keys[u] for u in ordered.token_keys[real]] == [lazy.keys[u] for u in lazy.token_keys[real]])
+    batch = corpus.batch_from_sentences(sentences, _ROW_VOCAB, mode)
+    cnn = mode == "cnn"
+    occurring = [(tok.text, cnn and t == 0, cnn and t == len(s) - 1) for s in sentences for t, tok in enumerate(s.tokens)]
+    assert batch.keys == list(dict.fromkeys(occurring))
+    np.testing.assert_array_equal(batch.chars_of(range(len(batch.keys))),
+                                  reference_char_rows(batch.keys, _ROW_VOCAB, mode))
+    assert [batch.keys[u] for u in batch.token_keys[batch.mask]] == occurring
 
 
 def test_token_keys_mark_first_and_last_only_in_cnn_mode():
@@ -253,7 +262,7 @@ def test_token_keys_mark_first_and_last_only_in_cnn_mode():
     assert (first, middle, last) == (("Ulm", True, False), ("mag", False, False), ("Ulm", False, True))
     assert corpus.batch_from_sentences([_sent("Ulm")], vocab, "cnn").keys == [("Ulm", True, True)]
     # Each key's character row is its decorated text.
-    np.testing.assert_array_equal(cnn.key_chars, reference_char_rows(cnn.keys, vocab, "cnn"))
+    np.testing.assert_array_equal(cnn.chars_of(range(len(cnn.keys))), reference_char_rows(cnn.keys, vocab, "cnn"))
     for mode in ("rnn", None):
         plain = corpus.batch_from_sentences([sentence], vocab if mode else None, mode)
         assert sorted(plain.keys) == [("Ulm", False, False), ("mag", False, False)]
@@ -334,16 +343,14 @@ def test_batch_char_indices_shape_and_mask_rows():
     sents += [_sent("Ulm"), _sent("Ulm", "Ulm", "Ulm"), _sent("ǅ", "ǅ")]
     for mode in ("rnn", "cnn"):
         for group in (sents, sents[-3:], sents[:1]):
-            view = corpus.batch_from_sentences(group, vocab, mode).char_indices
+            batch = corpus.batch_from_sentences(group, vocab, mode)
+            view = batch.char_indices
             assert view.dtype == np.int64
             np.testing.assert_array_equal(view, _occurrence_layout(group, vocab, mode))
-            # A batch made without char rows builds them when asked, for any keys.
-            lazy = corpus.batch_from_sentences(group, vocab, mode, char_rows=False)
-            assert lazy.key_chars is None
-            np.testing.assert_array_equal(lazy.char_indices, view)
-            some = list(range(0, len(lazy.keys), 3))
-            np.testing.assert_array_equal(lazy.chars_of(some),
-                                          reference_char_rows([lazy.keys[u] for u in some], vocab, mode))
+            # The batch builds the rows of any of its keys when asked.
+            some = list(range(0, len(batch.keys), 3))
+            np.testing.assert_array_equal(batch.chars_of(some),
+                                          reference_char_rows([batch.keys[u] for u in some], vocab, mode))
     assert corpus.batch_from_sentences(sents, None, None).char_indices is None
 
 

@@ -433,7 +433,7 @@ def test_text_and_binary_stores_give_bit_equal_lookups_and_predictions(tmp_path)
 
     model = build_model(ModelConfig(germeval_schema(), char_variant="bilstm"), build_char_vocab(sentences), seed=3)
     assert model.dtype == np.float32
-    batch = batch_from_sentences(sentences, model.char_vocab, model.config.required_char_mode, char_rows=False)
+    batch = batch_from_sentences(sentences, model.char_vocab, model.config.required_char_mode)
     assert forward_emissions(model, batch, text).tobytes() == forward_emissions(model, batch, binary).tobytes()
     assert predict_batch(model, text, sentences) == predict_batch(model, binary, sentences)
 
@@ -457,6 +457,25 @@ def test_rewriting_a_mapped_store_replaces_the_file(tmp_path):
     assert os.stat(path).st_ino != inode and os.listdir(tmp_path) == ["s.bin"]
     assert loaded.ngram_buckets.tobytes() == first.ngram_buckets.astype(np.float32).tobytes()
     assert emb.load_store(path).ngram_buckets.tobytes() == second.ngram_buckets.astype(np.float32).tobytes()
+
+
+def test_a_store_write_failing_midway_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "s.bin"
+    emb.write_fasttext_store(_toy_fasttext_store(np.random.default_rng(14)), path)
+    old = path.read_bytes()
+    blocks = []
+
+    def word_rows_then_full_disk(rows, dim, _fn=emb._float32_rows):
+        if blocks:  # the bucket rows, after the word rows were written
+            raise OSError("No space left on device")
+        blocks.append(_fn(rows, dim))
+        return blocks[-1]
+
+    monkeypatch.setattr(emb, "_float32_rows", word_rows_then_full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        emb.write_fasttext_store(_toy_fasttext_store(np.random.default_rng(15)), path)
+    assert blocks and path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["s.bin"]
 
 
 @pytest.mark.parametrize("vectors, message", [

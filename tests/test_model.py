@@ -115,10 +115,9 @@ def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkey
 
 @pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
 def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkeypatch):
-    # Where positions that share a key share an input row, the token BiLSTM
-    # reads the key table itself: in eval mode each key's gate inputs, in
-    # train mode its input row; under input dropout, one masked row per
-    # real position in row-major order.
+    # In eval mode the token BiLSTM reads the key table itself, each key's
+    # gate inputs; in train mode, one masked row per real position in
+    # row-major order, without dropout too.
     model, store, batch, _ = _toy_setup(variant)
     seen = []
 
@@ -131,14 +130,15 @@ def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkey
     width, real = model.config.input_width, batch.mask
     no_dropout = dataclasses.replace(model, config=dataclasses.replace(model.config, dropout=0.0))
     M.forward_emissions(model, batch, store, mode="eval")
-    M.forward_emissions(no_dropout, batch, store, mode="train")
-    for (shape, index), want in zip(seen, (8 * model.config.token_lstm_cells, width), strict=True):
-        assert shape == (len(batch.keys), want) and index is batch.token_keys
-    seen.clear()
-    M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
     ((shape, index),) = seen
-    assert shape == (int(real.sum()), width)
-    np.testing.assert_array_equal(index[real], np.arange(shape[0]))
+    assert shape == (len(batch.keys), 8 * model.config.token_lstm_cells) and index is batch.token_keys
+    seen.clear()
+    M.forward_emissions(no_dropout, batch, store, mode="train")
+    M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
+    assert len(seen) == 2
+    for shape, index in seen:
+        assert shape == (int(real.sum()), width)
+        np.testing.assert_array_equal(index[real], np.arange(shape[0]))
 
 
 @pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
@@ -189,12 +189,11 @@ def test_eval_forward_without_a_cache_is_a_new_caches_bit_for_bit(variant):
     # one eval path: the same projection of the same rows.
     model, store, _, sents = _toy_setup(variant, n_sentences=8)
     _randomize_biases(model, 8)
-    for char_rows in (True, False):
-        batch = batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode, char_rows=char_rows)
-        cache = M.RowCache(model, store, len(batch.keys))
-        np.testing.assert_array_equal(M.forward_emissions(model, batch, store, cache=cache),
-                                      M.forward_emissions(model, batch, store))
-        assert cache.hits == 0 and len(cache._slots) == len(batch.keys)
+    batch = batch_from_sentences(sents, model.char_vocab, model.config.required_char_mode)
+    cache = M.RowCache(model, store, len(batch.keys))
+    np.testing.assert_array_equal(M.forward_emissions(model, batch, store, cache=cache),
+                                  M.forward_emissions(model, batch, store))
+    assert cache.hits == 0 and len(cache._slots) == len(batch.keys)
 
 
 def test_predict_batch_rejects_a_batch_size_below_one():
@@ -270,7 +269,7 @@ def test_row_cache_holds_each_keys_input_row_times_both_input_weights(variant):
     for u, (text, first, last) in enumerate(batch.keys):
         parts = [M.lookup_word(store, text)[0], M.casing_features([text])[0]]
         if batch.char_mode is not None:
-            parts.append(M._char_features(model, batch.key_chars[[u]], "eval")[0][0])
+            parts.append(M._char_features(model, batch.chars_of([u]), "eval")[0][0])
         row = np.concatenate(parts).astype(model.dtype)
         want = np.concatenate([row @ model.token_fwd.w_input, row @ model.token_bwd.w_input])
         np.testing.assert_allclose(cache._rows[cache._slots[text, first, last]], want, rtol=0, atol=PARITY_ATOL)
@@ -351,7 +350,7 @@ def test_an_eval_forward_holds_no_padded_activation(variant):
     config = M.ModelConfig(label_schema=germeval_schema(), char_variant=variant)
     model = M.build_model(config, vocab, seed=3)
     store = make_embedding_store(sents, dim=config.word_dim, seed=3)
-    batch = batch_from_sentences(sents, vocab, config.required_char_mode, char_rows=False)
+    batch = batch_from_sentences(sents, vocab, config.required_char_mode)
     assert batch.mask.shape == (64, 200) and batch.mask.sum() == 263
     want = M.forward_emissions(model, batch, store)
     tracemalloc.start()
@@ -383,7 +382,7 @@ def test_a_char_bilstm_step_holds_no_padded_char_activation():
         tracemalloc.start()
         try:
             batch_loss(model, batch, store, "outer", np.random.default_rng(0))
-            return tracemalloc.get_traced_memory()[1], batch.key_chars.shape
+            return tracemalloc.get_traced_memory()[1], batch.chars_of(range(len(batch.keys))).shape
         finally:
             tracemalloc.stop()
 
@@ -443,7 +442,7 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
     model = M.build_model(_toy_config(variant), vocab, seed=8)
     _randomize_biases(model, 8)
     batch = batch_from_sentences(sents, vocab, "rnn")
-    feat, _ = M._char_features(model, batch.key_chars, "eval")
+    feat, _ = M._char_features(model, batch.chars_of(range(len(batch.keys))), "eval")
     c = model.config.char_lstm_cells
     for t, tok in enumerate(sents[0].tokens):
         idx = [vocab.lookup(ch) for ch in tok.text]
@@ -452,6 +451,26 @@ def test_char_bilstm_reads_each_direction_where_it_ends(variant):
             out, _ = bilstm_padded(fwd, bwd, out, [len(idx)])
         want = np.concatenate([out[0, -1, :c], out[0, 0, c:]])
         np.testing.assert_allclose(feat[batch.token_keys[0, t]], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["cnn", "bilstm2"])
+def test_train_char_submodel_runs_its_rows_sorted_whatever_the_key_order(variant):
+    # The char submodel's weight gradients sum over its rows in the order
+    # it runs them, so in train mode it sorts them: reversing the sentences
+    # reverses the keys' first-occurrence order, not the rows'.
+    model, store, _, sents = _toy_setup(variant, n_sentences=6)
+    runs = []
+    for group in (sents, sents[::-1]):
+        batch = batch_from_sentences(group, model.char_vocab, model.config.required_char_mode)
+        _, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
+        rows, *_, order = cache[-1]
+        unpadded = [row[row != PAD_INDEX].tolist() for row in rows]
+        assert unpadded == sorted(unpadded)
+        np.testing.assert_array_equal(rows, batch.chars_of(order))
+        runs.append((batch.keys, rows))
+    (keys, rows), (other_keys, other_rows) = runs
+    assert keys != other_keys and sorted(keys) == sorted(other_keys)
+    np.testing.assert_array_equal(rows, other_rows)
 
 
 @pytest.mark.parametrize("variant", ["cnn", "cnn3"])
@@ -542,7 +561,7 @@ def test_paper_size_float32_labels_do_not_depend_on_the_batch(variant):
         out = []
         for lo in range(0, len(sents), size):
             group = sents[lo : lo + size]
-            batch = batch_from_sentences(group, vocab, config.required_char_mode, char_rows=False)
+            batch = batch_from_sentences(group, vocab, config.required_char_mode)
             em = M.forward_emissions(model, batch, store)
             out += [em[i, : len(s)] for i, s in enumerate(group)]
         return out
@@ -650,6 +669,26 @@ def test_save_load_round_trip_predictions(tmp_path):
     again = dict(M.load_model(path2).parameters())
     for name, p in loaded.parameters():
         assert again[name].dtype == np.float32 and again[name].tobytes() == p.tobytes(), name
+
+
+def test_a_model_write_failing_midway_leaves_the_old_file_whole(tmp_path):
+    model, _, _, _ = _toy_setup("bilstm")
+    path = tmp_path / "model.mner"
+    M.save_model(model, path)
+    old = path.read_bytes()
+
+    class Unwritable:  # a parameter block whose bytes cannot be had
+        shape = (2,)
+
+        def __array__(self, *args, **kwargs):
+            raise OSError("No space left on device")
+
+    named = model.named_parameters
+    broken = dataclasses.replace(model, named_parameters=[*named[:3], ("dense.w", Unwritable()), *named[3:]])
+    with pytest.raises(OSError, match="No space left"):
+        M.save_model(broken, path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["model.mner"]
 
 
 @pytest.mark.parametrize("variant", M.CHAR_VARIANTS)

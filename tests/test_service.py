@@ -626,6 +626,19 @@ def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, caps
     assert err.startswith(f"error: {config_path}: ") and message in err
 
 
+def test_cli_train_rejects_a_negative_clip_norm_before_reading_a_corpus(fixture_world, tmp_path, capsys,
+                                                                       monkeypatch):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(_run_config(fixture_world.store_path, training={"gradient_clip_norm": -1}),
+                           encoding="utf-8")
+    read = []
+    monkeypatch.setattr(cli, "_parse_corpus", lambda *args: read.append(args))
+    assert cli.main(["train", "--config", str(config_path), "--out", str(tmp_path / "m.mner")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config_path}: gradient_clip_norm must be None or a finite number > 0, got -1")
+    assert not read and not (tmp_path / "m.mner").exists()
+
+
 def test_cli_train_combined_model_mixes_corpus_formats(fixture_world, tmp_path):
     from gner.corpus import write_germeval
     from gner.datagen import make_corpus

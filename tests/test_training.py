@@ -65,6 +65,31 @@ def test_nadam_rejects_non_finite_gradient():
         tr.nadam_step([("p", p)], {"p": np.array([np.nan])}, tr.NadamState(), _cfg())
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("learning_rate", -0.002, "learning_rate must be a finite number > 0"),
+    ("learning_rate", 0.0, "learning_rate must be a finite number > 0"),
+    ("learning_rate", math.nan, "learning_rate must be a finite number > 0"),
+    ("learning_rate", math.inf, "learning_rate must be a finite number > 0"),
+    ("learning_rate", "0.002", "learning_rate must be a finite number > 0"),
+    ("gradient_clip_norm", -1.0, "gradient_clip_norm must be None or a finite number > 0"),
+    ("gradient_clip_norm", 0.0, "gradient_clip_norm must be None or a finite number > 0"),
+    ("gradient_clip_norm", math.nan, "gradient_clip_norm must be None or a finite number > 0"),
+    ("gradient_clip_norm", math.inf, "gradient_clip_norm must be None or a finite number > 0"),
+    ("stage1_batch", 0, "batch sizes must be >= 1, got 0 and 512"),
+    ("stage2_batch", -4, "batch sizes must be >= 1, got 16 and -4"),
+    ("label_level", "middle", "label_level must be 'outer' or 'inner'"),
+])
+def test_train_config_rejects_settings_that_break_training(field, value, message):
+    with pytest.raises(tr.TrainingError, match=message):
+        _cfg(**{field: value})
+
+
+def test_train_config_accepts_the_edges_of_its_ranges():
+    for kw in ({"gradient_clip_norm": None}, {"gradient_clip_norm": 1e-6}, {"learning_rate": 1},
+               {"stage1_batch": 1, "stage2_batch": 1}, {"label_level": "inner"}):
+        _cfg(**kw)
+
+
 def test_clip_global_norm():
     grads = {"a": np.full(4, 3.0), "b": np.full(9, 4.0)}
     pre = math.sqrt(sum((g**2).sum() for g in grads.values()))
