@@ -27,6 +27,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .embeddings import atomic_write
+
 __all__ = [
     "CorpusError",
     "Token",
@@ -246,13 +248,14 @@ def parse_conll03(path: str | Path) -> list[Sentence]:
 
 
 def write_germeval(sentences: Iterable[Sentence], path: str | Path):
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    """Write GermEval TSV in UTF-8 through :func:`~gner.embeddings.atomic_write`,
+    so a write that fails midway leaves the file already there whole."""
+    with atomic_write(path) as fh:
         for s in sentences:
             inner = s.inner_labels if s.inner_labels is not None else ["O"] * len(s)
-            for n, (tok, out_lab, in_lab) in enumerate(zip(s.tokens, s.outer_labels, inner), start=1):
-                fh.write(f"{n}\t{tok.text}\t{out_lab}\t{in_lab}\n")
-            fh.write("\n")
+            lines = [f"{n}\t{tok.text}\t{out_lab}\t{in_lab}\n"
+                     for n, (tok, out_lab, in_lab) in enumerate(zip(s.tokens, s.outer_labels, inner), start=1)]
+            fh.write(("".join(lines) + "\n").encode("utf-8"))
 
 
 _TAG_RE = re.compile(r"([BI])-(\S+)")

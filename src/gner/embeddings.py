@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -380,11 +381,18 @@ def _write_binary(store: EmbeddingStore, path: str | Path):
 def atomic_write(path: str | Path):
     """A temporary binary file beside ``path``, fsynced and moved over it
     when the block ends, removed if it raises: a write that fails midway
-    leaves the old file whole."""
-    path = Path(path)
+    leaves the old file whole.  A symlinked ``path`` is written through to
+    the file it names, and a file already there keeps its permission bits."""
+    path = Path(os.path.realpath(path))
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        mode = stat.S_IMODE(path.stat().st_mode)
+    except FileNotFoundError:
+        mode = None
+    try:
         with tmp.open("wb") as fh:
+            if mode is not None:
+                os.fchmod(fh.fileno(), mode)
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -529,11 +537,17 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
     buckets = matrix[nwords:]
     vectors: dict[str, np.ndarray] = {}
     keep = words[:nwords] if max_words is None else words[: min(nwords, max_words)]
+    # Each distinct n-gram's matrix row, hashed once: words share most of theirs.
+    rows_of: dict[str, int] = {}
     for wid, word in enumerate(keep):
-        pieces = [matrix[wid]]
+        rows = [wid]
         if word != "</s>":
-            pieces += [buckets[ngram_bucket(g, bucket)] for g in extract_char_ngrams(word, min_n, max_n)]
-        vectors[word] = np.mean(np.array(pieces, dtype=np.float64), axis=0).astype(np.float32)
+            for g in extract_char_ngrams(word, min_n, max_n):
+                row = rows_of.get(g)
+                if row is None:
+                    row = rows_of[g] = nwords + ngram_bucket(g, bucket)
+                rows.append(row)
+        vectors[word] = np.mean(matrix[rows].astype(np.float64), axis=0).astype(np.float32)
     return EmbeddingStore(
         kind="fasttext",
         dim=dim,

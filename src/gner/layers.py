@@ -12,12 +12,17 @@ orders the rows by them.  The BiLSTM has one input layout, a ``(rows,
 dim)`` table plus a ``(batch, steps)`` index into it, and one output
 layout, packed rows: one per real position, in the schedule's order, with
 each one's (row, step) to place it, so it holds no padded activation.  It
-runs both directions in one call on that order; its backward takes its
-gradient in the same packed rows and is a hand-written BPTT over the
-activations the train-mode forward keeps.  The char CNN reads a
-post-padded ``(rows, steps, dim)`` array, forms only the windows that
-start inside each row, packed row after row, and max-pools each row's
-segment; its backward routes the gradient to each filter's winning window.
+runs both directions in one call on that order, and in train mode masks
+the rows it gathers under input dropout, so one masked copy of them
+exists.  Its backward takes its gradient in the same packed rows and is a
+hand-written BPTT over what the train-mode forward keeps per position and
+direction: the gates, the recurrent input and the previous cell.
+tanh(cell) is recomputed from them, and each step's gate gradient is
+written over its gates, so a backward uses its cache up.  The char CNN
+reads a post-padded ``(rows, steps, dim)`` array, forms only the windows
+that start inside each row, packed row after row, and max-pools each
+row's segment; its backward routes the gradient to each filter's winning
+window.
 An eval-mode forward keeps nothing for a backward pass.  A layer's
 parameter record holds only its arrays, and its sizes are read from their
 shapes; the character table is a bare ``(vocab, dim)`` array.
@@ -134,9 +139,9 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
     position's output in that order.  The state is held in the schedule's
     row order (``rec_mask`` too) and each step updates the rows still
     running, a leading slice of it, in place: the gate arithmetic writes
-    into buffers made once per call.  With ``keep``, returns the
-    per-position activations BPTT needs: gates (i, f, g, o), recurrent
-    input, previous cell, tanh(cell).
+    into buffers made once per call.  With ``keep``, returns what BPTT
+    cannot recompute, per position: the gates (i, f, g, o), the recurrent
+    input and the previous cell, so ``6 * cells`` values.
     """
     cells = params.cells
     u, bias = params.w_recurrent, params.bias
@@ -145,7 +150,7 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
     z, act = np.empty((batch, 4 * cells), dtype=dtype), np.empty((batch, 4 * cells), dtype=dtype)
     cache = None
     if keep:
-        cache = tuple(np.empty((n, width), dtype=dtype) for width in (4 * cells, cells, cells, cells))
+        cache = tuple(np.empty((n, width), dtype=dtype) for width in (4 * cells, cells, cells))
     for t in times:
         seg, running = steps[t]
         h_in = h[:running]
@@ -168,40 +173,43 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
         np.multiply(a[:, :cells], a[:, 2 * cells : 3 * cells], out=i_g[:running])
         c_t *= a[:, cells : 2 * cells]
         c_t += i_g[:running]
-        tc = np.tanh(c_t, out=cache[3][seg] if keep else tanh_c[:running])
+        tc = np.tanh(c_t, out=tanh_c[:running])
         np.multiply(a[:, 3 * cells :], tc, out=out[seg])
         h[:running] = out[seg]
     return cache
 
 
-def _bptt(params: LstmParams, cache, steps, times, rec_mask, grad_real: np.ndarray, batch: int) -> np.ndarray:
+def _bptt(params: LstmParams, kept, steps, times, rec_mask, grad_real: np.ndarray, batch: int) -> np.ndarray:
     """Backpropagate ``grad_real`` (N, cells), the output gradient of every
-    real position, through the recurrence.  Returns the gradient of every
-    real position's pre-activation (N, 4*cells)."""
-    gates, h_ins, c_prevs, tcs = cache
+    real position, through the recurrence, given what :func:`_recur` kept.
+    tanh(cell) is recomputed from the kept gates and previous cell with the
+    operations :func:`_recur` ran, so it is the same bits.  Each step writes
+    its pre-activation gradient over its own gates once it has read them,
+    so the gates come back as the gradient of every real position's
+    pre-activation (N, 4*cells) and ``kept`` is used up."""
+    gates, _, c_prevs = kept
     cells = params.cells
     u_t = params.w_recurrent.T
-    dz_all = np.empty_like(gates)
     dh = np.zeros((batch, cells), dtype=gates.dtype)
     dc = np.zeros((batch, cells), dtype=gates.dtype)
     for t in reversed(times):
         seg, running = steps[t]
-        act, tc = gates[seg], tcs[seg]
+        act, c_prev = gates[seg], c_prevs[seg]
         i, f = act[:, :cells], act[:, cells : 2 * cells]
         g, o = act[:, 2 * cells : 3 * cells], act[:, 3 * cells :]
+        tc = np.tanh(c_prev * f + i * g)
         dh_t = dh[:running] + grad_real[seg]
         dc_t = dc[:running] + dh_t * o * (1.0 - tc * tc)
-        dz = dz_all[seg]
-        dz[:, :cells] = dc_t * g * i * (1.0 - i)
-        dz[:, cells : 2 * cells] = dc_t * c_prevs[seg] * f * (1.0 - f)
-        dz[:, 2 * cells : 3 * cells] = dc_t * i * (1.0 - g * g)
-        dz[:, 3 * cells :] = dh_t * tc * o * (1.0 - o)
-        dh_prev = dz @ u_t
+        dz_i, dz_g = dc_t * g * i * (1.0 - i), dc_t * i * (1.0 - g * g)
+        dz_f = dc_t * c_prev * f * (1.0 - f)
+        dc[:running] = dc_t * f
+        act[:, 3 * cells :] = dh_t * tc * o * (1.0 - o)
+        act[:, :cells], act[:, cells : 2 * cells], act[:, 2 * cells : 3 * cells] = dz_i, dz_f, dz_g
+        dh_prev = act @ u_t
         if rec_mask is not None:
             dh_prev *= rec_mask[:running]
         dh[:running] = dh_prev
-        dc[:running] = dc_t * f
-    return dz_all
+    return gates
 
 
 def bilstm_sequence(
@@ -210,11 +218,11 @@ def bilstm_sequence(
     x: np.ndarray,
     index,
     lengths,
-    recurrent_dropout: float = 0.0,
+    dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
     projected: bool = False,
-) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], tuple | None]:
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], list | None]:
     """Bidirectional LSTM over a batch whose row ``b`` holds its sequence at
     steps ``0 .. lengths[b] - 1``: step ``t`` of row ``b`` reads row
     ``index[b, t]`` of the (rows, in) table ``x``, so that positions sharing
@@ -228,15 +236,17 @@ def bilstm_sequence(
     the :func:`length_schedule` order: step after step, and within a step
     the running rows by descending length.  ``place`` is each packed row's
     (row, step), two int arrays, so ``padded[place] = out`` places them.
-    The cache :func:`bilstm_backward` reads is kept in train mode only
-    (None in eval mode).
+    The cache :func:`bilstm_backward` reads, and uses up, is kept in train
+    mode only (None in eval mode).
 
     Each direction's input projection is one matmul over the real
-    positions' rows, gathered into that order, on which the recurrence runs
-    in numpy; the backward direction starts each row at its last real step,
-    and each direction writes its half of the packed output in place.  When
-    training with ``recurrent_dropout``, one mask per direction (forward
-    first) is sampled and reused at every timestep.
+    positions' rows, gathered once into that order, on which the recurrence
+    runs in numpy; the backward direction starts each row at its last real
+    step, and each direction writes its half of the packed output in place.
+    When training with ``dropout``, one mask per batch row over the input
+    columns multiplies each row it gathers, and one mask per direction
+    (forward first) the recurrent input, each reused at every timestep;
+    the input mask is drawn first.
     """
     index = np.asarray(index)
     if x.ndim != 2 or index.ndim != 2:
@@ -255,12 +265,13 @@ def bilstm_sequence(
         if x.dtype != p.w_input.dtype:
             raise LayerError(f"bilstm_sequence: {x.dtype} input, {p.w_input.dtype} weights")
     _, order, running = length_schedule(lengths, batch, length)
-    rec_masks = [None, None]
-    if train and recurrent_dropout > 0.0:
+    in_mask, rec_masks = None, [None, None]
+    if train and dropout > 0.0:
         if rng is None:
-            raise LayerError("bilstm_sequence: recurrent dropout in train mode needs an rng")
-        # Drawn in batch order, held in the schedule's row order.
-        rec_masks = [dropout_mask((batch, p.cells), recurrent_dropout, rng, x.dtype)[order] for p in (fwd, bwd)]
+            raise LayerError("bilstm_sequence: dropout in train mode needs an rng")
+        # Drawn in batch order; the recurrent masks are held in the schedule's row order.
+        in_mask = dropout_mask((batch, width), dropout, rng, x.dtype)
+        rec_masks = [dropout_mask((batch, p.cells), dropout, rng, x.dtype)[order] for p in (fwd, bwd)]
     bounds = np.cumsum([0, *running])
     steps = [(slice(bounds[t], bounds[t + 1]), n) for t, n in enumerate(running)]
     place = (np.concatenate([order[:n] for n in running]), np.repeat(np.arange(length), running))
@@ -273,6 +284,9 @@ def bilstm_sequence(
         (bwd, range(length - 1, -1, -1), rec_masks[1], slice(fwd.cells, fwd.cells + bwd.cells)),
     )
     x_real = None if projected else x[pos]
+    if in_mask is not None:
+        for seg, n in steps:
+            x_real[seg] *= in_mask[order[:n]]
     out = np.empty((len(pos), fwd.cells + bwd.cells), dtype=x.dtype)
 
     def gate_inputs(p: LstmParams, cols: slice) -> np.ndarray:
@@ -280,10 +294,12 @@ def bilstm_sequence(
 
     acts = [_recur(p, gate_inputs(p, cols), steps, times, rec, out[:, half], batch, train)
             for (p, times, rec, half), cols in zip(directions, (slice(0, gates), slice(gates, None)))]
-    return out, place, (len(x), batch, place, pos, steps, directions, x_real, acts) if train else None
+    if not train:
+        return out, place, None
+    return out, place, [len(x), order, place, pos, steps, directions, x_real, in_mask, acts]
 
 
-def bilstm_backward(cache: tuple, grad: np.ndarray, input_from: int | None = 0):
+def bilstm_backward(cache: list, grad: np.ndarray, input_from: int | None = 0):
     """Gradients of a train-mode :func:`bilstm_sequence` call, given
     ``grad``, the gradient of its packed output, in the same packed rows.
 
@@ -291,21 +307,33 @@ def bilstm_backward(cache: tuple, grad: np.ndarray, input_from: int | None = 0):
     on (None if ``input_from`` is None), one row per table row, and,
     forward direction first, the gradients of each direction's
     ``(w_input, w_recurrent, bias)``.  A table row's gradient sums over the
-    positions that read it, in row-major (batch, step) order, and is zero
-    for a row no position reads.
+    positions that read it, each times its row's input-dropout mask, in
+    row-major (batch, step) order, and is zero for a row no position reads.
+
+    The call uses the cache up: BPTT writes each position's pre-activation
+    gradient over its gates and the cache lets each array go once read, so
+    a second call on it raises :class:`LayerError`.
     """
-    rows, batch, place, pos, steps, directions, x_real, acts = cache
+    if not cache:
+        raise LayerError("bilstm_backward: this cache was used up by an earlier backward; run the forward again")
+    rows, order, place, pos, steps, directions, x_real, in_mask, acts = cache
     if grad.dtype != x_real.dtype:
         raise LayerError(f"bilstm_backward: {grad.dtype} gradient, {x_real.dtype} weights")
+    cache.clear()
     d_real = None if input_from is None else np.zeros_like(x_real[:, input_from:])
     params = []
-    for (p, times, rec, half), act in zip(directions, acts):
-        dz = _bptt(p, act, steps, times, rec, grad[:, half], batch)
+    for p, times, rec, half in directions:
+        kept = acts.pop(0)
+        dz = _bptt(p, kept, steps, times, rec, grad[:, half], len(order))
         if d_real is not None:
             d_real += dz @ p.w_input[input_from:].T
-        params.append((x_real.T @ dz, act[1].T @ dz, dz.sum(axis=0)))
+        params.append((x_real.T @ dz, kept[1].T @ dz, dz.sum(axis=0)))
+        del kept, dz  # before the next direction's BPTT
     if d_real is None:
         return None, params
+    if in_mask is not None:
+        for seg, n in steps:
+            d_real[seg] *= in_mask[order[:n], input_from:]
     dx = np.zeros((rows, d_real.shape[1]), dtype=x_real.dtype)
     first = np.lexsort(place[::-1])  # row-major order
     _add_rows(dx, pos[first], d_real[first])

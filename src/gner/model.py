@@ -20,10 +20,10 @@ CRF decodes each group of sentences in one batched Viterbi pass, so one
 path serves a single sentence and a batch.
 
 Training runs :func:`forward_emissions` in train mode, which also returns
-the cache that :func:`backward` reads.  That reverse sweep takes the CRF's
-gradients and goes back through the layers in the fixed reverse order:
-dense, token BiLSTM, input dropout, key gather, char submodel, char
-embedding.
+the cache that :func:`backward` reads, once: the BiLSTMs' backward uses
+their caches up.  That reverse sweep takes the CRF's gradients and goes
+back through the layers in the fixed reverse order: dense, token BiLSTM
+(with its input dropout and key gather), char submodel, char embedding.
 
 Word vectors come from an external store and are never trained.  A batch's
 input is built once per token key (the text, plus in ``cnn`` char mode
@@ -37,10 +37,11 @@ input_width)`` input exists.  In eval mode the table holds each key's gate
 inputs, its row projected by both directions, and the token BiLSTM reads
 it through ``token_keys``; a :class:`RowCache` carries the rows across
 batches, and only the keys it does not hold (every key, without one) are
-built and projected.  Training projects each real position from a row of
-its own under input dropout (a mask of ones at dropout 0), and a key's
-character gradient sums over the positions that share it; its char
-submodel runs the keys' rows sorted.
+built and projected.  In training the token BiLSTM reads the table of
+input rows through ``token_keys`` and gathers one row per real position,
+masked by its sentence's input-dropout mask, and a key's character
+gradient sums over the positions that share it; the char submodel runs
+the keys' rows sorted.
 
 The architecture is written down once, in :func:`_assemble`, which asks
 for each parameter array by name and shape: :func:`build_model` draws new
@@ -78,7 +79,6 @@ from .layers import (
     bilstm_sequence,
     conv1d_backward,
     conv1d_globalmaxpool,
-    dropout_mask,
     embed_backward,
     embed_lookup,
 )
@@ -435,12 +435,13 @@ def forward_emissions(
     Both modes run in the parameters' dtype, and so do the emissions.  In
     eval mode returns the emissions alone and keeps nothing else.  In train
     mode returns ``(emissions, cache)``, the cache being what
-    :func:`backward` reads, and applies dropout (input and recurrent,
-    per-sequence-constant masks in that dtype, all ones at dropout 0): the
-    token BiLSTM reads one masked row per real position.  The dense layer
-    runs on the token BiLSTM's packed rows, one per real position, and its
-    scores are placed into the emissions; the entries past a sentence's
-    length are zero, and neither the CRF nor Viterbi reads them.
+    :func:`backward` reads once, and applies dropout (input and recurrent,
+    per-sequence-constant masks in that dtype, none at dropout 0): the
+    token BiLSTM reads the keys' input rows and gathers one masked row per
+    real position.  The dense layer runs on the token BiLSTM's packed rows,
+    one per real position, and its scores are placed into the emissions;
+    the entries past a sentence's length are zero, and neither the CRF nor
+    Viterbi reads them.
 
     In eval mode a row ``cache`` made for this model and store supplies
     the token BiLSTM's gate inputs of the keys it holds; only the other
@@ -466,19 +467,9 @@ def forward_emissions(
     if train and cfg.dropout > 0.0 and rng is None:
         raise ModelError("train mode with dropout needs an rng")
 
-    b, t = len(batch.sentences), batch.max_len
     if train:
-        # Each real position, in row-major order, reads its key's input row
-        # under its sentence's input-dropout mask.
+        # The keys' input rows; the BiLSTM gathers them, masked, into its packed order.
         table, chars = _input_rows(model, batch, embedding_store, range(len(batch.keys)), mode)
-        real = batch.mask
-        real_keys = batch.token_keys[real]
-        in_mask = (dropout_mask((b, cfg.input_width), cfg.dropout, rng, dtype)[np.nonzero(real)[0]]
-                   if cfg.dropout > 0.0 else np.ones((len(real_keys), cfg.input_width), dtype=dtype))
-        rows = table[real_keys]
-        rows *= in_mask
-        index = np.zeros((b, t), dtype=np.int64)
-        index[real] = np.arange(len(rows))
     else:
         # One row of gate inputs per token key, read by the positions that share it.
         table = np.empty((len(batch.keys), _gate_width(model)), dtype=dtype)
@@ -492,24 +483,23 @@ def forward_emissions(
             if cache is not None:
                 table[miss] = gates
                 cache.put([batch.keys[u] for u in miss], gates)
-        rows, index = table, batch.token_keys
 
     hidden, place, token = bilstm_sequence(
         model.token_fwd,
         model.token_bwd,
-        rows,
-        index,
+        table,
+        batch.token_keys,
         batch.lengths,
-        recurrent_dropout=cfg.dropout if train else 0.0,
+        dropout=cfg.dropout if train else 0.0,
         mode=mode,
         rng=rng,
         projected=not train,
     )
-    emissions = np.zeros((b, t, cfg.num_labels), dtype=dtype)
+    emissions = np.zeros((len(batch.sentences), batch.max_len, cfg.num_labels), dtype=dtype)
     emissions[place] = hidden @ model.dense_w + model.dense_b
     if not train:
         return emissions
-    return emissions, (hidden, place, token, table, in_mask, real_keys, chars)
+    return emissions, (hidden, place, token, chars)
 
 
 def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
@@ -519,11 +509,12 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     scores, end scores), which it casts to the parameters' dtype.
 
     The sweep runs back through the layers in the order the forward fixes:
-    CRF, dense, token BiLSTM, input dropout, key gather, char submodel,
-    char embedding.
+    CRF, dense, token BiLSTM (with its input dropout and key gather), char
+    submodel, char embedding.  It uses the cache up, so a second sweep
+    needs a new forward.
     """
     cfg = model.config
-    hidden, place, token, table, in_mask, real_keys, chars = cache
+    hidden, place, token, chars = cache
     d_em, *d_crf = (g.astype(hidden.dtype, copy=False) for g in crf_grads)
     grads = dict(zip(("crf.transitions", "crf.start", "crf.end"), d_crf))
     # The emissions' gradient at each of the BiLSTM's packed rows; the bias
@@ -538,9 +529,8 @@ def backward(model: NerModel, cache: tuple, crf_grads) -> dict[str, np.ndarray]:
     _put_lstm(grads, "token_lstm", token_grads)
     if chars is not None:
         rows, lengths, at, caches, order = chars
-        # One row per position, in row-major order: sum them per key, and
-        # take the keys in the char submodel's row order.
-        d_feat = embed_backward(table[:, words:], real_keys, d_chars * in_mask[:, words:])[order]
+        # The keys' gradients, in the char submodel's row order.
+        d_feat = d_chars[order]
         if cfg.char_cnn_kernels:
             f = cfg.char_cnn_filters
             d_emb = 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import Sentence, make_batches
 from .crf import crf_negative_log_likelihood
-from .embeddings import EmbeddingStore
+from .embeddings import EmbeddingStore, atomic_write
 from .evaluation import evaluate_bio
 from .model import NerModel, backward, forward_emissions, predict_batch, save_model
 
@@ -254,7 +254,8 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path):
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write(self.to_jsonl().encode("utf-8"))
 
 
 def _run_stage(

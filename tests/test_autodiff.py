@@ -39,10 +39,13 @@ def _toy(variant="cnn3"):
     model = widened(M.build_model(config, vocab, seed=1))
     store = make_embedding_store(sents, dim=6, seed=1)
     batch = batch_from_sentences(sents, vocab, config.required_char_mode)
-    _, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(2))
     L = config.num_labels
 
     def sweep(d_em):
+        # A backward uses its cache up, so each sweep runs the same forward
+        # again: the same rng seed gives the same bytes (see
+        # test_forward_determinism).
+        _, cache = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(2))
         return M.backward(model, cache, (d_em, np.zeros((L, L)), np.zeros(L), np.zeros(L)))
 
     return model, store, batch, sweep

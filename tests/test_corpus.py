@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -362,6 +365,34 @@ def test_round_trip_germeval(tmp_path):
     corpus.write_germeval(sents, out)
     again = corpus.parse_germeval(out)
     assert again == sents
+
+
+def test_a_germeval_write_failing_midway_leaves_the_old_file_whole(tmp_path):
+    # The second sentence holds a lone surrogate, which UTF-8 cannot encode.
+    p = tmp_path / "g.tsv"
+    p.write_text(GERMEVAL_FIXTURE, encoding="utf-8")
+    sents = corpus.parse_germeval(p)
+    old = p.read_bytes()
+    broken = [sents[0], corpus.Sentence([corpus.Token("Ulm\ud800")], ["O"])]
+    with pytest.raises(UnicodeEncodeError):
+        corpus.write_germeval(broken, p)
+    assert p.read_bytes() == old
+    assert [q.name for q in tmp_path.iterdir()] == ["g.tsv"]
+
+
+def test_a_germeval_rewrite_keeps_the_file_mode_and_writes_through_a_symlink(tmp_path):
+    # The split is written to a temp file and moved over the target: the
+    # target keeps its permission bits, and a symlink stays a symlink.
+    real, link = tmp_path / "g.tsv", tmp_path / "link.tsv"
+    real.write_text(GERMEVAL_FIXTURE, encoding="utf-8")
+    real.chmod(0o600)
+    link.symlink_to(real.name)
+    sents = corpus.parse_germeval(real)
+    corpus.write_germeval(sents[:1], link)
+    assert link.is_symlink() and os.readlink(link) == real.name
+    assert stat.S_IMODE(real.stat().st_mode) == 0o600
+    assert corpus.parse_germeval(real) == sents[:1]
+    assert sorted(q.name for q in tmp_path.iterdir()) == ["g.tsv", "link.tsv"]
 
 
 def test_round_trip_conll(tmp_path):

@@ -654,6 +654,31 @@ def test_convert_bin_reads_the_mapped_matrix_bit_exactly_and_refuses_a_truncated
             emb.convert_fasttext_bin(path)
 
 
+def test_convert_bin_hashes_each_ngram_once_and_matches_the_per_word_result(tmp_path, monkeypatch):
+    # Words that share most of their n-grams, and the end-of-sentence
+    # entry, which takes its own row alone.
+    words = ["</s>", "Haus", "Hause", "Hauses", "Häuser", "Rathaus", "Rathauses", "aus"]
+    path = tmp_path / "model.bin"
+    matrix = _write_bin_fixture(path, words, dim=5, bucket=32, seed=9)
+    hashed = []
+
+    def counted(ngram, bucket_count, _fn=emb.ngram_bucket):
+        hashed.append(ngram)
+        return _fn(ngram, bucket_count)
+
+    monkeypatch.setattr(emb, "ngram_bucket", counted)
+    store = emb.convert_fasttext_bin(path)
+    grams = [g for w in words[1:] for g in emb.extract_char_ngrams(w)]
+    assert sorted(hashed) == sorted(set(grams)) and len(hashed) < len(grams)
+    monkeypatch.undo()
+    for wid, word in enumerate(words):
+        rows = [matrix[wid]]
+        if word != "</s>":
+            rows += [matrix[len(words) + emb.ngram_bucket(g, 32)] for g in emb.extract_char_ngrams(word)]
+        want = np.mean(np.array(rows, dtype=np.float64), axis=0).astype(np.float32)
+        assert store.word_vectors[word].tobytes() == want.tobytes()
+
+
 def test_convert_bin_round_trips_through_ftxt(tmp_path):
     path = tmp_path / "model.bin"
     _write_bin_fixture(path, ["wort"], dim=3, bucket=8, seed=4)

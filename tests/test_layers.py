@@ -59,11 +59,13 @@ def ref_direction(params, x, lengths, order, rec_mask):
     return out
 
 
-def ref_bilstm(fwd, bwd, x, lengths, recurrent_dropout=0.0, mode="eval", rng=None):
-    batch, steps, _ = x.shape
+def ref_bilstm(fwd, bwd, x, lengths, dropout=0.0, mode="eval", rng=None):
+    batch, steps, width = x.shape
     rec = [None, None]
-    if mode == "train" and recurrent_dropout > 0.0:
-        rec = [layers.dropout_mask((batch, p.cells), recurrent_dropout, rng, np.float64) for p in (fwd, bwd)]
+    if mode == "train" and dropout > 0.0:
+        # One input mask per row, then one recurrent mask per direction.
+        x = x * layers.dropout_mask((batch, width), dropout, rng, np.float64)[:, None, :]
+        rec = [layers.dropout_mask((batch, p.cells), dropout, rng, np.float64) for p in (fwd, bwd)]
     return np.concatenate([ref_direction(fwd, x, lengths, range(steps), rec[0]),
                            ref_direction(bwd, x, lengths, range(steps - 1, -1, -1), rec[1])], axis=-1)
 
@@ -347,12 +349,12 @@ def _check_against_step_reference(lengths, mode, rate, seed):
 
     def ref(x, *weights_and_biases):
         f, b = (layers.LstmParams(*weights_and_biases[k : k + 3]) for k in (0, 3))
-        return ref_bilstm(f, b, x, lengths, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
+        return ref_bilstm(f, b, x, lengths, dropout=rate, mode=mode, rng=np.random.default_rng(8))
 
-    fused, _ = bilstm_padded(fwd, bwd, x, lengths, recurrent_dropout=rate, mode=mode, rng=np.random.default_rng(8))
+    fused, _ = bilstm_padded(fwd, bwd, x, lengths, dropout=rate, mode=mode, rng=np.random.default_rng(8))
     np.testing.assert_allclose(fused, ref(*arrays), rtol=1e-12, atol=1e-12)
     # Gradients come from the train path; with rate 0 it computes what eval does.
-    _, dx, gf, gb = bilstm_loss_and_grads(fwd, bwd, x, lengths, weights, recurrent_dropout=rate,
+    _, dx, gf, gb = bilstm_loss_and_grads(fwd, bwd, x, lengths, weights, dropout=rate,
                                           rng=np.random.default_rng(8))
     want = complex_step_grads(lambda *a: (ref(*a) * weights).sum(), arrays)
     for got, w in zip([dx, *gf, *gb], want):
@@ -455,10 +457,10 @@ def test_keyed_input_matches_the_gathered_padded_input(dtype, table_rows, length
     got = keyed(gates, projected=True)
     want = bilstm_padded(fwd, bwd, padded, lengths)[0]
     assert got.dtype == dtype and np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
-    out, place, cache = layers.bilstm_sequence(fwd, bwd, table, index, lengths, recurrent_dropout=0.3,
+    out, place, cache = layers.bilstm_sequence(fwd, bwd, table, index, lengths, dropout=0.3,
                                                mode="train", rng=np.random.default_rng(9))
     d_table, keyed_grads = layers.bilstm_backward(cache, weights[place])
-    want_out, cache = bilstm_padded(fwd, bwd, padded, lengths, recurrent_dropout=0.3, mode="train",
+    want_out, cache = bilstm_padded(fwd, bwd, padded, lengths, dropout=0.3, mode="train",
                                     rng=np.random.default_rng(9))
     d_padded, want = bilstm_backward_padded(cache, weights)
     same(placed(out, place, batch, steps), want_out)
@@ -479,19 +481,21 @@ def test_bilstm_backward_returns_the_input_columns_from_input_from_on(keyed):
     rng = np.random.default_rng(17)
     fwd, bwd = _lstm(6, 3, seed=1), _lstm(6, 3, seed=2)
     lengths = [4, 2, 3]
+    # A backward uses its cache up, so each one runs the forward again.
     if keyed:
         x, index = rng.uniform(-1, 1, (5, 6)), rng.integers(0, 5, (3, 4))
-        out, place, cache = layers.bilstm_sequence(fwd, bwd, x, index, lengths, mode="train")
+        out, place, _ = layers.bilstm_sequence(fwd, bwd, x, index, lengths, mode="train")
         out = placed(out, place, 3, 4)
 
         def backward(grad, input_from=0):
+            _, place, cache = layers.bilstm_sequence(fwd, bwd, x, index, lengths, mode="train")
             return layers.bilstm_backward(cache, grad[place], input_from)
     else:
         x = rng.uniform(-1, 1, (3, 4, 6))
-        out, cache = bilstm_padded(fwd, bwd, x, lengths, mode="train")
+        out, _ = bilstm_padded(fwd, bwd, x, lengths, mode="train")
 
         def backward(grad, input_from=0):
-            return bilstm_backward_padded(cache, grad, input_from)
+            return bilstm_backward_padded(bilstm_padded(fwd, bwd, x, lengths, mode="train")[1], grad, input_from)
     weights = rng.uniform(-1, 1, out.shape)
     full, want = backward(weights)
     assert full.shape == x.shape
@@ -518,6 +522,55 @@ def test_keyed_input_rejects_an_index_outside_the_table():
         with pytest.raises(layers.LayerError, match="a projected input is an eval-mode"):
             layers.bilstm_sequence(p, p, np.zeros((2, width)), [[0, 1], [1, 0]], [2, 1], mode=mode,
                                    projected=True)
+
+
+def test_bilstm_backward_uses_its_cache_up():
+    # BPTT writes each position's gate gradient over its gates, so a second
+    # backward on the same cache would read gradients as gates: it raises.
+    fwd, bwd = _lstm(4, 3, seed=1), _lstm(4, 3, seed=2)
+    x = np.random.default_rng(30).uniform(-1, 1, (5, 4))
+    index, lengths = [[0, 1, 2], [3, 4, 0]], [3, 2]
+    out, _, cache = layers.bilstm_sequence(fwd, bwd, x, index, lengths, mode="train")
+    first = layers.bilstm_backward(cache, np.ones_like(out))
+    with pytest.raises(layers.LayerError, match="used up by an earlier backward"):
+        layers.bilstm_backward(cache, np.ones_like(out))
+    # A new forward gives a new cache, and the same gradients.
+    _, _, cache = layers.bilstm_sequence(fwd, bwd, x, index, lengths, mode="train")
+    again = layers.bilstm_backward(cache, np.ones_like(out))
+    np.testing.assert_array_equal(again[0], first[0])
+    for got, want in zip(again[1], first[1]):
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+def test_input_dropout_masks_each_row_and_its_gradient():
+    # One mask per batch row over the input columns, drawn before the
+    # recurrent masks: the gathered rows are the table's rows times their
+    # row's mask, and each table row's gradient sums its positions' masked
+    # gradients in row-major order.
+    rng = np.random.default_rng(32)
+    fwd, bwd = _lstm(6, 3, seed=1), _lstm(6, 3, seed=2)
+    lengths = [4, 1, 3]
+    batch, steps = 3, 4
+    table, index = rng.uniform(-1, 1, (5, 6)), rng.integers(0, 5, (batch, steps))
+    weights = rng.uniform(-1, 1, (batch, steps, 6))
+    out, place, cache = layers.bilstm_sequence(fwd, bwd, table, index, lengths, dropout=0.4, mode="train",
+                                               rng=np.random.default_rng(9))
+    rows = cache[6]
+    d_table, _ = layers.bilstm_backward(cache, weights[place])
+    mask = layers.dropout_mask((batch, 6), 0.4, np.random.default_rng(9), np.float64)
+    assert (mask == 0).any()
+    np.testing.assert_array_equal(rows, table[index[place]] * mask[place[0]])
+    # The step reference, run on each position's table row, gives the same
+    # output and, by complex step, the same table gradient.
+    def ref(t):
+        return ref_bilstm(fwd, bwd, t[index], lengths, dropout=0.4, mode="train", rng=np.random.default_rng(9))
+
+    np.testing.assert_allclose(placed(out, place, batch, steps), ref(table), rtol=1e-12, atol=1e-12)
+    (want,) = complex_step_grads(lambda t: (ref(t) * weights).sum(), [table])
+    np.testing.assert_allclose(d_table, want, rtol=1e-12, atol=1e-12)
+    with pytest.raises(layers.LayerError, match="dropout in train mode needs an rng"):
+        layers.bilstm_sequence(fwd, bwd, table, index, lengths, mode="train", dropout=0.4)
 
 
 def _valid(p, x):
@@ -770,8 +823,8 @@ def test_recurrent_dropout_mask_constant_across_timesteps():
     np.testing.assert_array_equal(m0, m1)
     # And within one bilstm call the mask object is sampled once per direction:
     xs = _seq(rng, 5, 4)
-    out_a, _ = bilstm_padded(fwd, bwd, xs, [5], recurrent_dropout=0.5, mode="train", rng=np.random.default_rng(7))
-    out_b, _ = bilstm_padded(fwd, bwd, xs, [5], recurrent_dropout=0.5, mode="train", rng=np.random.default_rng(7))
+    out_a, _ = bilstm_padded(fwd, bwd, xs, [5], dropout=0.5, mode="train", rng=np.random.default_rng(7))
+    out_b, _ = bilstm_padded(fwd, bwd, xs, [5], dropout=0.5, mode="train", rng=np.random.default_rng(7))
     np.testing.assert_array_equal(out_a, out_b)
 
 

@@ -116,29 +116,38 @@ def test_eval_forward_returns_plain_emissions_and_keeps_no_cache(variant, monkey
 @pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
 def test_token_bilstm_reads_a_row_table_and_never_a_padded_input(variant, monkeypatch):
     # In eval mode the token BiLSTM reads the key table itself, each key's
-    # gate inputs; in train mode, one masked row per real position in
-    # row-major order, without dropout too.
+    # gate inputs; in train mode the keys' input rows, which it gathers into
+    # one masked row per real position in its packed order and keeps, with
+    # a mask per sentence, without dropout too.
     model, store, batch, _ = _toy_setup(variant)
     seen = []
 
     def recorded(fwd, bwd, x, index, lengths, _fn=M.bilstm_sequence, **kwargs):
+        result = _fn(fwd, bwd, x, index, lengths, **kwargs)
         if fwd is model.token_fwd:
-            seen.append((x.shape, index))
-        return _fn(fwd, bwd, x, index, lengths, **kwargs)
+            seen.append((x, index, result))
+        return result
 
     monkeypatch.setattr(M, "bilstm_sequence", recorded)
     width, real = model.config.input_width, batch.mask
     no_dropout = dataclasses.replace(model, config=dataclasses.replace(model.config, dropout=0.0))
     M.forward_emissions(model, batch, store, mode="eval")
-    ((shape, index),) = seen
-    assert shape == (len(batch.keys), 8 * model.config.token_lstm_cells) and index is batch.token_keys
+    ((x, index, _),) = seen
+    assert x.shape == (len(batch.keys), 8 * model.config.token_lstm_cells) and index is batch.token_keys
     seen.clear()
     M.forward_emissions(no_dropout, batch, store, mode="train")
     M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(0))
     assert len(seen) == 2
-    for shape, index in seen:
-        assert shape == (int(real.sum()), width)
-        np.testing.assert_array_equal(index[real], np.arange(shape[0]))
+    for (x, index, (_, place, cache)), dropout in zip(seen, (False, True)):
+        assert x.shape == (len(batch.keys), width) and index is batch.token_keys
+        _, _, cached_place, _, _, _, rows, mask, _ = cache
+        assert cached_place is place and rows.shape == (int(real.sum()), width)
+        if dropout:
+            assert mask.shape == (len(batch.sentences), width)
+            np.testing.assert_array_equal(rows, x[index[place]] * mask[place[0]])
+        else:
+            assert mask is None
+            np.testing.assert_array_equal(rows, x[index[place]])
 
 
 @pytest.mark.parametrize("variant", ["none", "cnn", "bilstm"])
@@ -390,6 +399,35 @@ def test_a_char_bilstm_step_holds_no_padded_char_activation():
     assert (keys, chars) == (600, 20) and shape == (600, 2)
     padded = keys * chars * 2 * config.char_lstm_cells * 4
     assert wide - narrow < padded / 4, (wide - narrow, padded)  # measured 0.28 of 4.8 MB
+
+
+def test_a_paper_size_training_step_keeps_six_cells_per_position_and_direction():
+    # BPTT keeps, per position and direction, the gates, the recurrent input
+    # and the previous cell (6 * cells values), writes each step's gate
+    # gradient over its gates, and the token BiLSTM gathers one masked row
+    # per real position: a paper-size bilstm step over 1 066 tokens peaks at
+    # 24.7 MiB (37.7 MiB when it also kept tanh(cell), built a fresh gate
+    # gradient and held the masked rows twice).
+    base = make_corpus(160, seed=27)
+    sents = [Sentence([t for s in base[i : i + 5] for t in s.tokens],
+                      [lab for s in base[i : i + 5] for lab in s.outer_labels]) for i in range(0, 160, 5)]
+    vocab = build_char_vocab(sents)
+    config = M.ModelConfig(label_schema=germeval_schema(), char_variant="bilstm")
+    model = M.build_model(config, vocab, seed=27)
+    store = make_embedding_store(sents, dim=config.word_dim, seed=27)
+    batch = batch_from_sentences(sents, vocab, "rnn")
+    tokens, cells = int(batch.mask.sum()), config.token_lstm_cells
+    assert tokens == 1066
+    _, (_, _, token, _) = M.forward_emissions(model, batch, store, mode="train", rng=np.random.default_rng(27))
+    for kept in token[-1]:
+        assert [a.shape for a in kept] == [(tokens, 4 * cells), (tokens, cells), (tokens, cells)]
+    tracemalloc.start()
+    try:
+        batch_loss(model, batch, store, "outer", np.random.default_rng(27))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
 
 
 def test_emissions_invariant_to_padding_length():

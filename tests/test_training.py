@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -282,3 +283,18 @@ def test_report_serialization_round_trip(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["dev_f1"] == 0.5
+
+
+def test_a_report_write_failing_midway_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    path = tmp_path / "report.jsonl"
+    tr.TrainReport(selected={1: "stage1_epoch1"}).save(path)
+    old = path.read_bytes()
+
+    def full(fd):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(os, "fsync", full)
+    with pytest.raises(OSError, match="No space left"):
+        tr.TrainReport(rows=[tr.EpochRecord(1, 1, 2.5, 0.5, "stage1_epoch1")]).save(path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["report.jsonl"]
