@@ -7,6 +7,7 @@ import json
 import os
 import signal
 import sys
+import traceback
 from pathlib import Path
 
 from .corpus import (
@@ -23,7 +24,7 @@ from .corpus import (
     write_germeval,
     Sentence,
 )
-from .embeddings import EmbeddingError, check_kind, load_store
+from .embeddings import EmbeddingError, atomic_write, check_kind, load_store
 from .evaluation import EvaluationError, evaluate_bio, germeval_combined, split_oov_iv
 from .model import ModelConfig, ModelError, ModelFormatError, build_model, load_model, predict, save_model
 from .service import ModelRegistry, ServiceError, serve
@@ -163,7 +164,8 @@ def _cmd_evaluate(args) -> int:
         )
     print(report.render_table())
     if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.write((json.dumps(report.to_dict(), indent=2) + "\n").encode("utf-8"))
     return 0
 
 
@@ -191,19 +193,81 @@ def resolve_bind(bind_flag: str | None, port_flag: int | None) -> tuple[str, int
     return bind, port
 
 
+# Signals that stop the server.  They stay blocked while workers are
+# forked, so that each process meets them inside its own handling.
+_STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+
+def _fork_workers(server, pids: list[int]):
+    """Fork one worker for each further CPU this process may run on, each
+    serving on ``server``'s socket, and append their pids to ``pids`` (the
+    caller's list, so a stop signal that arrives meanwhile loses none).
+    Nothing is forked on one CPU or where the platform cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return
+    count = len(os.sched_getaffinity(0)) - 1
+    if count < 1:
+        return
+    # Every process polls the one socket and all of them wake on a new
+    # connection; the ones that lose the accept go back to polling instead of
+    # blocking in accept(), where a worker could not see its parent die.
+    server.socket.setblocking(False)
+    parent = os.getpid()
+    signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
+    try:
+        for _ in range(count):
+            pid = os.fork()
+            if pid == 0:
+                _work(server, parent)
+            pids.append(pid)
+    finally:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+
+
+def _work(server, parent: int):
+    """A forked worker's life.  It never returns into the caller: it leaves
+    through ``os._exit`` on a stop signal, or once ``parent`` has died,
+    which ``serve_forever`` checks after every request and at least every
+    half second while idle."""
+    code = 0
+    try:
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+
+        def leave_if_orphaned():
+            if os.getppid() != parent:
+                os._exit(0)
+
+        server.service_actions = leave_if_orphaned
+        server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    finally:
+        os._exit(code)
+
+
 def _cmd_serve(args) -> int:
     bind, port = resolve_bind(args.bind, args.port)
     registry = ModelRegistry.load(args.registry)
     server = serve(registry, bind, port)
     # SIGTERM, and SIGINT even where the launching shell ignores it, stop
-    # the server the way Ctrl-C does.
+    # the server and its workers the way Ctrl-C does.
     signal.signal(signal.SIGINT, signal.default_int_handler)
     signal.signal(signal.SIGTERM, signal.default_int_handler)
+    workers: list[int] = []
     try:
+        _fork_workers(server, workers)
         print(f"serving {registry.names()} on http://{bind}:{server.server_address[1]}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGTERM)
+        for pid in workers:
+            os.waitpid(pid, 0)
     server.server_close()
     return 0
 

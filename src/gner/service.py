@@ -4,35 +4,45 @@ The registry binds model names to a loaded model, its embedding store and a
 row cache; everything is loaded at startup (startup fails on any broken
 entry), and the bindings, models and stores do not change afterwards.
 
-Each entry's :class:`~gner.model.RowCache` is the one state that requests
-share.  It holds the token BiLSTM's gate inputs (each token key's input row
-times both directions' input weights, 6 400 bytes at paper size) of up to
-:data:`ROW_CACHE_ROWS` keys and evicts the least recently used key beyond
-that.  It serves that entry's requests only.  A cached row was computed in
+Each entry's :class:`~gner.model.RowCache` is the one state that the
+requests one process serves share.  It holds the token BiLSTM's gate
+inputs (each token key's input row times both directions' input weights,
+6 400 bytes at paper size) of up to :data:`ROW_CACHE_ROWS` keys and evicts
+the least recently used key beyond that.  It serves that entry's requests only.  A cached row was computed in
 a batch of other keys, so emissions can differ from a cold cache's in the
 last float32 bits, and a response can depend on which requests the entry
 served before it.  The labels were measured equal to a cold cache's on
 two seeds' ``serve-oov`` pools, with emissions within the stated parity
 bound (1e-4 at paper size); a near-tie Viterbi path could still flip.
 
-The server handles one connection at a time, on the thread that runs
-``serve_forever``, in the order the connections arrive, one request per
-connection (HTTP/1.0).  The others wait in the kernel's accept queue, up to
-:data:`LISTEN_BACKLOG` of them; the kernel refuses connections beyond it.
-With no second Python thread to compete with a forward for the interpreter
-lock, the server spends less CPU per request than with a thread per
-connection (figures in the README).  The price is that a slow client holds
-up every other one: each read of a request waits at most
-:data:`HANDLER_TIMEOUT_S`, so an idle connection delays the requests queued
-behind it by that long, but a client that sends a byte just under each
-timeout holds the server for longer.  For untrusted clients, put a
-buffering reverse proxy in front of the service.
+``gner serve`` runs this server once per CPU it may run on.  After the
+registry is loaded and the socket bound, it forks one worker process for
+each further CPU in its affinity set, and every process, the parent
+included, runs the same single-threaded ``serve_forever`` on the one
+listening socket (none is forked on one CPU).  All of them wake on a new
+connection, and the one whose ``accept()`` wins handles it, one request per
+connection (HTTP/1.0), on its one thread; the others wait in the kernel's
+accept queue, up to :data:`LISTEN_BACKLOG` of them, and the kernel refuses
+connections beyond it.  Models and stores are shared copy-on-write, but each
+process fills its own row caches, so ``cached_share``, and the last bits a
+cached row can change, also depend on which process answered.  A worker
+costs the memory it writes after the fork, its caches and forward buffers
+(figures in the README), and each process should run one BLAS thread, as
+the Dockerfile sets, or N processes start N BLAS threads each.  With no
+second Python thread in a process to compete with a forward for the
+interpreter lock, a server spends less CPU per request than with a thread
+per connection (figures in the README).  The price is that a slow client
+holds up the process that accepted it: each read of a request waits at most
+:data:`HANDLER_TIMEOUT_S`, so an idle connection stalls that process for that
+long, but a client that sends a byte just under each timeout holds it for
+longer, and as many such clients as processes hold them all.  For untrusted
+clients, put a buffering reverse proxy in front of the service.
 
 The registry also holds one lock, and a request holds it while the model
 runs, so that library callers sharing a registry across threads run one
-forward at a time.  The server's one thread takes it uncontended, so
-``timing_ms`` includes no wait for it; a request waits in the accept queue,
-before ``timing_ms`` starts.
+forward at a time.  Each server process's one thread takes it
+uncontended, so ``timing_ms`` includes no wait for it; a request waits in
+the accept queue, before ``timing_ms`` starts.
 
 Request validation and prediction live in :func:`handle_ner_request`, a
 function over parsed JSON, so the HTTP layer stays a thin shell.  It bounds
@@ -284,7 +294,7 @@ class _Server(HTTPServer):
 
 def serve(registry: ModelRegistry, bind: str = "127.0.0.1", port: int = 8080) -> HTTPServer:
     """Bind the HTTP service; the caller drives ``serve_forever``, which
-    handles one connection at a time."""
+    handles one connection at a time (``gner serve`` runs one per CPU)."""
     try:
         server = _Server((bind, port), _make_handler(registry))
     except OSError as exc:

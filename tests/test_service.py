@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -526,6 +527,24 @@ def test_cli_evaluate_gold_equals_pred(fixture_world, tmp_path, capsys):
     assert "FB1: 100.00" in out
 
 
+def test_cli_evaluate_out_failing_midway_leaves_the_old_report_whole(fixture_world, tmp_path, monkeypatch, capsys):
+    gold, out = tmp_path / "gold.tsv", tmp_path / "report.json"
+    write_germeval(fixture_world.sentences[:10], gold)
+    argv = ["evaluate", "--gold", str(gold), "--pred", str(gold), "--out", str(out)]
+    assert cli.main(argv) == 0
+    old = out.read_bytes()
+    assert json.loads(old)["overall"]["f1"] == 1.0
+
+    def full(fd):
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(os, "fsync", full)
+    with pytest.raises(OSError, match="No space left"):
+        cli.main([*argv, "--level", "inner"])
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["gold.tsv", "report.json"]
+
+
 def test_cli_evaluate_rejects_a_prediction_shorter_than_its_gold_sentence(tmp_path, capsys):
     gold = Sentence([Token(t) for t in ("Anna", "liebt", "Aachen")], ["B-PER", "O", "B-LOC"])
     write_germeval([gold], tmp_path / "gold.tsv")
@@ -733,6 +752,113 @@ def test_serve_stops_cleanly_on_signal_even_when_started_with_sigint_ignored(fix
         proc.wait()
     assert proc.returncode == 0, err
     assert err == ""
+
+
+# The server forks on Linux only, where /proc lists the processes.
+LINUX = hasattr(os, "sched_getaffinity")
+CPUS = len(os.sched_getaffinity(0)) if LINUX else 1
+needs_workers = pytest.mark.skipif(CPUS < 2, reason="the server forks no workers on one CPU or off Linux")
+
+
+def _stat(path: Path) -> list[str]:
+    """The fields of a /proc/<pid>/stat after "pid (comm)": state, ppid, ..."""
+    return path.read_text().rsplit(")", 1)[1].split()
+
+
+def _children(pid: int) -> set[int]:
+    """Pids of the processes whose parent is ``pid``."""
+    kids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            if int(_stat(stat)[1]) == pid:
+                kids.add(int(stat.parent.name))
+        except OSError:  # the process ended meanwhile
+            pass
+    return kids
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        return _stat(Path(f"/proc/{pid}/stat"))[0] != "Z"
+    except OSError:
+        return False
+
+
+@contextlib.contextmanager
+def _server_process(registry_path, **popen):
+    """``gner serve`` on a free port in a subprocess; yields (process, port,
+    worker pids read once the serving line is out), and kills whatever of
+    them is left when the block ends."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gner.cli", "serve", "--registry", str(registry_path), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, **popen,
+    )
+    workers = set()
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("serving ['germeval-outer'] on http://127.0.0.1:"), line
+        workers = _children(proc.pid)
+        yield proc, int(line.rsplit(":", 1)[1]), workers
+    finally:
+        # Workers first: one left running holds the pipes open.
+        for pid in workers:
+            if _running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.communicate(timeout=30)
+
+
+@needs_workers
+def test_serve_forks_a_worker_per_further_cpu_and_all_answer_like_predict(fixture_world):
+    model, store = load_model(fixture_world.model_path), load_store(fixture_world.store_path)
+    sentences = [s.texts() for s in fixture_world.sentences[:40]]
+    with _server_process(fixture_world.registry_path) as (proc, port, workers):
+        assert len(workers) == CPUS - 1
+        url = f"http://127.0.0.1:{port}/ner"
+        with ThreadPoolExecutor(max_workers=2 * CPUS) as pool:
+            replies = list(pool.map(lambda sent: _post(url, {"model": "germeval-outer", "sentences": [sent]}),
+                                    sentences))
+        assert all(_running(pid) for pid in workers)
+    assert [status for status, _ in replies] == [200] * len(sentences)
+    assert [body["labels"] for _, body in replies] == [[predict(model, store, sent)] for sent in sentences]
+
+
+@needs_workers
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"])
+def test_a_stop_signal_to_the_server_stops_and_reaps_every_worker(fixture_world, signum):
+    with _server_process(fixture_world.registry_path) as (proc, port, workers):
+        assert len(workers) == CPUS - 1
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=30)
+        assert proc.returncode == 0, err
+        assert err == ""
+        assert not any(Path(f"/proc/{pid}").exists() for pid in workers)
+
+
+@needs_workers
+def test_workers_leave_within_two_seconds_of_their_parents_death(fixture_world):
+    with _server_process(fixture_world.registry_path) as (proc, port, workers):
+        assert len(workers) == CPUS - 1
+        proc.kill()
+        proc.wait(timeout=30)
+        deadline = time.monotonic() + 2.0
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+
+
+@pytest.mark.skipif(not LINUX, reason="needs sched_setaffinity and /proc")
+def test_serve_on_one_cpu_forks_nothing(fixture_world):
+    one_cpu = {min(os.sched_getaffinity(0))}
+    pinned = _server_process(fixture_world.registry_path, preexec_fn=lambda: os.sched_setaffinity(0, one_cpu))
+    with pinned as (proc, port, workers):
+        assert workers == set()
+        assert _get(f"http://127.0.0.1:{port}/health") == (200, {"status": "ok"})
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=30)
+    assert proc.returncode == 0
 
 
 def test_cli_split_oov(fixture_world, tmp_path, capsys):
