@@ -11,7 +11,12 @@ float32 model from a fixed seed over generated sentences and a 300-d plain
 store, then hashes, in this order: one training batch's loss and every
 gradient, one stage-1 epoch's mean loss, the trained model's eval
 emissions, its labels without and with a row cache, and its saved bytes.
-BLAS runs on one thread, so the digests depend on the code alone.
+A last line, ``stores``, hashes what ``load_store`` returns for generated
+text stores (headerless and ``count dim`` plain ones and an ``FTXT1`` one):
+kind, dim, n-gram fields, duplicate count, every word vector and every
+bucket row.  Their lines end in LF, CRLF or a trailing space, some hold
+doubled spaces, and blank lines, a ``1_0`` value and a duplicate word are
+mixed in.  BLAS runs on one thread, so the digests depend on the code alone.
 """
 
 import argparse
@@ -73,7 +78,64 @@ def main() -> int:
                 save_model(model, path)
                 digest.update(path.read_bytes())
             print(f"{variant:8} {digest.hexdigest()}")
+        print(f"{'stores':8} {_stores_digest(Path(tmp))}")
     return 0
+
+
+def _text_lines(rng, count: int, dim: int, words: bool) -> list[str]:
+    """``count`` store lines of ``dim`` values, line 150's first value
+    ``1_0``, and lines 60 and 180 repeating the words of lines 40 and 100.
+    Every 64 lines the layout changes: LF, a trailing space, CRLF, doubled
+    spaces.  Blank lines are mixed in."""
+    lines = []
+    for i in range(count):
+        values = [repr(v) for v in (rng.standard_normal(dim) * 10.0 ** rng.integers(-4, 4, size=dim)).tolist()]
+        if i == 150:
+            values[0] = "1_0"
+        layout = (i // 64) % 4
+        sep = "  " if layout == 3 and i % 3 == 0 else " "
+        text = sep.join(values) + (" " if layout == 1 else "")
+        if words:
+            k = {60: 40, 180: 100}.get(i, i)
+            text = f"w{k}{'äß€'[k % 3]} {text}"
+        lines.append(text + ("\r\n" if layout == 2 else "\n"))
+        if i % 37 == 5:
+            lines.append(" \n" if i % 2 else "\n")
+    return lines
+
+
+def _stores_digest(tmp: Path) -> str:
+    import numpy as np
+
+    from gner.embeddings import load_store
+
+    rng = np.random.default_rng(SEED)
+    dim, word_count, bucket_count = 300, 240, 200
+    words = _text_lines(rng, word_count, dim, words=True)
+    buckets = _text_lines(rng, bucket_count, dim, words=False)
+    stores = {
+        "headerless": words,
+        "counted": [f"{word_count} {dim}\n", *words],
+        "ftxt1": [f"FTXT1 {dim} 3 6 {bucket_count} {word_count}\n", *words, *buckets],
+    }
+    digest = hashlib.sha256()
+
+    def add(array):
+        digest.update(f"{array.dtype}{array.shape}".encode("ascii"))
+        digest.update(np.ascontiguousarray(array).tobytes())
+
+    for name, lines in stores.items():
+        path = tmp / f"{name}.txt"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        store = load_store(path)
+        fields = (store.kind, store.dim, store.min_n, store.max_n, store.bucket_count, store.duplicates_skipped)
+        digest.update(repr(fields).encode("utf-8"))
+        for word, vec in store.word_vectors.items():
+            digest.update(word.encode("utf-8"))
+            add(vec)
+        if store.ngram_buckets is not None:
+            add(store.ngram_buckets)
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":

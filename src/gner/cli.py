@@ -64,6 +64,8 @@ def _cmd_train(args) -> int:
     config_path = Path(args.config)
     try:
         spec = json.loads(config_path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise TrainingError(f"cannot read {config_path}: {exc}") from exc
     except ValueError as exc:
         raise TrainingError(f"{config_path}: not a JSON run configuration: {exc}") from None
     if not isinstance(spec, dict):

@@ -88,10 +88,6 @@ class EmbeddingStore:
                 raise EmbeddingError(f"min_n {self.min_n} > max_n {self.max_n}")
 
 
-# Non-blank body lines are parsed this many at a time.
-BLOCK_LINES = 64
-
-
 def _float32(values) -> np.ndarray:
     """``values`` rounded to little-endian float32; a value past float32's
     range becomes an infinity, in a text store and its binary copy alike."""
@@ -108,35 +104,6 @@ def _floats(values: list[str], line_no: int) -> np.ndarray:
         return _float32(np.array(values, dtype=np.float64))
     except ValueError as exc:
         raise EmbeddingError(f"line {line_no}: bad float value: {exc}") from None
-
-
-def _block_values(texts, line_nos: list[int], dim: int, words=None, known=()):
-    """Row ``i`` holds the ``dim`` values of ``texts[i]``, from line
-    ``line_nos[i]``, rounded once from float64 to float32.
-
-    numpy's C reader accepts a strict subset of what the per-line rules
-    accept (no empty fields, ``1_0`` or non-ASCII digits), with bit-equal
-    values.  A block it refuses is read again under the per-line rules:
-    values split on single spaces, empty fields skipped, each parsed as
-    ``float()`` parses it, and the first bad line named.  There a duplicate
-    word's values (one in ``known`` or earlier in ``words``) are counted
-    but not parsed, and its row is None.
-    """
-    if all(texts):  # an empty text would be skipped, and an all-empty block warned about
-        try:
-            rows = np.loadtxt(texts, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
-        except ValueError:
-            rows = None
-        if rows is not None and rows.shape == (len(texts), dim):
-            return _float32(rows)
-    rows = []
-    for i, (text, line_no) in enumerate(zip(texts, line_nos)):
-        values = [p for p in text.split(" ") if p]
-        if len(values) != dim:
-            raise EmbeddingError(f"line {line_no}: expected {dim} values, got {len(values)}")
-        duplicate = words is not None and (words[i] in known or words[i] in words[:i])
-        rows.append(None if duplicate else _floats(values, line_no))
-    return rows
 
 
 def load_store(path: str | Path, kind: str | None = None) -> EmbeddingStore:
@@ -156,12 +123,11 @@ def load_store(path: str | Path, kind: str | None = None) -> EmbeddingStore:
     Anything else is plain vectors with an optional ``count dim`` header.
     A declared ``kind`` is only checked against the file's.
 
-    Blank lines are skipped, a duplicate word keeps its first vector
-    (counted and logged), and every format error names its line.  The other
-    lines go to numpy's reader ``BLOCK_LINES`` at a time; a block it refuses
-    is read again under the per-line rules (values split on single spaces,
-    parsed as ``float()`` parses them), so the reader changes speed, never
-    what is accepted.
+    Each line is read on its own: a blank line is skipped, the others are
+    split on single spaces with empty fields dropped, and each value is
+    parsed as ``float()`` parses it.  A duplicate word keeps its first
+    vector (counted and logged), its own values unparsed, and every format
+    error names its line.
     """
     if kind not in (None, *STORE_KINDS):
         raise EmbeddingError(f"unknown embedding kind {kind!r}")
@@ -229,43 +195,26 @@ def _read_store(fh, path: Path, declared: str | None) -> EmbeddingStore:
         lines = itertools.chain([first], lines)
     total = word_count + bucket_count
     vectors: dict[str, np.ndarray] = {}
-
-    block: list[tuple[int, str]] = []  # pending non-blank lines: all word lines or all bucket lines
-    seen = 0  # body lines taken, the pending block included
-
-    def parse_block():
-        if not block:
-            return
-        start = seen - len(block)
-        line_nos = [line_no for line_no, _ in block]
-        if start >= word_count:
-            row = start - word_count
-            buckets[row : row + len(block)] = _block_values([line for _, line in block], line_nos, dim)
-        else:
-            words, _, texts = zip(*(line.partition(" ") for _, line in block))
-            for word, vec in zip(words, _block_values(texts, line_nos, dim, words, vectors)):
-                if word not in vectors:  # a duplicate keeps its first vector
-                    vectors[word] = vec
-        block.clear()
-
+    seen = 0  # body lines taken
     line_no = 1
     for line_no, raw in lines:
-        try:
-            line = _decode(raw, line_no, path)
-        except EmbeddingError:
-            parse_block()  # an earlier line's error comes first
-            raise
+        line = _decode(raw, line_no, path)
         if not line.strip():
             continue
         if seen == total:
             raise EmbeddingError(f"line {line_no}: more than the header's {word_count} word + {bucket_count} bucket lines")
+        parts = line.split(" ")
+        word = parts.pop(0) if seen < word_count else None
+        values = [p for p in parts if p]
         if dim is None:
-            dim = len([p for p in line.split(" ")[1:] if p])
-        block.append((line_no, line))
+            dim = len(values)
+        if len(values) != dim:
+            raise EmbeddingError(f"line {line_no}: expected {dim} values, got {len(values)}")
+        if word is None:
+            buckets[seen - word_count] = _floats(values, line_no)
+        elif word not in vectors:  # a duplicate keeps its first vector
+            vectors[word] = _floats(values, line_no)
         seen += 1
-        if len(block) == BLOCK_LINES or seen == word_count or seen == total:
-            parse_block()
-    parse_block()
 
     if kind == "fasttext" and seen != total:
         raise EmbeddingError(
@@ -465,8 +414,6 @@ _SUPPORTED_BIN_VERSIONS = (11, 12)
 
 
 def _read_struct(fh, fmt: str):
-    import struct
-
     size = struct.calcsize(fmt)
     buf = fh.read(size)
     if len(buf) != size:

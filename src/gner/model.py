@@ -622,7 +622,11 @@ def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
 
 def load_model(path: str | Path) -> NerModel:
     path = Path(path)
-    with path.open("rb") as fh:
+    try:
+        fh = path.open("rb")
+    except OSError as exc:
+        raise ModelFormatError(f"cannot read {path}: {exc}") from exc
+    with fh:
         magic = fh.readline().rstrip(b"\n")
         if magic != MODEL_MAGIC:
             raise ModelFormatError(f"{path}: bad magic {magic!r}, expected {MODEL_MAGIC!r} version {MODEL_VERSION}")

@@ -374,14 +374,13 @@ def _store_files(draw):
     return b"".join(line + draw(st.sampled_from([b"\n", b"\r\n"])) for line in lines)
 
 
-@given(data=_store_files(), block_lines=st.integers(1, 4))
+@given(data=_store_files())
 @settings(max_examples=300, deadline=None)
-def test_block_reader_matches_the_line_at_a_time_reference(data, block_lines):
+def test_text_reader_matches_the_line_at_a_time_reference(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "store"
         path.write_bytes(data)
-        with mock.patch.object(emb, "BLOCK_LINES", block_lines):
-            got = _outcome(emb.load_store, path)
+        got = _outcome(emb.load_store, path)
         head = data.split(b"\n", 1)[0].split()
         if head[:1] == [b"FTXT1"] and 2 * int(head[4]) * int(head[1]) > len(data):
             assert got.endswith("more than the file's %d bytes can hold" % len(data))
@@ -389,10 +388,10 @@ def test_block_reader_matches_the_line_at_a_time_reference(data, block_lines):
             assert got == _outcome(reference_load_store, path)
 
 
-@pytest.mark.parametrize("bad", [0, emb.BLOCK_LINES - 1, emb.BLOCK_LINES, 2 * emb.BLOCK_LINES - 1])
+@pytest.mark.parametrize("bad", [0, 63, 64, 127])
 @pytest.mark.parametrize("value", ["x", "1_0"])
 def test_a_value_only_float_takes_or_none_takes_on_a_block_edge(tmp_path, bad, value):
-    lines = [f"w{i} {i} {-i}.5" for i in range(2 * emb.BLOCK_LINES + 3)]
+    lines = [f"w{i} {i} {-i}.5" for i in range(131)]
     lines[bad] = f"w{bad} {value} 1"
     path = _write(tmp_path, "s.txt", "\n".join(lines) + "\n")
     got = _outcome(emb.load_store, path)

@@ -934,6 +934,14 @@ def test_cli_predict_reports_corrupt_model_without_traceback(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {path}: malformed header")
 
 
+def test_cli_predict_reports_a_directory_model_without_traceback(tmp_path, capsys):
+    rc = cli.main(["predict", "--model", str(tmp_path), "--embeddings", str(tmp_path / "unused.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_predict_reports_store_dimension_mismatch(tmp_path, capsys, monkeypatch):
     model, _, _, sents = _toy_setup("none")  # word_dim 8
     M.save_model(model, tmp_path / "model.mner")

@@ -645,6 +645,13 @@ def test_cli_train_reports_a_bad_run_configuration(fixture_world, tmp_path, caps
     assert err.startswith(f"error: {config_path}: ") and message in err
 
 
+def test_cli_train_reports_a_directory_config_without_traceback(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "m.mner")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {tmp_path}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_train_rejects_a_negative_clip_norm_before_reading_a_corpus(fixture_world, tmp_path, capsys,
                                                                        monkeypatch):
     config_path = tmp_path / "run.json"
