@@ -25,11 +25,17 @@ from gner.embeddings import (BIN_MAGIC, convert_fasttext_bin, load_store, write_
                              write_text_vectors)
 
 
+def _word_count(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 0, got {text!r}")
+    return int(text)
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("bin_path")
     ap.add_argument("out_path")
-    ap.add_argument("--max-words", type=int, help="keep only the N most frequent words")
+    ap.add_argument("--max-words", type=_word_count, help="keep only the N most frequent words")
     args = ap.parse_args()
     with open(args.bin_path, "rb") as fh:
         published = fh.read(4) == struct.pack("<i", BIN_MAGIC)

@@ -31,15 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from gner.corpus import (
-    Sentence,
-    build_char_vocab,
-    germeval_schema,
-    conll_schema,
-    iob_to_bio,
-    parse_conll03,
-    parse_germeval,
-)
+from gner.corpus import build_char_vocab, conll_schema, germeval_schema, read_corpus
 from gner.embeddings import load_store
 from gner.evaluation import evaluate_bio, germeval_combined, split_oov_iv
 from gner.model import ModelConfig, build_model, predict_batch
@@ -78,9 +70,7 @@ def main() -> int:
 
     if args.germeval_dir:
         root = Path(args.germeval_dir)
-        train = parse_germeval(root / "NER-de-train.tsv")
-        dev = parse_germeval(root / "NER-de-dev.tsv")
-        test = parse_germeval(root / "NER-de-test.tsv")
+        train, dev, test = (read_corpus(root / f"NER-de-{split}.tsv", "germeval") for split in ("train", "dev", "test"))
         schema = germeval_schema()
 
         outer_scores, combined_scores = [], []
@@ -120,12 +110,7 @@ def main() -> int:
 
     if args.conll_dir:
         root = Path(args.conll_dir)
-
-        def load(name):
-            sents = parse_conll03(root / name)
-            return [Sentence(s.tokens, iob_to_bio(s.outer_labels), None, s.source_id) for s in sents]
-
-        train, dev, test = load("deu.train"), load("deu.testa"), load("deu.testb")
+        train, dev, test = (read_corpus(root / name, "conll") for name in ("deu.train", "deu.testa", "deu.testb"))
         scores = []
         for seed in range(1, args.runs + 1):
             started = time.time()

@@ -16,7 +16,13 @@ text stores (headerless and ``count dim`` plain ones and an ``FTXT1`` one):
 kind, dim, n-gram fields, duplicate count, every word vector and every
 bucket row.  Their lines end in LF, CRLF or a trailing space, some hold
 doubled spaces, and blank lines, a ``1_0`` value and a duplicate word are
-mixed in.  BLAS runs on one thread, so the digests depend on the code alone.
+mixed in.  A seventh line, ``corpora``, hashes each sentence's source id,
+tokens and label levels that ``parse_germeval`` and ``parse_conll03`` give
+for generated files, and ``iob_to_bio`` of each CoNLL sentence's tags.  The
+files mix ``#`` lines, ``-DOCSTART-`` blocks and tokens, runs of blank and
+whitespace-only lines and CRLF endings, and end in a sentence with no
+closing blank line.  BLAS runs on one thread, so the digests depend on the
+code alone.
 """
 
 import argparse
@@ -79,6 +85,7 @@ def main() -> int:
                 digest.update(path.read_bytes())
             print(f"{variant:8} {digest.hexdigest()}")
         print(f"{'stores':8} {_stores_digest(Path(tmp))}")
+        print(f"{'corpora':8} {_corpora_digest(Path(tmp))}")
     return 0
 
 
@@ -135,6 +142,54 @@ def _stores_digest(tmp: Path) -> str:
             add(vec)
         if store.ngram_buckets is not None:
             add(store.ngram_buckets)
+    return digest.hexdigest()
+
+
+def _corpus_text(rng, sentences, line_of, conll: bool) -> str:
+    """The sentences' lines in one file, each ending in LF or CRLF at
+    random, with sentence breaks of one to three blank or whitespace-only
+    lines, ``#`` lines before sentences and inside them, ``-DOCSTART-``
+    blocks, and no break after the last sentence."""
+    lines = []
+    for k, s in enumerate(sentences):
+        if k % 5 == 0:
+            lines += ["-DOCSTART- -X- O" if conll else "1\t-DOCSTART-\tO\tO", ""]
+        if k % 4 == 1:
+            lines.append("# O" if conll else f"# sentence {k}")
+        rows = [line_of(n, tok.text, outer, inner)
+                for n, (tok, outer, inner) in enumerate(zip(s.tokens, s.outer_labels, s.inner_labels), start=1)]
+        if k % 6 == 3:
+            rows.insert(len(rows) // 2, "-DOCSTART- -X- O" if conll else "# inside a sentence")
+        lines += rows
+        if k < len(sentences) - 1:
+            lines += [["", " ", "\t", " \t "][int(rng.integers(4))] for _ in range(int(rng.integers(1, 4)))]
+    return "".join(line + ("\r\n" if rng.integers(2) else "\n") for line in lines).rstrip("\r\n")
+
+
+def _corpora_digest(tmp: Path) -> str:
+    import numpy as np
+
+    from gner.corpus import iob_to_bio, parse_conll03, parse_germeval
+    from gner.datagen import make_corpus
+
+    rng = np.random.default_rng(SEED)
+    germeval = tmp / "corpus.tsv"
+    germeval.write_bytes(_corpus_text(rng, make_corpus(40, seed=SEED), lambda n, text, outer, inner:
+                                      f"{n}\t{text}\t{outer}\t{inner}", conll=False).encode("utf-8"))
+
+    def conll_line(n, text, outer, inner):
+        # IOB-like: some chunks open with I-, which iob_to_bio repairs.
+        tag = outer.replace("OTH", "MISC")
+        return f"{text} POS{n % 3} {'I-' + tag[2:] if tag.startswith('B-') and rng.integers(2) else tag}"
+
+    conll = tmp / "corpus.conll"
+    conll.write_bytes(_corpus_text(rng, make_corpus(40, seed=SEED + 1, with_subclasses=False), conll_line,
+                                   conll=True).encode("utf-8"))
+    digest = hashlib.sha256()
+    for sentences in (parse_germeval(germeval), parse_conll03(conll)):
+        for s in sentences:
+            labels = (s.outer_labels, s.inner_labels, iob_to_bio(s.outer_labels) if s.inner_labels is None else None)
+            digest.update(repr((s.source_id, s.texts(), labels)).encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -17,10 +17,8 @@ from .corpus import (
     conll_schema,
     germeval_schema,
     build_char_vocab,
-    iob_to_bio,
     map_combined,
-    parse_conll03,
-    parse_germeval,
+    read_corpus,
     write_germeval,
     Sentence,
 )
@@ -35,17 +33,6 @@ ENV_PORT = "GNER_PORT"
 
 _SCHEMAS = {"germeval": germeval_schema, "conll": conll_schema, "combined": combined_schema}
 _RUN_KEYS = ("format", "schema", "combined_mapping", "train_path", "dev_path", "embeddings", "model", "training")
-
-
-def _parse_corpus(path: str | Path, fmt: str) -> list[Sentence]:
-    if fmt == "germeval":
-        return parse_germeval(path)
-    if fmt == "conll":
-        sentences = parse_conll03(path)
-        return [
-            Sentence(s.tokens, iob_to_bio(s.outer_labels), None, s.source_id) for s in sentences
-        ]
-    raise CorpusError(f"unknown corpus format {fmt!r}")
 
 
 def _map_combined(sentences: list[Sentence]) -> list[Sentence]:
@@ -110,7 +97,7 @@ def _cmd_train(args) -> int:
                     f'{config_path}: {key} entries must be paths or objects with a "path" string, got {entry!r}'
                 )
             path = base / entry["path"]
-            sentences = _parse_corpus(path, entry.get("format", fmt))
+            sentences = read_corpus(path, entry.get("format", fmt))
             if spec.get("combined_mapping"):
                 sentences = _map_combined(sentences)
             _check_labels(sentences, path, schema, train_cfg.label_level)
@@ -145,8 +132,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    gold = _parse_corpus(args.gold, args.format)
-    pred = _parse_corpus(args.pred, args.format)
+    gold = read_corpus(args.gold, args.format)
+    pred = read_corpus(args.pred, args.format)
     if len(gold) != len(pred):
         print(f"error: {len(gold)} gold sentences vs {len(pred)} predicted", file=sys.stderr)
         return 1
@@ -275,7 +262,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_split_oov(args) -> int:
-    sentences = _parse_corpus(args.data, args.format)
+    sentences = read_corpus(args.data, args.format)
     store = load_store(args.embeddings)
     iv, oov = split_oov_iv(sentences, store)
     write_germeval(iv, f"{args.out_prefix}.iv.tsv")

@@ -10,7 +10,9 @@ Two file formats are read and written.  The nested-annotation TSV format has
 four tab-separated columns (token number, token, outer label, inner label),
 ``#`` comment lines and blank-line sentence breaks.  The column format is
 whitespace-separated with the token first and the NE tag last; ``-DOCSTART-``
-sentences are dropped.  Parsing and batching are pure functions.
+sentences are dropped.  Both parsers run one sentence loop and differ only
+in their per-line rule, and :func:`read_corpus` reads either format into
+BIO labels.  Parsing and batching are pure functions.
 
 Character rows are built for many token keys at once: the keys' texts
 become one array of code points, which one ``searchsorted`` maps through
@@ -43,6 +45,7 @@ __all__ = [
     "combined_schema",
     "parse_germeval",
     "parse_conll03",
+    "read_corpus",
     "write_germeval",
     "split_tag",
     "iob_to_bio",
@@ -157,94 +160,87 @@ def combined_schema() -> LabelSchema:
 _GERMEVAL_LABELS = frozenset(germeval_schema().labels)
 
 
-def _read_lines(path: str | Path) -> tuple[Path, list[str]]:
+def _read_sentences(path: str | Path, parse_line, drop_docstart: bool) -> list[Sentence]:
+    """The sentence loop of both formats over a UTF-8 file: a blank line
+    ends a sentence, and ``parse_line(path, number, line)`` checks each other
+    line and gives its ``(token, *labels)`` row, or None to skip it.  With
+    ``drop_docstart``, a sentence holding a ``-DOCSTART-`` token is dropped
+    and takes no number."""
     path = Path(path)
     try:
-        return path, path.read_text(encoding="utf-8").splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {path}: {exc}") from exc
+    sentences: list[Sentence] = []
+    rows: list[tuple[str, ...]] = []
+    # The closing blank line ends a last sentence that has none.
+    for i, line in enumerate([*lines, ""], start=1):
+        if line.strip():
+            row = parse_line(path, i, line)
+            if row is not None:
+                rows.append(row)
+        elif rows:
+            texts, *levels = zip(*rows)
+            if not (drop_docstart and "-DOCSTART-" in texts):
+                sentences.append(Sentence([Token(text) for text in texts], *map(list, levels),
+                                          source_id=f"{path.name}:{len(sentences)}"))
+            rows = []
+    return sentences
+
+
+def _germeval_line(path: Path, i: int, line: str) -> tuple[str, str, str] | None:
+    if line.startswith("#"):
+        return None
+    cols = line.split("\t")
+    if len(cols) != 4:
+        raise CorpusError(f"{path}:{i}: expected 4 tab-separated columns, got {len(cols)}")
+    _, text, out_lab, in_lab = cols
+    if not text:
+        raise CorpusError(f"{path}:{i}: empty token")
+    for label in (out_lab, in_lab):
+        if label not in _GERMEVAL_LABELS:
+            raise CorpusError(f"{path}:{i}: unknown label {label!r}")
+    return text, out_lab, in_lab
+
+
+def _conll_line(path: Path, i: int, line: str) -> tuple[str, str]:
+    cols = line.split()
+    if len(cols) < 2:
+        raise CorpusError(f"{path}:{i}: expected at least 2 columns, got {len(cols)}")
+    text, tag = cols[0], cols[-1]
+    parts = split_tag(tag)
+    if parts is None:
+        raise CorpusError(f"{path}:{i}: malformed tag {tag!r}")
+    if parts[0] != "O" and parts[1] not in CONLL_CLASSES:
+        raise CorpusError(f"{path}:{i}: unknown label {tag!r}")
+    return text, tag
 
 
 def parse_germeval(path: str | Path) -> list[Sentence]:
     """Parse the four-column nested-annotation TSV into sentences carrying
     both label levels, each label one of the GermEval schema's."""
-    path, lines = _read_lines(path)
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    outer: list[str] = []
-    inner: list[str] = []
-
-    def flush():
-        if tokens:
-            sentences.append(
-                Sentence(list(tokens), list(outer), list(inner), source_id=f"{path.name}:{len(sentences)}")
-            )
-            tokens.clear()
-            outer.clear()
-            inner.clear()
-
-    for i, line in enumerate(lines, start=1):
-        if line.startswith("#"):
-            continue
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split("\t")
-        if len(cols) != 4:
-            raise CorpusError(f"{path}:{i}: expected 4 tab-separated columns, got {len(cols)}")
-        _, text, out_lab, in_lab = cols
-        if not text:
-            raise CorpusError(f"{path}:{i}: empty token")
-        for label in (out_lab, in_lab):
-            if label not in _GERMEVAL_LABELS:
-                raise CorpusError(f"{path}:{i}: unknown label {label!r}")
-        tokens.append(Token(text))
-        outer.append(out_lab)
-        inner.append(in_lab)
-    flush()
-    return sentences
+    return _read_sentences(path, _germeval_line, drop_docstart=False)
 
 
 def parse_conll03(path: str | Path) -> list[Sentence]:
     """Parse whitespace-separated columns (token first, NE tag last).
 
     Tags are kept exactly as found in the file; the original distribution
-    uses the IOB scheme, so run :func:`iob_to_bio` on the labels before
-    training.  ``-DOCSTART-`` sentences are dropped.
+    uses the IOB scheme, which :func:`read_corpus` converts to BIO.
+    ``-DOCSTART-`` sentences are dropped.
     """
-    path, lines = _read_lines(path)
-    sentences: list[Sentence] = []
-    tokens: list[Token] = []
-    tags: list[str] = []
-    skip_docstart = False
+    return _read_sentences(path, _conll_line, drop_docstart=True)
 
-    def flush():
-        nonlocal skip_docstart
-        if tokens and not skip_docstart:
-            sentences.append(Sentence(list(tokens), list(tags), None, source_id=f"{path.name}:{len(sentences)}"))
-        tokens.clear()
-        tags.clear()
-        skip_docstart = False
 
-    for i, line in enumerate(lines, start=1):
-        if not line.strip():
-            flush()
-            continue
-        cols = line.split()
-        if len(cols) < 2:
-            raise CorpusError(f"{path}:{i}: expected at least 2 columns, got {len(cols)}")
-        text, tag = cols[0], cols[-1]
-        if text == "-DOCSTART-":
-            skip_docstart = True
-        parts = split_tag(tag)
-        if parts is None:
-            raise CorpusError(f"{path}:{i}: malformed tag {tag!r}")
-        if parts[0] != "O" and parts[1] not in CONLL_CLASSES:
-            raise CorpusError(f"{path}:{i}: unknown label {tag!r}")
-        tokens.append(Token(text))
-        tags.append(tag)
-    flush()
-    return sentences
+def read_corpus(path: str | Path, fmt: str) -> list[Sentence]:
+    """A corpus file's sentences with BIO labels: ``germeval`` as
+    :func:`parse_germeval` gives them, ``conll`` as :func:`parse_conll03`
+    gives them with each sentence's tags through :func:`iob_to_bio`."""
+    if fmt == "germeval":
+        return parse_germeval(path)
+    if fmt == "conll":
+        return [Sentence(s.tokens, iob_to_bio(s.outer_labels), None, s.source_id) for s in parse_conll03(path)]
+    raise CorpusError(f"unknown corpus format {fmt!r}")
 
 
 def write_germeval(sentences: Iterable[Sentence], path: str | Path):

@@ -442,8 +442,11 @@ def convert_fasttext_bin(path: str | Path, max_words: int | None = None) -> Embe
     vectors.  Dictionary labels and pruned models are not supported.  The
     input matrix is mapped with ``np.memmap`` once the file is known to
     hold it, so only the rows the conversion reads take memory.
+    ``max_words`` keeps the first that many words.
     """
     path = Path(path)
+    if max_words is not None and max_words < 0:
+        raise EmbeddingError(f"max_words must be >= 0, got {max_words}")
     with path.open("rb") as fh:
         magic, version = _read_struct(fh, "<ii")
         if magic != BIN_MAGIC:

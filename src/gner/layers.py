@@ -139,26 +139,27 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
     position's output in that order.  The state is held in the schedule's
     row order (``rec_mask`` too) and each step updates the rows still
     running, a leading slice of it, in place: the gate arithmetic writes
-    into buffers made once per call.  With ``keep``, returns what BPTT
-    cannot recompute, per position: the gates (i, f, g, o), the recurrent
-    input and the previous cell, so ``6 * cells`` values.
+    into buffers made once per call, and the gates (i, f, g, o) over the
+    projection rows the step has read, in ``xw``, which the call owns.  With
+    ``keep``, returns what BPTT cannot recompute, per position: the gates,
+    the recurrent input and the previous cell, so ``6 * cells`` values.
     """
     cells = params.cells
     u, bias = params.w_recurrent, params.bias
     n, dtype = xw.shape[0], out.dtype
     h, c, h_masked, i_g, tanh_c = (np.zeros((batch, cells), dtype=dtype) for _ in range(5))
-    z, act = np.empty((batch, 4 * cells), dtype=dtype), np.empty((batch, 4 * cells), dtype=dtype)
+    z = np.empty((batch, 4 * cells), dtype=dtype)
     cache = None
     if keep:
-        cache = tuple(np.empty((n, width), dtype=dtype) for width in (4 * cells, cells, cells))
+        cache = (xw, *(np.empty((n, cells), dtype=dtype) for _ in range(2)))
     for t in times:
         seg, running = steps[t]
         h_in = h[:running]
         if rec_mask is not None:
             h_in = np.multiply(h_in, rec_mask[:running], out=h_masked[:running])
-        z_t, a = z[:running], act[:running]
+        z_t, a = z[:running], xw[seg]
         np.matmul(h_in, u, out=z_t)
-        z_t += xw[seg]
+        z_t += a
         z_t += bias
         # One logistic over all four gate blocks: splitting the candidate
         # block out (two logistic calls on slices) measured -10.8% tokens/s on
@@ -167,8 +168,7 @@ def _recur(params: LstmParams, xw: np.ndarray, steps, times, rec_mask, out: np.n
         np.tanh(z_t[:, 2 * cells : 3 * cells], out=a[:, 2 * cells : 3 * cells])
         c_t = c[:running]
         if keep:
-            for buf, val in zip(cache, (a, h_in, c_t)):
-                buf[seg] = val
+            cache[1][seg], cache[2][seg] = h_in, c_t
         # c = f * c + i * g, then h = o * tanh(c).
         np.multiply(a[:, :cells], a[:, 2 * cells : 3 * cells], out=i_g[:running])
         c_t *= a[:, cells : 2 * cells]

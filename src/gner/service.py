@@ -1,8 +1,8 @@
 """The model registry and the JSON-over-HTTP inference service on top of it.
 
-The registry binds model names to a loaded model, its embedding store and a
-row cache; everything is loaded at startup (startup fails on any broken
-entry), and the bindings, models and stores do not change afterwards.
+The registry binds each model name to a row cache over a loaded model and
+its embedding store; everything is loaded at startup (startup fails on any
+broken entry), and the bindings, models and stores do not change afterwards.
 
 Each entry's :class:`~gner.model.RowCache` is the one state that the
 requests one process serves share.  It holds the token BiLSTM's gate
@@ -60,17 +60,15 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 from .corpus import Sentence, Token
 from .embeddings import EmbeddingStore, check_kind, load_store
-from .model import NerModel, RowCache, load_model, predict_batch
+from .model import RowCache, load_model, predict_batch
 
 __all__ = [
     "ServiceError",
-    "RegisteredModel",
     "ModelRegistry",
     "handle_ner_request",
     "serve",
@@ -107,23 +105,12 @@ MAX_REQUEST_TOKENS = 1_024
 MAX_TOKEN_CHARS = 100
 
 
-@dataclass
-class RegisteredModel:
-    """A served model, its store and the row cache its requests share."""
-
-    model: NerModel
-    store: EmbeddingStore
-    cache: RowCache = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.cache = RowCache(self.model, self.store, ROW_CACHE_ROWS)
-
-
 class ModelRegistry:
-    """Name -> :class:`RegisteredModel` binding, fixed at startup, and the
-    lock that lets one request at a time run a model."""
+    """Name -> :class:`~gner.model.RowCache` binding, fixed at startup: each
+    entry's cache holds its ``model`` and ``store``, and its requests share
+    it.  The registry's lock lets one request at a time run a model."""
 
-    def __init__(self, entries: dict[str, RegisteredModel]):
+    def __init__(self, entries: dict[str, RowCache]):
         if not entries:
             raise ServiceError("registry has no models")
         self._entries = dict(entries)
@@ -161,7 +148,7 @@ class ModelRegistry:
                 check_kind(key, spec.get("embedding_kind"), store.kind)
                 if store.dim != model.config.word_dim:
                     raise ServiceError(f"embedding dim {store.dim} != model word_dim {model.config.word_dim}")
-                entries[name] = RegisteredModel(model, store)
+                entries[name] = RowCache(model, store, ROW_CACHE_ROWS)
             except Exception as exc:
                 raise ServiceError(f"registry entry {name!r} failed to load: {exc}") from exc
         return cls(entries)
@@ -169,7 +156,7 @@ class ModelRegistry:
     def names(self) -> list[str]:
         return sorted(self._entries)
 
-    def get(self, name: str) -> RegisteredModel:
+    def get(self, name: str) -> RowCache:
         try:
             return self._entries[name]
         except KeyError:
@@ -216,21 +203,20 @@ def handle_ner_request(registry: ModelRegistry, payload) -> tuple[int, dict]:
                 return 413, {"error": f"sentence {i} token {j} has {len(tok)} characters, over the limit of "
                                       f"{MAX_TOKEN_CHARS}"}
     try:
-        entry = registry.get(name)
+        cache = registry.get(name)
     except ServiceError:
         return 404, {"error": f"unknown model {name!r}", "models": registry.names()}
 
     started = time.perf_counter()
     batch = [Sentence([Token(tok) for tok in sent], ["O"] * len(sent)) for sent in sentences]
-    cache = entry.cache
     with registry.lock:
         # One forward runs at a time, so the counts' growth is this request's.
         hits, lookups = cache.hits, cache.lookups
-        labels = predict_batch(entry.model, entry.store, batch, cache=cache)
+        labels = predict_batch(cache.model, cache.store, batch, cache=cache)
         hits, lookups = cache.hits - hits, cache.lookups - lookups
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     tokens = [tok for sent in sentences for tok in sent]
-    oov = sum(tok not in entry.store.word_vectors for tok in tokens)
+    oov = sum(tok not in cache.store.word_vectors for tok in tokens)
     return 200, {"model": name, "labels": labels, "timing_ms": elapsed_ms,
                  "oov_rate": oov / len(tokens) if tokens else 0.0,
                  "cached_share": hits / lookups if lookups else 0.0}

@@ -64,7 +64,7 @@ class TrainConfig:
     label_level: str = "outer"
 
     def __post_init__(self):
-        for name in ("stage1_epochs", "stage1_batch", "stage2_epochs", "stage2_batch"):
+        for name in ("stage1_epochs", "stage1_batch", "stage2_epochs", "stage2_batch", "seed"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise TrainingError(f"{name} must be an integer, got {value!r}")
@@ -73,6 +73,8 @@ class TrainConfig:
                 f"each stage needs at least one epoch, got {self.stage1_epochs} and {self.stage2_epochs}")
         if min(self.stage1_batch, self.stage2_batch) < 1:
             raise TrainingError(f"batch sizes must be >= 1, got {self.stage1_batch} and {self.stage2_batch}")
+        if self.seed < 0:  # numpy's generators refuse a negative seed
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         if not _finite_positive(self.learning_rate):
             raise TrainingError(f"learning_rate must be a finite number > 0, got {self.learning_rate!r}")
         # A negative clip norm flips the gradient and a zero one erases it.

@@ -416,3 +416,22 @@ def test_schema_index_guard():
     assert schema.index_of("B-PER") == schema.labels.index("B-PER")
     with pytest.raises(corpus.CorpusError, match="B-LOCderiv"):
         schema.index_of("B-LOCderiv")
+
+
+def test_read_corpus_gives_bio_sentences_with_the_parsers_source_ids(tmp_path):
+    conll = tmp_path / "c.txt"
+    conll.write_text("Bonn NN I-LOC\n\n-DOCSTART- -X- O\n\n" + CONLL_FIXTURE, encoding="utf-8")
+    raw = corpus.parse_conll03(conll)
+    sents = corpus.read_corpus(conll, "conll")
+    # A dropped -DOCSTART- sentence takes no number.
+    assert [s.source_id for s in sents] == [s.source_id for s in raw] == ["c.txt:0", "c.txt:1", "c.txt:2"]
+    assert [s.outer_labels for s in sents] == [["B-LOC"], ["B-LOC", "O", "O"], ["O", "B-ORG", "I-ORG"]]
+    assert raw[1].outer_labels == ["I-LOC", "O", "O"] and all(s.inner_labels is None for s in sents)
+    germeval = tmp_path / "g.tsv"
+    germeval.write_text("1\t-DOCSTART-\tO\tO\n\n" + GERMEVAL_FIXTURE, encoding="utf-8")
+    sents = corpus.read_corpus(germeval, "germeval")
+    # GermEval keeps a sentence with a -DOCSTART- token.
+    assert sents == corpus.parse_germeval(germeval) and sents[0].texts() == ["-DOCSTART-"]
+    assert [s.source_id for s in sents] == ["g.tsv:0", "g.tsv:1", "g.tsv:2"]
+    with pytest.raises(corpus.CorpusError, match="unknown corpus format 'iob'"):
+        corpus.read_corpus(conll, "iob")

@@ -705,6 +705,25 @@ def test_convert_script_writes_binary_stores_from_published_models_and_text_stor
     assert migrated.ngram_buckets.tobytes() == text.ngram_buckets.astype(np.float32).tobytes()
 
 
+def test_convert_bin_rejects_a_negative_max_words_and_keeps_the_first_words_otherwise(tmp_path):
+    path = tmp_path / "model.bin"
+    _write_bin_fixture(path, ["wort", "haus", "baum"], dim=3, bucket=8, seed=7)
+    with pytest.raises(emb.EmbeddingError, match="max_words must be >= 0, got -1"):
+        emb.convert_fasttext_bin(path, max_words=-1)
+    for max_words, kept in ((0, []), (2, ["wort", "haus"]), (5, ["wort", "haus", "baum"])):
+        assert list(emb.convert_fasttext_bin(path, max_words=max_words).word_vectors) == kept
+
+
+def test_convert_script_refuses_a_negative_max_words(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "convert_fasttext.py"
+    write_text_store(_toy_fasttext_store(np.random.default_rng(17)), tmp_path / "old.ftxt")
+    done = subprocess.run([sys.executable, str(script), str(tmp_path / "old.ftxt"), str(tmp_path / "b.store"),
+                           "--max-words", "-1"], capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert "--max-words: expected a whole number >= 0, got '-1'" in done.stderr
+    assert not (tmp_path / "b.store").exists()
+
+
 def test_convert_bin_rejects_quantized_and_bad_magic(tmp_path):
     import struct
 

@@ -171,8 +171,8 @@ def test_handle_request_reports_the_share_of_keys_served_from_the_cache(registry
         return body["cached_share"]
 
     entry = registry.get("germeval-outer")
-    assert entry.cache.max_rows == svc.ROW_CACHE_ROWS
-    assert entry.cache.model is entry.model and entry.cache.store is entry.store
+    assert entry.max_rows == svc.ROW_CACHE_ROWS
+    assert isinstance(entry, svc.RowCache) and entry.store.dim == entry.model.config.word_dim
     assert cached_share([["Anna", "besucht", "Aachen", "."]]) == 0.0
     assert cached_share([["Anna", "besucht", "Aachen", "."]]) == 1.0
     # Three of the four distinct keys were served before.
@@ -220,7 +220,7 @@ def test_threads_sharing_an_evicting_cache_get_the_cold_cache_labels(fixture_wor
     assert not errors, errors
     assert got == want
     # A lost update would leave a slot held by two keys, or by none.
-    assert sorted(registry.get("germeval-outer").cache._slots.values()) == list(range(8))
+    assert sorted(registry.get("germeval-outer")._slots.values()) == list(range(8))
 
 
 def test_requests_run_the_model_one_at_a_time(registry, monkeypatch):
@@ -658,10 +658,28 @@ def test_cli_train_rejects_a_negative_clip_norm_before_reading_a_corpus(fixture_
     config_path.write_text(_run_config(fixture_world.store_path, training={"gradient_clip_norm": -1}),
                            encoding="utf-8")
     read = []
-    monkeypatch.setattr(cli, "_parse_corpus", lambda *args: read.append(args))
+    monkeypatch.setattr(cli, "read_corpus", lambda *args: read.append(args))
     assert cli.main(["train", "--config", str(config_path), "--out", str(tmp_path / "m.mner")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {config_path}: gradient_clip_norm must be None or a finite number > 0, got -1")
+    assert not read and not (tmp_path / "m.mner").exists()
+
+
+@pytest.mark.parametrize("seed, message", [
+    (1.5, "seed must be an integer, got 1.5"),
+    (-1, "seed must be >= 0, got -1"),
+    (True, "seed must be an integer, got True"),
+    ("1", "seed must be an integer, got '1'"),
+])
+def test_cli_train_rejects_a_seed_that_is_not_a_non_negative_integer(fixture_world, tmp_path, capsys, monkeypatch,
+                                                                     seed, message):
+    config_path = tmp_path / "run.json"
+    config_path.write_text(_run_config(fixture_world.store_path, training={"seed": seed}), encoding="utf-8")
+    read = []
+    monkeypatch.setattr(cli, "read_corpus", lambda *args: read.append(args))
+    assert cli.main(["train", "--config", str(config_path), "--out", str(tmp_path / "m.mner")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config_path}: {message}\n"
     assert not read and not (tmp_path / "m.mner").exists()
 
 
